@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -149,7 +150,6 @@ def parse_config(path: str) -> RunConfig:
             restarts=_opt(sol_obj, "restarts", int, "solver", 8),
             seed=_opt(sol_obj, "seed", int, "solver", 0),
             gradient=_opt(sol_obj, "gradient", str, "solver", "fd"),
-            workers=_threads_from_env(),
         )
     except FairmeasureError as exc:
         raise ConfigError(f"solver: {exc}") from None
@@ -164,19 +164,6 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(lattice=lattice, gbm=gbm, calibration=calibration,
                      constraints=constraints, solver=solver, io=paths,
                      config_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("FAIRMEASURE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"FAIRMEASURE_THREADS: expected an integer, got {raw!r}") from None
-    if val < 0:
-        raise ConfigError(f"FAIRMEASURE_THREADS: must be >= 0, got {val}")
-    return val  # 0 = auto
 
 
 # -- file formats ------------------------------------------------------------------
@@ -260,6 +247,7 @@ def write_measure_csv(path: str, measure: Measure) -> None:
 
 def read_measure_csv(path: str, lattice: AdaptedLattice) -> Measure:
     weights = np.full(lattice.n_paths, np.nan)
+    seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -275,10 +263,16 @@ def read_measure_csv(path: str, lattice: AdaptedLattice) -> Measure:
                       for pos, ch in enumerate(label))
             if not 0 <= idx < lattice.n_paths:
                 raise ParameterError(f"{path}:{lineno}: path {label!r} outside the lattice")
+            if idx in seen:
+                raise ParameterError(f"{path}:{lineno}: duplicate row for path {label!r}")
+            seen.add(idx)
             try:
-                weights[idx] = float(w_s)
+                weight = float(w_s)
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: bad weight {w_s!r}") from None
+            if not math.isfinite(weight):
+                raise ParameterError(f"{path}:{lineno}: non-finite weight {w_s!r}")
+            weights[idx] = weight
     if np.any(np.isnan(weights)):
         raise ParameterError(f"{path}: missing weights for some paths")
     return Measure(lattice, weights)

@@ -12,7 +12,6 @@ instances provides an independent check of the optimizer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,7 +67,6 @@ class SolveOptions:
     penalty_init: float = 10.0
     penalty_growth: float = 10.0
     penalty_rounds: int = 6
-    workers: int = 1              # restarts run concurrently when > 1 (0 = auto)
 
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
@@ -176,14 +174,26 @@ def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                            total: float = 1.0) -> np.ndarray:
     """Euclidean projection onto {q : sum q = total, lo <= q <= hi}.
 
-    Bisection on the dual variable of the sum constraint with per-coordinate
-    clipping.  Already-feasible inputs come back unchanged.
+    The projection is clip(v - tau, lo, hi) for the dual variable tau of the
+    sum constraint, a continuous quadratic knapsack solved exactly by a
+    breakpoint search (Held, Wolfe & Crowder 1974; Kiwiel 2008, JOTA 138).
+    f(tau) = sum clip(v - tau, lo, hi) is piecewise linear and nonincreasing:
+    it equals sum(hi) left of every breakpoint, its slope drops by 1 at each
+    v - hi and rises by 1 at each v - lo.  One sort of the 2P breakpoints and
+    cumulative sums give f at every breakpoint; tau is then solved in closed
+    form on the piece where f crosses ``total``, from the coordinates that
+    piece holds at lo, at hi and free.  The sort need not be stable: f is
+    continuous, so tied breakpoints only bound pieces of zero width, and tau
+    is clamped to its piece.  O(P log P) for any box, uniform or not.
+    Already-feasible inputs come back unchanged; non-finite inputs raise.
     """
     v = np.asarray(v, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if v.shape != lo.shape or v.shape != hi.shape:
         raise ParameterError("point and bounds must have matching shapes")
+    if not (np.isfinite(v).all() and np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ParameterError("point and bounds must be finite")
     if np.any(lo > hi):
         raise ParameterError("empty box: lo > hi somewhere")
     slo, shi = float(lo.sum()), float(hi.sum())
@@ -193,18 +203,32 @@ def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     if (np.all(v >= lo - 1e-15) and np.all(v <= hi + 1e-15)
             and abs(float(v.sum()) - total) <= 1e-13):
         return v.copy()
-    tau_lo = float((v - hi).min())
-    tau_hi = float((v - lo).max())
-    for _ in range(200):
-        tau = 0.5 * (tau_lo + tau_hi)
-        s = float(np.clip(v - tau, lo, hi).sum())
-        if s > total:
-            tau_lo = tau
-        else:
-            tau_hi = tau
-        if tau_hi - tau_lo <= 1e-18 * max(1.0, abs(tau)):
-            break
-    return np.clip(v - 0.5 * (tau_lo + tau_hi), lo, hi)
+    P = v.size
+    breaks = np.concatenate((v - hi, v - lo))
+    order = np.argsort(breaks)
+    t = breaks[order]
+    dslope = np.where(order < P, -1.0, 1.0)
+    slope = np.cumsum(dslope)                 # slope of f right of each breakpoint
+    # f is slope * tau + offset on each piece; crossing v - hi adds v - hi to
+    # the offset and crossing v - lo subtracts v - lo, so offset = shi - cumsum(dslope * t)
+    f = shi - np.cumsum(dslope * t) + slope * t
+    below = f <= total
+    if below[0] or not below[-1]:             # total at sum(hi) or sum(lo)
+        return np.clip(v - (t[0] if below[0] else t[-1]), lo, hi)
+    j = int(np.argmax(below))
+    # tau lies on the piece [t[j-1], t[j]]: solve it there from the crossed
+    # breakpoints, not from the rounded cumulative sums.  Coordinates past
+    # v - lo sit at lo, those short of v - hi at hi, the rest are free.
+    crossed = np.zeros(2 * P, dtype=bool)
+    crossed[order[:j]] = True
+    at_hi, at_lo = ~crossed[:P], crossed[P:]
+    free = ~(at_hi | at_lo)
+    n_free = int(free.sum())
+    if n_free == 0:
+        return np.clip(v - t[j], lo, hi)
+    fixed = float(hi[at_hi].sum()) + float(lo[at_lo].sum())
+    tau = (float(v[free].sum()) + fixed - total) / n_free
+    return np.clip(v - min(max(tau, t[j - 1]), t[j]), lo, hi)
 
 
 def project_box_simplex(q: np.ndarray, params: ConstraintParams, base: Measure) -> np.ndarray:
@@ -460,24 +484,12 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
 
     eval_obj = _Objective(g, params, 0.0)
 
-    def run(idx_start):
-        idx, q0 = idx_start
+    candidates: list[_Candidate] = []
+    for q0 in starts:
         raw = eval_obj.raw(q0)
         viol = max(eval_obj.floor_violations(q0), default=0.0) if floor_active else 0.0
-        start_cand = _Candidate(q0, raw, viol, 0, [], 0.0)
-        solved = _solve_from(g, params, opts, q0, project, floor_active)
-        return [start_cand, solved]
-
-    workers = opts.workers
-    if workers == 0:
-        import os
-        workers = min(len(starts), os.cpu_count() or 1)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(run, enumerate(starts)))
-    else:
-        nested = [run(item) for item in enumerate(starts)]
-    candidates = [c for group in nested for c in group]
+        candidates.append(_Candidate(q0, raw, viol, 0, [], 0.0))
+        candidates.append(_solve_from(g, params, opts, q0, project, floor_active))
 
     feasible_cands = [c for c in candidates if c.violation <= FEASIBILITY_TOL]
     pool_ = feasible_cands if feasible_cands else candidates

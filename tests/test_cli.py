@@ -77,6 +77,21 @@ def test_process_file_rejects_incomplete_and_duplicate(tmp_path):
         cli.read_process_csv(path)
 
 
+def test_measure_file_rejects_duplicate_path(tmp_path):
+    path = tmp_path / "measure.csv"
+    path.write_text("path,weight\n0,0.5\n1,0.5\n0,0.25\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=r"measure\.csv:4: duplicate row for path '0'"):
+        cli.read_measure_csv(path, fm.build_lattice(2, 1))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_measure_file_names_non_finite_weight(tmp_path, bad):
+    path = tmp_path / "measure.csv"
+    path.write_text(f"path,weight\n0,0.5\n1,{bad}\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"measure\.csv:3: non-finite weight '{bad}'"):
+        cli.read_measure_csv(path, fm.build_lattice(2, 1))
+
+
 # -- commands ---------------------------------------------------------------------
 
 def test_simulate_writes_loadable_process(tmp_path):
@@ -261,14 +276,3 @@ def test_config_requires_exactly_one_process_source(tmp_path, capsys):
 def test_missing_config_exits_1(tmp_path, capsys):
     assert cli.main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config" in capsys.readouterr().err
-
-
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("FAIRMEASURE_THREADS", "2")
-    cfg = write_config(tmp_path / "config.json")
-    assert cli.parse_config(cfg).solver.workers == 2
-    monkeypatch.setenv("FAIRMEASURE_THREADS", "0")
-    assert cli.parse_config(cfg).solver.workers == 0
-    monkeypatch.setenv("FAIRMEASURE_THREADS", "nope")
-    with pytest.raises(fm.ConfigError, match="FAIRMEASURE_THREADS"):
-        cli.parse_config(cfg)

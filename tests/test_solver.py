@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairmeasure as fm
 from fairmeasure.solver import (_Objective, _corr_batch, _m_batch, _n_batch,
@@ -108,6 +110,70 @@ def test_projection_empty_box():
     with pytest.raises(fm.ParameterError):
         fm.project_capped_simplex(np.array([0.5, 0.5]),
                                   np.array([0.6, 0.6]), np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("which", ["v", "lo", "hi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite(which, bad):
+    args = {"v": np.array([0.1, 0.2, 0.3, 0.4]),
+            "lo": np.full(4, 0.125), "hi": np.full(4, 0.5)}
+    args[which] = args[which].copy()
+    args[which][0] = bad
+    with pytest.raises(fm.ParameterError, match="finite"):
+        fm.project_capped_simplex(args["v"], args["lo"], args["hi"])
+
+
+def bisection_projection(v, lo, hi, total=1.0):
+    """Reference projection: bisection on the dual variable tau of the sum
+    constraint, run until the midpoint of the bracket equals an endpoint."""
+    tau_lo = float((v - hi).min())
+    tau_hi = float((v - lo).max())
+    while True:
+        tau = 0.5 * (tau_lo + tau_hi)
+        if tau in (tau_lo, tau_hi):
+            return np.clip(v - tau, lo, hi)
+        if float(np.clip(v - tau, lo, hi).sum()) > total:
+            tau_lo = tau
+        else:
+            tau_hi = tau
+
+
+@st.composite
+def projection_cases(draw):
+    """(v, lo, hi, total): P in 1..64, repeated entries in v, uniform,
+    non-uniform (partly degenerate) or fully degenerate boxes, and totals at
+    sum(lo), at sum(hi) or between."""
+    P = draw(st.integers(1, 64))
+    pool = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=P))
+    v = np.array(draw(st.lists(st.sampled_from(pool), min_size=P, max_size=P)))
+    box = draw(st.sampled_from(["uniform", "non-uniform", "degenerate"]))
+    if box == "uniform":
+        N = draw(st.floats(1.0, 4.0))
+        lo, hi = np.full(P, 1.0 / (N * P)), np.full(P, N / P)
+    else:
+        lo = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=P, max_size=P)))
+        width = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        hi = lo + (0.0 if box == "degenerate"
+                   else np.array(draw(st.lists(width, min_size=P, max_size=P))))
+    where = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    slo, shi = float(lo.sum()), float(hi.sum())
+    total = slo if where == 0.0 else shi if where == 1.0 else slo + where * (shi - slo)
+    return v, lo, hi, total
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases())
+def test_projection_matches_bisection_reference(case):
+    v, lo, hi, total = case
+    q = fm.project_capped_simplex(v, lo, hi, total)
+    ref = bisection_projection(v, lo, hi, total)
+    assert np.abs(q - ref).max() <= 1e-12
+    assert abs(float(q.sum()) - total) <= 1e-12 * max(1.0, total)
+    assert np.all(q >= lo - 1e-15) and np.all(q <= hi + 1e-15)
+    again = fm.project_capped_simplex(q, lo, hi, total)
+    assert np.abs(again - q).max() <= 1e-12
+    d_new, d_ref = float(((q - v) ** 2).sum()), float(((ref - v) ** 2).sum())
+    assert d_new <= d_ref + 1e-12 * max(1.0, d_ref)
 
 
 # -- batched evaluators agree with the reference implementation --------------------
@@ -330,11 +396,3 @@ def test_minimize_deterministic_given_seed(two_path):
     assert reps[0].value == reps[1].value
     assert np.array_equal(reps[0].measure.weights, reps[1].measure.weights)
     assert reps[0].iterations == reps[1].iterations
-
-
-def test_minimize_workers_match_serial(two_path):
-    params = fm.ConstraintParams(N=2.0, p=2.0, objective="m")
-    serial = fm.minimize(two_path, params, fm.SolveOptions(restarts=4, workers=1))
-    threaded = fm.minimize(two_path, params, fm.SolveOptions(restarts=4, workers=4))
-    assert serial.value == threaded.value
-    assert np.array_equal(serial.measure.weights, threaded.measure.weights)
