@@ -1,0 +1,183 @@
+"""Node-level kernel behind every unfairness functional and its gradient.
+
+An adapted process at time k is one row per level-k node,
+``values[k][::b**(K-k)]``.  A batch of weight rows Q (G, P) enters through
+its node weights W_K = Q, W_k = W_{k+1}.reshape(G, -1, b).sum(-1).  The
+forward fold A_k = sum_children W_{k+1} [g_{k+1}, A_{k+1}] / W_k gives every
+E[g_l | F_k], l > k, in O(P) work and about K numpy calls, where a path
+array per (k, l) pair costs O(K^2 P).  Each step is
+``lattice._weighted_mean``, as in ``cond_exp``: constants pass through
+exactly, one-step averages agree to the bit, zero-weight nodes average to 0.
+
+Each functional is F = sum_k sum_nodes W_k f_k(A_k).  Below a level-k node
+dA_kl/dq_pi = (g_l(pi) - A_kl) / W_k, whose 1/W_k cancels the W_k in front,
+so with D_k = df_k/dA_k the adjoint (Griewank & Walther, *Evaluating
+Derivatives*) is
+
+    dF/dq_pi = sum_k [f_k - D_k . A_k](node_k(pi))
+               + sum_l (sum_{k<l} D_kl(node_k(pi))) . g_l(pi),
+
+one O(P) top-down sweep in :meth:`Tree.reverse`.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DomainError
+from .lattice import LatticeProcess, _weighted_mean
+
+# Weight entries per row block when a large batch (an FD stencil or the
+# oracle grid) is evaluated piecewise; bounds the kernel's working memory.
+BLOCK_ELEMS = 1 << 18
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of at least one row and at most BLOCK_ELEMS entries of ``width``."""
+    step = max(1, BLOCK_ELEMS // width)
+    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
+class Tree:
+    """Node arrays of one adapted process."""
+
+    def __init__(self, g: LatticeProcess):
+        b, K = g.lattice.branching, g.lattice.depth
+        self.b, self.K, self.dt, self.n, self.d = b, K, g.lattice.dt, g.n, g.d
+        self.nodes = [g.values[k][:: b ** (K - k)] for k in range(K + 1)]
+        # the first time k < K with a value <= 0, where n's drift rate is undefined
+        self.nonpositive = next((k for k in range(K) if (self.nodes[k] <= 0.0).any()), None)
+
+    def node_weights(self, Q: np.ndarray) -> list[np.ndarray]:
+        """[W_0, ..., W_K], W_k of shape (G, b^k), for weight rows (or one vector) Q.
+        At b = 2 one add of the strided halves gives the reduction's floats."""
+        W = [np.atleast_2d(Q)]
+        for _ in range(self.K):
+            w = W[-1]
+            W.append(w[:, 0::2] + w[:, 1::2] if self.b == 2
+                     else w.reshape(w.shape[0], -1, self.b).sum(axis=2))
+        return W[::-1]
+
+    def averages(self, W: list[np.ndarray], horizon: int) -> list[np.ndarray]:
+        """A[k][:, :, j] = E[g_{k+1+j} | F_k] at the level-k nodes, shape
+        (G, b^k, h, n*d) with h = min(horizon, K - k)."""
+        b, K, G = self.b, self.K, W[0].shape[0]
+        positive = bool((W[K] > 0.0).all())
+        A: list = [None] * K
+        for k in range(K - 1, -1, -1):
+            h, child = min(horizon, K - k), self.nodes[k + 1]
+            M = child.shape[1]
+            if h == 1:
+                X = child.reshape(1, b ** k, b, M)
+            else:
+                X = np.empty((G, b ** (k + 1), h, M))
+                X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
+                X = X.reshape(G, b ** k, b, h * M)
+            Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
+            A[k] = _weighted_mean(W[k + 1].reshape(G, b ** k, b), X, Wk).reshape(G, b ** k, h, M)
+        if not positive:  # the fold kept weightless nodes at their first child's value
+            for k in range(K):
+                A[k][W[k] <= 0.0] = 0.0
+        return A
+
+    def reverse(self, terms: list, D: list[np.ndarray]) -> np.ndarray:
+        """Per path (G, P): the sum over k of terms[k] (G, b^k; a scalar for
+        k > 0) at its level-k node plus sum_l (sum_{k<l} D[k][:, :, l-k-1]) . g_l.
+        D[k] is (G, b^k, h_k, n*d) with h_{k+1} >= h_k - 1; the running sum of
+        D goes down to the children, and its l-th entry closes at level l."""
+        b, K = self.b, self.K
+        acc, carry = terms[0], D[0]
+        for k in range(1, K + 1):
+            G, parents = acc.shape
+            closing = np.einsum("gpm,pcm->gpc", carry[:, :, 0],
+                                self.nodes[k].reshape(parents, b, -1))
+            acc = (acc[:, :, None] + closing).reshape(G, parents * b) + terms[k]
+            if k < K:
+                later, carry = carry[:, :, None, 1:], D[k]
+                if later.shape[3]:
+                    nxt = carry.reshape((G, parents, b) + carry.shape[2:])
+                    nxt[:, :, :, :later.shape[3]] += later
+                    carry = nxt.reshape(carry.shape)
+        return acc
+
+    def m(self, W: list[np.ndarray], p: float, adjoint: bool = False):
+        """The m-functional per weight row (G,), or its (terms, D) for
+        :meth:`reverse` with ``adjoint``."""
+        A, dt2 = self.averages(W, self.K), self.dt * self.dt
+        total, terms, D = 0.0, [], []
+        for k in range(self.K):
+            dev = self.nodes[k][:, None, :] - A[k]
+            nrm = np.abs(dev) if self.d == 1 else np.sqrt(
+                (dev.reshape(dev.shape[:-1] + (self.n, self.d)) ** 2).sum(axis=-1))
+            if not adjoint:
+                total = total + np.einsum("gv,gvhe->g", W[k], nrm ** p)
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
+            D.append(np.repeat(coef, self.d, axis=-1) * dev)
+            terms.append(dt2 * np.einsum("gvhe->gv", nrm ** p)
+                         - np.einsum("gvhm,gvhm->gv", D[-1], A[k]))
+        return (terms + [0.0], D) if adjoint else dt2 * total
+
+    def n_value(self, W: list[np.ndarray], adjoint: bool = False):
+        """The n-functional per weight row (G,), or its (terms, D) for
+        :meth:`reverse` with ``adjoint`` (subgradient 0 at drift kinks)."""
+        if self.nonpositive is not None:
+            raise DomainError(
+                f"drift rate needs strictly positive values at time {self.nonpositive}")
+        A = self.averages(W, 1)
+        total, terms, D = 0.0, [], []
+        for k in range(self.K):
+            a, g = A[k][:, :, 0], self.nodes[k]
+            rate = (a - g) / (self.dt * g)
+            if not adjoint:
+                total = total + np.einsum("gv,gvm->g", W[k], np.abs(rate))
+                continue
+            slope = np.sign(rate) / g
+            terms.append(self.dt * np.abs(rate).sum(axis=2) - np.einsum("gvm,gvm->gv", slope, a))
+            D.append(slope[:, :, None])
+        return (terms + [0.0], D) if adjoint else self.dt * total
+
+    def inner(self, W: list[np.ndarray], split: int) -> np.ndarray:
+        """The p = 2 pairing of components [:split] with [split:], per row."""
+        A = self.averages(W, self.K)
+        devs = [np.split(self.nodes[k][:, None, :] - A[k], [split], axis=-1) for k in range(self.K)]
+        return self.dt * self.dt * sum(np.einsum("gv,gvhm,gvhm->g", w, *dev)
+                                       for w, dev in zip(W, devs))
+
+
+class Floor:
+    """Correlation integrals sum_k dt Cov_q / E_q|g_i g_j| of scalar exchange
+    pairs, under raw (unnormalized) weights, and the floor penalty's terms."""
+
+    def __init__(self, tree: Tree, pairs: list[tuple[int, int]]):
+        self.tree, self.pairs = tree, pairs
+        I, J = [i for i, _ in pairs], [j for _, j in pairs]
+        # per level k >= 1 the node columns [g_i, g_j, g_i g_j, |g_i g_j|] per pair
+        self.features = [None] + [np.concatenate((x[:, I], x[:, J], x[:, I] * x[:, J],
+                                                  np.abs(x[:, I] * x[:, J])), axis=1)
+                                  for x in tree.nodes[1:]]
+
+    def moments(self, W: list[np.ndarray]) -> tuple[np.ndarray, list]:
+        """Integrals (G, pairs) and per level k >= 1 (E g_i, E g_j, cov, E|g_i g_j|)."""
+        total, parts = 0.0, []
+        for k in range(1, self.tree.K + 1):
+            E = W[k] @ self.features[k]
+            ex, ey, exy, scale = E.reshape(len(E), 4, -1).swapaxes(0, 1)
+            if (scale <= 0.0).any():
+                i, j = self.pairs[int(np.argmax((scale <= 0.0).any(axis=0)))]
+                raise DomainError(f"E|g_{i} g_{j}| vanishes at time {k}; floor undefined")
+            cov = exy - ex * ey
+            total = total + self.tree.dt * cov / scale
+            parts.append((ex, ey, cov, scale))
+        return total, parts
+
+    def penalty_terms(self, W: list[np.ndarray], c: float, rho: float) -> list:
+        """Node terms of rho * sum max(0, c - integral)^2 for :meth:`Tree.reverse`."""
+        total, parts = self.moments(W)
+        weight = -2.0 * rho * np.maximum(c - total, 0.0)
+        terms: list = [0.0]
+        for k, (ex, ey, cov, scale) in enumerate(parts, start=1):
+            ws = weight * self.tree.dt / scale
+            coef = np.concatenate((-ws * ey, -ws * ex, ws, -ws * cov / scale), axis=1)
+            terms.append(coef @ self.features[k].T)
+        return terms

@@ -149,7 +149,7 @@ def parse_config(path: str) -> RunConfig:
             tol=_opt(sol_obj, "tol", float, "solver", 1e-9),
             restarts=_opt(sol_obj, "restarts", int, "solver", 8),
             seed=_opt(sol_obj, "seed", int, "solver", 0),
-            gradient=_opt(sol_obj, "gradient", str, "solver", "fd"),
+            gradient=_opt(sol_obj, "gradient", str, "solver", "analytic"),
         )
     except FairmeasureError as exc:
         raise ConfigError(f"solver: {exc}") from None
@@ -202,6 +202,8 @@ def read_process_csv(path: str):
                 rows.append((label, int(k_s), int(i_s), int(j_s), float(v_s)))
             except ValueError as exc:
                 raise ParameterError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(rows[-1][4]):
+                raise ParameterError(f"{path}:{lineno}: non-finite value {v_s!r}")
     if not rows:
         raise ParameterError(f"{path}: no data rows")
     K = len(rows[0][0])

@@ -223,23 +223,13 @@ def _as_columns(x: np.ndarray, n_paths: int):
     raise ParameterError(f"expected ({n_paths},) or ({n_paths}, m) array, got shape {x.shape}")
 
 
-def _cond_exp_weights(lat: AdaptedLattice, X: np.ndarray, k: int, w: np.ndarray):
-    """Blockwise weighted average over partition(k); X is (n_paths, m).
-
-    Returns the path-expanded averages and the per-block zero-weight flags.
-    Weights need not be normalized.
-    """
-    nblk, bs = lat.n_blocks(k), lat.block_size(k)
-    Xb = X.reshape(nblk, bs, X.shape[1])
-    wb = w.reshape(nblk, bs)
-    W = wb.sum(axis=1)
-    zero = W <= 0.0
-    num = np.einsum("nb,nbm->nm", wb, Xb)
-    avg = num / np.where(zero, 1.0, W)[:, None]
-    const = np.all(Xb == Xb[:, :1, :], axis=1)
-    avg = np.where(const, Xb[:, 0, :], avg)
-    avg[zero] = 0.0
-    return np.repeat(avg, bs, axis=0), zero
+def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X_0 + sum(w * (X - X_0)) / W over the children axis, w (..., c), X
+    (..., c, m), W (...) the positive total weight: exact where X is constant.
+    ``cond_exp`` and the node kernel both average through it, so a one-step
+    conditional expectation is the same float on either path."""
+    first = X[..., :1, :]
+    return first[..., 0, :] + np.einsum("...c,...cm->...m", w, X - first) / W[..., None]
 
 
 def cond_exp(x: np.ndarray, k: int, Q: Measure, *, return_zero_blocks: bool = False):
@@ -257,7 +247,14 @@ def cond_exp(x: np.ndarray, k: int, Q: Measure, *, return_zero_blocks: bool = Fa
     lat = Q.lattice
     lat._check_time(k)
     X, was_vector = _as_columns(x, lat.n_paths)
-    out, zero = _cond_exp_weights(lat, X, k, Q.weights)
+    nblk, bs = lat.n_blocks(k), lat.block_size(k)
+    Xb = X.reshape(nblk, bs, X.shape[1])
+    wb = Q.weights.reshape(nblk, bs)
+    W = wb.sum(axis=1)
+    zero = W <= 0.0
+    avg = _weighted_mean(wb, Xb, np.where(zero, 1.0, W))
+    avg[zero] = 0.0
+    out = np.repeat(avg, bs, axis=0)
     if was_vector:
         out = out[:, 0]
     if return_zero_blocks:

@@ -8,6 +8,10 @@ functionals, minimized by projected gradient descent over the path weights
 with an escalating exact penalty for the floor, multi-started from the base
 measure plus random feasible points.  A grid-search oracle over tiny
 instances provides an independent check of the optimizer.
+
+Each value and analytic gradient is one O(P) pass of the node kernel in
+``_tree``; an FD gradient is one batched pass over 2P perturbed rows, O(P^2)
+in all, so "analytic" is the default and "fd" an explicit check.
 """
 from __future__ import annotations
 
@@ -17,21 +21,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, InfeasibleError, ParameterError,
-                     SizeBudgetError, UnsupportedConstraintError)
+from ._tree import Floor, Tree, row_blocks
+from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
+                     UnsupportedConstraintError)
 from .lattice import AdaptedLattice, LatticeProcess, Measure, uniform_measure
-from .unfairness import _m_raw, _n_raw
 
 __all__ = [
     "ConstraintParams", "SolveOptions", "ConstraintReport", "SolveReport",
     "BruteForceResult", "box_bounds", "correlation_integral",
-    "check_constraints", "project_box_simplex", "project_capped_simplex",
+    "check_constraints", "project_capped_simplex",
     "minimize", "brute_force_min", "kkt_residual",
 ]
 
 FEASIBILITY_TOL = 1e-8
 _RESIDUAL_ETA = 1e-6
 _MIN_STEP = 1e-14
+_GRID_BUDGET = 10 ** 8  # oracle grid points; scoring them takes about a minute
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class SolveOptions:
     tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
-    gradient: str = "fd"          # "fd" | "analytic"
+    gradient: str = "analytic"    # "analytic" | "fd"
     fd_step: float = 1e-7
     penalty_init: float = 10.0
     penalty_growth: float = 10.0
@@ -86,35 +91,18 @@ def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarra
 
 # -- constraints ---------------------------------------------------------------
 
-def _pair_columns(g: LatticeProcess, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    if g.d != 1:
-        raise UnsupportedConstraintError(
-            "the correlation floor is defined for scalar exchanges (d = 1) only")
-    return g.values[:, :, i], g.values[:, :, j]
-
-
-def _corr_integral_raw(q: np.ndarray, g: LatticeProcess, i: int, j: int) -> float:
-    """Right-endpoint time sum of Cov_q / E_q|product| for exchanges i, j."""
-    x_all, y_all = _pair_columns(g, i, j)
-    dt = g.lattice.dt
-    total = 0.0
-    for k in range(1, g.lattice.depth + 1):
-        x, y = x_all[k], y_all[k]
-        cov = float(q @ (x * y)) - float(q @ x) * float(q @ y)
-        scale = float(q @ np.abs(x * y))
-        if scale <= 0.0:
-            raise DomainError(f"E|g_{i} g_{j}| vanishes at time {k}; floor undefined")
-        total += dt * cov / scale
-    return total
-
-
 def correlation_integral(Q: Measure, g: LatticeProcess, i: int, j: int) -> float:
-    """Time-integrated normalized covariance between exchanges i and j."""
+    """Time-integrated normalized covariance between exchanges i and j:
+    the right-endpoint time sum of Cov_Q / E_Q|g_i g_j|."""
     if Q.lattice != g.lattice:
         raise ParameterError("measure and process live on different lattices")
     if not (0 <= i < g.n and 0 <= j < g.n and i != j):
         raise ParameterError(f"need distinct exchange indices in 0..{g.n - 1}")
-    return _corr_integral_raw(Q.weights, g, i, j)
+    if g.d != 1:
+        raise UnsupportedConstraintError(
+            "the correlation floor is defined for scalar exchanges (d = 1) only")
+    tree = Tree(g)
+    return float(Floor(tree, [(i, j)]).moments(tree.node_weights(Q.weights))[0][0, 0])
 
 
 def _floor_pairs(g: LatticeProcess, params: ConstraintParams) -> list[tuple[int, int]]:
@@ -159,9 +147,8 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams,
     corr: dict[tuple[int, int], float] = {}
     slack: dict[tuple[int, int], float] = {}
     for i, j in _floor_pairs(g, params):
-        val = _corr_integral_raw(q, g, i, j)
-        corr[(i, j)] = val
-        slack[(i, j)] = val - params.c
+        corr[(i, j)] = correlation_integral(Q, g, i, j)
+        slack[(i, j)] = corr[(i, j)] - params.c
     feasible = (float(lower.min()) >= -feas_tol and float(upper.min()) >= -feas_tol
                 and abs(norm_err) <= feas_tol
                 and all(s >= -feas_tol for s in slack.values()))
@@ -231,146 +218,61 @@ def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return np.clip(v - min(max(tau, t[j - 1]), t[j]), lo, hi)
 
 
-def project_box_simplex(q: np.ndarray, params: ConstraintParams, base: Measure) -> np.ndarray:
-    """Projection onto the simplex cut to the equivalence box around ``base``."""
-    lo = base.weights / params.N
-    hi = base.weights * params.N
-    return project_capped_simplex(q, lo, hi)
-
-
 # -- objective -----------------------------------------------------------------
 
 class _Objective:
-    """Penalized objective on raw weight vectors: value, parts and gradients."""
+    """Penalized objective on raw weight vectors: values and gradients, each
+    one pass of the node kernel in ``_tree`` (FD: over 2P perturbed rows)."""
 
     def __init__(self, g: LatticeProcess, params: ConstraintParams, rho: float):
-        self.g = g
-        self.params = params
-        self.rho = rho
-        self.pairs = _floor_pairs(g, params)
+        self.params, self.rho = params, rho
+        self.tree = Tree(g)
+        pairs = _floor_pairs(g, params)
+        self.floor = Floor(self.tree, pairs) if pairs else None
 
-    def raw(self, q: np.ndarray) -> float:
+    def raw(self, W: list[np.ndarray]) -> np.ndarray:
         if self.params.objective == "m":
-            return _m_raw(q, self.g, self.params.p, True)
-        return _n_raw(q, self.g)
+            return self.tree.m(W, self.params.p)
+        return self.tree.n_value(W)
 
-    def floor_violations(self, q: np.ndarray) -> list[float]:
-        c = self.params.c
-        return [max(0.0, c - _corr_integral_raw(q, self.g, i, j)) for i, j in self.pairs]
+    def evaluate(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(penalized value, raw objective, max floor violation) per row of Q."""
+        W = self.tree.node_weights(Q)
+        raw = self.raw(W)
+        if self.floor is None:
+            return raw, raw, np.zeros_like(raw)
+        viols = np.maximum(0.0, self.params.c - self.floor.moments(W)[0])
+        return raw + self.rho * (viols * viols).sum(axis=1), raw, viols.max(axis=1)
 
     def value_parts(self, q: np.ndarray) -> tuple[float, float, float]:
         """(penalized value, raw objective, max floor violation)."""
-        raw = self.raw(q)
-        if not self.pairs:
-            return raw, raw, 0.0
-        viols = self.floor_violations(q)
-        pen = raw + self.rho * sum(v * v for v in viols)
-        return pen, raw, max(viols)
-
-    def value(self, q: np.ndarray) -> float:
-        return self.value_parts(q)[0]
+        pen, raw, viol = self.evaluate(q)
+        return float(pen[0]), float(raw[0]), float(viol[0])
 
     def gradient(self, q: np.ndarray, mode: str, h: float) -> np.ndarray:
-        if mode == "fd":
-            return self._fd_gradient(q, h)
         if mode == "analytic":
-            return self._analytic_gradient(q)
-        raise ParameterError(f"unknown gradient mode {mode!r}")
-
-    def _fd_gradient(self, q: np.ndarray, h: float) -> np.ndarray:
+            W = self.tree.node_weights(q)
+            if self.params.objective == "m":
+                terms, D = self.tree.m(W, self.params.p, adjoint=True)
+            else:
+                terms, D = self.tree.n_value(W, adjoint=True)
+            if self.floor is not None and self.rho > 0.0:
+                pen = self.floor.penalty_terms(W, self.params.c, self.rho)
+                terms = [t + e for t, e in zip(terms, pen)]
+            return self.tree.reverse(terms, D)[0]
+        if mode != "fd":
+            raise ParameterError(f"unknown gradient mode {mode!r}")
         step = h * max(1.0, float(np.linalg.norm(q)))
         grad = np.empty_like(q)
-        for v in range(q.size):
-            plus = q.copy()
-            minus = q.copy()
-            plus[v] += step
-            minus[v] -= step
-            grad[v] = (self.value(plus) - self.value(minus)) / (2.0 * step)
+        for rows in row_blocks(q.size, 2 * q.size):
+            coords = np.arange(rows.start, rows.stop)
+            r = coords.size
+            Q = np.tile(q, (2 * r, 1))
+            Q[np.arange(r), coords] += step
+            Q[np.arange(r, 2 * r), coords] -= step
+            pen = self.evaluate(Q)[0]
+            grad[rows] = (pen[:r] - pen[r:]) / (2.0 * step)
         return grad
-
-    def _analytic_gradient(self, q: np.ndarray) -> np.ndarray:
-        if self.params.objective == "m":
-            grad = _grad_m(q, self.g, self.params.p)
-        else:
-            grad = _grad_n(q, self.g)
-        if self.pairs and self.rho > 0.0:
-            grad = grad + _grad_penalty(q, self.g, self.pairs, self.params.c, self.rho)
-        return grad
-
-
-def _block_average(lat, X, k, q):
-    from .lattice import _cond_exp_weights
-    avg, _ = _cond_exp_weights(lat, X, k, q)
-    return avg
-
-
-def _grad_m(q: np.ndarray, g: LatticeProcess, p: float) -> np.ndarray:
-    """d/dq of the m-functional.
-
-    Per (exchange, time pair) the deviation dev = g(k) - E_q[g(l)|F_k] is
-    constant on each level-k block, so the derivative splits into the
-    integrand itself plus the chain-rule term through the blockwise average:
-    grad_v = sum dt^2 [ |dev|^p - p |dev|^{p-2} dev . (g(l, v) - E_q[g(l)|F_k]) ].
-    """
-    lat = g.lattice
-    dt = lat.dt
-    P, n, d = lat.n_paths, g.n, g.d
-    grad = np.zeros(P)
-    for k in range(lat.depth):
-        for l in range(k, lat.depth + 1):
-            Xl = g.values[l]
-            A = _block_average(lat, Xl, k, q)
-            dev = g.values[k] - A
-            if d == 1:
-                nrm = np.abs(dev)
-            else:
-                nrm = np.sqrt((dev.reshape(P, n, d) ** 2).sum(axis=2))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coef = np.where(nrm > 0.0, p * nrm ** (p - 2.0), 0.0)
-            inner = (dev * (Xl - A)).reshape(P, n, d).sum(axis=2)
-            grad += dt * dt * ((nrm ** p) - coef * inner).sum(axis=1)
-    return grad
-
-
-def _grad_n(q: np.ndarray, g: LatticeProcess) -> np.ndarray:
-    """d/dq of the n-functional (subgradient 0 at drift kinks)."""
-    lat = g.lattice
-    dt = lat.dt
-    grad = np.zeros(lat.n_paths)
-    for k in range(lat.depth):
-        cur = g.values[k]
-        if np.any(cur <= 0.0):
-            raise DomainError(f"drift rate needs strictly positive values at time {k}")
-        nxt = g.values[k + 1]
-        A = _block_average(lat, nxt, k, q)
-        D = (A - cur) / (dt * cur)
-        grad += dt * (np.abs(D) + np.sign(D) * (nxt - A) / (dt * cur)).sum(axis=1)
-    return grad
-
-
-def _grad_penalty(q: np.ndarray, g: LatticeProcess, pairs, c: float,
-                  rho: float) -> np.ndarray:
-    lat = g.lattice
-    dt = lat.dt
-    grad = np.zeros(lat.n_paths)
-    for i, j in pairs:
-        integral = _corr_integral_raw(q, g, i, j)
-        gap = c - integral
-        if gap <= 0.0:
-            continue
-        x_all, y_all = _pair_columns(g, i, j)
-        d_int = np.zeros(lat.n_paths)
-        for k in range(1, lat.depth + 1):
-            x, y = x_all[k], y_all[k]
-            ex = float(q @ x)
-            ey = float(q @ y)
-            cov = float(q @ (x * y)) - ex * ey
-            scale = float(q @ np.abs(x * y))
-            d_cov = x * y - x * ey - y * ex
-            d_scale = np.abs(x * y)
-            d_int += dt * (d_cov * scale - cov * d_scale) / (scale * scale)
-        grad += rho * 2.0 * gap * (-d_int)
-    return grad
 
 
 # -- minimization --------------------------------------------------------------
@@ -486,8 +388,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
 
     candidates: list[_Candidate] = []
     for q0 in starts:
-        raw = eval_obj.raw(q0)
-        viol = max(eval_obj.floor_violations(q0), default=0.0) if floor_active else 0.0
+        _, raw, viol = eval_obj.value_parts(q0)
         candidates.append(_Candidate(q0, raw, viol, 0, [], 0.0))
         candidates.append(_solve_from(g, params, opts, q0, project, floor_active))
 
@@ -514,7 +415,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
 
 
 def kkt_residual(Q: Measure, g: LatticeProcess, params: ConstraintParams, *,
-                 eta: float = 1e-6, rho: float = 0.0, gradient: str = "fd",
+                 eta: float = 1e-6, rho: float = 0.0, gradient: str = "analytic",
                  fd_step: float = 1e-7) -> float:
     """First-order stationarity: ||project(q - eta * grad) - q|| / eta.
 
@@ -537,71 +438,14 @@ class BruteForceResult:
     value: float
 
 
-def _m_batch(Qmat: np.ndarray, g: LatticeProcess, p: float) -> np.ndarray:
-    lat = g.lattice
-    dt = lat.dt
-    G = Qmat.shape[0]
-    n, d = g.n, g.d
-    total = np.zeros(G)
-    for k in range(lat.depth):
-        nblk, bs = lat.n_blocks(k), lat.block_size(k)
-        Qb = Qmat.reshape(G, nblk, bs)
-        W = Qb.sum(axis=2)
-        gk = g.values[k].reshape(nblk, bs, -1)[:, 0, :]
-        for l in range(k, lat.depth + 1):
-            Xb = g.values[l].reshape(nblk, bs, -1)
-            S = np.einsum("gnb,nbm->gnm", Qb, Xb)
-            A = S / W[:, :, None]
-            dev = gk[None, :, :] - A
-            if d == 1:
-                nrm = np.abs(dev)
-            else:
-                nrm = np.sqrt((dev.reshape(G, nblk, n, d) ** 2).sum(axis=3))
-            total += dt * dt * (W * (nrm ** p).sum(axis=2)).sum(axis=1)
-    return total
-
-
-def _n_batch(Qmat: np.ndarray, g: LatticeProcess) -> np.ndarray:
-    lat = g.lattice
-    dt = lat.dt
-    G = Qmat.shape[0]
-    total = np.zeros(G)
-    for k in range(lat.depth):
-        nblk, bs = lat.n_blocks(k), lat.block_size(k)
-        cur = g.values[k].reshape(nblk, bs, -1)[:, 0, :]
-        if np.any(cur <= 0.0):
-            raise DomainError(f"drift rate needs strictly positive values at time {k}")
-        Qb = Qmat.reshape(G, nblk, bs)
-        W = Qb.sum(axis=2)
-        Xb = g.values[k + 1].reshape(nblk, bs, -1)
-        A = np.einsum("gnb,nbm->gnm", Qb, Xb) / W[:, :, None]
-        D = (A - cur[None]) / (dt * cur[None])
-        total += dt * (W * np.abs(D).sum(axis=2)).sum(axis=1)
-    return total
-
-
-def _corr_batch(Qmat: np.ndarray, g: LatticeProcess, i: int, j: int) -> np.ndarray:
-    x_all, y_all = _pair_columns(g, i, j)
-    dt = g.lattice.dt
-    total = np.zeros(Qmat.shape[0])
-    for k in range(1, g.lattice.depth + 1):
-        x, y = x_all[k], y_all[k]
-        cov = Qmat @ (x * y) - (Qmat @ x) * (Qmat @ y)
-        scale = Qmat @ np.abs(x * y)
-        if np.any(scale <= 0.0):
-            raise DomainError(f"E|g_{i} g_{j}| vanishes at time {k}; floor undefined")
-        total += dt * cov / scale
-    return total
-
-
 def brute_force_min(g: LatticeProcess, params: ConstraintParams,
                     resolution: int = 200) -> BruteForceResult:
     """Exhaustive grid search over the feasible box-simplex.
 
     The last coordinate is eliminated by normalization; grid points outside
     the box or below the correlation floor are discarded.  Ties break to the
-    lexicographically smallest grid point.  Limited to 6 paths and
-    resolution 2000.
+    lexicographically smallest grid point.  Limited to 6 paths, resolution
+    2000 and 10^8 grid points, scored in row blocks of bounded memory.
     """
     lat = g.lattice
     P = lat.n_paths
@@ -609,26 +453,36 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
         raise SizeBudgetError(f"brute force supports at most 6 paths, got {P}")
     if not 1 <= resolution <= 2000:
         raise ParameterError(f"resolution must be in 1..2000, got {resolution}")
+    size = (resolution + 1) ** (P - 1)
+    if size > _GRID_BUDGET:
+        raise SizeBudgetError(f"grid of {resolution + 1}^{P - 1} points exceeds {_GRID_BUDGET}")
     lo, hi = box_bounds(lat, params.N)
+    obj = _Objective(g, params, 0.0)
     axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
-    if P == 1:
-        cand = np.ones((1, 1))
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        head = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    best_q, best_value, in_box = None, math.inf, False
+    for rows in row_blocks(size, P):
+        # grid rows in lexicographic order, the first coordinate slowest
+        digits = np.unravel_index(np.arange(rows.start, rows.stop), (resolution + 1,) * (P - 1))
+        head = np.column_stack([axis[i] for axis, i in zip(axes, digits)])
         last = 1.0 - head.sum(axis=1)
         keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
         cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
-    if cand.shape[0] == 0:
-        raise InfeasibleError("no grid point lies in the box-simplex")
-    for i, j in _floor_pairs(g, params):
-        keep = _corr_batch(cand, g, i, j) >= params.c - 1e-12
-        cand = cand[keep]
         if cand.shape[0] == 0:
-            raise InfeasibleError(f"no grid point satisfies the correlation floor c={params.c}")
-    if params.objective == "m":
-        values = _m_batch(cand, g, params.p)
-    else:
-        values = _n_batch(cand, g)
-    best = int(np.argmin(values))  # first occurrence = lexicographically smallest
-    return BruteForceResult(measure=Measure(lat, cand[best]), value=float(values[best]))
+            continue
+        in_box = True
+        W = obj.tree.node_weights(cand)
+        if obj.floor is not None:
+            keep = (obj.floor.moments(W)[0] >= params.c - 1e-12).all(axis=1)
+            cand = cand[keep]
+            if cand.shape[0] == 0:
+                continue
+            W = [w[keep] for w in W]
+        values = obj.raw(W)
+        best = int(np.argmin(values))  # first occurrence = lexicographically smallest
+        if values[best] < best_value:
+            best_q, best_value = cand[best], float(values[best])
+    if not in_box:
+        raise InfeasibleError("no grid point lies in the box-simplex")
+    if best_q is None:
+        raise InfeasibleError(f"no grid point satisfies the correlation floor c={params.c}")
+    return BruteForceResult(measure=Measure(lat, best_q), value=best_value)

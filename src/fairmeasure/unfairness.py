@@ -16,6 +16,9 @@ for processes without a drift derivative belongs to the continuum limit
 only and never arises here.  Likewise every lattice process has finite
 unfairness, so the space carrying the p = 2 inner product is simply the
 set of all lattice processes; no membership check is needed.
+
+All of them run on the node kernel in ``_tree``.  On P paths a value costs
+O(P), and so does an analytic gradient; an FD gradient is 2P kernel rows.
 """
 from __future__ import annotations
 
@@ -24,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .lattice import LatticeProcess, Measure, cond_exp
-from .lattice import _cond_exp_weights
+from ._tree import Tree
+from .errors import ParameterError
+from .lattice import LatticeProcess, Measure
 
 __all__ = [
     "UnfairnessConfig", "MartingaleCheck",
@@ -56,31 +59,6 @@ def _check_same_lattice(Q: Measure, g: LatticeProcess) -> None:
         raise ParameterError("measure and process live on different lattices")
 
 
-def _exchange_norms(dev: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Euclidean norm over the d components of each exchange: (P, M) -> (P, n)."""
-    if d == 1:
-        return np.abs(dev)
-    return np.sqrt((dev.reshape(dev.shape[0], n, d) ** 2).sum(axis=2))
-
-
-def _m_raw(q: np.ndarray, g: LatticeProcess, p: float, include_diagonal: bool) -> float:
-    """Value of the m-functional on a raw weight vector (no normalization check).
-
-    The solver differentiates through this with perturbed, slightly
-    unnormalized weights; the public wrapper validates a proper Measure.
-    """
-    lat = g.lattice
-    dt = lat.dt
-    offset = 0 if include_diagonal else 1
-    total = 0.0
-    for k in range(lat.depth):
-        for l in range(k + offset, lat.depth + 1):
-            avg, _ = _cond_exp_weights(lat, g.values[l], k, q)
-            nrm = _exchange_norms(g.values[k] - avg, g.n, g.d)
-            total += dt * dt * float(q @ (nrm ** p).sum(axis=1))
-    return total
-
-
 def unfairness_m(Q: Measure, g: LatticeProcess,
                  cfg: UnfairnessConfig = UnfairnessConfig()) -> float:
     """L^p deviation of g from its conditional expectations under Q.
@@ -92,22 +70,8 @@ def unfairness_m(Q: Measure, g: LatticeProcess,
     exactly when g is a Q-martingale on the lattice.
     """
     _check_same_lattice(Q, g)
-    return _m_raw(Q.weights, g, cfg.p, cfg.include_diagonal)
-
-
-def _n_raw(q: np.ndarray, g: LatticeProcess) -> float:
-    """Value of the n-functional on a raw weight vector (no normalization check)."""
-    lat = g.lattice
-    dt = lat.dt
-    total = 0.0
-    for k in range(lat.depth):
-        cur = g.values[k]
-        if np.any(cur <= 0.0):
-            raise DomainError(f"drift rate needs strictly positive values at time {k}")
-        avg, _ = _cond_exp_weights(lat, g.values[k + 1], k, q)
-        drift = (avg - cur) / (dt * cur)
-        total += dt * float(q @ np.abs(drift).sum(axis=1))
-    return total
+    tree = Tree(g)
+    return float(tree.m(tree.node_weights(Q.weights), cfg.p)[0])
 
 
 def unfairness_n(Q: Measure, g: LatticeProcess) -> float:
@@ -119,7 +83,8 @@ def unfairness_n(Q: Measure, g: LatticeProcess) -> float:
     constant, and zero exactly for Q-martingales.
     """
     _check_same_lattice(Q, g)
-    return _n_raw(Q.weights, g)
+    tree = Tree(g)
+    return float(tree.n_value(tree.node_weights(Q.weights))[0])
 
 
 def inner_product_m(Q: Measure, x: LatticeProcess, y: LatticeProcess) -> float:
@@ -134,15 +99,9 @@ def inner_product_m(Q: Measure, x: LatticeProcess, y: LatticeProcess) -> float:
     _check_same_lattice(Q, y)
     if (x.n, x.d) != (y.n, y.d):
         raise ParameterError("processes have different exchange layouts")
-    lat = x.lattice
-    dt = lat.dt
-    total = 0.0
-    for k in range(lat.depth):
-        for l in range(k, lat.depth + 1):
-            dev_x = x.values[k] - cond_exp(x.values[l], k, Q)
-            dev_y = y.values[k] - cond_exp(y.values[l], k, Q)
-            total += dt * dt * float(Q.weights @ (dev_x * dev_y).sum(axis=1))
-    return total
+    tree = Tree(LatticeProcess(x.lattice, 2 * x.n, x.d,
+                               np.concatenate((x.values, y.values), axis=2)))
+    return float(tree.inner(tree.node_weights(Q.weights), x.n_components)[0])
 
 
 def is_martingale(Q: Measure, x: LatticeProcess, tol: float = 1e-9) -> MartingaleCheck:
@@ -153,8 +112,7 @@ def is_martingale(Q: Measure, x: LatticeProcess, tol: float = 1e-9) -> Martingal
     (over times, paths and components).
     """
     _check_same_lattice(Q, x)
-    worst = 0.0
-    for k in range(x.lattice.depth):
-        dev = np.abs(x.values[k] - cond_exp(x.values[k + 1], k, Q))
-        worst = max(worst, float(dev.max()))
+    tree = Tree(x)
+    A = tree.averages(tree.node_weights(Q.weights), 1)
+    worst = max(float(np.abs(tree.nodes[k][:, None] - A[k]).max()) for k in range(tree.K))
     return MartingaleCheck(ok=worst <= tol, max_deviation=worst)

@@ -229,18 +229,21 @@ def _check_projection(rng) -> tuple[bool, str]:
 
 
 def _check_gradient(rng) -> tuple[bool, str]:
+    """m at p in {1.5, 2, 3}, n, and m with an active correlation floor
+    (n = 2 exchanges, rho > 0; the integral stays below c = 1)."""
     lat = build_lattice(2, 2)
-    for _ in range(10):
-        g = random_process(rng, lat)
-        params = ConstraintParams(N=3.0, p=2.0, objective="m")
-        lo, hi = box_bounds(lat, params.N)
+    lo, hi = box_bounds(lat, 3.0)
+    cases = [(ConstraintParams(N=3.0, p=p), 1, 0.0) for p in (1.5, 2.0, 3.0)]
+    cases += [(ConstraintParams(N=3.0, objective="n"), 1, 0.0),
+              (ConstraintParams(N=3.0, c=1.0), 2, 25.0)]
+    for params, n, rho in cases * 5:
+        obj = _Objective(random_process(rng, lat, n=n), params, rho)
         q = project_capped_simplex(rng.uniform(lo, hi), lo, hi)
-        obj = _Objective(g, params, 0.0)
-        ana = obj.gradient(q, "analytic", 1e-6)
-        fd = obj.gradient(q, "fd", 1e-6)
+        ana, fd = obj.gradient(q, "analytic", 1e-6), obj.gradient(q, "fd", 1e-6)
         scale = max(float(np.linalg.norm(ana)), float(np.linalg.norm(fd)), 1e-12)
         if float(np.linalg.norm(ana - fd)) > 1e-4 * scale:
-            return False, f"gradient mismatch {np.linalg.norm(ana - fd):.3e} vs scale {scale:.3e}"
+            return False, (f"{params.objective}, p={params.p}, c={params.c}: gradient "
+                           f"mismatch {np.linalg.norm(ana - fd):.3e} vs scale {scale:.3e}")
     return True, ""
 
 

@@ -1,0 +1,141 @@
+"""Path-level reference implementations of the functionals and gradients.
+
+These are the straightforward O(K^2 * P) forms: every (k, l) pair averages
+the whole path array again.  The package evaluates the same quantities with
+the node kernel in ``fairmeasure._tree``; the tests compare the two.
+"""
+import numpy as np
+
+import fairmeasure as fm
+
+
+def block_average(lat, X, k, q):
+    """Blockwise weighted average of X (n_paths, m) over partition(k),
+    expanded to paths: zero-weight blocks give 0, constant blocks pass
+    their constant through."""
+    nblk, bs = lat.n_blocks(k), lat.block_size(k)
+    Xb = X.reshape(nblk, bs, X.shape[1])
+    wb = q.reshape(nblk, bs)
+    W = wb.sum(axis=1)
+    zero = W <= 0.0
+    num = np.einsum("nb,nbm->nm", wb, Xb)
+    avg = num / np.where(zero, 1.0, W)[:, None]
+    const = np.all(Xb == Xb[:, :1, :], axis=1)
+    avg = np.where(const, Xb[:, 0, :], avg)
+    avg[zero] = 0.0
+    return np.repeat(avg, bs, axis=0)
+
+
+def exchange_norms(dev, n, d):
+    if d == 1:
+        return np.abs(dev)
+    return np.sqrt((dev.reshape(dev.shape[0], n, d) ** 2).sum(axis=2))
+
+
+def m_raw(q, g, p, include_diagonal=True):
+    lat = g.lattice
+    dt = lat.dt
+    offset = 0 if include_diagonal else 1
+    total = 0.0
+    for k in range(lat.depth):
+        for l in range(k + offset, lat.depth + 1):
+            avg = block_average(lat, g.values[l], k, q)
+            nrm = exchange_norms(g.values[k] - avg, g.n, g.d)
+            total += dt * dt * float(q @ (nrm ** p).sum(axis=1))
+    return total
+
+
+def n_raw(q, g):
+    lat = g.lattice
+    dt = lat.dt
+    total = 0.0
+    for k in range(lat.depth):
+        cur = g.values[k]
+        if np.any(cur <= 0.0):
+            raise fm.DomainError(f"drift rate needs strictly positive values at time {k}")
+        avg = block_average(lat, g.values[k + 1], k, q)
+        drift = (avg - cur) / (dt * cur)
+        total += dt * float(q @ np.abs(drift).sum(axis=1))
+    return total
+
+
+def inner_raw(q, x, y):
+    lat = x.lattice
+    dt = lat.dt
+    total = 0.0
+    for k in range(lat.depth):
+        for l in range(k, lat.depth + 1):
+            dev_x = x.values[k] - block_average(lat, x.values[l], k, q)
+            dev_y = y.values[k] - block_average(lat, y.values[l], k, q)
+            total += dt * dt * float(q @ (dev_x * dev_y).sum(axis=1))
+    return total
+
+
+def corr_raw(q, g, i, j):
+    """Right-endpoint time sum of Cov_q / E_q|product| for exchanges i, j."""
+    x_all, y_all = g.values[:, :, i], g.values[:, :, j]
+    dt = g.lattice.dt
+    total = 0.0
+    for k in range(1, g.lattice.depth + 1):
+        x, y = x_all[k], y_all[k]
+        cov = float(q @ (x * y)) - float(q @ x) * float(q @ y)
+        scale = float(q @ np.abs(x * y))
+        total += dt * cov / scale
+    return total
+
+
+def grad_m(q, g, p):
+    """The l = k terms are left out: they vanish identically on positive
+    weights, and on a zero-weight block the zero convention would turn them
+    into a spurious |g(k)|^p (1 - p)."""
+    lat = g.lattice
+    dt = lat.dt
+    P, n, d = lat.n_paths, g.n, g.d
+    grad = np.zeros(P)
+    for k in range(lat.depth):
+        for l in range(k + 1, lat.depth + 1):
+            Xl = g.values[l]
+            A = block_average(lat, Xl, k, q)
+            dev = g.values[k] - A
+            nrm = exchange_norms(dev, n, d)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coef = np.where(nrm > 0.0, p * nrm ** (p - 2.0), 0.0)
+            inner = (dev * (Xl - A)).reshape(P, n, d).sum(axis=2)
+            grad += dt * dt * ((nrm ** p) - coef * inner).sum(axis=1)
+    return grad
+
+
+def grad_n(q, g):
+    lat = g.lattice
+    dt = lat.dt
+    grad = np.zeros(lat.n_paths)
+    for k in range(lat.depth):
+        cur = g.values[k]
+        nxt = g.values[k + 1]
+        A = block_average(lat, nxt, k, q)
+        D = (A - cur) / (dt * cur)
+        grad += dt * (np.abs(D) + np.sign(D) * (nxt - A) / (dt * cur)).sum(axis=1)
+    return grad
+
+
+def grad_penalty(q, g, pairs, c, rho):
+    lat = g.lattice
+    dt = lat.dt
+    grad = np.zeros(lat.n_paths)
+    for i, j in pairs:
+        gap = c - corr_raw(q, g, i, j)
+        if gap <= 0.0:
+            continue
+        x_all, y_all = g.values[:, :, i], g.values[:, :, j]
+        d_int = np.zeros(lat.n_paths)
+        for k in range(1, lat.depth + 1):
+            x, y = x_all[k], y_all[k]
+            ex = float(q @ x)
+            ey = float(q @ y)
+            cov = float(q @ (x * y)) - ex * ey
+            scale = float(q @ np.abs(x * y))
+            d_cov = x * y - x * ey - y * ex
+            d_scale = np.abs(x * y)
+            d_int += dt * (d_cov * scale - cov * d_scale) / (scale * scale)
+        grad += rho * 2.0 * gap * (-d_int)
+    return grad

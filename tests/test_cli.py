@@ -77,6 +77,16 @@ def test_process_file_rejects_incomplete_and_duplicate(tmp_path):
         cli.read_process_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_process_file_names_non_finite_value(tmp_path, bad):
+    path = tmp_path / "process.csv"
+    body = CANONICAL_PROCESS_CSV.replace("1,1,0,0,0.5", f"1,1,0,0,{bad}")
+    assert body != CANONICAL_PROCESS_CSV
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"process\.csv:5: non-finite value '{bad}'"):
+        cli.read_process_csv(path)
+
+
 def test_measure_file_rejects_duplicate_path(tmp_path):
     path = tmp_path / "measure.csv"
     path.write_text("path,weight\n0,0.5\n1,0.5\n0,0.25\n", encoding="utf-8")

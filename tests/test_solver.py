@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
-from fairmeasure.solver import (_Objective, _corr_batch, _m_batch, _n_batch,
-                                box_bounds)
-from fairmeasure.unfairness import _m_raw, _n_raw
+from fairmeasure.solver import _Objective, box_bounds
 
 from conftest import random_process
 
@@ -68,13 +66,14 @@ def test_constraint_params_validation():
 # -- projection -------------------------------------------------------------------
 
 def test_projection_identity_on_feasible(two_path):
-    params = fm.ConstraintParams(N=2.0)
-    base = fm.uniform_measure(two_path.lattice)
+    N = 2.0
+    base = fm.uniform_measure(two_path.lattice).weights
+    lo, hi = base / N, base * N
     q = np.array([0.5, 0.5])
-    out = fm.project_box_simplex(q, params, base)
+    out = fm.project_capped_simplex(q, lo, hi)
     assert np.array_equal(out, q)
     q2 = np.array([0.4, 0.6])
-    assert np.array_equal(fm.project_box_simplex(q2, params, base), q2)
+    assert np.array_equal(fm.project_capped_simplex(q2, lo, hi), q2)
 
 
 def test_projection_custom_box_example():
@@ -176,28 +175,6 @@ def test_projection_matches_bisection_reference(case):
     assert d_new <= d_ref + 1e-12 * max(1.0, d_ref)
 
 
-# -- batched evaluators agree with the reference implementation --------------------
-
-def test_batch_evaluators_match_reference():
-    rng = np.random.default_rng(12)
-    for b, K in [(2, 1), (2, 2), (4, 1)]:
-        lat = fm.build_lattice(b, K)
-        g = random_process(rng, lat, n=2, d=1, low=0.3, high=3.0)
-        Qmat = rng.uniform(0.05, 0.5, (17, lat.n_paths))
-        Qmat /= Qmat.sum(axis=1, keepdims=True)
-        for p in (1.0, 2.0, 3.0):
-            batch = _m_batch(Qmat, g, p)
-            ref = np.array([_m_raw(q, g, p, True) for q in Qmat])
-            assert np.allclose(batch, ref, rtol=1e-12, atol=1e-15)
-        batch_n = _n_batch(Qmat, g)
-        ref_n = np.array([_n_raw(q, g) for q in Qmat])
-        assert np.allclose(batch_n, ref_n, rtol=1e-12, atol=1e-15)
-        batch_c = _corr_batch(Qmat, g, 0, 1)
-        from fairmeasure.solver import _corr_integral_raw
-        ref_c = np.array([_corr_integral_raw(q, g, 0, 1) for q in Qmat])
-        assert np.allclose(batch_c, ref_c, rtol=1e-12, atol=1e-15)
-
-
 # -- minimize -----------------------------------------------------------------------
 
 def test_minimize_recovers_risk_neutral_measure(two_path):
@@ -259,7 +236,7 @@ def test_minimize_feasible_floor_active(two_path_pair):
     rep = fm.minimize(two_path_pair, params, fm.SolveOptions(restarts=4, max_iter=200))
     assert rep.feasible
     U = fm.uniform_measure(two_path_pair.lattice)
-    assert rep.value <= _m_raw(U.weights, two_path_pair, 2.0, True) + 1e-12
+    assert rep.value <= fm.unfairness_m(U, two_path_pair) + 1e-12
     oracle = fm.brute_force_min(two_path_pair, params, resolution=2000)
     assert rep.value <= oracle.value + 1e-6
 
@@ -321,6 +298,9 @@ def test_brute_force_size_limits():
     g2 = random_process(np.random.default_rng(0), small)
     with pytest.raises(fm.ParameterError):
         fm.brute_force_min(g2, fm.ConstraintParams(N=2.0), resolution=5000)
+    g6 = random_process(np.random.default_rng(0), fm.build_lattice(6, 1))
+    with pytest.raises(fm.SizeBudgetError, match="grid"):
+        fm.brute_force_min(g6, fm.ConstraintParams(N=2.0), resolution=2000)
 
 
 def test_brute_force_infeasible_floor(two_path_pair):

@@ -1,0 +1,231 @@
+"""The node kernel against the path-level reference in ``reference.py``.
+
+Differential and hypothesis tests: values and gradients of m, n, the
+correlation floor and the p = 2 inner product, on batches of weight rows
+(including zero-weight blocks), and the exact cases the acceptance gate
+relies on.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairmeasure as fm
+from fairmeasure import UnfairnessConfig, _tree
+from fairmeasure._tree import Floor, Tree
+from fairmeasure.solver import _Objective, box_bounds
+
+import reference as ref
+from conftest import martingale_from_terminal, random_measure, random_process
+
+RTOL = 1e-12
+
+
+def close(a, b, rtol=RTOL):
+    """Agreement up to summation order: relative, with an absolute floor at
+    the scale of the reference's own rounding."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.allclose(a, b, rtol=rtol, atol=rtol * max(1.0, float(np.abs(b).max())))
+
+
+@st.composite
+def instances(draw, positive=False, d_max=2):
+    """(process, weight rows): b <= 4, K <= 4, n and d <= 2, G in 1..3 rows of
+    integer weights, some of them zero (so whole blocks can carry none)."""
+    b = draw(st.integers(2, 4))
+    K = draw(st.integers(1, 4 if b < 4 else 3))
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, d_max))
+    lat = fm.build_lattice(b, K)
+    G = draw(st.integers(1, 3))
+    P = lat.n_paths
+    rows = draw(st.lists(st.lists(st.integers(0, 6), min_size=P, max_size=P),
+                         min_size=G, max_size=G))
+    Q = np.array(rows, dtype=float)
+    Q[Q.sum(axis=1) == 0.0, 0] = 1.0
+    Q /= Q.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    g = random_process(rng, lat, n=n, d=d, low=0.3 if positive else -3.0, high=3.0)
+    return g, Q
+
+
+def tree_of(g):
+    return Tree(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_m_values_match_reference(case):
+    g, Q = case
+    tree = tree_of(g)
+    W = tree.node_weights(Q)
+    for p in (0.5, 1.0, 1.5, 2.0, 3.0):
+        batch = tree.m(W, p)
+        for diagonal in (True, False):
+            expect = [ref.m_raw(q, g, p, diagonal) for q in Q]
+            assert close(batch, expect)
+            public = [fm.unfairness_m(fm.Measure(g.lattice, q), g,
+                                      UnfairnessConfig(p=p, include_diagonal=diagonal))
+                      for q in Q]
+            assert close(public, expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(positive=True))
+def test_n_values_match_reference(case):
+    g, Q = case
+    tree = tree_of(g)
+    assert close(tree.n_value(tree.node_weights(Q)), [ref.n_raw(q, g) for q in Q])
+    public = [fm.unfairness_n(fm.Measure(g.lattice, q), g) for q in Q]
+    assert close(public, [ref.n_raw(q, g) for q in Q])
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2 ** 31))
+def test_inner_product_matches_reference(case, seed):
+    g, Q = case
+    y = random_process(np.random.default_rng(seed), g.lattice, n=g.n, d=g.d)
+    for q in Q:
+        got = fm.inner_product_m(fm.Measure(g.lattice, q), g, y)
+        assert close(got, ref.inner_raw(q, g, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(positive=True, d_max=1))
+def test_correlation_integrals_match_reference(case):
+    g, Q = case
+    if g.n < 2:
+        g = fm.LatticeProcess(g.lattice, 2, 1, np.concatenate((g.values, g.values ** 2), axis=2))
+    tree = tree_of(g)
+    batch = Floor(tree, [(0, 1)]).moments(tree.node_weights(Q))[0][:, 0]
+    assert close(batch, [ref.corr_raw(q, g, 0, 1) for q in Q], rtol=1e-10)
+    public = [fm.correlation_integral(fm.Measure(g.lattice, q), g, 0, 1) for q in Q]
+    assert close(public, [ref.corr_raw(q, g, 0, 1) for q in Q], rtol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(positive=True))
+def test_adjoint_gradients_match_reference(case):
+    g, Q = case
+    tree = tree_of(g)
+    W = tree.node_weights(Q)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        terms, D = tree.m(W, p, adjoint=True)
+        assert close(tree.reverse(terms, D), [ref.grad_m(q, g, p) for q in Q])
+    terms, D = tree.n_value(W, adjoint=True)
+    assert close(tree.reverse(terms, D), [ref.grad_n(q, g) for q in Q])
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(positive=True, d_max=1), st.floats(0.05, 0.5), st.floats(1.0, 50.0))
+def test_penalty_gradient_matches_reference(case, lift, rho):
+    g, Q = case
+    if g.n < 2:
+        g = fm.LatticeProcess(g.lattice, 2, 1, np.concatenate((g.values, 1.0 / g.values), axis=2))
+    pairs = [(0, 1)]
+    for q in Q:
+        c = ref.corr_raw(q, g, 0, 1) + lift
+        params = fm.ConstraintParams(N=2.0, c=c, p=2.0)
+        got = _Objective(g, params, rho).gradient(q, "analytic", 1e-7)
+        expect = ref.grad_m(q, g, 2.0) + ref.grad_penalty(q, g, pairs, c, rho)
+        assert close(got, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(positive=True, d_max=1), st.sampled_from(["m", "n"]))
+def test_batched_fd_gradient_matches_loop(case, objective):
+    """One batched kernel call over the 2P perturbations against the
+    coordinate loop of single evaluations, in small and default row blocks."""
+    g, Q = case
+    q = 0.5 * Q[0] + 0.5 / g.lattice.n_paths  # positive, so central differences are defined
+    params = fm.ConstraintParams(N=4.0, p=2.0, objective=objective)
+    obj = _Objective(g, params, 0.0)
+    h = 1e-6
+    step = h * max(1.0, float(np.linalg.norm(q)))
+    loop = np.empty_like(q)
+    for v in range(q.size):
+        plus, minus = q.copy(), q.copy()
+        plus[v] += step
+        minus[v] -= step
+        loop[v] = (obj.value_parts(plus)[0] - obj.value_parts(minus)[0]) / (2.0 * step)
+    batched = obj.gradient(q, "fd", h)
+    assert np.allclose(batched, loop, rtol=1e-6, atol=1e-6 * np.abs(loop).max())
+    saved = _tree.BLOCK_ELEMS
+    try:
+        _tree.BLOCK_ELEMS = 3 * q.size
+        assert np.array_equal(obj.gradient(q, "fd", h), batched)
+    finally:
+        _tree.BLOCK_ELEMS = saved
+
+
+# -- exact cases -------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.floats(-5.0, 5.0))
+def test_constant_process_is_exactly_zero(case, level):
+    g, Q = case
+    const = fm.LatticeProcess(g.lattice, g.n, g.d, np.full(g.values.shape, level))
+    tree = tree_of(const)
+    W = tree.node_weights(Q)
+    # a zero-weight block averages to 0 by convention, so the gradient is
+    # exactly 0 only where every block carries weight
+    W_pos = tree.node_weights(0.5 * Q + 0.5 / g.lattice.n_paths)
+    for p in (0.5, 1.0, 2.0, 3.0):
+        assert np.all(tree.m(W, p) == 0.0)
+        terms, D = tree.m(W_pos, p, adjoint=True)
+        assert np.all(tree.reverse(terms, D) == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 31))
+def test_one_step_random_measure_martingales_are_exact(b, seed):
+    rng = np.random.default_rng(seed)
+    lat = fm.build_lattice(b, 1)
+    Q = random_measure(rng, lat)
+    mart = martingale_from_terminal(rng.uniform(0.5, 4.0, lat.n_paths), Q)
+    for p in (1.0, 2.0, 3.0):
+        assert fm.unfairness_m(Q, mart, UnfairnessConfig(p=p)) <= 1e-18
+
+
+def test_zero_weight_blocks_average_to_zero():
+    lat = fm.build_lattice(2, 2)
+    g = random_process(np.random.default_rng(3), lat)
+    tree = tree_of(g)
+    Q = np.array([[0.0, 0.0, 0.25, 0.75]])
+    A = tree.averages(tree.node_weights(Q), lat.depth)
+    assert A[1][0, 0].tolist() == [[0.0]]
+    assert np.all(np.isfinite(A[0]))
+
+
+# -- the brute-force grid ----------------------------------------------------------
+
+def reference_brute_force(g, params, resolution):
+    """The whole grid at once, scored by the path-level reference."""
+    lat = g.lattice
+    P = lat.n_paths
+    lo, hi = box_bounds(lat, params.N)
+    axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    head = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    last = 1.0 - head.sum(axis=1)
+    keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
+    cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+    values = np.array([ref.m_raw(q, g, params.p) for q in cand])
+    best = int(np.argmin(values))
+    return cand[best], values[best]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_brute_force_matches_full_grid_reference(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(_tree, "BLOCK_ELEMS", block)
+    rng = np.random.default_rng(17)
+    flat = fm.LatticeProcess(fm.build_lattice(2, 2), 1, 1, np.ones((3, 4, 1)))  # all tie at 0
+    cases = [(random_process(rng, fm.build_lattice(b, K), low=0.5, high=2.5), res)
+             for b, K, res in [(2, 1, 50), (2, 2, 12), (4, 1, 10)]] + [(flat, 6)]
+    for g, res in cases:
+        params = fm.ConstraintParams(N=2.0, p=2.0)
+        q_ref, v_ref = reference_brute_force(g, params, res)
+        got = fm.brute_force_min(g, params, resolution=res)
+        assert got.value == pytest.approx(v_ref, rel=1e-12, abs=1e-15)
+        assert np.array_equal(got.measure.weights, q_ref)
