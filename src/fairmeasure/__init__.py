@@ -18,9 +18,9 @@ from .processes import (GbmParams, PriceSeries, branch_innovations,
                         read_price_csv, risk_neutral_binomial_measure,
                         simulate_gbm)
 from .solver import (BruteForceResult, ConstraintParams, ConstraintReport,
-                     SolveOptions, SolveReport, box_bounds, brute_force_min,
-                     check_constraints, correlation_integral, kkt_residual,
-                     minimize, project_capped_simplex)
+                     RestartRecord, SolveOptions, SolveReport, box_bounds,
+                     brute_force_min, check_constraints, correlation_integral,
+                     kkt_residual, minimize, project_capped_simplex)
 from .unfairness import (MartingaleCheck, UnfairnessConfig, inner_product_m,
                          is_martingale, unfairness_m, unfairness_n)
 

@@ -147,7 +147,9 @@ class Tree:
 
 class Floor:
     """Correlation integrals sum_k dt Cov_q / E_q|g_i g_j| of scalar exchange
-    pairs, under raw (unnormalized) weights, and the floor penalty's terms."""
+    pairs, under raw (unnormalized) weights, and the floor penalty's terms.
+    The products are einsums, not BLAS matmuls, so a row's result does not
+    depend on how many rows share the call."""
 
     def __init__(self, tree: Tree, pairs: list[tuple[int, int]]):
         self.tree, self.pairs = tree, pairs
@@ -161,7 +163,7 @@ class Floor:
         """Integrals (G, pairs) and per level k >= 1 (E g_i, E g_j, cov, E|g_i g_j|)."""
         total, parts = 0.0, []
         for k in range(1, self.tree.K + 1):
-            E = W[k] @ self.features[k]
+            E = np.einsum("gv,vf->gf", W[k], self.features[k])
             ex, ey, exy, scale = E.reshape(len(E), 4, -1).swapaxes(0, 1)
             if (scale <= 0.0).any():
                 i, j = self.pairs[int(np.argmax((scale <= 0.0).any(axis=0)))]
@@ -179,5 +181,5 @@ class Floor:
         for k, (ex, ey, cov, scale) in enumerate(parts, start=1):
             ws = weight * self.tree.dt / scale
             coef = np.concatenate((-ws * ey, -ws * ex, ws, -ws * cov / scale), axis=1)
-            terms.append(coef @ self.features[k].T)
+            terms.append(np.einsum("gf,vf->gv", coef, self.features[k]))
         return terms

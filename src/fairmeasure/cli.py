@@ -409,6 +409,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
         "kkt_residual": report.kkt_residual,
         "iterations": report.iterations,
         "constraint_slacks": report.constraint_slacks,
+        "winner": report.winner,
+        "restarts": [rec._asdict() for rec in report.restarts],
         "measure_file": cfg.io.measure_file,
     }
     path = _resolve_out(out_dir, cfg.io.report_file)

@@ -9,33 +9,49 @@ with an escalating exact penalty for the floor, multi-started from the base
 measure plus random feasible points.  A grid-search oracle over tiny
 instances provides an independent check of the optimizer.
 
+The starts descend in lock step as the rows of one (G, P) batch, the G
+axis of the node kernel.  Each row keeps its own step size; an active mask
+drops a row once it is stationary, its line search stalls, its projected
+step vanishes or it reaches max_iter, and each backtracking trial evaluates
+only the rows still searching.  Penalty rounds are shared: every row starts
+at rho = penalty_init, and after each round the rows that meet the floor
+leave while the rest go on at the grown rho, so rho is one scalar per round.
+Kernel calls and the projection treat rows independently, so each start
+follows the same float path as it would alone.
+
 Each value and analytic gradient is one O(P) pass of the node kernel in
 ``_tree``; an FD gradient is one batched pass over 2P perturbed rows, O(P^2)
-in all, so "analytic" is the default and "fd" an explicit check.
+in all, so "analytic" is the default and "fd" an explicit check, refused
+above ``_FD_PATH_BUDGET`` paths.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._descent import Descent
+from ._projection import project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
 from .lattice import AdaptedLattice, LatticeProcess, Measure, uniform_measure
 
 __all__ = [
-    "ConstraintParams", "SolveOptions", "ConstraintReport", "SolveReport",
-    "BruteForceResult", "box_bounds", "correlation_integral",
+    "ConstraintParams", "SolveOptions", "ConstraintReport", "RestartRecord",
+    "SolveReport", "BruteForceResult", "box_bounds", "correlation_integral",
     "check_constraints", "project_capped_simplex",
     "minimize", "brute_force_min", "kkt_residual",
 ]
 
 FEASIBILITY_TOL = 1e-8
-_RESIDUAL_ETA = 1e-6
-_MIN_STEP = 1e-14
+# Most paths on which gradient="fd" is accepted.  An FD gradient is 2P kernel
+# rows, O(P^2): on b = 2 lattices one took 9 ms at P = 256, 0.16 s at P = 1024
+# and 0.59 s at P = 2048, against under 1 ms for the analytic gradient, so a
+# 300-iteration, 4-start solve at P = 1024 already spends minutes in FD.
+_FD_PATH_BUDGET = 1024
 _GRID_BUDGET = 10 ** 8  # oracle grid points; scoring them takes about a minute
 
 
@@ -76,8 +92,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
             raise ParameterError(f"gradient must be 'fd' or 'analytic', got {self.gradient!r}")
-        if self.max_iter < 0 or self.restarts < 1:
-            raise ParameterError("need max_iter >= 0 and restarts >= 1")
+        if self.max_iter < 0 or self.restarts < 1 or self.penalty_rounds < 1:
+            raise ParameterError("need max_iter >= 0, restarts >= 1 and penalty_rounds >= 1")
 
 
 def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,77 +171,23 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams,
     return ConstraintReport(lower, upper, norm_err, corr, slack, feasible)
 
 
-# -- projection ----------------------------------------------------------------
-
-def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                           total: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {q : sum q = total, lo <= q <= hi}.
-
-    The projection is clip(v - tau, lo, hi) for the dual variable tau of the
-    sum constraint, a continuous quadratic knapsack solved exactly by a
-    breakpoint search (Held, Wolfe & Crowder 1974; Kiwiel 2008, JOTA 138).
-    f(tau) = sum clip(v - tau, lo, hi) is piecewise linear and nonincreasing:
-    it equals sum(hi) left of every breakpoint, its slope drops by 1 at each
-    v - hi and rises by 1 at each v - lo.  One sort of the 2P breakpoints and
-    cumulative sums give f at every breakpoint; tau is then solved in closed
-    form on the piece where f crosses ``total``, from the coordinates that
-    piece holds at lo, at hi and free.  The sort need not be stable: f is
-    continuous, so tied breakpoints only bound pieces of zero width, and tau
-    is clamped to its piece.  O(P log P) for any box, uniform or not.
-    Already-feasible inputs come back unchanged; non-finite inputs raise.
-    """
-    v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if v.shape != lo.shape or v.shape != hi.shape:
-        raise ParameterError("point and bounds must have matching shapes")
-    if not (np.isfinite(v).all() and np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ParameterError("point and bounds must be finite")
-    if np.any(lo > hi):
-        raise ParameterError("empty box: lo > hi somewhere")
-    slo, shi = float(lo.sum()), float(hi.sum())
-    if not slo - 1e-12 <= total <= shi + 1e-12:
-        raise ParameterError(
-            f"box and simplex do not intersect: sum bounds [{slo}, {shi}] exclude {total}")
-    if (np.all(v >= lo - 1e-15) and np.all(v <= hi + 1e-15)
-            and abs(float(v.sum()) - total) <= 1e-13):
-        return v.copy()
-    P = v.size
-    breaks = np.concatenate((v - hi, v - lo))
-    order = np.argsort(breaks)
-    t = breaks[order]
-    dslope = np.where(order < P, -1.0, 1.0)
-    slope = np.cumsum(dslope)                 # slope of f right of each breakpoint
-    # f is slope * tau + offset on each piece; crossing v - hi adds v - hi to
-    # the offset and crossing v - lo subtracts v - lo, so offset = shi - cumsum(dslope * t)
-    f = shi - np.cumsum(dslope * t) + slope * t
-    below = f <= total
-    if below[0] or not below[-1]:             # total at sum(hi) or sum(lo)
-        return np.clip(v - (t[0] if below[0] else t[-1]), lo, hi)
-    j = int(np.argmax(below))
-    # tau lies on the piece [t[j-1], t[j]]: solve it there from the crossed
-    # breakpoints, not from the rounded cumulative sums.  Coordinates past
-    # v - lo sit at lo, those short of v - hi at hi, the rest are free.
-    crossed = np.zeros(2 * P, dtype=bool)
-    crossed[order[:j]] = True
-    at_hi, at_lo = ~crossed[:P], crossed[P:]
-    free = ~(at_hi | at_lo)
-    n_free = int(free.sum())
-    if n_free == 0:
-        return np.clip(v - t[j], lo, hi)
-    fixed = float(hi[at_hi].sum()) + float(lo[at_lo].sum())
-    tau = (float(v[free].sum()) + fixed - total) / n_free
-    return np.clip(v - min(max(tau, t[j - 1]), t[j]), lo, hi)
-
-
 # -- objective -----------------------------------------------------------------
 
-class _Objective:
-    """Penalized objective on raw weight vectors: values and gradients, each
-    one pass of the node kernel in ``_tree`` (FD: over 2P perturbed rows)."""
+def _check_fd_budget(mode: str, n_paths: int) -> None:
+    if mode == "fd" and n_paths > _FD_PATH_BUDGET:
+        raise SizeBudgetError(
+            f"gradient='fd' on {n_paths} paths exceeds the budget of {_FD_PATH_BUDGET}: "
+            "each FD gradient evaluates 2P weight rows, O(P^2); use gradient='analytic'")
 
-    def __init__(self, g: LatticeProcess, params: ConstraintParams, rho: float):
-        self.params, self.rho = params, rho
+
+class _Objective:
+    """Penalized objective on raw weight rows (G, P) or one vector (P,):
+    values and gradients, each one pass of the node kernel in ``_tree``
+    (FD: over 2P perturbed rows per row).  The penalty weight rho is an
+    argument, so one tree serves every penalty round."""
+
+    def __init__(self, g: LatticeProcess, params: ConstraintParams):
+        self.params = params
         self.tree = Tree(g)
         pairs = _floor_pairs(g, params)
         self.floor = Floor(self.tree, pairs) if pairs else None
@@ -235,50 +197,76 @@ class _Objective:
             return self.tree.m(W, self.params.p)
         return self.tree.n_value(W)
 
-    def evaluate(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, Q: np.ndarray, rho: float = 0.0
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(penalized value, raw objective, max floor violation) per row of Q."""
         W = self.tree.node_weights(Q)
         raw = self.raw(W)
         if self.floor is None:
             return raw, raw, np.zeros_like(raw)
         viols = np.maximum(0.0, self.params.c - self.floor.moments(W)[0])
-        return raw + self.rho * (viols * viols).sum(axis=1), raw, viols.max(axis=1)
+        return raw + rho * (viols * viols).sum(axis=1), raw, viols.max(axis=1)
 
-    def value_parts(self, q: np.ndarray) -> tuple[float, float, float]:
-        """(penalized value, raw objective, max floor violation)."""
-        pen, raw, viol = self.evaluate(q)
-        return float(pen[0]), float(raw[0]), float(viol[0])
-
-    def gradient(self, q: np.ndarray, mode: str, h: float) -> np.ndarray:
+    def gradient(self, Q: np.ndarray, mode: str, h: float, rho: float = 0.0) -> np.ndarray:
+        """Gradient of the penalized value, in the shape of Q."""
+        X = np.atleast_2d(Q)
         if mode == "analytic":
-            W = self.tree.node_weights(q)
+            W = self.tree.node_weights(X)
             if self.params.objective == "m":
                 terms, D = self.tree.m(W, self.params.p, adjoint=True)
             else:
                 terms, D = self.tree.n_value(W, adjoint=True)
-            if self.floor is not None and self.rho > 0.0:
-                pen = self.floor.penalty_terms(W, self.params.c, self.rho)
+            if self.floor is not None and rho > 0.0:
+                pen = self.floor.penalty_terms(W, self.params.c, rho)
                 terms = [t + e for t, e in zip(terms, pen)]
-            return self.tree.reverse(terms, D)[0]
+            return self.tree.reverse(terms, D).reshape(Q.shape)
         if mode != "fd":
             raise ParameterError(f"unknown gradient mode {mode!r}")
-        step = h * max(1.0, float(np.linalg.norm(q)))
-        grad = np.empty_like(q)
-        for rows in row_blocks(q.size, 2 * q.size):
-            coords = np.arange(rows.start, rows.stop)
-            r = coords.size
-            Q = np.tile(q, (2 * r, 1))
-            Q[np.arange(r), coords] += step
-            Q[np.arange(r, 2 * r), coords] -= step
-            pen = self.evaluate(Q)[0]
-            grad[rows] = (pen[:r] - pen[r:]) / (2.0 * step)
-        return grad
+        G, P = X.shape
+        step = h * np.maximum(1.0, np.sqrt((X * X).sum(axis=1)))
+        # stencil row s perturbs row s // 2P at coordinate s % P, up in the
+        # first P of its 2P rows and down in the rest
+        pen = np.empty(2 * G * P)
+        for rows in row_blocks(2 * G * P, P):
+            row, j = np.divmod(np.arange(rows.start, rows.stop), 2 * P)
+            S = X[row]
+            S[np.arange(row.size), j % P] += np.where(j < P, step[row], -step[row])
+            pen[rows] = self.evaluate(S, rho)[0]
+        pen = pen.reshape(G, 2, P)
+        return ((pen[:, 0] - pen[:, 1]) / (2.0 * step[:, None])).reshape(Q.shape)
 
 
 # -- minimization --------------------------------------------------------------
 
+class RestartRecord(NamedTuple):
+    """What the descent from one start did.  ``kind`` is "base", "random" or
+    "extra"; ``stop`` is why its last penalty round ended: "tol" (stationary
+    to ``SolveOptions.tol``), "stalled-line-search" (no step above the
+    minimum step decreased the value), "zero-step" (the projected step did
+    not move) or "max_iter".  The counts are rows the descent evaluated,
+    differentiated and projected for this start; ``rho`` is the penalty
+    weight of its last round, ``value`` and ``violation`` those of the point
+    it reached."""
+
+    kind: str
+    stop: str
+    iterations: int
+    evaluations: int
+    gradients: int
+    projections: int
+    penalty_rounds: int
+    rho: float
+    value: float
+    violation: float
+
+
 @dataclass
 class SolveReport:
+    """The winning measure and what the solver did.  ``restarts`` has one
+    record per start; ``winner`` indexes the candidates, which are each
+    start point followed by the point solved from it (2r is start r itself,
+    2r + 1 its descent)."""
+
     measure: Measure
     value: float
     kkt_residual: float
@@ -286,6 +274,8 @@ class SolveReport:
     iterations: int
     trace: list[tuple[float, float, float]]
     feasible: bool
+    restarts: list[RestartRecord]
+    winner: int
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -294,68 +284,22 @@ class SolveReport:
             raise ParameterError("feasible report with slack below tolerance")
 
 
-@dataclass
-class _Candidate:
-    q: np.ndarray
-    value: float
-    violation: float
-    iterations: int
-    trace: list[tuple[float, float, float]]
-    rho: float
-
-
-def _pgd(obj: _Objective, q0: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
-         opts: SolveOptions) -> _Candidate:
-    q = project(q0)
-    f_pen, f_raw, viol = obj.value_parts(q)
-    trace: list[tuple[float, float, float]] = []
-    t = opts.step
-    iters = 0
-    for _ in range(opts.max_iter):
-        grad = obj.gradient(q, opts.gradient, opts.fd_step)
-        moved = project(q - _RESIDUAL_ETA * grad)
-        residual = float(np.linalg.norm(moved - q)) / _RESIDUAL_ETA
-        if residual <= opts.tol:
-            break
-        t = min(opts.step, 2.0 * t)
-        accepted = False
-        while t > _MIN_STEP:
-            qn = project(q - t * grad)
-            d2 = float(((qn - q) ** 2).sum())
-            if d2 == 0.0:
-                break
-            fn_pen, fn_raw, vn = obj.value_parts(qn)
-            if fn_pen <= f_pen - 1e-4 * d2 / t:
-                q, f_pen, f_raw, viol = qn, fn_pen, fn_raw, vn
-                iters += 1
-                trace.append((fn_raw, t, vn))
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    return _Candidate(q, f_raw, viol, iters, trace, obj.rho)
-
-
-def _solve_from(g: LatticeProcess, params: ConstraintParams, opts: SolveOptions,
-                q0: np.ndarray, project, floor_active: bool) -> _Candidate:
+def _solve_starts(obj: _Objective, starts: np.ndarray,
+                  project: Callable[[np.ndarray], np.ndarray], opts: SolveOptions,
+                  floor_active: bool) -> Descent:
+    """Descend from every start row at once.  Every row begins at rho =
+    penalty_init, and the rows still above the floor after a round go on
+    with rho grown by penalty_growth, so one scalar rho serves each round."""
+    run = Descent(obj, starts, project, opts)
+    rows = np.arange(len(starts))
     rho = opts.penalty_init if floor_active else 0.0
-    q = q0
-    total_iters = 0
-    trace: list[tuple[float, float, float]] = []
-    cand = None
-    rounds = opts.penalty_rounds if floor_active else 1
-    for _ in range(rounds):
-        cand = _pgd(_Objective(g, params, rho), q, project, opts)
-        q = cand.q
-        total_iters += cand.iterations
-        trace.extend(cand.trace)
-        if not floor_active or cand.violation <= FEASIBILITY_TOL:
+    for _ in range(opts.penalty_rounds if floor_active else 1):
+        run.round(rows, rho)
+        rows = rows[run.viol[rows] > FEASIBILITY_TOL]
+        if not floor_active or not rows.size:
             break
         rho *= opts.penalty_growth
-    cand.iterations = total_iters
-    cand.trace = trace
-    return cand
+    return run
 
 
 def minimize(g: LatticeProcess, params: ConstraintParams,
@@ -366,52 +310,61 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     Projected gradient descent on the path weights, multi-started from the
     base measure, (restarts - 1) random feasible points, and any
     ``extra_starts`` (projected first; useful for warm starts across related
-    instances).  The correlation floor is handled by an escalating exact
-    penalty.  Every start point is itself kept as a candidate, so whenever
-    the base measure is feasible the report is feasible with value no worse
-    than the base value.  If no candidate ever satisfies the floor the best
-    penalized point is returned with ``feasible=False``.
+    instances), all descending together as one batch of rows.  The
+    correlation floor is handled by an escalating exact penalty.  Every
+    start point is itself kept as a candidate, so whenever the base measure
+    is feasible the report is feasible with value no worse than the base
+    value.  If no candidate ever satisfies the floor the best penalized
+    point is returned with ``feasible=False``.  ``gradient="fd"`` above
+    ``_FD_PATH_BUDGET`` paths raises :class:`SizeBudgetError`.
     """
     lat = g.lattice
+    P = lat.n_paths
+    _check_fd_budget(opts.gradient, P)
     lo, hi = box_bounds(lat, params.N)
-    project = lambda v: project_capped_simplex(v, lo, hi)
+    project = lambda V: project_capped_simplex(V, lo, hi)
     floor_active = bool(_floor_pairs(g, params))
-    base = uniform_measure(lat).weights
+    extra = [np.asarray(s, dtype=float) for s in extra_starts]
+    if any(s.shape != (P,) for s in extra):
+        raise ParameterError(f"extra starts must have one weight per path, shape ({P},)")
 
-    starts = [base.copy()]
+    kinds = ["base"] + ["random"] * (opts.restarts - 1) + ["extra"] * len(extra)
+    starts = np.empty((len(kinds), P))
+    starts[0] = uniform_measure(lat).weights
     for r in range(1, opts.restarts):
-        rng = np.random.default_rng([opts.seed, r])
-        starts.append(project(rng.uniform(lo, hi)))
-    starts.extend(project(np.asarray(s, dtype=float)) for s in extra_starts)
+        starts[r] = np.random.default_rng([opts.seed, r]).uniform(lo, hi)
+    for r, s in enumerate(extra, start=opts.restarts):
+        starts[r] = s
+    starts[1:] = project(starts[1:])
 
-    eval_obj = _Objective(g, params, 0.0)
+    obj = _Objective(g, params)
+    _, start_raw, start_viol = obj.evaluate(starts)
+    run = _solve_starts(obj, starts, project, opts, floor_active)
 
-    candidates: list[_Candidate] = []
-    for q0 in starts:
-        _, raw, viol = eval_obj.value_parts(q0)
-        candidates.append(_Candidate(q0, raw, viol, 0, [], 0.0))
-        candidates.append(_solve_from(g, params, opts, q0, project, floor_active))
+    # the candidates: start r is 2r and the point descended from it 2r + 1
+    value = np.column_stack((start_raw, run.raw)).ravel()
+    violation = np.column_stack((start_viol, run.viol)).ravel()
+    feasible_idx = np.flatnonzero(violation <= FEASIBILITY_TOL)
+    if feasible_idx.size:
+        w = int(feasible_idx[np.argmin(value[feasible_idx])])
+    else:
+        w = int(np.lexsort((value, violation))[0])
+    r, solved = divmod(w, 2)
+    records = [RestartRecord(kind, str(run.stop[i]), int(run.iterations[i]),
+                             *map(int, run.counts[i]), int(run.rounds[i]),
+                             float(run.rho[i]), float(run.raw[i]), float(run.viol[i]))
+               for i, kind in enumerate(kinds)]
 
-    feasible_cands = [c for c in candidates if c.violation <= FEASIBILITY_TOL]
-    pool_ = feasible_cands if feasible_cands else candidates
-    winner = pool_[0]
-    for c in pool_[1:]:
-        if feasible_cands:
-            better = c.value < winner.value
-        else:
-            better = (c.violation, c.value) < (winner.violation, winner.value)
-        if better:
-            winner = c
-
-    measure = Measure(lat, winner.q)
+    measure = Measure(lat, run.q[r] if solved else starts[r])
     report = check_constraints(measure, g, params)
-    residual = kkt_residual(measure, g, params, rho=winner.rho,
+    residual = kkt_residual(measure, g, params, rho=float(run.rho[r]) if solved else 0.0,
                             gradient=opts.gradient, fd_step=opts.fd_step)
-    slacks = report.summary()
-    feasible = bool(feasible_cands) and report.feasible
-    return SolveReport(measure=measure, value=winner.value, kkt_residual=residual,
-                       constraint_slacks=slacks, iterations=winner.iterations,
-                       trace=winner.trace, feasible=feasible)
+    feasible = bool(feasible_idx.size) and report.feasible
+    return SolveReport(measure=measure, value=float(value[w]), kkt_residual=residual,
+                       constraint_slacks=report.summary(),
+                       iterations=int(run.iterations[r]) if solved else 0,
+                       trace=run.trace(r) if solved else [], feasible=feasible,
+                       restarts=records, winner=w)
 
 
 def kkt_residual(Q: Measure, g: LatticeProcess, params: ConstraintParams, *,
@@ -420,12 +373,13 @@ def kkt_residual(Q: Measure, g: LatticeProcess, params: ConstraintParams, *,
     """First-order stationarity: ||project(q - eta * grad) - q|| / eta.
 
     Zero (up to tolerance) at constrained stationary points of the
-    (optionally penalty-augmented) objective.
+    (optionally penalty-augmented) objective.  ``gradient="fd"`` above
+    ``_FD_PATH_BUDGET`` paths raises :class:`SizeBudgetError`.
     """
     lat = g.lattice
+    _check_fd_budget(gradient, lat.n_paths)
     lo, hi = box_bounds(lat, params.N)
-    obj = _Objective(g, params, rho)
-    grad = obj.gradient(Q.weights, gradient, fd_step)
+    grad = _Objective(g, params).gradient(Q.weights, gradient, fd_step, rho)
     moved = project_capped_simplex(Q.weights - eta * grad, lo, hi)
     return float(np.linalg.norm(moved - Q.weights)) / eta
 
@@ -457,7 +411,7 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     if size > _GRID_BUDGET:
         raise SizeBudgetError(f"grid of {resolution + 1}^{P - 1} points exceeds {_GRID_BUDGET}")
     lo, hi = box_bounds(lat, params.N)
-    obj = _Objective(g, params, 0.0)
+    obj = _Objective(g, params)
     axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
     best_q, best_value, in_box = None, math.inf, False
     for rows in row_blocks(size, P):

@@ -39,10 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UnfairnessConfig:
-    """Exponent p > 0 and whether to keep the identically-zero diagonal term."""
+    """Exponent p > 0 of the m functional."""
 
     p: float = 2.0
-    include_diagonal: bool = True
 
     def __post_init__(self):
         if not self.p > 0:

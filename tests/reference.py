@@ -139,3 +139,67 @@ def grad_penalty(q, g, pairs, c, rho):
             d_int += dt * (d_cov * scale - cov * d_scale) / (scale * scale)
         grad += rho * 2.0 * gap * (-d_int)
     return grad
+
+
+# -- the per-start solver loop ----------------------------------------------------
+
+def pgd(obj, q0, project, opts, rho):
+    """One penalty round of projected gradient descent from one start, one
+    row at a time: the loop ``minimize`` ran per start before the starts
+    were batched.  Returns (q, raw value, violation, iterations, trace,
+    stop reason)."""
+    from fairmeasure._descent import _MIN_STEP, _RESIDUAL_ETA
+    q = project(q0)
+    pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
+    trace = []
+    t = opts.step
+    iters = 0
+    stop = "max_iter"
+    for _ in range(opts.max_iter):
+        grad = obj.gradient(q, opts.gradient, opts.fd_step, rho)
+        moved = project(q - _RESIDUAL_ETA * grad)
+        residual = float(np.sqrt(((moved - q) ** 2).sum())) / _RESIDUAL_ETA
+        if residual <= opts.tol:
+            stop = "tol"
+            break
+        t = min(opts.step, 2.0 * t)
+        accepted = False
+        stop = "stalled-line-search"
+        while t > _MIN_STEP:
+            qn = project(q - t * grad)
+            d2 = float(((qn - q) ** 2).sum())
+            if d2 == 0.0:
+                stop = "zero-step"
+                break
+            fn_pen, fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, rho))
+            if fn_pen <= pen - 1e-4 * d2 / t:
+                q, pen, raw, viol = qn, fn_pen, fn_raw, vn
+                iters += 1
+                trace.append((fn_raw, t, vn))
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        stop = "max_iter"
+    return q, raw, viol, iters, trace, stop
+
+
+def solve_from(obj, q0, project, opts, floor_active):
+    """Penalty rounds from one start: rho grows until the floor is met.
+    Returns a dict of the point reached (q, value, violation), the summed
+    iterations and trace, and the last round's rho and stop reason."""
+    from fairmeasure.solver import FEASIBILITY_TOL
+    rho = opts.penalty_init if floor_active else 0.0
+    q, iters, trace, rounds = q0, 0, [], 0
+    for _ in range(opts.penalty_rounds if floor_active else 1):
+        q, raw, viol, n, steps, stop = pgd(obj, q, project, opts, rho)
+        iters += n
+        trace.extend(steps)
+        rounds += 1
+        used = rho
+        if not floor_active or viol <= FEASIBILITY_TOL:
+            break
+        rho *= opts.penalty_growth
+    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace,
+                rho=used, stop=stop, penalty_rounds=rounds)

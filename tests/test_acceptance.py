@@ -424,7 +424,7 @@ def test_criterion_9_gradient_check():
         lo, hi = box_bounds(lat, 2.5)
         q = fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi)
         params = param_sets[points % len(param_sets)]
-        obj = _Objective(g, params, 0.0)
+        obj = _Objective(g, params)
         ana = obj.gradient(q, "analytic", 1e-6)
         fd = obj.gradient(q, "fd", 1e-6)
         scale = max(float(np.linalg.norm(ana)), float(np.linalg.norm(fd)), 1e-12)

@@ -1,0 +1,182 @@
+"""The batched solver against the per-start reference loop in ``reference.py``.
+
+``minimize`` descends from all its starts at once, as the rows of one
+batch.  Each row must follow exactly the path that start follows alone
+through the same objective and projection: the same point, value,
+violation, iteration count, trace, penalty weight, stop reason and counts,
+bit for bit, whichever rows stop early.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairmeasure as fm
+from fairmeasure import solver
+from fairmeasure.solver import _Objective, box_bounds
+
+import reference as ref
+from conftest import random_process
+
+
+class Counting:
+    """An objective and a projection that count the rows they are given."""
+
+    def __init__(self, obj, lo, hi):
+        self.obj, self.lo, self.hi = obj, lo, hi
+        self.evaluations = self.gradients = self.projections = 0
+
+    def evaluate(self, Q, rho=0.0):
+        self.evaluations += 1
+        return self.obj.evaluate(Q, rho)
+
+    def gradient(self, Q, mode, h, rho=0.0):
+        self.gradients += 1
+        return self.obj.gradient(Q, mode, h, rho)
+
+    def project(self, v):
+        self.projections += 1
+        return fm.project_capped_simplex(v, self.lo, self.hi)
+
+
+def reference_solve(g, params, opts, extra=()):
+    """Each start of ``minimize`` run alone through the reference loop, the
+    candidates in minimize's order and the winner by its rule."""
+    lat = g.lattice
+    lo, hi = box_bounds(lat, params.N)
+    obj = _Objective(g, params)
+    project = lambda v: fm.project_capped_simplex(v, lo, hi)
+    starts = [fm.uniform_measure(lat).weights]
+    starts += [project(np.random.default_rng([opts.seed, r]).uniform(lo, hi))
+               for r in range(1, opts.restarts)]
+    starts += [project(np.asarray(s, dtype=float)) for s in extra]
+    floor_active = bool(solver._floor_pairs(g, params))
+    runs, candidates = [], []
+    for q0 in starts:
+        counting = Counting(obj, lo, hi)
+        run = ref.solve_from(counting, q0, counting.project, opts, floor_active)
+        run.update(evaluations=counting.evaluations, gradients=counting.gradients,
+                   projections=counting.projections)
+        runs.append(run)
+        _, raw, viol = (float(x[0]) for x in obj.evaluate(q0))
+        candidates += [(q0, raw, viol, 0, []),
+                       (run["q"], run["value"], run["violation"], run["iterations"],
+                        run["trace"])]
+    feasible = [i for i, c in enumerate(candidates) if c[2] <= solver.FEASIBILITY_TOL]
+    pool = feasible or list(range(len(candidates)))
+    winner = pool[0]
+    for i in pool[1:]:
+        c, w = candidates[i], candidates[winner]
+        if (c[1] < w[1]) if feasible else ((c[2], c[1]) < (w[2], w[1])):
+            winner = i
+    return runs, candidates, winner
+
+
+def assert_matches_reference(g, params, opts, extra=()):
+    """minimize against the reference, row by row and bit for bit; returns
+    the report."""
+    rep = fm.minimize(g, params, opts, extra_starts=extra)
+    runs, candidates, winner = reference_solve(g, params, opts, extra)
+    assert len(rep.restarts) == len(runs)
+    kinds = ["base"] + ["random"] * (opts.restarts - 1) + ["extra"] * len(extra)
+    for r, (rec, run, kind) in enumerate(zip(rep.restarts, runs, kinds)):
+        assert rec.kind == kind
+        for field in ("stop", "iterations", "evaluations", "gradients", "projections",
+                      "penalty_rounds", "rho", "value", "violation"):
+            assert getattr(rec, field) == run[field], (r, field)
+    assert rep.winner == winner
+    q, value, viol, iters, trace = candidates[winner]
+    assert np.array_equal(rep.measure.weights, q)
+    assert rep.value == value and rep.iterations == iters and rep.trace == trace
+    return rep, runs
+
+
+def test_batched_rows_equal_reference_points(two_path):
+    """The solved points themselves, not just the records."""
+    params = fm.ConstraintParams(N=2.0, p=2.0)
+    opts = fm.SolveOptions(restarts=4)
+    lo, hi = box_bounds(two_path.lattice, 2.0)
+    starts = np.array([fm.uniform_measure(two_path.lattice).weights] +
+                      [fm.project_capped_simplex(np.random.default_rng([0, r]).uniform(lo, hi),
+                                                 lo, hi) for r in range(1, 4)])
+    obj = _Objective(two_path, params)
+    project = lambda v: fm.project_capped_simplex(v, lo, hi)
+    run = solver._solve_starts(obj, starts, project, opts, False)
+    for r, q0 in enumerate(starts):
+        expect = ref.solve_from(obj, q0, project, opts, False)
+        assert np.array_equal(run.q[r], expect["q"])
+        assert run.trace(r) == expect["trace"]
+
+
+@pytest.mark.parametrize("objective,gradient", [("m", "analytic"), ("n", "analytic"),
+                                                ("m", "fd"), ("n", "fd")])
+def test_minimize_matches_reference(objective, gradient):
+    g = random_process(np.random.default_rng(5), fm.build_lattice(2, 4), low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=3.0, p=1.5 if objective == "m" else 2.0,
+                                 objective=objective)
+    opts = fm.SolveOptions(restarts=4, max_iter=120, gradient=gradient)
+    rep, runs = assert_matches_reference(g, params, opts)
+    # the rows leave the batch at different iterations
+    assert len({run["iterations"] for run in runs}) > 1
+
+
+def test_minimize_matches_reference_at_a_kink():
+    """m at p = 1 is kinked at its zero: some rows stop on a projected step
+    that no longer moves, others on the stationarity test."""
+    lat = fm.build_lattice(2, 1)
+    g = fm.LatticeProcess(lat, 1, 1, np.array([[[1.0], [1.0]], [[1.45], [0.7]]]))
+    opts = fm.SolveOptions(restarts=4, max_iter=400, gradient="fd")
+    _, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, p=1.0), opts)
+    assert {"zero-step", "tol"} <= {run["stop"] for run in runs}
+
+
+def test_minimize_matches_reference_with_extra_starts(two_path):
+    params = fm.ConstraintParams(N=1.7, p=2.0)
+    extra = [np.array([0.2, 0.8]), np.array([0.5, 0.5])]
+    rep, _ = assert_matches_reference(two_path, params, fm.SolveOptions(restarts=3), extra)
+    assert [rec.kind for rec in rep.restarts] == ["base", "random", "random", "extra", "extra"]
+
+
+@pytest.mark.parametrize("gradient", ["analytic", "fd"])
+def test_minimize_matches_reference_on_the_penalty_path(gradient):
+    """A floor at its value under the uniform measure binds as soon as a row
+    moves; with a short max_iter the rows meet it after different numbers of
+    penalty rounds, so the batch shrinks between rounds as within them."""
+    lat = fm.build_lattice(2, 2)
+    g = random_process(np.random.default_rng(5), lat, n=2, low=0.5, high=2.0)
+    c = fm.correlation_integral(fm.uniform_measure(lat), g, 0, 1)
+    opts = fm.SolveOptions(restarts=6, max_iter=4, gradient=gradient)
+    rep, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, c=c, p=2.0), opts)
+    assert len({run["penalty_rounds"] for run in runs}) > 2
+    assert rep.feasible
+
+
+def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):
+    params = fm.ConstraintParams(N=2.0, c=0.9, p=2.0)
+    opts = fm.SolveOptions(restarts=3, max_iter=40, penalty_rounds=3)
+    rep, runs = assert_matches_reference(two_path_pair, params, opts)
+    assert not rep.feasible
+    assert all(run["penalty_rounds"] == 3 and run["rho"] == 1000.0 for run in runs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 2), st.sampled_from(["m", "n"]),
+       st.floats(1.1, 3.0), st.integers(1, 5), st.integers(0, 2 ** 16))
+def test_minimize_matches_reference_on_random_instances(b, K, n, objective, N, restarts, seed):
+    rng = np.random.default_rng(seed)
+    g = random_process(rng, fm.build_lattice(b, K), n=n, low=0.4, high=2.5)
+    params = fm.ConstraintParams(N=N, p=float(rng.choice([1.0, 2.0, 3.0])), objective=objective)
+    assert_matches_reference(g, params, fm.SolveOptions(restarts=restarts, max_iter=60,
+                                                         seed=seed))
+
+
+def test_restart_records_stop_reasons(two_path):
+    params = fm.ConstraintParams(N=2.0, p=2.0)
+    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=3))
+    assert [rec.stop for rec in rep.restarts] == ["tol"] * 3
+    capped = fm.minimize(two_path, params, fm.SolveOptions(restarts=3, max_iter=2))
+    assert [rec.stop for rec in capped.restarts] == ["max_iter"] * 3
+    assert all(rec.iterations == 2 and rec.gradients == 2 for rec in capped.restarts)
+    frozen = fm.minimize(two_path, params, fm.SolveOptions(restarts=2, step=1e-15))
+    assert [rec.stop for rec in frozen.restarts] == ["stalled-line-search"] * 2
+    assert frozen.winner == 0 and frozen.iterations == 0

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairmeasure as fm
 from fairmeasure import cli
@@ -64,6 +68,50 @@ def test_measure_file_round_trip(tmp_path):
     cli.write_measure_csv(path, Q)
     back = cli.read_measure_csv(path, lat)
     assert np.array_equal(back.weights, Q.weights)
+
+
+@st.composite
+def small_lattices(draw):
+    """b <= 10 (one digit per branch), at most 100 paths."""
+    b = draw(st.integers(2, 10))
+    return fm.build_lattice(b, draw(st.integers(1, 3 if b <= 4 else 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_lattices(), st.integers(1, 2), st.integers(1, 2),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_process_file_round_trip_random_lattices(lat, n, d, pool, seed):
+    """Any finite floats (signed zeros, subnormals, extremes), one per
+    (time, block, component), come back bit for bit."""
+    rng = np.random.default_rng(seed)
+    values = np.empty((lat.depth + 1, lat.n_paths, n * d))
+    for k in range(lat.depth + 1):
+        per_block = np.array(pool)[rng.integers(0, len(pool), (lat.n_blocks(k), n * d))]
+        values[k] = np.repeat(per_block, lat.block_size(k), axis=0)
+    proc = fm.LatticeProcess(lat, n, d, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "process.csv")
+        cli.write_process_csv(path, proc)
+        back = cli.load_process(path)
+    assert back.lattice == lat and (back.n, back.d) == (n, d)
+    assert back.values.tobytes() == proc.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_lattices(), st.lists(st.floats(0.0, 1e300), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_measure_file_round_trip_random_lattices(lat, pool, seed):
+    rng = np.random.default_rng(seed)
+    w = np.array(pool)[rng.integers(0, len(pool), lat.n_paths)]
+    if not w.sum() > 0.0:
+        w[0] = 1.0
+    Q = fm.Measure(lat, w / w.sum())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "measure.csv")
+        cli.write_measure_csv(path, Q)
+        back = cli.read_measure_csv(path, lat)
+    assert back.weights.tobytes() == Q.weights.tobytes()
 
 
 def test_process_file_rejects_incomplete_and_duplicate(tmp_path):
@@ -173,6 +221,28 @@ def test_optimize_canonical(tmp_path):
     assert report["value"] <= 1e-8
     measure = cli.read_measure_csv(tmp_path / "measure.csv", fm.build_lattice(2, 1))
     assert np.allclose(measure.weights, [1 / 3, 2 / 3], atol=1e-3)
+
+
+def test_optimize_report_records_each_restart(tmp_path):
+    cfg = write_config(tmp_path / "config.json")
+    (tmp_path / "process.csv").write_text(CANONICAL_PROCESS_CSV, encoding="utf-8")
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report)[-3:] == ["winner", "restarts", "measure_file"]
+    records = report["restarts"]
+    assert [r["kind"] for r in records] == ["base", "random", "random"]
+    for r in records:
+        assert list(r) == ["kind", "stop", "iterations", "evaluations", "gradients",
+                           "projections", "penalty_rounds", "rho", "value", "violation"]
+        assert r["stop"] == "tol" and r["penalty_rounds"] == 1 and r["rho"] == 0.0
+        assert r["gradients"] == r["iterations"] + 1
+        assert r["evaluations"] >= r["iterations"] + 1
+        assert r["projections"] >= r["evaluations"] + r["gradients"]
+    winner = report["winner"]
+    solved = records[winner // 2]
+    assert report["iterations"] == (solved["iterations"] if winner % 2 else 0)
+    if winner % 2:
+        assert report["value"] == solved["value"]
 
 
 def test_optimize_singleton_box(tmp_path):

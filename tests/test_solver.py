@@ -175,6 +175,32 @@ def test_projection_matches_bisection_reference(case):
     assert d_new <= d_ref + 1e-12 * max(1.0, d_ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(projection_cases(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_projection_rows_match_their_own_projection(case, G, rnd):
+    """A (G, P) batch: each row comes out exactly as its own 1-D projection,
+    whichever rows share the call, and still matches the bisection."""
+    v, lo, hi, total = case
+    rows = [v] + [np.array(rnd.sample(list(v), len(v))) + rnd.choice([0.0, 1e-3, -2.0])
+                  for _ in range(G - 1)]
+    V = np.array(rows)
+    Q = fm.project_capped_simplex(V, lo, hi, total)
+    assert Q.shape == V.shape
+    for row, q in zip(V, Q):
+        assert np.array_equal(q, fm.project_capped_simplex(row, lo, hi, total))
+        assert np.abs(q - bisection_projection(row, lo, hi, total)).max() <= 1e-12
+    for k in range(G):
+        assert np.array_equal(fm.project_capped_simplex(V[k:], lo, hi, total), Q[k:])
+
+
+def test_projection_batch_shapes():
+    lo, hi = np.full(3, 0.2), np.full(3, 0.5)
+    assert fm.project_capped_simplex(np.empty((0, 3)), lo, hi).shape == (0, 3)
+    for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(fm.ParameterError, match="shapes"):
+            fm.project_capped_simplex(bad, lo, hi)
+
+
 # -- minimize -----------------------------------------------------------------------
 
 def test_minimize_recovers_risk_neutral_measure(two_path):
@@ -338,7 +364,7 @@ def test_analytic_gradient_matches_fd():
                            fm.ConstraintParams(N=2.5, p=2.0, objective="m"),
                            fm.ConstraintParams(N=2.5, p=3.0, objective="m"),
                            fm.ConstraintParams(N=2.5, objective="n")]:
-                obj = _Objective(g, params, 0.0)
+                obj = _Objective(g, params)
                 ana = obj.gradient(q, "analytic", 1e-6)
                 fd = obj.gradient(q, "fd", 1e-6)
                 scale = max(np.linalg.norm(ana), np.linalg.norm(fd))
@@ -347,15 +373,42 @@ def test_analytic_gradient_matches_fd():
 
 def test_analytic_gradient_matches_fd_with_penalty(two_path_pair):
     params = fm.ConstraintParams(N=2.0, c=0.35, p=2.0)
-    obj = _Objective(two_path_pair, params, rho=25.0)
+    obj = _Objective(two_path_pair, params)
     rng = np.random.default_rng(8)
     lo, hi = box_bounds(two_path_pair.lattice, 2.0)
     for _ in range(8):
         q = fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi)
-        ana = obj.gradient(q, "analytic", 1e-6)
-        fd = obj.gradient(q, "fd", 1e-6)
+        ana = obj.gradient(q, "analytic", 1e-6, rho=25.0)
+        fd = obj.gradient(q, "fd", 1e-6, rho=25.0)
         scale = max(np.linalg.norm(ana), np.linalg.norm(fd))
         assert np.linalg.norm(ana - fd) <= 1e-4 * scale
+
+
+def test_fd_gradient_at_the_path_budget():
+    P = fm.solver._FD_PATH_BUDGET
+    g = random_process(np.random.default_rng(2), fm.build_lattice(P, 1))
+    params = fm.ConstraintParams(N=2.0)
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=1, max_iter=1, gradient="fd"))
+    assert rep.restarts[0].gradients == 1
+    assert np.isfinite(fm.kkt_residual(rep.measure, g, params, gradient="fd"))
+
+
+def test_fd_gradient_above_the_path_budget_is_refused(monkeypatch):
+    g = random_process(np.random.default_rng(2),
+                       fm.build_lattice(fm.solver._FD_PATH_BUDGET + 1, 1))
+    params = fm.ConstraintParams(N=2.0)
+    U = fm.uniform_measure(g.lattice)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("objective built before the budget check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fm.solver, "_Objective", no_work)
+        with pytest.raises(fm.SizeBudgetError, match="gradient='analytic'"):
+            fm.minimize(g, params, fm.SolveOptions(restarts=1, gradient="fd"))
+        with pytest.raises(fm.SizeBudgetError, match="gradient='analytic'"):
+            fm.kkt_residual(U, g, params, gradient="fd")
+    assert np.isfinite(fm.kkt_residual(U, g, params, gradient="analytic"))
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -367,6 +420,11 @@ def test_solve_report_contents(two_path):
     assert len(rep.trace) == rep.iterations
     assert set(rep.constraint_slacks) == {"box_lower", "box_upper", "normalization"}
     assert all(s >= -fm.solver.FEASIBILITY_TOL for s in rep.constraint_slacks.values())
+
+
+def test_solve_options_need_a_penalty_round():
+    with pytest.raises(fm.ParameterError):
+        fm.SolveOptions(penalty_rounds=0)
 
 
 def test_minimize_deterministic_given_seed(two_path):
