@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FairmeasureError, ParameterError
+from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, build_lattice,
                       uniform_measure)
 from .processes import (GbmParams, calibrate_from_prices, read_price_csv,
@@ -35,8 +37,12 @@ EXIT_INFEASIBLE = 2
 
 @dataclass(frozen=True)
 class CalibrationSource:
-    csv_path: str
-    exchanges: list[str] | None  # None = all, in order of first appearance
+    csv: str
+    exchanges: list[str] | None = None  # None = all, in order of first appearance
+
+    def __post_init__(self):
+        if self.exchanges is not None and not all(isinstance(e, str) for e in self.exchanges):
+            raise ParameterError("exchanges: expected a list of strings")
 
 
 @dataclass(frozen=True)
@@ -58,33 +64,58 @@ class RunConfig:
     config_dir: str
 
 
-def _need(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}: missing required key")
-    val = obj[key]
+# Every key each config section accepts, with its JSON type; np.ndarray
+# stands for a rectangular numeric matrix given as nested lists.
+_CONFIG = {"lattice": dict, "process": dict, "constraints": dict, "objective": str,
+           "solver": dict, "io": dict}
+_LATTICE = {"b": int, "K": int}
+_PROCESS = {"gbm": dict, "calibration": dict}
+_GBM = {"n": int, "d": int, "drift": np.ndarray, "vol": np.ndarray, "corr": np.ndarray,
+        "s0": np.ndarray}
+_CALIBRATION = {"csv": str, "exchanges": list}
+_CONSTRAINTS = {"N": float, "c": float, "p": float}
+_SOLVER = {"max_iter": int, "step": float, "tol": float, "restarts": int, "seed": int,
+           "gradient": str}
+_IO = {"process_file": str, "measure_file": str, "report_file": str, "params_file": str}
+
+
+def _typed(val, kind, where: str):
+    if kind is np.ndarray:
+        try:
+            arr = np.asarray(_typed(val, list, where), dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: expected a rectangular numeric matrix") from None
+        if arr.ndim != 2:
+            raise ConfigError(f"{where}: expected a 2-d matrix, got {arr.ndim} dims")
+        return arr
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}: expected {getattr(kind, '__name__', kind)}, "
-                          f"got {type(val).__name__}")
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
-def _opt(obj: dict, key: str, kind, where: str, default):
-    if key not in obj or obj[key] is None:
-        return default
-    return _need(obj, key, kind, where)
+def _keys(obj: dict, table: dict, where: str) -> dict:
+    """The keys of a config section that are set (present and not null),
+    each checked against its type in ``table``; any other key is an error."""
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{where}.{key}: unknown key")
+    return {key: _typed(val, table[key], f"{where}.{key}")
+            for key, val in obj.items() if val is not None}
 
 
-def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
-    raw = _need(obj, key, list, where)
+def _build(make, obj: dict, table: dict, where: str, **extra):
+    """``make(**keys)`` from a config section, so that ``make`` supplies the
+    default of every key left unset; a key it has no default for is required."""
+    kwargs = _keys(obj, table, where)
+    for name, param in inspect.signature(make).parameters.items():
+        if name in table and name not in kwargs and param.default is param.empty:
+            raise ConfigError(f"{where}.{name}: missing required key")
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: expected a rectangular numeric matrix") from None
-    if arr.ndim != 2:
-        raise ConfigError(f"{where}.{key}: expected a 2-d matrix, got {arr.ndim} dims")
-    return arr
+        return make(**kwargs, **extra)
+    except FairmeasureError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -99,70 +130,24 @@ def parse_config(path: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
 
-    lat_obj = _need(data, "lattice", dict, "config")
-    b = _need(lat_obj, "b", int, "lattice")
-    K = _need(lat_obj, "K", int, "lattice")
-    try:
-        lattice = build_lattice(b, K)
-    except FairmeasureError as exc:
-        raise ConfigError(f"lattice: {exc}") from None
-
-    proc_obj = _need(data, "process", dict, "config")
-    gbm = None
-    calibration = None
-    if ("gbm" in proc_obj) == ("calibration" in proc_obj):
+    top = _keys(data, _CONFIG, "config")
+    lattice = _build(build_lattice, top.get("lattice", {}), _LATTICE, "lattice")
+    proc = _keys(top.get("process", {}), _PROCESS, "process")
+    if ("gbm" in proc) == ("calibration" in proc):
         raise ConfigError("process: exactly one of 'gbm' or 'calibration' is required")
-    if "gbm" in proc_obj:
-        g = _need(proc_obj, "gbm", dict, "process")
-        try:
-            gbm = GbmParams(n=_need(g, "n", int, "process.gbm"),
-                            d=_need(g, "d", int, "process.gbm"),
-                            drift=_matrix(g, "drift", "process.gbm"),
-                            vol=_matrix(g, "vol", "process.gbm"),
-                            corr=_matrix(g, "corr", "process.gbm"),
-                            s0=_matrix(g, "s0", "process.gbm"))
-        except FairmeasureError as exc:
-            raise ConfigError(f"process.gbm: {exc}") from None
+    gbm = calibration = None
+    if "gbm" in proc:
+        gbm = _build(GbmParams, proc["gbm"], _GBM, "process.gbm")
     else:
-        cal = _need(proc_obj, "calibration", dict, "process")
-        csv_path = _need(cal, "csv", str, "process.calibration")
-        exchanges = _opt(cal, "exchanges", list, "process.calibration", None)
-        if exchanges is not None and not all(isinstance(e, str) for e in exchanges):
-            raise ConfigError("process.calibration.exchanges: expected a list of strings")
-        calibration = CalibrationSource(csv_path, exchanges)
-
-    con_obj = _need(data, "constraints", dict, "config")
-    N = _need(con_obj, "N", float, "constraints")
-    c = _opt(con_obj, "c", float, "constraints", None)
-    p = _opt(con_obj, "p", float, "constraints", 2.0)
-    objective = _opt(data, "objective", str, "config", "m")
-    try:
-        constraints = ConstraintParams(N=N, c=c, p=p, objective=objective)
-    except FairmeasureError as exc:
-        raise ConfigError(f"constraints: {exc}") from None
-
-    sol_obj = _opt(data, "solver", dict, "config", {})
-    try:
-        solver = SolveOptions(
-            max_iter=_opt(sol_obj, "max_iter", int, "solver", 300),
-            step=_opt(sol_obj, "step", float, "solver", 1.0),
-            tol=_opt(sol_obj, "tol", float, "solver", 1e-9),
-            restarts=_opt(sol_obj, "restarts", int, "solver", 8),
-            seed=_opt(sol_obj, "seed", int, "solver", 0),
-            gradient=_opt(sol_obj, "gradient", str, "solver", "analytic"),
-        )
-    except FairmeasureError as exc:
-        raise ConfigError(f"solver: {exc}") from None
-
-    io_obj = _opt(data, "io", dict, "config", {})
-    paths = IoPaths(
-        process_file=_opt(io_obj, "process_file", str, "io", "process.csv"),
-        measure_file=_opt(io_obj, "measure_file", str, "io", "measure.csv"),
-        report_file=_opt(io_obj, "report_file", str, "io", "report.json"),
-        params_file=_opt(io_obj, "params_file", str, "io", "params.json"),
-    )
+        calibration = _build(CalibrationSource, proc["calibration"], _CALIBRATION,
+                             "process.calibration")
+    objective = {"objective": top["objective"]} if "objective" in top else {}
+    constraints = _build(ConstraintParams, top.get("constraints", {}), _CONSTRAINTS,
+                         "constraints", **objective)
     return RunConfig(lattice=lattice, gbm=gbm, calibration=calibration,
-                     constraints=constraints, solver=solver, io=paths,
+                     constraints=constraints,
+                     solver=_build(SolveOptions, top.get("solver", {}), _SOLVER, "solver"),
+                     io=_build(IoPaths, top.get("io", {}), _IO, "io"),
                      config_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -182,60 +167,87 @@ def write_process_csv(path: str, process: LatticeProcess) -> None:
                         fh.write(f"{labels[idx]},{k},{i},{j},{val!r}\n")
 
 
-def read_process_csv(path: str):
-    """Parse a process file into (lattice, values, n, d) without validation
-    of adaptedness; use :func:`load_process` for the validated object."""
-    rows = []
+def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None = None):
+    """The one reader of the path-indexed CSV formats.
+
+    ``columns`` is the header: the path label, integer index columns, then
+    one float column.  Labels go through the lattice's label codec; the
+    lattice is inferred from them when not given.  The rows must fill the
+    grid of every path and every index from 0 to its column's largest value
+    exactly once.  Returns the lattice and that grid as a float array of
+    shape (n_paths, *index extents).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["path", "k", "exchange", "component", "value"]:
-            raise ParameterError(
-                f"{path}: expected header 'path,k,exchange,component,value', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ParameterError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            label, k_s, i_s, j_s, v_s = row
-            if not label or not all(ch.isdigit() for ch in label):
-                raise ParameterError(f"{path}:{lineno}: bad path label {label!r}")
-            try:
-                rows.append((label, int(k_s), int(i_s), int(j_s), float(v_s)))
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(rows[-1][4]):
-                raise ParameterError(f"{path}:{lineno}: non-finite value {v_s!r}")
+        if header != columns:
+            raise ParameterError(f"{path}: expected header {','.join(columns)!r}, got {header}")
+        rows = list(enumerate(reader, start=2))
     if not rows:
         raise ParameterError(f"{path}: no data rows")
-    K = len(rows[0][0])
-    digits = sorted({int(ch) for r in rows for ch in r[0]})
-    b = max(digits) + 1
-    if b < 2:
-        b = 2
-    n = max(r[2] for r in rows) + 1
-    d = max(r[3] for r in rows) + 1
-    lattice = AdaptedLattice(b, K)
-    values = np.full((K + 1, lattice.n_paths, n * d), np.nan)
-    seen = set()
-    for label, k, i, j, val in rows:
-        if len(label) != K:
-            raise ParameterError(f"{path}: inconsistent path label length {label!r}")
-        idx = sum(int(ch) * b ** (K - 1 - pos) for pos, ch in enumerate(label))
-        if not (0 <= k <= K and 0 <= i < n and 0 <= j < d):
-            raise ParameterError(f"{path}: indices out of range in row {(label, k, i, j)}")
-        cell = (idx, k, i, j)
-        if cell in seen:
-            raise ParameterError(f"{path}: duplicate row for {(label, k, i, j)}")
-        seen.add(cell)
-        values[k, idx, i * d + j] = val
-    if np.any(np.isnan(values)):
-        raise ParameterError(f"{path}: incomplete grid; every (path,k,exchange,component) "
-                             "combination must appear exactly once")
-    return lattice, values, n, d
+    for line, row in rows:
+        if len(row) != len(columns):
+            raise ParameterError(f"{path}:{line}: expected {len(columns)} fields, "
+                                 f"got {len(row)}")
+    if lattice is None:
+        try:
+            lattice = AdaptedLattice.for_labels([row[0] for _, row in rows])
+        except SizeBudgetError as exc:
+            raise SizeBudgetError(f"{path}: {exc}") from None
+    names, value_name = columns[1:-1], columns[-1]
+    cells: dict[tuple[int, ...], float] = {}
+    for line, (label, *indices, text) in rows:
+        where = f"{path}:{line}"
+        try:
+            cell = (lattice.path_index(label),)
+        except ParameterError as exc:
+            raise ParameterError(f"{where}: {exc}") from None
+        for name, index in zip(names, indices):
+            if not (index.isascii() and index.isdigit()):
+                raise ParameterError(f"{where}: bad {name} {index!r}")
+            cell += (int(index),)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParameterError(f"{where}: bad {value_name} {text!r}") from None
+        if not math.isfinite(value):
+            raise ParameterError(f"{where}: non-finite {value_name} {text!r}")
+        if cell in cells:
+            raise ParameterError(f"{where}: duplicate row for {_cell_name(lattice, names, cell)}")
+        cells[cell] = value
+    shape = (lattice.n_paths, *(max(cell[a] for cell in cells) + 1
+                                for a in range(1, len(columns) - 1)))
+    if len(cells) != math.prod(shape):
+        # the first absent cell is among the first len(cells) + 1 in order
+        missing = next(c for c in itertools.product(*map(range, shape)) if c not in cells)
+        raise ParameterError(f"{path}: incomplete grid; no row for "
+                             f"{_cell_name(lattice, names, missing)}")
+    grid = np.empty(shape)
+    grid[tuple(np.array(list(cells)).T)] = list(cells.values())
+    return lattice, grid
+
+
+def _cell_name(lattice: AdaptedLattice, names: list[str], cell: tuple[int, ...]) -> str:
+    return ", ".join([f"path {lattice.path_label(cell[0])!r}",
+                      *(f"{name}={i}" for name, i in zip(names, cell[1:]))])
+
+
+def read_process_csv(path: str):
+    """Parse a process file into (lattice, values, n, d) without validation
+    of adaptedness; use :func:`load_process` for the validated object."""
+    lattice, grid = _read_path_csv(path, ["path", "k", "exchange", "component", "value"])
+    P, times, n, d = grid.shape
+    if times != lattice.depth + 1:
+        raise ParameterError(f"{path}: k runs over 0..{times - 1}, expected 0..{lattice.depth}")
+    return lattice, grid.transpose(1, 0, 2, 3).reshape(times, P, n * d), n, d
 
 
 def load_process(path: str) -> LatticeProcess:
     lattice, values, n, d = read_process_csv(path)
-    return LatticeProcess(lattice, n, d, values)
+    try:
+        return LatticeProcess(lattice, n, d, values)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def write_measure_csv(path: str, measure: Measure) -> None:
@@ -248,35 +260,7 @@ def write_measure_csv(path: str, measure: Measure) -> None:
 
 
 def read_measure_csv(path: str, lattice: AdaptedLattice) -> Measure:
-    weights = np.full(lattice.n_paths, np.nan)
-    seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "weight"]:
-            raise ParameterError(f"{path}: expected header 'path,weight', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected 2 fields")
-            label, w_s = row
-            if len(label) != lattice.depth or not all(ch.isdigit() for ch in label):
-                raise ParameterError(f"{path}:{lineno}: bad path label {label!r}")
-            idx = sum(int(ch) * lattice.branching ** (lattice.depth - 1 - pos)
-                      for pos, ch in enumerate(label))
-            if not 0 <= idx < lattice.n_paths:
-                raise ParameterError(f"{path}:{lineno}: path {label!r} outside the lattice")
-            if idx in seen:
-                raise ParameterError(f"{path}:{lineno}: duplicate row for path {label!r}")
-            seen.add(idx)
-            try:
-                weight = float(w_s)
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: bad weight {w_s!r}") from None
-            if not math.isfinite(weight):
-                raise ParameterError(f"{path}:{lineno}: non-finite weight {w_s!r}")
-            weights[idx] = weight
-    if np.any(np.isnan(weights)):
-        raise ParameterError(f"{path}: missing weights for some paths")
+    _, weights = _read_path_csv(path, ["path", "weight"], lattice)
     return Measure(lattice, weights)
 
 
@@ -318,7 +302,7 @@ def _resolve_in(cfg: RunConfig, out_dir: str, name: str) -> str:
 
 def _calibrated_params(cfg: RunConfig, out_dir: str) -> GbmParams:
     src = cfg.calibration
-    series = read_price_csv(_resolve_in(cfg, out_dir, src.csv_path))
+    series = read_price_csv(_resolve_in(cfg, out_dir, src.csv))
     if src.exchanges is not None:
         by_name = {s.exchange: s for s in series}
         missing = [e for e in src.exchanges if e not in by_name]
@@ -391,9 +375,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str, seed: int) -> int:
 
 def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
     process = _obtain_process(cfg, out_dir, seed)
-    opts = cfg.solver if seed == cfg.solver.seed else \
-        SolveOptions(**{**cfg.solver.__dict__, "seed": seed})
-    report = minimize(process, cfg.constraints, opts)
+    report = minimize(process, cfg.constraints, replace(cfg.solver, seed=seed))
     measure_path = _resolve_out(out_dir, cfg.io.measure_file)
     write_measure_csv(measure_path, report.measure)
     payload = {
@@ -469,10 +451,7 @@ def main(argv: list[str] | None = None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(cfg, args.out, seed)
-    except FairmeasureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (FairmeasureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

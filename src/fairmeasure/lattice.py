@@ -17,6 +17,7 @@ from .errors import EquivalenceViolationError, ParameterError, SizeBudgetError
 
 DEFAULT_PATH_BUDGET = 1 << 20
 NORMALIZATION_TOL = 1e-12
+_DIGITS = "0123456789"  # path-label alphabet: digit d names branch d
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,15 @@ class AdaptedLattice:
     depth: int
 
     def __post_init__(self):
-        if int(self.branching) != self.branching or self.branching < 2:
-            raise ParameterError(f"branching must be an integer >= 2, got {self.branching}")
-        if int(self.depth) != self.depth or self.depth < 1:
-            raise ParameterError(f"depth must be an integer >= 1, got {self.depth}")
+        for name, least in (("branching", 2), ("depth", 1)):
+            val = getattr(self, name)
+            try:
+                ok = not isinstance(val, bool) and int(val) == val and val >= least
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {val}")
+            object.__setattr__(self, name, int(val))
 
     @property
     def n_paths(self) -> int:
@@ -74,12 +80,32 @@ class AdaptedLattice:
 
     def path_label(self, idx: int) -> str:
         """Base-b digit string of a path (serialization order)."""
-        if self.branching > 10:
-            raise ParameterError("digit-string labels support branching <= 10")
-        return "".join(str(d) for d in self.digits[idx])
+        self._check_labels()
+        return "".join(_DIGITS[d] for d in self.digits[idx])
 
     def labels(self) -> list[str]:
         return [self.path_label(i) for i in range(self.n_paths)]
+
+    def path_index(self, label: str) -> int:
+        """Inverse of :meth:`path_label`: only a label of exactly ``depth``
+        ASCII digits 0..b-1 names a path."""
+        self._check_labels()
+        if len(label) != self.depth or label.strip(_DIGITS[:self.branching]):
+            raise ParameterError(f"bad path label {label!r}: expected {self.depth} "
+                                 f"digit(s) 0..{self.branching - 1}")
+        return int(label, self.branching)
+
+    @classmethod
+    def for_labels(cls, labels: list[str]) -> "AdaptedLattice":
+        """The smallest lattice that can name these paths: depth from the
+        first label, branching one above the largest digit, within the
+        default path budget.  Malformed labels are left to :meth:`path_index`."""
+        top = max((_DIGITS.find(ch) for label in labels for ch in label), default=0)
+        return build_lattice(max(top + 1, 2), max(len(labels[0]), 1))
+
+    def _check_labels(self) -> None:
+        if self.branching > len(_DIGITS):
+            raise ParameterError("digit-string labels support branching <= 10")
 
     def _check_time(self, k: int) -> None:
         if not 0 <= k <= self.depth:
@@ -91,13 +117,10 @@ def build_lattice(b: int, K: int, path_budget: int = DEFAULT_PATH_BUDGET) -> Ada
 
     Rejects lattices whose path count b^K exceeds ``path_budget``.
     """
-    if int(b) != b or b < 2:
-        raise ParameterError(f"b must be an integer >= 2, got {b}")
-    if int(K) != K or K < 1:
-        raise ParameterError(f"K must be an integer >= 1, got {K}")
-    if b ** K > path_budget:
+    lattice = AdaptedLattice(b, K)
+    if lattice.n_paths > path_budget:
         raise SizeBudgetError(f"lattice would have {b}^{K} paths, budget is {path_budget}")
-    return AdaptedLattice(int(b), int(K))
+    return lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,20 +338,20 @@ def abs_product_mean(Q: Measure, x: np.ndarray, y: np.ndarray) -> float:
 
 # -- branch duplication (embedding into a finer lattice) ----------------------
 
-def _coarse_path_index(fine: AdaptedLattice, coarse: AdaptedLattice, copies: int) -> np.ndarray:
-    digits = fine.digits // copies
-    powers = coarse.branching ** np.arange(coarse.depth - 1, -1, -1)
-    return digits @ powers
+def _embedding(lat: AdaptedLattice, copies: int) -> tuple[AdaptedLattice, np.ndarray]:
+    """The lattice with every branch of ``lat`` split into ``copies``
+    children, and for each of its paths the index of the path it copies."""
+    if int(copies) != copies or copies < 2:
+        raise ParameterError(f"copies must be an integer >= 2, got {copies}")
+    fine = AdaptedLattice(lat.branching * int(copies), lat.depth)
+    powers = lat.branching ** np.arange(lat.depth - 1, -1, -1)
+    return fine, (fine.digits // int(copies)) @ powers
 
 
 def duplicate_branches(process: LatticeProcess, copies: int = 2) -> LatticeProcess:
     """Embed a process into the lattice where every branch is split into
     ``copies`` identical children; values are copied along the embedding."""
-    if int(copies) != copies or copies < 2:
-        raise ParameterError(f"copies must be an integer >= 2, got {copies}")
-    lat = process.lattice
-    fine = AdaptedLattice(lat.branching * copies, lat.depth)
-    idx = _coarse_path_index(fine, lat, copies)
+    fine, idx = _embedding(process.lattice, copies)
     return LatticeProcess(fine, process.n, process.d, process.values[:, idx, :])
 
 
@@ -336,12 +359,8 @@ def lift_measure(Q: Measure, copies: int = 2) -> Measure:
     """Lift a measure along the branch-duplication embedding: each coarse
     path's weight is split evenly over its copies^K fine images, so every
     blockwise average (hence every functional built from them) is preserved."""
-    if int(copies) != copies or copies < 2:
-        raise ParameterError(f"copies must be an integer >= 2, got {copies}")
-    lat = Q.lattice
-    fine = AdaptedLattice(lat.branching * copies, lat.depth)
-    idx = _coarse_path_index(fine, lat, copies)
-    return Measure(fine, Q.weights[idx] / float(copies ** lat.depth))
+    fine, idx = _embedding(Q.lattice, copies)
+    return Measure(fine, Q.weights[idx] / float(copies ** Q.lattice.depth))
 
 
 __all__ = [

@@ -5,9 +5,10 @@ equivalence box mu/N <= q <= N*mu (atomwise, which on a finite space is the
 same as the per-event condition), optionally cut by a correlation floor on
 every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
-with an escalating exact penalty for the floor, multi-started from the base
-measure plus random feasible points.  A grid-search oracle over tiny
-instances provides an independent check of the optimizer.
+with a quadratic penalty rho * sum max(0, c - I)^2 over the exchange pairs
+for the floor, rho growing each round, multi-started from the base measure
+plus random feasible points.  A grid-search oracle over tiny instances
+provides an independent check of the optimizer.
 
 The starts descend in lock step as the rows of one (G, P) batch, the G
 axis of the node kernel.  Each row keeps its own step size; an active mask
@@ -311,10 +312,11 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     base measure, (restarts - 1) random feasible points, and any
     ``extra_starts`` (projected first; useful for warm starts across related
     instances), all descending together as one batch of rows.  The
-    correlation floor is handled by an escalating exact penalty.  Every
-    start point is itself kept as a candidate, so whenever the base measure
-    is feasible the report is feasible with value no worse than the base
-    value.  If no candidate ever satisfies the floor the best penalized
+    correlation floor is handled by the quadratic penalty
+    rho * sum max(0, c - I)^2 over the exchange pairs, rho growing by
+    ``penalty_growth`` each round.  Every start point is itself kept as a
+    candidate, so whenever the base measure is feasible the report is
+    feasible with value no worse than the base value.  If no candidate ever satisfies the floor the best penalized
     point is returned with ``feasible=False``.  ``gradient="fd"`` above
     ``_FD_PATH_BUDGET`` paths raises :class:`SizeBudgetError`.
     """

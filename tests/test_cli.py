@@ -150,6 +150,64 @@ def test_measure_file_names_non_finite_weight(tmp_path, bad):
         cli.read_measure_csv(path, fm.build_lattice(2, 1))
 
 
+def test_measure_file_rejects_digit_outside_the_branching(tmp_path):
+    path = tmp_path / "measure.csv"
+    path.write_text("path,weight\n00,0.25\n01,0.25\n02,0.25\n11,0.25\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=r"measure\.csv:4: bad path label '02'"):
+        cli.read_measure_csv(path, fm.build_lattice(2, 2))
+
+
+# U+00B9 passes str.isdigit but not int(); U+0661 passes both and reads as 1
+@pytest.mark.parametrize("digit", ["¹", "١"])
+def test_readers_reject_non_ascii_digit_labels(tmp_path, digit):
+    path = tmp_path / "process.csv"
+    path.write_text(CANONICAL_PROCESS_CSV.replace("\n1,1,", f"\n{digit},1,"), encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"process\.csv:5: bad path label '{digit}'"):
+        cli.read_process_csv(path)
+    path = tmp_path / "measure.csv"
+    path.write_text(f"path,weight\n0,0.5\n{digit},0.5\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"measure\.csv:3: bad path label '{digit}'"):
+        cli.read_measure_csv(path, fm.build_lattice(2, 1))
+
+
+@pytest.mark.parametrize("reader,body,message", [
+    ("process", "path,k,exchange,component,value\n0,0,0,1.0\n",
+     r"process\.csv:2: expected 5 fields, got 4"),
+    ("measure", "path,weight\n0,0.5,1\n", r"measure\.csv:2: expected 2 fields, got 3"),
+    ("process", "path,k,exchange,component,value\n0,0,0,0,1.0\n1,0,0,0,1.0\n0,1,0,0,1.0\n",
+     r"process\.csv: incomplete grid; no row for path '1', k=1, exchange=0, component=0"),
+    ("measure", "path,weight\n1,1.0\n", r"measure\.csv: incomplete grid; no row for path '0'"),
+    ("process", CANONICAL_PROCESS_CSV + "0,1,0,0,2.0\n",
+     r"process\.csv:6: duplicate row for path '0', k=1, exchange=0, component=0"),
+    ("process", CANONICAL_PROCESS_CSV.replace("1,1,0,0", "1,-1,0,0"),
+     r"process\.csv:5: bad k '-1'"),
+    ("process", CANONICAL_PROCESS_CSV.replace("1,1,0,0", "1,١,0,0"),
+     r"process\.csv:5: bad k '١'"),
+    ("process", CANONICAL_PROCESS_CSV.replace("0,1,0,0,2.0", "0,1,0,0,x"),
+     r"process\.csv:3: bad value 'x'"),
+    ("process", "path,k,exchange,component,value\n" + "".join(
+        f"{label},{k},0,0,1.0\n" for label in ("00", "01", "10", "11") for k in (0, 1)),
+     r"process\.csv: k runs over 0\.\.1, expected 0\.\.2"),
+], ids=["process-fields", "measure-fields", "process-incomplete", "measure-incomplete",
+        "process-duplicate", "negative-index", "non-ascii-index", "bad-value", "short-time"])
+def test_readers_share_their_error_messages(tmp_path, reader, body, message):
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=message):
+        if reader == "process":
+            cli.read_process_csv(path)
+        else:
+            cli.read_measure_csv(path, fm.build_lattice(2, 1))
+
+
+def test_process_file_label_beyond_the_path_budget(tmp_path):
+    path = tmp_path / "process.csv"
+    path.write_text("path,k,exchange,component,value\n" + "0" * 21 + ",0,0,0,1.0\n",
+                    encoding="utf-8")
+    with pytest.raises(fm.SizeBudgetError, match=r"process\.csv: lattice would have 2\^21"):
+        cli.read_process_csv(path)
+
+
 # -- commands ---------------------------------------------------------------------
 
 def test_simulate_writes_loadable_process(tmp_path):
@@ -342,6 +400,93 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys, patch, expected)
     cfg = write_config(tmp_path / "config.json", **patch)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["config", "lattice", "process", "process.gbm",
+                                     "process.calibration", "constraints", "solver", "io"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, section):
+    cfg_path = tmp_path / "config.json"
+    cfg = json.loads(write_config(cfg_path).read_text())
+    if section == "process.calibration":
+        cfg["process"] = {"calibration": {"csv": "prices.csv"}}
+    obj = cfg
+    for key in [] if section == "config" else section.split("."):
+        obj = obj[key]
+    obj["bogus"] = 1
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert f"error: {section}.bogus: unknown key" in capsys.readouterr().err
+
+
+def test_config_misspelled_solver_key_is_not_ignored(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json", solver={"restart": 1})
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "solver.restart: unknown key" in capsys.readouterr().err
+
+
+def test_config_unset_and_null_keys_take_the_dataclass_defaults(tmp_path):
+    cfg = write_config(tmp_path / "config.json",
+                       constraints={"N": 3, "c": None, "p": None},
+                       solver={"max_iter": None, "restarts": None, "tol": None, "seed": None},
+                       io=None)
+    run = cli.parse_config(cfg)
+    assert run.constraints == fm.ConstraintParams(N=3.0)
+    assert type(run.constraints.N) is float
+    assert run.solver == fm.SolveOptions()
+    assert run.io == cli.IoPaths()
+
+
+@pytest.mark.parametrize("section,key", [("lattice", "K"), ("constraints", "N"),
+                                         ("process.gbm", "vol")])
+def test_config_names_a_missing_required_key(tmp_path, capsys, section, key):
+    cfg_path = tmp_path / "config.json"
+    cfg = json.loads(write_config(cfg_path).read_text())
+    obj = cfg
+    for part in section.split("."):
+        obj = obj[part]
+    obj[key] = None
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert f"error: {section}.{key}: missing required key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,label", [("process.csv", "¹"), ("process.csv", "١"),
+                                        ("measure.csv", "2")])
+def test_eval_bad_label_exits_1_without_traceback(tmp_path, capsys, name, label):
+    cfg = write_config(tmp_path / "config.json")
+    files = {"process.csv": CANONICAL_PROCESS_CSV, "measure.csv": "path,weight\n0,0.5\n1,0.5\n"}
+    files[name] = files[name].replace("\n1,", f"\n{label},", 1)
+    for file, body in files.items():
+        (tmp_path / file).write_text(body, encoding="utf-8")
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    line = 3 if name == "measure.csv" else 4
+    assert err.startswith("error: ") and f"{name}:{line}: bad path label '{label}'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_draws_do_not_depend_on_the_other_checks(tmp_path, monkeypatch):
+    from fairmeasure import verify
+    run = cli.parse_config(write_config(tmp_path / "config.json"))
+    draws = {}
+
+    def recorder(name):
+        def check(rng):
+            draws[name] = rng.random(4).tolist()
+            return True, ""
+        return check
+
+    names = [name for name, _ in verify.CHECKS]
+    results = {}
+    for kept in (names, names[1:], names[:3] + names[4:]):
+        draws.clear()
+        monkeypatch.setattr(verify, "CHECKS", [(n, recorder(n)) for n in kept])
+        verify.run_verification(run, str(tmp_path), seed=3)
+        results[len(results)] = dict(draws)
+    full = results[0]
+    assert len({tuple(v) for v in full.values()}) == len(names)
+    for partial in (results[1], results[2]):
+        assert partial == {n: full[n] for n in partial}
 
 
 def test_config_requires_exactly_one_process_source(tmp_path, capsys):

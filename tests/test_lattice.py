@@ -54,6 +54,46 @@ def test_build_lattice_argument_errors():
     fm.build_lattice(2, 21, path_budget=1 << 22)
 
 
+def test_lattice_stores_python_ints():
+    lat = fm.AdaptedLattice(2.0, np.int64(2))
+    assert lat == fm.build_lattice(2, 2)
+    assert type(lat.branching) is int and type(lat.depth) is int
+    assert np.array_equal(fm.uniform_measure(lat).weights, np.full(4, 0.25))
+    assert fm.build_lattice(3.0, 2).branching == 3
+
+
+@pytest.mark.parametrize("b,K", [(True, 2), (2, True), (2.5, 2), (2, 1.5), ("2", 2),
+                                 (None, 2), (float("nan"), 2), (2, float("inf")),
+                                 (1, 2), (2, 0)])
+def test_lattice_rejects_non_integral_sizes(b, K):
+    with pytest.raises(fm.ParameterError, match="must be an integer"):
+        fm.AdaptedLattice(b, K)
+    with pytest.raises(fm.ParameterError, match="must be an integer"):
+        fm.build_lattice(b, K)
+
+
+@pytest.mark.parametrize("b,K", [(2, 1), (2, 4), (3, 3), (7, 2), (10, 2)])
+def test_path_index_inverts_path_label(b, K):
+    lat = fm.build_lattice(b, K)
+    assert [lat.path_index(label) for label in lat.labels()] == list(range(lat.n_paths))
+    assert fm.AdaptedLattice.for_labels(lat.labels()) == lat
+
+
+@pytest.mark.parametrize("label", ["02", "2", "012", "", "0a", " 01", "+1", "0_1", "¹0",
+                                   "١0", "0١", "-1"])
+def test_path_index_accepts_only_ascii_digits_below_b(label):
+    with pytest.raises(fm.ParameterError, match="bad path label"):
+        fm.build_lattice(2, 2).path_index(label)
+
+
+def test_labels_need_branching_at_most_ten():
+    lat = fm.build_lattice(11, 1)
+    with pytest.raises(fm.ParameterError, match="branching <= 10"):
+        lat.path_label(0)
+    with pytest.raises(fm.ParameterError, match="branching <= 10"):
+        lat.path_index("0")
+
+
 @given(st.integers(2, 4), st.integers(1, 5))
 def test_partition_refinement_chain(b, K):
     lat = fm.build_lattice(b, K)
