@@ -4,8 +4,8 @@
 (G, P) weight array, the G axis of the node kernel, and runs its penalty
 rounds through :meth:`Descent.round`.  The objective supplies per-row values
 and gradients (``solver._Objective``), the projection maps rows onto the
-feasible box-simplex, and the options give max_iter, step, tol and the
-gradient mode.
+feasible box-simplex, the gap gives each row's Frank-Wolfe gap over it, and
+the options give max_iter, step, tol and the gradient mode.
 """
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-# Step of the stationarity probe: a row is stationary once
-# ||project(q - eta * grad) - q|| / eta <= tol.
-_RESIDUAL_ETA = 1e-6
 # A backtracking line search that halves the step to this size has stalled.
 _MIN_STEP = 1e-14
 
@@ -29,9 +26,10 @@ class Descent:
     is the same float for float whatever else is in the batch."""
 
     def __init__(self, obj, starts: np.ndarray,
-                 project: Callable[[np.ndarray], np.ndarray], opts):
+                 project: Callable[[np.ndarray], np.ndarray],
+                 gap: Callable[[np.ndarray, np.ndarray], np.ndarray], opts):
         S = len(starts)
-        self.obj, self.project, self.opts = obj, project, opts
+        self.obj, self.project, self.gap, self.opts = obj, project, gap, opts
         self.q = starts.copy()
         self.raw, self.viol, self.rho = np.zeros(S), np.zeros(S), np.zeros(S)
         self.iterations = np.zeros(S, dtype=int)
@@ -45,7 +43,9 @@ class Descent:
         return [tuple(step) for step in self.steps[row, :self.iterations[row]].tolist()]
 
     def round(self, rows: np.ndarray, rho: float) -> None:
-        """At most max_iter iterations on ``rows`` at penalty weight rho."""
+        """At most max_iter iterations on ``rows`` at penalty weight rho.  A
+        row is stationary, and stops at "tol", once its Frank-Wolfe gap is at
+        most tol."""
         obj, opts, q, t = self.obj, self.opts, self.q, np.full(len(self.q), self.opts.step)
         pen = np.zeros(len(q))
         q[rows] = self.project(q[rows])
@@ -59,10 +59,8 @@ class Descent:
                 break
             x = q[active]
             grad = obj.gradient(x, opts.gradient, opts.fd_step, rho)
-            probe = self.project(x - _RESIDUAL_ETA * grad) - x
-            self.counts[active] += (0, 1, 1)
-            done = np.sqrt((probe * probe).sum(axis=1)) / _RESIDUAL_ETA <= opts.tol
-            del probe
+            self.counts[active, 1] += 1
+            done = self.gap(x, grad) <= opts.tol
             self.stop[active[done]] = "tol"
             active, x, grad = active[~done], x[~done], grad[~done]
             t[active] = np.minimum(opts.step, 2.0 * t[active])

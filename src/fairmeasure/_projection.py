@@ -1,8 +1,10 @@
-"""Euclidean projection onto the box-simplex, one point or a batch of rows.
+"""The box-simplex: Euclidean projection onto it and the Frank-Wolfe gap
+over it, for one point or a batch of rows.
 
 The solver's feasible set without the correlation floor is
-{q : sum q = total, lo <= q <= hi}; every iterate of the descent, every
-random start and the stationarity probe pass through this projection.
+{q : sum q = total, lo <= q <= hi}; every iterate of the descent and every
+random start pass through the projection, and the descent's stationarity
+test is the Frank-Wolfe gap.
 """
 from __future__ import annotations
 
@@ -27,6 +29,10 @@ def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     piece holds at lo, at hi and free.  The sort need not be stable: f is
     continuous, so tied breakpoints only bound pieces of zero width, and tau
     is clamped to its piece.  O(P log P) per row for any box, uniform or not.
+    Each row is first shifted by the integer part of its mean, which is exact
+    and leaves rows of mean below 1 in magnitude untouched: far from 0,
+    v - tau would cancel most of each coordinate's digits and lose the sum
+    constraint.
     Rows are independent: each comes out the same whatever the other rows.
     Already-feasible rows come back unchanged; non-finite inputs raise.
     """
@@ -48,6 +54,7 @@ def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     rows = np.flatnonzero(~inside | (np.abs(V.sum(axis=1) - total) > 1e-13))
     moved = V[rows]
     if rows.size:
+        moved -= np.trunc(moved.mean(axis=1, keepdims=True))
         np.subtract(moved, _breakpoint_tau(moved, lo, hi, total, shi)[:, None], out=moved)
         np.clip(moved, lo, hi, out=moved)
     out = V.copy()
@@ -96,3 +103,28 @@ def _breakpoint_tau(V: np.ndarray, lo: np.ndarray, hi: np.ndarray, total: float,
     tau = np.where(n_free > 0, np.minimum(np.maximum(tau, left), right), right)
     # total at sum(hi) or sum(lo): tau is the first or the last breakpoint
     return np.where(below[:, 0], t[:, 0], np.where(below[:, -1], tau, t[:, -1]))
+
+
+def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float,
+                    total: float = 1.0) -> np.ndarray:
+    """The Frank-Wolfe gap max_s <grad, q - s> over the uniform box-simplex
+    {s : sum s = total, lo <= s <= hi}, of one point q (P,) or of each row
+    of q (G, P), with the gradient in the same shape.
+
+    The gap is zero exactly at the stationary points of a differentiable f
+    on the set, and bounds f(q) - min f where f is also convex (Jaggi 2013,
+    ICML).  The linear minimization is greedy: s starts at lo everywhere,
+    and the mass left over fills the coordinates of smallest gradient up to
+    hi, the k-th of them only partly.  With the box uniform, k is the same
+    for every row, so one ``np.partition`` per row finds those coordinates
+    in O(P).  Rows are independent, as in the projection.
+    """
+    X, D = np.atleast_2d(q), np.atleast_2d(grad)
+    P, width = D.shape[1], hi - lo
+    spare = total - P * lo
+    k = min(int(spare // width), P - 1) if width > 0.0 and spare > 0.0 else 0
+    rest = spare - k * width
+    part = np.partition(D, k, axis=1)
+    low = lo * D.sum(axis=1) + width * part[:, :k].sum(axis=1) + rest * part[:, k]
+    gap = (X * D).sum(axis=1) - low
+    return gap.reshape(np.shape(q)[:-1])

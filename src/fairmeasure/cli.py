@@ -206,6 +206,10 @@ def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None
             if not (index.isascii() and index.isdigit()):
                 raise ParameterError(f"{where}: bad {name} {index!r}")
             cell += (int(index),)
+        # float() alone would also take digit separators ("0_0.5"), non-ASCII
+        # digits and surrounding spaces; without them its syntax is ASCII's
+        if not (text.isascii() and "_" not in text and text == text.strip()):
+            raise ParameterError(f"{where}: bad {value_name} {text!r}")
         try:
             value = float(text)
         except ValueError:
@@ -261,7 +265,10 @@ def write_measure_csv(path: str, measure: Measure) -> None:
 
 def read_measure_csv(path: str, lattice: AdaptedLattice) -> Measure:
     _, weights = _read_path_csv(path, ["path", "weight"], lattice)
-    return Measure(lattice, weights)
+    try:
+        return Measure(lattice, weights)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def write_json_report(path: str, payload: dict) -> None:
@@ -389,6 +396,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
         "value": report.value,
         "feasible": report.feasible,
         "kkt_residual": report.kkt_residual,
+        "gap": report.gap,
         "iterations": report.iterations,
         "constraint_slacks": report.constraint_slacks,
         "winner": report.winner,
@@ -398,8 +406,9 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
     path = _resolve_out(out_dir, cfg.io.report_file)
     write_json_report(path, payload)
     status = "feasible" if report.feasible else "INFEASIBLE"
+    gap = "" if report.gap is None else f", gap={report.gap:.3e}"
     print(f"{cfg.constraints.objective}* = {report.value!r} ({status}, "
-          f"kkt={report.kkt_residual:.3e}, iters={report.iterations})")
+          f"kkt={report.kkt_residual:.3e}{gap}, iters={report.iterations})")
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 

@@ -6,15 +6,20 @@ same as the per-event condition), optionally cut by a correlation floor on
 every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
 with a quadratic penalty rho * sum max(0, c - I)^2 over the exchange pairs
-for the floor, rho growing each round, multi-started from the base measure
-plus random feasible points.  A grid-search oracle over tiny instances
-provides an independent check of the optimizer.
+for the floor, rho growing each round, started from the base measure.  A
+row stops once its Frank-Wolfe gap over the box-simplex is at most ``tol``.
+On the lattice, m with p >= 1 and n are convex in the weights; where m is
+also smooth (p > 1) and no floor binds, every stationary point is a global
+minimizer and the gap bounds the distance to the optimal value, so one
+start suffices.  Elsewhere (n, p <= 1, the floor) the descent is also
+multi-started from random feasible points.  A grid-search oracle over tiny
+instances provides an independent check of the optimizer.
 
 The starts descend in lock step as the rows of one (G, P) batch, the G
 axis of the node kernel.  Each row keeps its own step size; an active mask
-drops a row once it is stationary, its line search stalls, its projected
-step vanishes or it reaches max_iter, and each backtracking trial evaluates
-only the rows still searching.  Penalty rounds are shared: every row starts
+drops a row once its gap is at most tol, its line search stalls, its
+projected step vanishes or it reaches max_iter, and each backtracking trial
+evaluates only the rows still searching.  Penalty rounds are shared: every row starts
 at rho = penalty_init, and after each round the rows that meet the floor
 leave while the rest go on at the grown rho, so rho is one scalar per round.
 Kernel calls and the projection treat rows independently, so each start
@@ -34,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._descent import Descent
-from ._projection import project_capped_simplex
+from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
@@ -79,6 +84,10 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """``tol`` bounds the Frank-Wolfe gap at which a start stops;
+    ``restarts`` counts the base start and the random ones, which
+    ``minimize`` draws only where m is not both smooth and convex."""
+
     max_iter: int = 300
     step: float = 1.0
     tol: float = 1e-9
@@ -241,8 +250,8 @@ class _Objective:
 
 class RestartRecord(NamedTuple):
     """What the descent from one start did.  ``kind`` is "base", "random" or
-    "extra"; ``stop`` is why its last penalty round ended: "tol" (stationary
-    to ``SolveOptions.tol``), "stalled-line-search" (no step above the
+    "extra"; ``stop`` is why its last penalty round ended: "tol" (Frank-Wolfe
+    gap at most ``SolveOptions.tol``), "stalled-line-search" (no step above the
     minimum step decreased the value), "zero-step" (the projected step did
     not move) or "max_iter".  The counts are rows the descent evaluated,
     differentiated and projected for this start; ``rho`` is the penalty
@@ -266,11 +275,14 @@ class SolveReport:
     """The winning measure and what the solver did.  ``restarts`` has one
     record per start; ``winner`` indexes the candidates, which are each
     start point followed by the point solved from it (2r is start r itself,
-    2r + 1 its descent)."""
+    2r + 1 its descent).  ``gap`` is the winner's Frank-Wolfe gap, a
+    certified bound on value minus the optimal value, where one holds: m
+    with p > 1, no active floor and the analytic gradient; None elsewhere."""
 
     measure: Measure
     value: float
     kkt_residual: float
+    gap: float | None
     constraint_slacks: dict[str, float]
     iterations: int
     trace: list[tuple[float, float, float]]
@@ -286,12 +298,13 @@ class SolveReport:
 
 
 def _solve_starts(obj: _Objective, starts: np.ndarray,
-                  project: Callable[[np.ndarray], np.ndarray], opts: SolveOptions,
+                  project: Callable[[np.ndarray], np.ndarray],
+                  gap: Callable[[np.ndarray, np.ndarray], np.ndarray], opts: SolveOptions,
                   floor_active: bool) -> Descent:
     """Descend from every start row at once.  Every row begins at rho =
     penalty_init, and the rows still above the floor after a round go on
     with rho grown by penalty_growth, so one scalar rho serves each round."""
-    run = Descent(obj, starts, project, opts)
+    run = Descent(obj, starts, project, gap, opts)
     rows = np.arange(len(starts))
     rho = opts.penalty_init if floor_active else 0.0
     for _ in range(opts.penalty_rounds if floor_active else 1):
@@ -308,40 +321,48 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
              extra_starts: Sequence[np.ndarray] = ()) -> SolveReport:
     """Minimize the chosen unfairness functional over the constraint class.
 
-    Projected gradient descent on the path weights, multi-started from the
-    base measure, (restarts - 1) random feasible points, and any
-    ``extra_starts`` (projected first; useful for warm starts across related
-    instances), all descending together as one batch of rows.  The
-    correlation floor is handled by the quadratic penalty
+    Projected gradient descent on the path weights, started from the base
+    measure and any ``extra_starts`` (projected first; useful for warm
+    starts across related instances), all descending together as one batch
+    of rows, each until its Frank-Wolfe gap is at most ``opts.tol``.  Where
+    the problem is nonsmooth or nonconvex (objective n, p <= 1 or an active
+    correlation floor) (restarts - 1) random feasible points are added to
+    the starts; for m with p > 1 and no floor the objective is convex and
+    smooth, so the base start alone reaches the optimum and no random start
+    is drawn.  The correlation floor is handled by the quadratic penalty
     rho * sum max(0, c - I)^2 over the exchange pairs, rho growing by
     ``penalty_growth`` each round.  Every start point is itself kept as a
     candidate, so whenever the base measure is feasible the report is
-    feasible with value no worse than the base value.  If no candidate ever satisfies the floor the best penalized
-    point is returned with ``feasible=False``.  ``gradient="fd"`` above
-    ``_FD_PATH_BUDGET`` paths raises :class:`SizeBudgetError`.
+    feasible with value no worse than the base value.  If no candidate ever
+    satisfies the floor the best penalized point is returned with
+    ``feasible=False``.  ``gradient="fd"`` above ``_FD_PATH_BUDGET`` paths
+    raises :class:`SizeBudgetError`.
     """
     lat = g.lattice
     P = lat.n_paths
     _check_fd_budget(opts.gradient, P)
     lo, hi = box_bounds(lat, params.N)
     project = lambda V: project_capped_simplex(V, lo, hi)
+    gap = lambda V, grad: frank_wolfe_gap(V, grad, lo[0], hi[0])
     floor_active = bool(_floor_pairs(g, params))
+    smooth_convex = params.objective == "m" and params.p > 1.0 and not floor_active
     extra = [np.asarray(s, dtype=float) for s in extra_starts]
     if any(s.shape != (P,) for s in extra):
         raise ParameterError(f"extra starts must have one weight per path, shape ({P},)")
 
-    kinds = ["base"] + ["random"] * (opts.restarts - 1) + ["extra"] * len(extra)
+    randoms = 0 if smooth_convex else opts.restarts - 1
+    kinds = ["base"] + ["random"] * randoms + ["extra"] * len(extra)
     starts = np.empty((len(kinds), P))
     starts[0] = uniform_measure(lat).weights
-    for r in range(1, opts.restarts):
+    for r in range(1, randoms + 1):
         starts[r] = np.random.default_rng([opts.seed, r]).uniform(lo, hi)
-    for r, s in enumerate(extra, start=opts.restarts):
+    for r, s in enumerate(extra, start=randoms + 1):
         starts[r] = s
     starts[1:] = project(starts[1:])
 
     obj = _Objective(g, params)
     _, start_raw, start_viol = obj.evaluate(starts)
-    run = _solve_starts(obj, starts, project, opts, floor_active)
+    run = _solve_starts(obj, starts, project, gap, opts, floor_active)
 
     # the candidates: start r is 2r and the point descended from it 2r + 1
     value = np.column_stack((start_raw, run.raw)).ravel()
@@ -357,13 +378,17 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
                              float(run.rho[i]), float(run.raw[i]), float(run.viol[i]))
                for i, kind in enumerate(kinds)]
 
-    measure = Measure(lat, run.q[r] if solved else starts[r])
+    q = run.q[r] if solved else starts[r]
+    measure = Measure(lat, q)
     report = check_constraints(measure, g, params)
+    certified = None
+    if smooth_convex and opts.gradient == "analytic":
+        certified = max(0.0, float(gap(q, obj.gradient(q, "analytic", opts.fd_step))))
     residual = kkt_residual(measure, g, params, rho=float(run.rho[r]) if solved else 0.0,
                             gradient=opts.gradient, fd_step=opts.fd_step)
     feasible = bool(feasible_idx.size) and report.feasible
     return SolveReport(measure=measure, value=float(value[w]), kkt_residual=residual,
-                       constraint_slacks=report.summary(),
+                       gap=certified, constraint_slacks=report.summary(),
                        iterations=int(run.iterations[r]) if solved else 0,
                        trace=run.trace(r) if solved else [], feasible=feasible,
                        restarts=records, winner=w)

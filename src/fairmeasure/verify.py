@@ -16,7 +16,8 @@ from .lattice import (Density, LatticeProcess, Measure, build_lattice,
                       cond_exp, cond_exp_reweighted,
                       find_adaptedness_violation, uniform_measure)
 from .processes import branch_innovations, risk_neutral_binomial_measure, simulate_gbm
-from .solver import (ConstraintParams, _Objective, box_bounds,
+from ._projection import frank_wolfe_gap
+from .solver import (ConstraintParams, _Objective, box_bounds, brute_force_min,
                      project_capped_simplex)
 from .unfairness import UnfairnessConfig, is_martingale, unfairness_m, unfairness_n
 
@@ -236,6 +237,34 @@ def _check_gradient(rng) -> tuple[bool, str]:
     return True, ""
 
 
+def _check_gap(rng) -> tuple[bool, str]:
+    """The Frank-Wolfe gap of m (p > 1) at random feasible points equals
+    <grad, q - s> at the greedy vertex s found by a full sort, and bounds
+    m(q) minus the grid oracle's value, as convexity requires."""
+    for _ in range(10):
+        lat = build_lattice(2, int(rng.integers(1, 3)))
+        N, p = float(rng.uniform(1.1, 3.0)), float(rng.choice([1.5, 2.0, 3.0]))
+        params = ConstraintParams(N=N, p=p)
+        lo, hi = box_bounds(lat, N)
+        g = random_process(rng, lat, low=0.5, high=2.0)
+        obj = _Objective(g, params)
+        q = project_capped_simplex(rng.uniform(lo, hi), lo, hi)
+        grad = obj.gradient(q, "analytic", 1e-7)
+        gap = float(frank_wolfe_gap(q, grad, lo[0], hi[0]))
+        s, spare = lo.copy(), 1.0 - float(lo.sum())
+        for i in np.argsort(grad):
+            s[i] += min(max(spare, 0.0), hi[i] - lo[i])
+            spare -= s[i] - lo[i]
+        direct = float(grad @ (q - s))
+        if abs(gap - direct) > 1e-12 * float(np.abs(grad).sum()):
+            return False, f"gap {gap!r} != {direct!r} at the sorted vertex (p={p}, N={N:.3f})"
+        value = float(obj.evaluate(q)[1][0])
+        oracle = brute_force_min(g, params, resolution=200 if lat.n_paths == 2 else 40).value
+        if gap < value - oracle - 1e-12:
+            return False, f"gap {gap!r} below m(q) - min = {value - oracle!r} (p={p})"
+    return True, ""
+
+
 CHECKS = [
     ("partition-refinement", _check_refinement),
     ("tower-property", _check_tower),
@@ -247,6 +276,7 @@ CHECKS = [
     ("risk-neutral-oracle", _check_risk_neutral),
     ("projection", _check_projection),
     ("gradient-consistency", _check_gradient),
+    ("frank-wolfe-gap", _check_gap),
 ]
 
 

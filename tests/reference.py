@@ -143,12 +143,13 @@ def grad_penalty(q, g, pairs, c, rho):
 
 # -- the per-start solver loop ----------------------------------------------------
 
-def pgd(obj, q0, project, opts, rho):
+def pgd(obj, q0, project, gap, opts, rho):
     """One penalty round of projected gradient descent from one start, one
     row at a time: the loop ``minimize`` ran per start before the starts
-    were batched.  Returns (q, raw value, violation, iterations, trace,
-    stop reason)."""
-    from fairmeasure._descent import _MIN_STEP, _RESIDUAL_ETA
+    were batched.  A start stops at "tol" once ``gap`` (the package's
+    Frank-Wolfe gap) is at most tol.  Returns (q, raw value, violation,
+    iterations, trace, stop reason)."""
+    from fairmeasure._descent import _MIN_STEP
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
     trace = []
@@ -157,9 +158,7 @@ def pgd(obj, q0, project, opts, rho):
     stop = "max_iter"
     for _ in range(opts.max_iter):
         grad = obj.gradient(q, opts.gradient, opts.fd_step, rho)
-        moved = project(q - _RESIDUAL_ETA * grad)
-        residual = float(np.sqrt(((moved - q) ** 2).sum())) / _RESIDUAL_ETA
-        if residual <= opts.tol:
+        if float(gap(q, grad)) <= opts.tol:
             stop = "tol"
             break
         t = min(opts.step, 2.0 * t)
@@ -185,7 +184,7 @@ def pgd(obj, q0, project, opts, rho):
     return q, raw, viol, iters, trace, stop
 
 
-def solve_from(obj, q0, project, opts, floor_active):
+def solve_from(obj, q0, project, gap, opts, floor_active):
     """Penalty rounds from one start: rho grows until the floor is met.
     Returns a dict of the point reached (q, value, violation), the summed
     iterations and trace, and the last round's rho and stop reason."""
@@ -193,7 +192,7 @@ def solve_from(obj, q0, project, opts, floor_active):
     rho = opts.penalty_init if floor_active else 0.0
     q, iters, trace, rounds = q0, 0, [], 0
     for _ in range(opts.penalty_rounds if floor_active else 1):
-        q, raw, viol, n, steps, stop = pgd(obj, q, project, opts, rho)
+        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, opts, rho)
         iters += n
         trace.extend(steps)
         rounds += 1
@@ -203,3 +202,24 @@ def solve_from(obj, q0, project, opts, floor_active):
         rho *= opts.penalty_growth
     return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace,
                 rho=used, stop=stop, penalty_rounds=rounds)
+
+
+# -- the Frank-Wolfe gap by sorting -------------------------------------------------
+
+def lmo(grad, lo, hi, total=1.0):
+    """The vertex of {s : sum s = total, lo <= s <= hi} that minimizes
+    <grad, s>, by the greedy rule in full: every coordinate starts at lo,
+    then coordinates in increasing order of grad take all they can up to hi
+    until the mass is spent."""
+    s = np.array(lo, dtype=float)
+    spare = total - s.sum()
+    for i in np.argsort(grad, kind="stable"):
+        take = min(max(spare, 0.0), hi[i] - lo[i])
+        s[i] += take
+        spare -= take
+    return s
+
+
+def fw_gap(q, grad, lo, hi, total=1.0):
+    """max over the box-simplex of <grad, q - s>, through ``lmo``."""
+    return float(grad @ (q - lmo(grad, lo, hi, total)))

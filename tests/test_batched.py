@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fairmeasure as fm
 from fairmeasure import solver
+from fairmeasure._projection import frank_wolfe_gap
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
@@ -39,6 +40,13 @@ class Counting:
         return fm.project_capped_simplex(v, self.lo, self.hi)
 
 
+def random_starts(params, opts, floor_active):
+    """How many random starts minimize draws: none where m is smooth and
+    convex (p > 1, no floor), restarts - 1 elsewhere."""
+    convex = params.objective == "m" and params.p > 1.0 and not floor_active
+    return 0 if convex else opts.restarts - 1
+
+
 def reference_solve(g, params, opts, extra=()):
     """Each start of ``minimize`` run alone through the reference loop, the
     candidates in minimize's order and the winner by its rule."""
@@ -46,15 +54,16 @@ def reference_solve(g, params, opts, extra=()):
     lo, hi = box_bounds(lat, params.N)
     obj = _Objective(g, params)
     project = lambda v: fm.project_capped_simplex(v, lo, hi)
+    gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
+    floor_active = bool(solver._floor_pairs(g, params))
     starts = [fm.uniform_measure(lat).weights]
     starts += [project(np.random.default_rng([opts.seed, r]).uniform(lo, hi))
-               for r in range(1, opts.restarts)]
+               for r in range(1, random_starts(params, opts, floor_active) + 1)]
     starts += [project(np.asarray(s, dtype=float)) for s in extra]
-    floor_active = bool(solver._floor_pairs(g, params))
     runs, candidates = [], []
     for q0 in starts:
         counting = Counting(obj, lo, hi)
-        run = ref.solve_from(counting, q0, counting.project, opts, floor_active)
+        run = ref.solve_from(counting, q0, counting.project, gap, opts, floor_active)
         run.update(evaluations=counting.evaluations, gradients=counting.gradients,
                    projections=counting.projections)
         runs.append(run)
@@ -78,7 +87,8 @@ def assert_matches_reference(g, params, opts, extra=()):
     rep = fm.minimize(g, params, opts, extra_starts=extra)
     runs, candidates, winner = reference_solve(g, params, opts, extra)
     assert len(rep.restarts) == len(runs)
-    kinds = ["base"] + ["random"] * (opts.restarts - 1) + ["extra"] * len(extra)
+    randoms = random_starts(params, opts, bool(solver._floor_pairs(g, params)))
+    kinds = ["base"] + ["random"] * randoms + ["extra"] * len(extra)
     for r, (rec, run, kind) in enumerate(zip(rep.restarts, runs, kinds)):
         assert rec.kind == kind
         for field in ("stop", "iterations", "evaluations", "gradients", "projections",
@@ -101,9 +111,10 @@ def test_batched_rows_equal_reference_points(two_path):
                                                  lo, hi) for r in range(1, 4)])
     obj = _Objective(two_path, params)
     project = lambda v: fm.project_capped_simplex(v, lo, hi)
-    run = solver._solve_starts(obj, starts, project, opts, False)
+    gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
+    run = solver._solve_starts(obj, starts, project, gap, opts, False)
     for r, q0 in enumerate(starts):
-        expect = ref.solve_from(obj, q0, project, opts, False)
+        expect = ref.solve_from(obj, q0, project, gap, opts, False)
         assert np.array_equal(run.q[r], expect["q"])
         assert run.trace(r) == expect["trace"]
 
@@ -115,26 +126,53 @@ def test_minimize_matches_reference(objective, gradient):
     params = fm.ConstraintParams(N=3.0, p=1.5 if objective == "m" else 2.0,
                                  objective=objective)
     opts = fm.SolveOptions(restarts=4, max_iter=120, gradient=gradient)
-    rep, runs = assert_matches_reference(g, params, opts)
+    # smooth convex m draws no random starts, so its batch is made of extras
+    lo, hi = box_bounds(g.lattice, params.N)
+    extra = [np.random.default_rng([1, r]).uniform(lo, hi) for r in range(3)]
+    rep, runs = assert_matches_reference(g, params, opts, extra if objective == "m" else ())
+    assert len(runs) == 4
     # the rows leave the batch at different iterations
     assert len({run["iterations"] for run in runs}) > 1
 
 
 def test_minimize_matches_reference_at_a_kink():
-    """m at p = 1 is kinked at its zero: some rows stop on a projected step
-    that no longer moves, others on the stationarity test."""
+    """m at p = 1 is kinked at its zero, here the uniform base measure: the
+    base row is stationary at once, the random rows descend to the kink and
+    stop on the gap test or on a projected step that no longer moves."""
     lat = fm.build_lattice(2, 1)
-    g = fm.LatticeProcess(lat, 1, 1, np.array([[[1.0], [1.0]], [[1.45], [0.7]]]))
+    g = fm.LatticeProcess(lat, 1, 1, np.array([[[1.0], [1.0]], [[1.5], [0.5]]]))
     opts = fm.SolveOptions(restarts=4, max_iter=400, gradient="fd")
     _, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, p=1.0), opts)
     assert {"zero-step", "tol"} <= {run["stop"] for run in runs}
 
 
 def test_minimize_matches_reference_with_extra_starts(two_path):
-    params = fm.ConstraintParams(N=1.7, p=2.0)
+    params = fm.ConstraintParams(N=1.7, objective="n")
     extra = [np.array([0.2, 0.8]), np.array([0.5, 0.5])]
     rep, _ = assert_matches_reference(two_path, params, fm.SolveOptions(restarts=3), extra)
     assert [rec.kind for rec in rep.restarts] == ["base", "random", "random", "extra", "extra"]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_smooth_convex_m_draws_no_random_starts(two_path, p):
+    """m with p > 1 and no floor is convex and smooth: the base start and
+    the extra starts descend, and no random start is drawn."""
+    params = fm.ConstraintParams(N=1.7, p=p)
+    extra = [np.array([0.2, 0.8]), np.array([0.5, 0.5])]
+    rep, runs = assert_matches_reference(two_path, params, fm.SolveOptions(restarts=3), extra)
+    assert [rec.kind for rec in rep.restarts] == ["base", "extra", "extra"]
+    # the risk-neutral measure lies in the box, so the optimal value is 0
+    assert 0.0 <= rep.value <= rep.gap
+    alone = fm.minimize(two_path, params, fm.SolveOptions(restarts=5))
+    assert [rec.kind for rec in alone.restarts] == ["base"]
+
+
+@pytest.mark.parametrize("params", [fm.ConstraintParams(N=1.7, p=1.0),
+                                    fm.ConstraintParams(N=1.7, p=0.5),
+                                    fm.ConstraintParams(N=1.7, objective="n")])
+def test_nonsmooth_or_nonconvex_problems_keep_random_starts(two_path, params):
+    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=3))
+    assert [rec.kind for rec in rep.restarts] == ["base", "random", "random"]
 
 
 @pytest.mark.parametrize("gradient", ["analytic", "fd"])
@@ -171,12 +209,15 @@ def test_minimize_matches_reference_on_random_instances(b, K, n, objective, N, r
 
 
 def test_restart_records_stop_reasons(two_path):
+    """Smooth convex m draws no random starts, so extra starts fill the batch."""
     params = fm.ConstraintParams(N=2.0, p=2.0)
-    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=3))
+    extra = [np.array([0.3, 0.7]), np.array([0.6, 0.4])]
+    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=3), extra)
     assert [rec.stop for rec in rep.restarts] == ["tol"] * 3
-    capped = fm.minimize(two_path, params, fm.SolveOptions(restarts=3, max_iter=2))
+    capped = fm.minimize(two_path, params, fm.SolveOptions(restarts=3, max_iter=2), extra)
     assert [rec.stop for rec in capped.restarts] == ["max_iter"] * 3
     assert all(rec.iterations == 2 and rec.gradients == 2 for rec in capped.restarts)
-    frozen = fm.minimize(two_path, params, fm.SolveOptions(restarts=2, step=1e-15))
+    frozen = fm.minimize(two_path, params, fm.SolveOptions(restarts=2, step=1e-15),
+                          [np.array([0.8, 0.2])])
     assert [rec.stop for rec in frozen.restarts] == ["stalled-line-search"] * 2
     assert frozen.winner == 0 and frozen.iterations == 0

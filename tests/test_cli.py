@@ -150,6 +150,27 @@ def test_measure_file_names_non_finite_weight(tmp_path, bad):
         cli.read_measure_csv(path, fm.build_lattice(2, 1))
 
 
+# float() itself reads both as 0.5: a digit separator, and Arabic-Indic digits
+@pytest.mark.parametrize("text", ["0_0.5", "\u0660.\u0665"])
+def test_readers_accept_only_ascii_float_values(tmp_path, text):
+    path = tmp_path / "measure.csv"
+    path.write_text(f"path,weight\n0,0.5\n1,{text}\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"measure\.csv:3: bad weight '{text}'"):
+        cli.read_measure_csv(path, fm.build_lattice(2, 1))
+    path = tmp_path / "process.csv"
+    path.write_text(CANONICAL_PROCESS_CSV.replace("1,1,0,0,0.5", f"1,1,0,0,{text}"),
+                    encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"process\.csv:5: bad value '{text}'"):
+        cli.read_process_csv(path)
+
+
+def test_measure_file_names_itself_when_weights_do_not_sum_to_one(tmp_path):
+    path = tmp_path / "measure.csv"
+    path.write_text("path,weight\n0,0.4\n1,0.5\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=r"measure\.csv: weights sum to .*0\.9"):
+        cli.read_measure_csv(path, fm.build_lattice(2, 1))
+
+
 def test_measure_file_rejects_digit_outside_the_branching(tmp_path):
     path = tmp_path / "measure.csv"
     path.write_text("path,weight\n00,0.25\n01,0.25\n02,0.25\n11,0.25\n", encoding="utf-8")
@@ -282,11 +303,14 @@ def test_optimize_canonical(tmp_path):
 
 
 def test_optimize_report_records_each_restart(tmp_path):
-    cfg = write_config(tmp_path / "config.json")
+    """m at p = 1 is not smooth, so random starts are drawn; with N = 1.2 its
+    optimum is a vertex of the box, where every start stops on the gap."""
+    cfg = write_config(tmp_path / "config.json", constraints={"N": 1.2, "p": 1.0})
     (tmp_path / "process.csv").write_text(CANONICAL_PROCESS_CSV, encoding="utf-8")
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert list(report)[-3:] == ["winner", "restarts", "measure_file"]
+    assert report["gap"] is None
     records = report["restarts"]
     assert [r["kind"] for r in records] == ["base", "random", "random"]
     for r in records:
@@ -295,12 +319,25 @@ def test_optimize_report_records_each_restart(tmp_path):
         assert r["stop"] == "tol" and r["penalty_rounds"] == 1 and r["rho"] == 0.0
         assert r["gradients"] == r["iterations"] + 1
         assert r["evaluations"] >= r["iterations"] + 1
-        assert r["projections"] >= r["evaluations"] + r["gradients"]
+        # each trial step is projected and then evaluated; the gap test projects nothing
+        assert r["projections"] == r["evaluations"]
     winner = report["winner"]
     solved = records[winner // 2]
     assert report["iterations"] == (solved["iterations"] if winner % 2 else 0)
     if winner % 2:
         assert report["value"] == solved["value"]
+
+
+def test_optimize_smooth_convex_m_records_base_start_only(tmp_path):
+    """m at p = 2 without a floor is convex and smooth: one start, and the
+    report carries its certified Frank-Wolfe gap."""
+    cfg = write_config(tmp_path / "config.json")
+    (tmp_path / "process.csv").write_text(CANONICAL_PROCESS_CSV, encoding="utf-8")
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["kind"] for r in report["restarts"]] == ["base"]
+    assert report["restarts"][0]["stop"] == "tol"
+    assert 0.0 <= report["value"] <= report["gap"] <= 1e-9
 
 
 def test_optimize_singleton_box(tmp_path):
@@ -361,6 +398,28 @@ def test_calibrate_command(tmp_path):
     assert params["corr"][0][1] == pytest.approx(params["corr"][1][0])
     # the same config can drive a simulation off the calibrated parameters
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_optimize_calibrated_config_with_a_floor(tmp_path):
+    """Large penalty steps put rows near -2e4, where the projection used to
+    lose the sum constraint and the solver to fail building its measure."""
+    prices = tmp_path / "prices.csv"
+    rows = ["timestamp,exchange,price"]
+    rng = np.random.default_rng(0)
+    walk = np.exp(np.cumsum(rng.normal(0.001, 0.02, 30)))
+    for t, p in enumerate(walk):
+        rows.append(f"{t * 60},binance,{float(p)!r}")
+        rows.append(f"{t * 60},kraken,{float(p * (1 + 0.001 * math.sin(t)))!r}")
+    prices.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_config(
+        tmp_path / "config.json",
+        lattice={"b": 3, "K": 2}, constraints={"N": 2.0, "c": 0.1, "p": 2.0},
+        process={"calibration": {"csv": "prices.csv", "exchanges": ["binance", "kraken"]}})
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert max(r["rho"] for r in report["restarts"]) >= 1e5
+    measure = cli.read_measure_csv(tmp_path / "measure.csv", fm.build_lattice(3, 2))
+    assert abs(float(measure.weights.sum()) - 1.0) <= 1e-13
 
 
 def test_verify_default_suite_passes(tmp_path, capsys):

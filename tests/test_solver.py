@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
+from fairmeasure._projection import frank_wolfe_gap
 from fairmeasure.solver import _Objective, box_bounds
 
+import reference as ref
 from conftest import random_process
 
 
@@ -193,12 +195,124 @@ def test_projection_rows_match_their_own_projection(case, G, rnd):
         assert np.array_equal(fm.project_capped_simplex(V[k:], lo, hi, total), Q[k:])
 
 
+@settings(max_examples=200, deadline=None)
+@given(projection_cases(), st.floats(-1e5, 1e5), st.integers(1, 3))
+def test_projection_keeps_the_sum_far_from_zero(case, offset, G):
+    """Rows shifted far from 0, as a step against a large penalty gradient
+    puts them, still come back on the sum constraint and in the box."""
+    v, lo, hi, total = case
+    V = np.array([v + offset * (1.0 + 0.5 * r) for r in range(G)])
+    Q = fm.project_capped_simplex(V, lo, hi, total)
+    assert np.abs(Q.sum(axis=1) - total).max() <= 1e-12 * max(1.0, total)
+    assert np.all(Q >= lo - 1e-15) and np.all(Q <= hi + 1e-15)
+    for row, q in zip(V, Q):
+        assert np.array_equal(q, fm.project_capped_simplex(row, lo, hi, total))
+
+
+def test_projection_keeps_the_sum_at_a_large_penalty_step():
+    """The rows that broke a calibrated run: P = 9 points near -19998.5."""
+    lo, hi = box_bounds(fm.build_lattice(3, 2), 2.0)
+    rng = np.random.default_rng(3)
+    V = -19998.5 + rng.uniform(-0.2, 0.2, (50, 9))
+    Q = fm.project_capped_simplex(V, lo, hi)
+    assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-13
+    assert np.all(Q >= lo) and np.all(Q <= hi)
+
+
 def test_projection_batch_shapes():
     lo, hi = np.full(3, 0.2), np.full(3, 0.5)
     assert fm.project_capped_simplex(np.empty((0, 3)), lo, hi).shape == (0, 3)
     for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3))):
         with pytest.raises(fm.ParameterError, match="shapes"):
             fm.project_capped_simplex(bad, lo, hi)
+
+
+# -- Frank-Wolfe gap ------------------------------------------------------------------
+
+@st.composite
+def gap_cases(draw):
+    """(q, grad, lo, hi): a feasible q and a gradient on a uniform box of P
+    in 1..48 paths, with N = 1 (lo == hi), N making the greedy vertex end on
+    a full coordinate (N + 1 divides P), or N anywhere in [1, 4]."""
+    P = draw(st.integers(1, 48))
+    kind = draw(st.sampled_from(["point", "full", "any"]))
+    if kind == "point":
+        N = 1.0
+    elif kind == "full" and P >= 2:
+        N = P / draw(st.integers(1, P // 2)) - 1.0
+    else:
+        N = draw(st.floats(1.0, 4.0))
+    lo, hi = np.full(P, 1.0 / (N * P)), np.full(P, N / P)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    q = fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi)
+    pool = rng.normal(0.0, draw(st.sampled_from([1e-4, 1.0, 1e3])), draw(st.integers(1, P)))
+    grad = pool[rng.integers(0, pool.size, P)]       # ties included
+    return q, grad, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_cases(), st.integers(1, 4))
+def test_gap_matches_the_sorting_reference(case, G):
+    """The partition-based gap against the greedy vertex by full sort, and
+    each row of a batch exactly as its own 1-D gap."""
+    q, grad, lo, hi = case
+    gap = frank_wolfe_gap(q, grad, lo[0], hi[0])
+    expect = ref.fw_gap(q, grad, lo, hi)
+    scale = float(np.abs(grad).sum()) * hi[0]
+    assert gap.shape == ()
+    assert abs(float(gap) - expect) <= 1e-13 * scale
+    assert expect >= -1e-13 * scale
+    Q = np.array([q] + [q[::-1]] * (G - 1))
+    D = np.array([grad] + [grad * (r + 1) for r in range(1, G)])
+    gaps = frank_wolfe_gap(Q, D, lo[0], hi[0])
+    assert gaps.shape == (G,)
+    for r in range(G):
+        assert gaps[r] == frank_wolfe_gap(Q[r], D[r], lo[0], hi[0])
+
+
+def test_gap_is_zero_at_the_minimizing_vertex():
+    lo, hi = box_bounds(fm.build_lattice(2, 2), 2.0)
+    grad = np.array([3.0, -1.0, 0.5, 2.0])
+    s = ref.lmo(grad, lo, hi)
+    assert np.array_equal(s, [lo[0], hi[0], 1.0 - lo[0] - hi[0] - lo[0], lo[0]])
+    assert abs(float(frank_wolfe_gap(s, grad, lo[0], hi[0]))) <= 1e-16
+    assert float(frank_wolfe_gap(fm.uniform_measure(fm.build_lattice(2, 2)).weights,
+                                 grad, lo[0], hi[0])) > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1)]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.floats(1.05, 3.0), st.integers(0, 2 ** 16))
+def test_gap_bounds_the_distance_to_the_oracle(shape, p, N, seed):
+    """m with p > 1 is convex and smooth, so the gap at any feasible q bounds
+    m(q) - min m, and the grid oracle's value is at least min m."""
+    rng = np.random.default_rng(seed)
+    g = random_process(rng, fm.build_lattice(*shape), low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=N, p=p)
+    lo, hi = box_bounds(g.lattice, N)
+    oracle = fm.brute_force_min(g, params, resolution=400 if shape == (2, 1) else 60)
+    obj = _Objective(g, params)
+    for q in [fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi),
+              fm.uniform_measure(g.lattice).weights, oracle.measure.weights]:
+        value = float(obj.evaluate(q)[1][0])
+        gap = float(frank_wolfe_gap(q, obj.gradient(q, "analytic", 1e-7), lo[0], hi[0]))
+        assert gap >= value - oracle.value - 1e-12 * max(1.0, value)
+
+
+def test_solve_report_gap_only_where_certified(two_path, two_path_pair):
+    opts = fm.SolveOptions(restarts=2)
+    rep = fm.minimize(two_path, fm.ConstraintParams(N=1.2, p=2.0), opts)
+    # the optimum is a vertex of the box, where the gap of m is 0 up to rounding
+    assert rep.restarts[0].stop == "tol" and 0.0 <= rep.gap <= 1e-16
+    rep = fm.minimize(two_path, fm.ConstraintParams(N=2.0, p=1.5), opts)
+    assert rep.gap is not None and 0.0 <= rep.value <= rep.gap <= opts.tol
+    for g, params, grad in [(two_path, fm.ConstraintParams(N=2.0, p=1.0), "analytic"),
+                            (two_path, fm.ConstraintParams(N=2.0, objective="n"), "analytic"),
+                            (two_path, fm.ConstraintParams(N=2.0, p=2.0), "fd"),
+                            (two_path_pair, fm.ConstraintParams(N=2.0, c=0.3), "analytic")]:
+        rep = fm.minimize(g, params, fm.SolveOptions(restarts=2, max_iter=50, gradient=grad))
+        assert rep.gap is None
 
 
 # -- minimize -----------------------------------------------------------------------
@@ -428,7 +542,8 @@ def test_solve_options_need_a_penalty_round():
 
 
 def test_minimize_deterministic_given_seed(two_path):
-    params = fm.ConstraintParams(N=1.7, p=2.0, objective="m")
+    # p = 1: not smooth, so the seed draws random starts
+    params = fm.ConstraintParams(N=1.7, p=1.0, objective="m")
     reps = [fm.minimize(two_path, params, fm.SolveOptions(restarts=5, seed=42))
             for _ in range(2)]
     assert reps[0].value == reps[1].value

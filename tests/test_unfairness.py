@@ -193,6 +193,30 @@ def test_n_scale_invariance(data, lam):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+# -- convexity in the measure ------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3)]), st.integers(1, 2),
+       st.integers(1, 2), st.integers(0, 2 ** 31))
+def test_m_and_n_are_midpoint_convex_in_the_weights(shape, n, d, seed):
+    """Each node term of m is the perspective W |g - S / W|^p of a convex
+    function of (S, W), both linear in q, and n is a sum of |linear|; so
+    f((a + b) / 2) <= (f(a) + f(b)) / 2 for m at p >= 1 and for n.  This is
+    what lets ``minimize`` draw one start for smooth m."""
+    from fairmeasure.solver import _Objective, box_bounds
+    rng = np.random.default_rng(seed)
+    lat = fm.build_lattice(*shape)
+    g = random_process(rng, lat, n=n, d=d, low=0.3, high=3.0)
+    lo, hi = box_bounds(lat, 4.0)
+    A, B = (fm.project_capped_simplex(rng.uniform(lo, hi, (16, lat.n_paths)), lo, hi)
+            for _ in range(2))
+    cases = [fm.ConstraintParams(N=4.0, p=p) for p in (1.0, 1.5, 2.0, 3.0)]
+    for params in cases + [fm.ConstraintParams(N=4.0, objective="n")]:
+        obj = _Objective(g, params)
+        fa, fb, mid = (obj.evaluate(X)[1] for X in (A, B, 0.5 * (A + B)))
+        assert np.all(mid <= 0.5 * (fa + fb) + 1e-12 * (fa + fb)), params
+
+
 # -- martingale characterization ------------------------------------------------------
 
 def test_characterization_generic_processes_fail_both_sides():
