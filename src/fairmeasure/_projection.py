@@ -2,107 +2,214 @@
 over it, for one point or a batch of rows.
 
 The solver's feasible set without the correlation floor is
-{q : sum q = total, lo <= q <= hi}; every iterate of the descent and every
-random start pass through the projection, and the descent's stationarity
-test is the Frank-Wolfe gap.
+{q : sum q = total, lo <= q <= hi}, with the uniform box mu/N <= q <= N*mu
+that the solver passes as two floats; every iterate of the descent and
+every random start pass through the projection, and the descent's
+stationarity test is the Frank-Wolfe gap.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ParameterError
 
 
-def project_capped_simplex(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray,
                            total: float = 1.0) -> np.ndarray:
     """Euclidean projection onto {q : sum q = total, lo <= q <= hi}, of one
     point v (P,) or of each row of v (G, P).
 
+    The bounds are two floats, a uniform box as the solver uses, or two
+    arrays of shape (P,); both take the same code and give the same floats.
     The projection is clip(v - tau, lo, hi) for the dual variable tau of the
-    sum constraint, a continuous quadratic knapsack solved exactly by a
-    breakpoint search (Held, Wolfe & Crowder 1974; Kiwiel 2008, JOTA 138).
-    f(tau) = sum clip(v - tau, lo, hi) is piecewise linear and nonincreasing:
-    it equals sum(hi) left of every breakpoint, its slope drops by 1 at each
-    v - hi and rises by 1 at each v - lo.  One sort of the 2P breakpoints and
-    cumulative sums give f at every breakpoint; tau is then solved in closed
-    form on the piece where f crosses ``total``, from the coordinates that
-    piece holds at lo, at hi and free.  The sort need not be stable: f is
-    continuous, so tied breakpoints only bound pieces of zero width, and tau
-    is clamped to its piece.  O(P log P) per row for any box, uniform or not.
-    Each row is first shifted by the integer part of its mean, which is exact
-    and leaves rows of mean below 1 in magnitude untouched: far from 0,
-    v - tau would cancel most of each coordinate's digits and lose the sum
-    constraint.
-    Rows are independent: each comes out the same whatever the other rows.
-    Already-feasible rows come back unchanged; non-finite inputs raise.
+    sum constraint, a continuous quadratic knapsack solved exactly and
+    without sorting by a safeguarded Newton method on
+    f(tau) = sum clip(v - tau, lo, hi) = total (Cominetti, Mascarenhas &
+    Silva 2014, Math. Prog. Comp. 6; Dai & Fletcher 2006, Math. Prog. 106),
+    started from the tau that would make the row's mean total / P; see
+    ``_newton_tau``.  Each row is first shifted by the integer part of its
+    mean, which is exact and leaves rows of mean below 1 in magnitude
+    untouched: far from 0, v - tau would cancel most of each coordinate's
+    digits and lose the sum constraint.  Rows are independent: each comes
+    out the same whatever the other rows.  Already-feasible rows come back
+    unchanged; non-finite inputs raise.
     """
     v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1:] != lo.shape or lo.shape != hi.shape:
+    if v.ndim not in (1, 2):
         raise ParameterError("point and bounds must have matching shapes")
-    if not (np.isfinite(v).all() and np.isfinite(lo).all() and np.isfinite(hi).all()):
+    P = v.shape[-1]
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        lo, hi = float(lo), float(hi)
+        finite = math.isfinite(lo) and math.isfinite(hi)
+        empty = lo > hi
+        slo, shi = P * lo, P * hi
+    else:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != (P,) or hi.shape != (P,):
+            raise ParameterError("point and bounds must have matching shapes")
+        finite = bool(np.isfinite(lo).all() and np.isfinite(hi).all())
+        empty = bool(np.any(lo > hi))
+        slo, shi = float(lo.sum()), float(hi.sum())
+    if not (finite and np.isfinite(v).all()):
         raise ParameterError("point and bounds must be finite")
-    if np.any(lo > hi):
+    if empty:
         raise ParameterError("empty box: lo > hi somewhere")
-    slo, shi = float(lo.sum()), float(hi.sum())
     if not slo - 1e-12 <= total <= shi + 1e-12:
         raise ParameterError(
             f"box and simplex do not intersect: sum bounds [{slo}, {shi}] exclude {total}")
     V = np.atleast_2d(v)
-    inside = ((V >= lo - 1e-15) & (V <= hi + 1e-15)).all(axis=1)
-    rows = np.flatnonzero(~inside | (np.abs(V.sum(axis=1) - total) > 1e-13))
-    moved = V[rows]
-    if rows.size:
-        moved -= np.trunc(moved.mean(axis=1, keepdims=True))
-        np.subtract(moved, _breakpoint_tau(moved, lo, hi, total, shi)[:, None], out=moved)
-        np.clip(moved, lo, hi, out=moved)
+    sums = np.add.reduce(V, axis=1)
+    inside = np.logical_and.reduce((V >= lo - 1e-15) & (V <= hi + 1e-15), axis=1)
+    rows = np.flatnonzero(~inside | (np.abs(sums - total) > 1e-13))
+    if rows.size and rows.size == len(V):
+        return _project_rows(V, sums, lo, hi, total).reshape(v.shape)
     out = V.copy()
-    out[rows] = moved
+    if rows.size:
+        out[rows] = _project_rows(V[rows], sums[rows], lo, hi, total)
     return out.reshape(v.shape)
 
 
-def _breakpoint_tau(V: np.ndarray, lo: np.ndarray, hi: np.ndarray, total: float,
-                    shi: float) -> np.ndarray:
-    """The dual variable tau per row of V (G, P); see project_capped_simplex.
-    The (G, 2P) arrays set the projection's memory, so they are updated in
-    place and dropped as soon as they are spent."""
+def _project_rows(V: np.ndarray, sums: np.ndarray, lo, hi, total: float) -> np.ndarray:
+    """clip(V - tau, lo, hi) per row of V (G, P), whose row sums are ``sums``."""
+    P = V.shape[1]
+    mean = sums / P
+    shift = np.trunc(mean)
+    moved = V - shift[:, None]
+    tau, _ = _newton_tau(moved, lo, hi, total, mean - shift - total / P)
+    moved -= tau[:, None]
+    np.maximum(moved, lo, out=moved)
+    return np.minimum(moved, hi, out=moved)
+
+
+def _max_passes(P: int) -> int:
+    """The most passes ``_newton_tau`` makes on rows of P coordinates."""
+    return 2 * P + P.bit_length() + 3
+
+
+def _newton_tau(V: np.ndarray, lo, hi, total: float, tau: np.ndarray
+                ) -> tuple[np.ndarray, int]:
+    """tau with sum clip(V - tau, lo, hi) = total for each row of V (G, P),
+    started from ``tau``, and the number of passes the loop made.
+
+    f(tau) = sum clip(v - tau, lo, hi) is piecewise linear and nonincreasing,
+    with breakpoints at the floats v - hi and v - lo.  A pass reads, at each
+    row's current tau, the coordinates held at hi (v - hi >= tau), held at
+    lo (v - lo < tau; never both, so a coordinate with lo == hi is held
+    once) and free.  These are the sets of the piece (z, z'] of f that holds
+    tau, z and z' consecutive breakpoints, and they give the closed form
+    tau' = (held sum - total) / #free, where the held sum adds hi, lo and
+    the free coordinates' v.  tau' is the Newton step on f, and the exact
+    root when the piece holds it.  A row stops when tau' == tau: the sets
+    at tau return tau itself, so no float tolerance decides.  A row with no
+    free coordinate stops when its held sum equals total, and otherwise has
+    no Newton step.
+
+    The safeguard is a bracket (a, b), open and shrinking: a is the last
+    tau with f > total, b the last with f < total, and every tau evaluated
+    lies strictly inside it.  A Newton step that does not, or a row with no
+    free coordinate, takes a breakpoint step instead: to the median of the
+    breakpoints strictly inside the bracket (coordinates with lo == hi move
+    no value and are skipped), as in Kiwiel's median search (2008, JOTA
+    138).  With no breakpoint left inside, the bracket lies within the
+    piece that holds b, and the row ends at that piece's closed form
+    clipped to [a, b] (b = +inf being the piece where every coordinate is
+    at lo, and a = -inf that where every coordinate is at hi).
+
+    Pass cap, proven: count the evaluations of one row.  Each is at a point
+    strictly inside the bracket, which then becomes an end of it.  A Newton
+    step is a function of the sets alone, so each piece proposes one point,
+    and once evaluated that point is an end and is never accepted again;
+    there are at most 2P + 1 pieces.  A breakpoint step halves the number
+    of breakpoints strictly inside the bracket, at most 2P at the start, so
+    there are at most floor(log2 P) + 2 of them.  With the first pass, a
+    row needs at most 2P + floor(log2 P) + 4 passes, ``_max_passes(P)``.
+    """
     G, P = V.shape
-    breaks = np.empty((G, 2 * P))
-    np.subtract(V, hi, out=breaks[:, :P])
-    np.subtract(V, lo, out=breaks[:, P:])
-    order = np.argsort(breaks, axis=1)
-    upper = order < P                     # the sorted breakpoint is a v - hi
-    order += np.arange(0, G * 2 * P, 2 * P)[:, None]
-    t = np.take(breaks, order)
-    del breaks, order
-    # f is slope * tau + offset on each piece; crossing v - hi adds v - hi to
-    # the offset and crossing v - lo subtracts v - lo, so offset = shi - cumsum(dslope * t)
-    # with dslope = -1 at each v - hi and +1 at each v - lo
-    f = np.negative(t, where=upper, out=t.copy())
-    np.cumsum(f, axis=1, out=f)
-    np.subtract(shi, f, out=f)
-    slope = np.where(upper, -1.0, 1.0)
-    np.cumsum(slope, axis=1, out=slope)   # slope of f right of each breakpoint
-    slope *= t
-    f += slope
-    below = f <= total
-    del f, slope
-    j, r = np.argmax(below, axis=1), np.arange(G)
-    left, right = t[r, j - 1], t[r, j]
-    # tau lies on the piece [t[j-1], t[j]]: solve it there from the crossed
-    # breakpoints, not from the rounded cumulative sums.  Coordinates past
-    # v - lo sit at lo, those short of v - hi at hi, the rest are free.  The
-    # crossed breakpoints are those below t[j]; where ties make the piece a
-    # point, tau is clamped to it whatever the count.
-    at_hi = V - hi >= right[:, None]
-    at_lo = V - lo < right[:, None]
-    n_free = P - at_hi.sum(axis=1) - at_lo.sum(axis=1)
-    held = np.where(at_hi, hi, np.where(at_lo, lo, V)).sum(axis=1)
-    tau = (held - total) / np.maximum(n_free, 1)
-    tau = np.where(n_free > 0, np.minimum(np.maximum(tau, left), right), right)
-    # total at sum(hi) or sum(lo): tau is the first or the last breakpoint
-    return np.where(below[:, 0], t[:, 0], np.where(below[:, -1], tau, t[:, -1]))
+    Zhi, Zlo = V - hi, V - lo
+    sign = prev = a = b = None
+    out = idx = None    # the result and the rows still solving, once a row has ended
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for passes in range(1, _max_passes(P) + 1):
+            newton = _closed_form(V, Zhi, Zlo, lo, hi, total, tau)
+            if a is None:
+                # Until a row turns back or has no free coordinate, every row
+                # has moved one way by finite Newton steps: the far end of
+                # its bracket is still infinite and every step is inside.
+                if sign is None:
+                    sign = np.where(newton < tau, -1.0, 1.0)
+                gain = (newton - tau) * sign
+                most = np.maximum.reduce(gain)
+                if np.minimum.reduce(gain) >= 0.0 and most < np.inf:
+                    if most == 0.0:
+                        break
+                    prev, tau = tau, newton
+                    continue
+                a, b = np.full(G, -np.inf), np.full(G, np.inf)
+                if prev is not None:
+                    np.copyto(a, prev, where=sign > 0.0)
+                    np.copyto(b, prev, where=sign < 0.0)
+            right = newton > tau
+            left = newton < tau
+            np.copyto(a, tau, where=right)
+            np.copyto(b, tau, where=left)
+            step = (a < newton) & (newton < b)
+            if step.all():
+                if (newton == tau).all():
+                    break
+                tau = newton
+                continue
+            moving = right | left
+            if not moving.any():
+                break
+            tau = np.where(step, newton, tau)
+            for r in np.flatnonzero(moving & ~step):
+                tau[r] = _median_breakpoint(Zhi[r], Zlo[r], lo, hi, a[r], b[r])
+            ends = np.flatnonzero(np.isnan(tau))
+            if ends.size:
+                if idx is None:
+                    out, idx = np.empty(G), np.arange(G)
+                nb = _closed_form(V[ends], Zhi[ends], Zlo[ends], lo, hi, total, b[ends])
+                out[idx[ends]] = np.where(np.isnan(nb), b[ends], np.clip(nb, a[ends], b[ends]))
+                keep = np.ones(len(idx), dtype=bool)
+                keep[ends] = False
+                V, Zhi, Zlo, tau, a, b, idx = (V[keep], Zhi[keep], Zlo[keep], tau[keep],
+                                               a[keep], b[keep], idx[keep])
+                if not idx.size:
+                    break
+        else:
+            raise RuntimeError("box-simplex projection passed its proven pass cap")
+    if idx is None:
+        return tau, passes
+    out[idx] = tau
+    return out, passes
+
+
+def _closed_form(V, Zhi, Zlo, lo, hi, total: float, tau: np.ndarray) -> np.ndarray:
+    """Per row, the closed-form tau of the piece of f that holds ``tau``:
+    +-inf where no coordinate is free, nan where moreover the held sum is
+    total."""
+    t = tau[:, None]
+    up = Zhi >= t
+    down = Zlo < t
+    held = V.copy()
+    np.copyto(held, hi, where=up)
+    np.copyto(held, lo, where=down)
+    free = V.shape[1] - np.add.reduce(up | down, axis=1)
+    return (np.add.reduce(held, axis=1) - total) / free
+
+
+def _median_breakpoint(zhi, zlo, lo, hi, a: float, b: float) -> float:
+    """The median of one row's breakpoints zhi = v - hi and zlo = v - lo
+    strictly inside (a, b), skipping coordinates with lo == hi; nan where
+    there is none."""
+    moves = np.not_equal(lo, hi)
+    inner = np.concatenate([z[(z > a) & (z < b) & moves] for z in (zhi, zlo)])
+    if not inner.size:
+        return math.nan
+    k = inner.size // 2
+    return float(np.partition(inner, k)[k])
 
 
 def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float,

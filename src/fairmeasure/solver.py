@@ -25,6 +25,15 @@ leave while the rest go on at the grown rho, so rho is one scalar per round.
 Kernel calls and the projection treat rows independently, so each start
 follows the same float path as it would alone.
 
+Every trial step and random start goes through the box-simplex projection
+of ``_projection``, which the solver calls with its uniform box as the two
+floats mu/N and N*mu.  It solves the dual variable tau of the sum
+constraint exactly and without sorting, by Newton steps on the piecewise
+linear sum kept inside a bracket, with a median-breakpoint step as the
+safeguard (Cominetti, Mascarenhas & Silva 2014; Dai & Fletcher 2006;
+Kiwiel 2008), in a number of O(P) passes that is small in practice and
+bounded by 2P + floor(log2 P) + 4.
+
 Each value and analytic gradient is one O(P) pass of the node kernel in
 ``_tree``; an FD gradient is one batched pass over 2P perturbed rows, O(P^2)
 in all, so "analytic" is the default and "fd" an explicit check, refused
@@ -59,6 +68,7 @@ FEASIBILITY_TOL = 1e-8
 # 300-iteration, 4-start solve at P = 1024 already spends minutes in FD.
 _FD_PATH_BUDGET = 1024
 _GRID_BUDGET = 10 ** 8  # oracle grid points; scoring them takes about a minute
+_KKT_ETA = 1e-6        # step of the projected-gradient stationarity residual
 
 
 @dataclass(frozen=True)
@@ -342,7 +352,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     P = lat.n_paths
     _check_fd_budget(opts.gradient, P)
     lo, hi = box_bounds(lat, params.N)
-    project = lambda V: project_capped_simplex(V, lo, hi)
+    project = lambda V: project_capped_simplex(V, lo[0], hi[0])
     gap = lambda V, grad: frank_wolfe_gap(V, grad, lo[0], hi[0])
     floor_active = bool(_floor_pairs(g, params))
     smooth_convex = params.objective == "m" and params.p > 1.0 and not floor_active
@@ -381,13 +391,15 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     q = run.q[r] if solved else starts[r]
     measure = Measure(lat, q)
     report = check_constraints(measure, g, params)
+    # the winner's gradient, from the solve's own objective, serves the
+    # residual and the certified gap
+    grad = obj.gradient(q, opts.gradient, opts.fd_step, float(run.rho[r]) if solved else 0.0)
     certified = None
     if smooth_convex and opts.gradient == "analytic":
-        certified = max(0.0, float(gap(q, obj.gradient(q, "analytic", opts.fd_step))))
-    residual = kkt_residual(measure, g, params, rho=float(run.rho[r]) if solved else 0.0,
-                            gradient=opts.gradient, fd_step=opts.fd_step)
+        certified = max(0.0, float(gap(q, grad)))
     feasible = bool(feasible_idx.size) and report.feasible
-    return SolveReport(measure=measure, value=float(value[w]), kkt_residual=residual,
+    return SolveReport(measure=measure, value=float(value[w]),
+                       kkt_residual=_kkt_residual(q, grad, lo[0], hi[0], _KKT_ETA),
                        gap=certified, constraint_slacks=report.summary(),
                        iterations=int(run.iterations[r]) if solved else 0,
                        trace=run.trace(r) if solved else [], feasible=feasible,
@@ -395,7 +407,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
 
 
 def kkt_residual(Q: Measure, g: LatticeProcess, params: ConstraintParams, *,
-                 eta: float = 1e-6, rho: float = 0.0, gradient: str = "analytic",
+                 eta: float = _KKT_ETA, rho: float = 0.0, gradient: str = "analytic",
                  fd_step: float = 1e-7) -> float:
     """First-order stationarity: ||project(q - eta * grad) - q|| / eta.
 
@@ -407,8 +419,13 @@ def kkt_residual(Q: Measure, g: LatticeProcess, params: ConstraintParams, *,
     _check_fd_budget(gradient, lat.n_paths)
     lo, hi = box_bounds(lat, params.N)
     grad = _Objective(g, params).gradient(Q.weights, gradient, fd_step, rho)
-    moved = project_capped_simplex(Q.weights - eta * grad, lo, hi)
-    return float(np.linalg.norm(moved - Q.weights)) / eta
+    return _kkt_residual(Q.weights, grad, lo[0], hi[0], eta)
+
+
+def _kkt_residual(q: np.ndarray, grad: np.ndarray, lo: float, hi: float, eta: float) -> float:
+    """The residual of ``kkt_residual`` from a gradient at q already taken."""
+    moved = project_capped_simplex(q - eta * grad, lo, hi)
+    return float(np.linalg.norm(moved - q)) / eta
 
 
 # -- brute-force oracle ----------------------------------------------------------

@@ -203,6 +203,9 @@ def _check_risk_neutral(rng) -> tuple[bool, str]:
 
 
 def _check_projection(rng) -> tuple[bool, str]:
+    """Sum, box and idempotence on random points; a G = 3 batch row by row
+    against its rows' 1-D projections; the uniform box as two floats
+    against the same box as two arrays, float for float."""
     for _ in range(25):
         lat = build_lattice(2, int(rng.integers(1, 4)))
         lo, hi = box_bounds(lat, float(rng.uniform(1.1, 3.0)))
@@ -215,6 +218,12 @@ def _check_projection(rng) -> tuple[bool, str]:
         again = project_capped_simplex(q, lo, hi)
         if float(np.abs(again - q).max()) > 1e-12:
             return False, "projection is not idempotent"
+        V = np.vstack([v, rng.uniform(-0.5, 1.5, (2, lat.n_paths))])
+        Q = project_capped_simplex(V, lo, hi)
+        if any(not np.array_equal(Q[r], project_capped_simplex(V[r], lo, hi)) for r in range(3)):
+            return False, "a batch row differs from its own 1-D projection"
+        if not np.array_equal(project_capped_simplex(V, lo[0], hi[0]), Q):
+            return False, "scalar and array bounds give different floats"
     return True, ""
 
 

@@ -223,3 +223,47 @@ def lmo(grad, lo, hi, total=1.0):
 def fw_gap(q, grad, lo, hi, total=1.0):
     """max over the box-simplex of <grad, q - s>, through ``lmo``."""
     return float(grad @ (q - lmo(grad, lo, hi, total)))
+
+
+def breakpoint_projection(v, lo, hi, total=1.0):
+    """Reference box-simplex projection of v (P,) or of each row of v (G, P):
+    the O(P log P) breakpoint search (Held, Wolfe & Crowder 1974; Kiwiel
+    2008) that the sort-free Newton method replaced.  One sort of the 2P
+    breakpoints v - hi and v - lo and cumulative sums give
+    f(tau) = sum clip(v - tau, lo, hi) at every breakpoint; tau is then
+    solved in closed form on the piece where f crosses ``total``, from the
+    coordinates that piece holds at lo, at hi and free, and clamped to the
+    piece.  Rows are shifted by the integer part of their mean first, and
+    already-feasible rows are returned unchanged, as in the package."""
+    v = np.asarray(v, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), v.shape[-1:])
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), v.shape[-1:])
+    V = np.atleast_2d(v)
+    G, P = V.shape
+    inside = ((V >= lo - 1e-15) & (V <= hi + 1e-15)).all(axis=1)
+    rows = np.flatnonzero(~inside | (np.abs(V.sum(axis=1) - total) > 1e-13))
+    out = V.copy()
+    for r in rows:
+        x = V[r] - np.trunc(V[r].mean())
+        t = np.concatenate((x - hi, x - lo))
+        upper = np.arange(2 * P) < P              # the breakpoint is a v - hi
+        order = np.argsort(t)
+        t, upper = t[order], upper[order]
+        # f is slope * tau + offset on each piece; crossing v - hi adds v - hi
+        # to the offset and crossing v - lo subtracts v - lo
+        f = float(hi.sum()) - np.cumsum(np.where(upper, -t, t))
+        f += np.cumsum(np.where(upper, -1.0, 1.0)) * t
+        below = f <= total
+        if below[0]:
+            tau = t[0]
+        elif not below[-1]:
+            tau = t[-1]
+        else:
+            j = int(np.argmax(below))
+            left, right = t[j - 1], t[j]
+            at_hi, at_lo = x - hi >= right, x - lo < right
+            n_free = P - int(at_hi.sum()) - int(at_lo.sum())
+            held = float(np.where(at_hi, hi, np.where(at_lo, lo, x)).sum())
+            tau = min(max((held - total) / n_free, left), right) if n_free else right
+        out[r] = np.clip(x - tau, lo, hi)
+    return out.reshape(v.shape)

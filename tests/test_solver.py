@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
+from fairmeasure import _projection
 from fairmeasure._projection import frank_wolfe_gap
 from fairmeasure.solver import _Objective, box_bounds
 
@@ -140,20 +141,28 @@ def bisection_projection(v, lo, hi, total=1.0):
 
 
 @st.composite
-def projection_cases(draw):
-    """(v, lo, hi, total): P in 1..64, repeated entries in v, uniform,
-    non-uniform (partly degenerate) or fully degenerate boxes, and totals at
-    sum(lo), at sum(hi) or between."""
+def projection_cases(draw, offsets=False):
+    """(v, lo, hi, total): P in 1..64, repeated entries in v, uniform (N = 1
+    included), non-uniform (partly degenerate) or fully degenerate boxes,
+    and totals at sum(lo), at sum(hi) or between.  On the grid, v and the
+    box are multiples of 1/8, so breakpoints tie across coordinates and the
+    search lands on them exactly.  With ``offsets``, v moves by up to 1e5
+    either way."""
     P = draw(st.integers(1, 64))
-    pool = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=P))
+    grid = draw(st.booleans())
+    number = st.integers(-16, 16).map(lambda k: k / 8) if grid else st.floats(-2.0, 2.0)
+    pool = draw(st.lists(number, min_size=1, max_size=P))
     v = np.array(draw(st.lists(st.sampled_from(pool), min_size=P, max_size=P)))
+    if offsets:
+        v = v + draw(st.one_of(st.just(0.0), st.floats(-1e5, 1e5)))
     box = draw(st.sampled_from(["uniform", "non-uniform", "degenerate"]))
     if box == "uniform":
-        N = draw(st.floats(1.0, 4.0))
+        N = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
         lo, hi = np.full(P, 1.0 / (N * P)), np.full(P, N / P)
     else:
-        lo = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=P, max_size=P)))
-        width = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        unit = st.integers(0, 8).map(lambda k: k / 8) if grid else st.floats(0.0, 1.0)
+        lo = np.array(draw(st.lists(unit, min_size=P, max_size=P)))
+        width = st.one_of(st.just(0.0), unit)
         hi = lo + (0.0 if box == "degenerate"
                    else np.array(draw(st.lists(width, min_size=P, max_size=P))))
     where = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
@@ -225,6 +234,105 @@ def test_projection_batch_shapes():
     for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3))):
         with pytest.raises(fm.ParameterError, match="shapes"):
             fm.project_capped_simplex(bad, lo, hi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(projection_cases(offsets=True), st.integers(1, 3))
+def test_projection_matches_breakpoint_reference(case, G):
+    """The Newton projection against the sorting breakpoint search it
+    replaced, row by row of a batch, to 1e-15 times max(1, total): both are
+    exact up to rounding, and where the root lies within rounding of a
+    breakpoint they solve neighbouring pieces, whose closed forms then
+    differ by a few ulps of the held sum (totals here reach 128)."""
+    v, lo, hi, total = case
+    V = np.array([v[::1 - 2 * (r % 2)] + r for r in range(G)])
+    Q = fm.project_capped_simplex(V, lo, hi, total)
+    for row, q in zip(V, Q):
+        expect = ref.breakpoint_projection(row, lo, hi, total)
+        assert np.abs(q - expect).max() <= 1e-15 * max(1.0, total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases(offsets=True), st.integers(1, 4), st.data())
+def test_projection_scalar_and_array_bounds_agree(case, G, data):
+    """A uniform box given as two floats or as two arrays gives the same
+    floats, on the same checks."""
+    v, lo, hi, _ = case
+    P, low, high = len(v), float(lo[0]), float(hi[0])
+    where = data.draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    total = float(np.full(P, low).sum()) + where * P * (high - low)
+    V = np.array([v * (r + 1) for r in range(G)])
+    arrays = fm.project_capped_simplex(V, np.full(P, low), np.full(P, high), total)
+    assert np.array_equal(fm.project_capped_simplex(V, low, high, total), arrays)
+    assert np.array_equal(fm.project_capped_simplex(V[0], low, high, total), arrays[0])
+    with pytest.raises(fm.ParameterError, match="do not intersect"):
+        fm.project_capped_simplex(V, low, high, P * high + 1.0)
+    with pytest.raises(fm.ParameterError, match="empty box"):
+        fm.project_capped_simplex(V, high + 1.0, high)
+
+
+@pytest.mark.parametrize("bounds", [(np.nan, 0.5), (0.1, np.inf), (-np.inf, 0.5)])
+def test_projection_checks_scalar_bounds(bounds):
+    v = np.array([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(fm.ParameterError, match="finite"):
+        fm.project_capped_simplex(v, *bounds)
+    with pytest.raises(fm.ParameterError, match="empty box"):
+        fm.project_capped_simplex(v, 0.5, 0.25)
+    with pytest.raises(fm.ParameterError, match="shapes"):
+        fm.project_capped_simplex(v, 0.1, np.full(4, 0.5))
+
+
+def adversarial_rows(rng, G, P, lo, hi):
+    """Rows that are hard for a Newton search on tau: all-equal entries; entries
+    on the breakpoint grid, k * (hi - lo) + lo, so that breakpoints tie in
+    bulk; and geometric spreads over up to 40 binary orders, of either sign."""
+    w = hi - lo
+    yield np.full((G, P), 3.7) + np.arange(G)[:, None]
+    yield np.full((G, P), -2.0)
+    yield rng.integers(-4, 5, (G, P)) * w + lo
+    yield rng.integers(-1, 2, (G, P)) * w + hi
+    ramp = np.linspace(0.0, 1.0, P)
+    for r in range(2):
+        spread = [2.0 ** (-(10 + 10 * k) * ramp) for k in range(G)]
+        yield (1 - 2 * r) * np.array(spread) * rng.choice([1.0, 0.5, 8.0 / P], (G, 1))
+        yield np.array(spread) * np.where(np.arange(P) % 2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("G", [1, 4])
+@pytest.mark.parametrize("P", [1, 2, 3, 16, 255, 4096])
+def test_projection_passes_stay_under_the_proven_cap(P, G, monkeypatch):
+    """Every row of every adversarial family ends within the pass cap that
+    the loop's docstring proves, and matches the breakpoint reference."""
+    passes = []
+    solve = _projection._newton_tau
+
+    def counted(*args):
+        tau, n = solve(*args)
+        passes.append(n)
+        return tau, n
+
+    monkeypatch.setattr(_projection, "_newton_tau", counted)
+    rng = np.random.default_rng([P, G])
+    for N in (1.0, 1.5, 4.0):
+        lo, hi = 1.0 / (N * P), N / P
+        for V in adversarial_rows(rng, G, P, lo, hi):
+            Q = fm.project_capped_simplex(V, lo, hi)
+            expect = ref.breakpoint_projection(V, lo, hi)
+            assert np.abs(Q - expect).max() <= 1e-15
+    assert passes and max(passes) <= _projection._max_passes(P)
+
+
+def test_projection_grid_row_where_newton_alone_cycles():
+    """A row on the 1/8 grid, found by hypothesis, on which Newton steps
+    taken without the bracket cycle between pieces until the pass cap."""
+    v, lo, hi = np.full(31, 2.0), np.zeros(31), np.zeros(31)
+    v[[3, 24, 28]], v[[5, 9, 23]] = 0.0, -0.375
+    lo[17], lo[[24, 28]] = 0.5, 0.25
+    hi[[3, 28]], hi[5], hi[[9, 23, 24]], hi[17] = 0.625, 1.0, 0.5, 1.25
+    V = np.array([v, v + 1.0, v[::-1], -v])
+    for lows, highs in ((lo, hi), (lo[::-1], hi[::-1])):
+        Q = fm.project_capped_simplex(V, lows, highs, 2.5)
+        assert np.abs(Q - ref.breakpoint_projection(V, lows, highs, 2.5)).max() <= 1e-15
 
 
 # -- Frank-Wolfe gap ------------------------------------------------------------------
@@ -462,6 +570,27 @@ def test_kkt_residual_examples(two_path):
     everywhere = [fm.uniform_measure(lat), fm.Measure(lat, [0.3, 0.7])]
     for Q in everywhere:
         assert fm.kkt_residual(Q, const, params) == 0.0
+
+
+@pytest.mark.parametrize("case", ["m", "n", "floor", "fd"])
+def test_report_residual_is_the_public_residual(case):
+    """minimize takes the winner's residual from its own objective; it is
+    the public kkt_residual at the same point, rho and gradient, bit for bit."""
+    rng = np.random.default_rng(21)
+    lat = fm.build_lattice(2, 2)
+    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=2.0, p=1.5 if case == "fd" else 2.0,
+                                 objective="n" if case == "n" else "m",
+                                 c=0.9 if case == "floor" else None)
+    opts = fm.SolveOptions(restarts=3, max_iter=60, gradient="fd" if case == "fd" else "analytic")
+    rep = fm.minimize(g, params, opts)
+    r, solved = divmod(rep.winner, 2)
+    rho = rep.restarts[r].rho if solved else 0.0
+    if case == "floor":
+        assert solved and rho > 0.0
+    public = fm.kkt_residual(rep.measure, g, params, rho=rho, gradient=opts.gradient,
+                             fd_step=opts.fd_step)
+    assert rep.kkt_residual == public
 
 
 # -- gradients ---------------------------------------------------------------------------
