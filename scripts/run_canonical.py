@@ -45,7 +45,7 @@ def main() -> None:
                           fm.SolveOptions(restarts=4, seed=args.seed, gradient=grad))
         print(f"  fairest ({objective}): value = {rep.value:.3e}, "
               f"weights = {rep.measure.weights.round(6).tolist()}, "
-              f"kkt = {rep.kkt_residual:.2e}, feasible = {rep.feasible}")
+              f"feasible = {rep.feasible}")
 
     rows = []
     prev = None

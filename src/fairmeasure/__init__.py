@@ -20,7 +20,7 @@ from .processes import (GbmParams, PriceSeries, branch_innovations,
 from .solver import (BruteForceResult, ConstraintParams, ConstraintReport,
                      RestartRecord, SolveOptions, SolveReport, box_bounds,
                      brute_force_min, check_constraints, correlation_integral,
-                     kkt_residual, minimize, project_capped_simplex)
+                     minimize, project_capped_simplex)
 from .unfairness import (MartingaleCheck, UnfairnessConfig, inner_product_m,
                          is_martingale, unfairness_m, unfairness_n)
 

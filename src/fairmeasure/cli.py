@@ -395,7 +395,6 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
         "seed": seed,
         "value": report.value,
         "feasible": report.feasible,
-        "kkt_residual": report.kkt_residual,
         "gap": report.gap,
         "iterations": report.iterations,
         "constraint_slacks": report.constraint_slacks,
@@ -407,8 +406,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
     write_json_report(path, payload)
     status = "feasible" if report.feasible else "INFEASIBLE"
     gap = "" if report.gap is None else f", gap={report.gap:.3e}"
-    print(f"{cfg.constraints.objective}* = {report.value!r} ({status}, "
-          f"kkt={report.kkt_residual:.3e}{gap}, iters={report.iterations})")
+    print(f"{cfg.constraints.objective}* = {report.value!r} "
+          f"({status}{gap}, iters={report.iterations})")
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 

@@ -7,12 +7,14 @@ every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
 with a quadratic penalty rho * sum max(0, c - I)^2 over the exchange pairs
 for the floor, rho growing each round, started from the base measure.  A
-row stops once its Frank-Wolfe gap over the box-simplex is at most ``tol``.
-On the lattice, m with p >= 1 and n are convex in the weights; where m is
-also smooth (p > 1) and no floor binds, every stationary point is a global
-minimizer and the gap bounds the distance to the optimal value, so one
-start suffices.  Elsewhere (n, p <= 1, the floor) the descent is also
-multi-started from random feasible points.  A grid-search oracle over tiny
+row stops once its Frank-Wolfe gap over the box-simplex is at most ``tol``;
+that gap is the solver's one stationarity measure.  On the lattice, m with
+p >= 1 and n are convex in the weights; where m is also smooth (p > 1) and
+no floor binds, every stationary point is a global minimizer and the gap
+bounds the distance to the optimal value, so one start suffices and the
+report carries the winner's gap.  Elsewhere (n, p <= 1, the floor) the
+descent is also multi-started from random feasible points, and each
+start's record says why it stopped.  A grid-search oracle over tiny
 instances provides an independent check of the optimizer.
 
 The starts descend in lock step as the rows of one (G, P) batch, the G
@@ -43,11 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._descent import Descent
+from ._descent import _FD_STEP, Descent
 from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
@@ -58,7 +61,7 @@ __all__ = [
     "ConstraintParams", "SolveOptions", "ConstraintReport", "RestartRecord",
     "SolveReport", "BruteForceResult", "box_bounds", "correlation_integral",
     "check_constraints", "project_capped_simplex",
-    "minimize", "brute_force_min", "kkt_residual",
+    "minimize", "brute_force_min",
 ]
 
 FEASIBILITY_TOL = 1e-8
@@ -68,7 +71,6 @@ FEASIBILITY_TOL = 1e-8
 # 300-iteration, 4-start solve at P = 1024 already spends minutes in FD.
 _FD_PATH_BUDGET = 1024
 _GRID_BUDGET = 10 ** 8  # oracle grid points; scoring them takes about a minute
-_KKT_ETA = 1e-6        # step of the projected-gradient stationarity residual
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,10 @@ class ConstraintParams:
     objective: str = "m"
 
     def __post_init__(self):
-        if not self.N >= 1.0:
-            raise ParameterError(f"equivalence bound N must be >= 1, got {self.N}")
-        if not self.p > 0:
-            raise ParameterError(f"exponent p must be > 0, got {self.p}")
+        if not 1.0 <= self.N < math.inf:
+            raise ParameterError(f"equivalence bound N must be finite and >= 1, got {self.N}")
+        if not 0.0 < self.p < math.inf:
+            raise ParameterError(f"exponent p must be finite and > 0, got {self.p}")
         if self.objective not in ("m", "n"):
             raise ParameterError(f"objective must be 'm' or 'n', got {self.objective!r}")
         if self.c is not None and not math.isfinite(self.c):
@@ -94,8 +96,9 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``tol`` bounds the Frank-Wolfe gap at which a start stops;
-    ``restarts`` counts the base start and the random ones, which
+    """``step`` (finite, > 0) is the largest trial step of a line search;
+    ``tol`` (finite, >= 0) bounds the Frank-Wolfe gap at which a start
+    stops; ``restarts`` counts the base start and the random ones, which
     ``minimize`` draws only where m is not both smooth and convex."""
 
     max_iter: int = 300
@@ -104,7 +107,6 @@ class SolveOptions:
     restarts: int = 8
     seed: int = 0
     gradient: str = "analytic"    # "analytic" | "fd"
-    fd_step: float = 1e-7
     penalty_init: float = 10.0
     penalty_growth: float = 10.0
     penalty_rounds: int = 6
@@ -112,14 +114,22 @@ class SolveOptions:
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
             raise ParameterError(f"gradient must be 'fd' or 'analytic', got {self.gradient!r}")
+        for name in ("max_iter", "restarts", "penalty_rounds"):
+            val = getattr(self, name)
+            if not isinstance(val, Integral) or isinstance(val, bool):
+                raise ParameterError(f"{name} must be an int, got {val!r}")
         if self.max_iter < 0 or self.restarts < 1 or self.penalty_rounds < 1:
             raise ParameterError("need max_iter >= 0, restarts >= 1 and penalty_rounds >= 1")
+        if not 0.0 < self.step < math.inf:
+            raise ParameterError(f"step must be finite and > 0, got {self.step}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarray]:
     """Atomwise equivalence box [mu/N, N*mu] around the uniform base measure."""
-    if not N >= 1.0:
-        raise ParameterError(f"equivalence bound N must be >= 1, got {N}")
+    if not 1.0 <= N < math.inf:
+        raise ParameterError(f"equivalence bound N must be finite and >= 1, got {N}")
     mu = 1.0 / lattice.n_paths
     P = lattice.n_paths
     return np.full(P, mu / N), np.full(P, mu * N)
@@ -192,13 +202,6 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams,
 
 
 # -- objective -----------------------------------------------------------------
-
-def _check_fd_budget(mode: str, n_paths: int) -> None:
-    if mode == "fd" and n_paths > _FD_PATH_BUDGET:
-        raise SizeBudgetError(
-            f"gradient='fd' on {n_paths} paths exceeds the budget of {_FD_PATH_BUDGET}: "
-            "each FD gradient evaluates 2P weight rows, O(P^2); use gradient='analytic'")
-
 
 class _Objective:
     """Penalized objective on raw weight rows (G, P) or one vector (P,):
@@ -291,7 +294,6 @@ class SolveReport:
 
     measure: Measure
     value: float
-    kkt_residual: float
     gap: float | None
     constraint_slacks: dict[str, float]
     iterations: int
@@ -350,7 +352,10 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     """
     lat = g.lattice
     P = lat.n_paths
-    _check_fd_budget(opts.gradient, P)
+    if opts.gradient == "fd" and P > _FD_PATH_BUDGET:
+        raise SizeBudgetError(
+            f"gradient='fd' on {P} paths exceeds the budget of {_FD_PATH_BUDGET}: "
+            "each FD gradient evaluates 2P weight rows, O(P^2); use gradient='analytic'")
     lo, hi = box_bounds(lat, params.N)
     project = lambda V: project_capped_simplex(V, lo[0], hi[0])
     gap = lambda V, grad: frank_wolfe_gap(V, grad, lo[0], hi[0])
@@ -391,41 +396,17 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     q = run.q[r] if solved else starts[r]
     measure = Measure(lat, q)
     report = check_constraints(measure, g, params)
-    # the winner's gradient, from the solve's own objective, serves the
-    # residual and the certified gap
-    grad = obj.gradient(q, opts.gradient, opts.fd_step, float(run.rho[r]) if solved else 0.0)
+    # the winner's gap certifies its value only where m is smooth and convex
+    # (no floor, so rho = 0) and its gradient is exact
     certified = None
     if smooth_convex and opts.gradient == "analytic":
-        certified = max(0.0, float(gap(q, grad)))
+        certified = max(0.0, float(gap(q, obj.gradient(q, "analytic", _FD_STEP))))
     feasible = bool(feasible_idx.size) and report.feasible
     return SolveReport(measure=measure, value=float(value[w]),
-                       kkt_residual=_kkt_residual(q, grad, lo[0], hi[0], _KKT_ETA),
                        gap=certified, constraint_slacks=report.summary(),
                        iterations=int(run.iterations[r]) if solved else 0,
                        trace=run.trace(r) if solved else [], feasible=feasible,
                        restarts=records, winner=w)
-
-
-def kkt_residual(Q: Measure, g: LatticeProcess, params: ConstraintParams, *,
-                 eta: float = _KKT_ETA, rho: float = 0.0, gradient: str = "analytic",
-                 fd_step: float = 1e-7) -> float:
-    """First-order stationarity: ||project(q - eta * grad) - q|| / eta.
-
-    Zero (up to tolerance) at constrained stationary points of the
-    (optionally penalty-augmented) objective.  ``gradient="fd"`` above
-    ``_FD_PATH_BUDGET`` paths raises :class:`SizeBudgetError`.
-    """
-    lat = g.lattice
-    _check_fd_budget(gradient, lat.n_paths)
-    lo, hi = box_bounds(lat, params.N)
-    grad = _Objective(g, params).gradient(Q.weights, gradient, fd_step, rho)
-    return _kkt_residual(Q.weights, grad, lo[0], hi[0], eta)
-
-
-def _kkt_residual(q: np.ndarray, grad: np.ndarray, lo: float, hi: float, eta: float) -> float:
-    """The residual of ``kkt_residual`` from a gradient at q already taken."""
-    moved = project_capped_simplex(q - eta * grad, lo, hi)
-    return float(np.linalg.norm(moved - q)) / eta
 
 
 # -- brute-force oracle ----------------------------------------------------------

@@ -22,6 +22,7 @@ O(P), and so does an analytic gradient; an FD gradient is 2P kernel rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,13 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UnfairnessConfig:
-    """Exponent p > 0 of the m functional."""
+    """Finite exponent p > 0 of the m functional."""
 
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ParameterError(f"exponent p must be > 0, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise ParameterError(f"exponent p must be finite and > 0, got {self.p}")
 
 
 class MartingaleCheck(NamedTuple):

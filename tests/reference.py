@@ -149,7 +149,7 @@ def pgd(obj, q0, project, gap, opts, rho):
     were batched.  A start stops at "tol" once ``gap`` (the package's
     Frank-Wolfe gap) is at most tol.  Returns (q, raw value, violation,
     iterations, trace, stop reason)."""
-    from fairmeasure._descent import _MIN_STEP
+    from fairmeasure._descent import _FD_STEP, _MIN_STEP
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
     trace = []
@@ -157,7 +157,7 @@ def pgd(obj, q0, project, gap, opts, rho):
     iters = 0
     stop = "max_iter"
     for _ in range(opts.max_iter):
-        grad = obj.gradient(q, opts.gradient, opts.fd_step, rho)
+        grad = obj.gradient(q, opts.gradient, _FD_STEP, rho)
         if float(gap(q, grad)) <= opts.tol:
             stop = "tol"
             break

@@ -461,6 +461,22 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys, patch, expected)
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch,expected", [
+    ({"constraints": {"N": 2.0, "p": math.inf}}, "constraints"),
+    ({"constraints": {"N": math.inf}}, "constraints"),
+    ({"solver": {"step": math.nan}}, "solver"),
+    ({"solver": {"step": 0.0}}, "solver"),
+    ({"solver": {"tol": math.nan}}, "solver"),
+])
+def test_config_non_finite_or_out_of_range_numbers_exit_1(tmp_path, capsys, patch, expected):
+    """JSON's Infinity and NaN literals reach the dataclass checks, which
+    reject them before any command runs."""
+    cfg = write_config(tmp_path / "config.json", **patch)
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"error: {expected}: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("section", ["config", "lattice", "process", "process.gbm",
                                      "process.calibration", "constraints", "solver", "io"])
 def test_config_rejects_unknown_keys(tmp_path, capsys, section):

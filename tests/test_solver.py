@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,19 @@ def test_constraint_params_validation():
         fm.ConstraintParams(N=2.0, p=0.0)
     with pytest.raises(fm.ParameterError):
         fm.ConstraintParams(N=2.0, objective="z")
+
+
+@pytest.mark.parametrize("field", ["N", "p"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_constraint_params_reject_non_finite(field, bad):
+    with pytest.raises(fm.ParameterError, match="must be finite"):
+        fm.ConstraintParams(**{"N": 2.0, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.5])
+def test_box_bounds_need_a_finite_N_of_at_least_one(two_path, bad):
+    with pytest.raises(fm.ParameterError, match="must be finite and >= 1"):
+        box_bounds(two_path.lattice, bad)
 
 
 # -- projection -------------------------------------------------------------------
@@ -431,7 +446,7 @@ def test_minimize_recovers_risk_neutral_measure(two_path):
     assert rep.feasible
     assert rep.value <= 1e-8
     assert np.allclose(rep.measure.weights, [1 / 3, 2 / 3], atol=1e-3)
-    assert rep.kkt_residual <= 1e-5
+    assert rep.gap <= 1e-9
 
 
 def test_minimize_n_objective_zero(two_path):
@@ -467,7 +482,7 @@ def test_minimize_constant_process_returns_zero():
     rep = fm.minimize(const, fm.ConstraintParams(N=2.0), fm.SolveOptions(restarts=2))
     assert rep.feasible
     assert rep.value == 0.0
-    assert rep.kkt_residual == 0.0
+    assert rep.gap == 0.0
 
 
 def test_minimize_infeasible_floor(two_path_pair):
@@ -557,42 +572,6 @@ def test_brute_force_infeasible_floor(two_path_pair):
         fm.brute_force_min(two_path_pair, params, resolution=200)
 
 
-# -- KKT residual -----------------------------------------------------------------------
-
-def test_kkt_residual_examples(two_path):
-    params = fm.ConstraintParams(N=2.0, p=2.0, objective="m")
-    at_opt = fm.kkt_residual(fm.Measure(two_path.lattice, [1 / 3, 2 / 3]), two_path, params)
-    assert at_opt <= 1e-5
-    at_base = fm.kkt_residual(fm.uniform_measure(two_path.lattice), two_path, params)
-    assert at_base > 1e-3
-    lat = two_path.lattice
-    const = fm.LatticeProcess(lat, 1, 1, np.full((2, 2, 1), 1.0))
-    everywhere = [fm.uniform_measure(lat), fm.Measure(lat, [0.3, 0.7])]
-    for Q in everywhere:
-        assert fm.kkt_residual(Q, const, params) == 0.0
-
-
-@pytest.mark.parametrize("case", ["m", "n", "floor", "fd"])
-def test_report_residual_is_the_public_residual(case):
-    """minimize takes the winner's residual from its own objective; it is
-    the public kkt_residual at the same point, rho and gradient, bit for bit."""
-    rng = np.random.default_rng(21)
-    lat = fm.build_lattice(2, 2)
-    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
-    params = fm.ConstraintParams(N=2.0, p=1.5 if case == "fd" else 2.0,
-                                 objective="n" if case == "n" else "m",
-                                 c=0.9 if case == "floor" else None)
-    opts = fm.SolveOptions(restarts=3, max_iter=60, gradient="fd" if case == "fd" else "analytic")
-    rep = fm.minimize(g, params, opts)
-    r, solved = divmod(rep.winner, 2)
-    rho = rep.restarts[r].rho if solved else 0.0
-    if case == "floor":
-        assert solved and rho > 0.0
-    public = fm.kkt_residual(rep.measure, g, params, rho=rho, gradient=opts.gradient,
-                             fd_step=opts.fd_step)
-    assert rep.kkt_residual == public
-
-
 # -- gradients ---------------------------------------------------------------------------
 
 def test_analytic_gradient_matches_fd():
@@ -633,14 +612,12 @@ def test_fd_gradient_at_the_path_budget():
     params = fm.ConstraintParams(N=2.0)
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=1, max_iter=1, gradient="fd"))
     assert rep.restarts[0].gradients == 1
-    assert np.isfinite(fm.kkt_residual(rep.measure, g, params, gradient="fd"))
 
 
 def test_fd_gradient_above_the_path_budget_is_refused(monkeypatch):
     g = random_process(np.random.default_rng(2),
                        fm.build_lattice(fm.solver._FD_PATH_BUDGET + 1, 1))
     params = fm.ConstraintParams(N=2.0)
-    U = fm.uniform_measure(g.lattice)
 
     def no_work(*args, **kwargs):
         raise AssertionError("objective built before the budget check")
@@ -649,9 +626,30 @@ def test_fd_gradient_above_the_path_budget_is_refused(monkeypatch):
         patch.setattr(fm.solver, "_Objective", no_work)
         with pytest.raises(fm.SizeBudgetError, match="gradient='analytic'"):
             fm.minimize(g, params, fm.SolveOptions(restarts=1, gradient="fd"))
-        with pytest.raises(fm.SizeBudgetError, match="gradient='analytic'"):
-            fm.kkt_residual(U, g, params, gradient="fd")
-    assert np.isfinite(fm.kkt_residual(U, g, params, gradient="analytic"))
+
+
+@pytest.mark.parametrize("case", ["m", "p=1", "n", "floor", "fd"])
+def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkeypatch):
+    """The rows minimize differentiates are those its records count, plus
+    the winner once where its gap certifies the value."""
+    rng = np.random.default_rng(21)
+    lat = fm.build_lattice(2, 2)
+    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
+                                 objective="n" if case == "n" else "m",
+                                 c=0.9 if case == "floor" else None)
+    opts = fm.SolveOptions(restarts=3, max_iter=60, gradient="fd" if case == "fd" else "analytic")
+    rows = []
+    gradient = _Objective.gradient
+
+    def counted(self, Q, *args, **kwargs):
+        rows.append(len(np.atleast_2d(Q)))
+        return gradient(self, Q, *args, **kwargs)
+
+    monkeypatch.setattr(_Objective, "gradient", counted)
+    rep = fm.minimize(g, params, opts)
+    assert (rep.gap is not None) == (case == "m")
+    assert sum(rows) == sum(r.gradients for r in rep.restarts) + (rep.gap is not None)
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -668,6 +666,24 @@ def test_solve_report_contents(two_path):
 def test_solve_options_need_a_penalty_round():
     with pytest.raises(fm.ParameterError):
         fm.SolveOptions(penalty_rounds=0)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
+    ("tol", -1e-9), ("tol", math.nan), ("tol", math.inf),
+    ("max_iter", 2.5), ("max_iter", True),
+    ("restarts", 2.5), ("restarts", True),
+    ("penalty_rounds", 2.5), ("penalty_rounds", True),
+])
+def test_solve_options_reject_out_of_range_values(field, bad):
+    with pytest.raises(fm.ParameterError, match=field):
+        fm.SolveOptions(**{field: bad})
+
+
+def test_solve_options_accept_their_edge_values():
+    opts = fm.SolveOptions(max_iter=0, step=1e-300, tol=0.0, restarts=1,
+                           penalty_rounds=np.int64(1))
+    assert opts.tol == 0.0 and opts.penalty_rounds == 1
 
 
 def test_minimize_deterministic_given_seed(two_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,3 +267,9 @@ def test_config_validation():
         UnfairnessConfig(p=0.0)
     with pytest.raises(fm.ParameterError):
         UnfairnessConfig(p=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_p(bad):
+    with pytest.raises(fm.ParameterError, match="must be finite"):
+        UnfairnessConfig(p=bad)
