@@ -415,15 +415,16 @@ def cmd_verify(cfg: RunConfig, out_dir: str, seed: int) -> int:
     from .verify import run_verification
     results = run_verification(cfg, out_dir, seed)
     failed = 0
-    for name, status, detail in results:
-        print(f"[{status}] {name}" + (f" -- {detail}" if detail else ""))
+    for name, status, detail, seconds in results:
+        # the elapsed time goes to stdout only, so the report stays deterministic
+        print(f"[{status}] {name}" + (f" -- {detail}" if detail else "") + f" ({seconds:.3f} s)")
         if status == "FAIL":
             failed += 1
     payload = {
         "command": "verify",
         "version": __version__,
         "seed": seed,
-        "checks": [{"name": n, "status": s, "detail": d} for n, s, d in results],
+        "checks": [{"name": n, "status": s, "detail": d} for n, s, d, _ in results],
         "failed": failed,
     }
     write_json_report(_resolve_out(out_dir, cfg.io.report_file), payload)

@@ -130,9 +130,8 @@ def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarra
     """Atomwise equivalence box [mu/N, N*mu] around the uniform base measure."""
     if not 1.0 <= N < math.inf:
         raise ParameterError(f"equivalence bound N must be finite and >= 1, got {N}")
-    mu = 1.0 / lattice.n_paths
     P = lattice.n_paths
-    return np.full(P, mu / N), np.full(P, mu * N)
+    return np.full(P, 1.0 / P / N), np.full(P, 1.0 / P * N)
 
 
 # -- constraints ---------------------------------------------------------------
@@ -421,42 +420,43 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
                     resolution: int = 200) -> BruteForceResult:
     """Exhaustive grid search over the feasible box-simplex.
 
-    The last coordinate is eliminated by normalization; grid points outside
-    the box or below the correlation floor are discarded.  Ties break to the
-    lexicographically smallest grid point.  Limited to 6 paths, resolution
-    2000 and 10^8 grid points, scored in row blocks of bounded memory.
+    The last coordinate is eliminated by normalization; only grid points in the
+    box are built, in lexicographic order, in row blocks of bounded memory, and a
+    point below the floor never wins; ties go to the lexicographically smallest.
+    Limited to 6 paths, integer resolutions to 2000 and 10^8 points on the grid.
     """
     lat = g.lattice
     P = lat.n_paths
     if P > 6:
         raise SizeBudgetError(f"brute force supports at most 6 paths, got {P}")
-    if not 1 <= resolution <= 2000:
+    if isinstance(resolution, bool) or not isinstance(resolution, Integral) or not 1 <= resolution <= 2000:
         raise ParameterError(f"resolution must be in 1..2000, got {resolution}")
-    size = (resolution + 1) ** (P - 1)
+    width = resolution + 1
+    size = width ** (P - 1)
     if size > _GRID_BUDGET:
-        raise SizeBudgetError(f"grid of {resolution + 1}^{P - 1} points exceeds {_GRID_BUDGET}")
+        raise SizeBudgetError(f"grid of {width}^{P - 1} points exceeds {_GRID_BUDGET}")
     lo, hi = box_bounds(lat, params.N)
     obj = _Objective(g, params)
-    axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
+    axis = np.linspace(lo[0], hi[0], width)  # every axis, as the box is uniform
+    inside = lambda last: (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
     best_q, best_value, in_box = None, math.inf, False
     for rows in row_blocks(size, P):
-        # grid rows in lexicographic order, the first coordinate slowest
-        digits = np.unravel_index(np.arange(rows.start, rows.stop), (resolution + 1,) * (P - 1))
-        head = np.column_stack([axis[i] for axis, i in zip(axes, digits)])
+        # rows are prefixes on the first P - 2 axes by the last; prefix sums match head.sum's
+        first, skip = divmod(rows.start, width)
+        pre = [axis[d] for d in np.unravel_index(np.arange(first, (rows.stop - 1) // width + 1),
+                                                 (1,) + (width,) * (P - 2))[1:]]
+        box = inside(1.0 - (sum(pre, np.zeros(1))[:, None] + axis)).ravel()
+        i, j = np.divmod(skip + np.flatnonzero(box[skip:skip + rows.stop - rows.start]), width)
+        head = np.stack([x[i] for x in pre] + [axis[j]], axis=1)
         last = 1.0 - head.sum(axis=1)
-        keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
-        cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+        cand = np.column_stack([head, np.clip(last, lo[-1], hi[-1])]).compress(inside(last), axis=0)
         if cand.shape[0] == 0:
             continue
         in_box = True
         W = obj.tree.node_weights(cand)
-        if obj.floor is not None:
-            keep = (obj.floor.moments(W)[0] >= params.c - 1e-12).all(axis=1)
-            cand = cand[keep]
-            if cand.shape[0] == 0:
-                continue
-            W = [w[keep] for w in W]
         values = obj.raw(W)
+        if obj.floor is not None:
+            values[~(obj.floor.moments(W)[0] >= params.c - 1e-12).all(axis=1)] = math.inf
         best = int(np.argmin(values))  # first occurrence = lexicographically smallest
         if values[best] < best_value:
             best_q, best_value = cand[best], float(values[best])

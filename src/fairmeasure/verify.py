@@ -1,11 +1,13 @@
 """Invariant suites behind the `fairmeasure verify` command.
 
 Each check runs on deterministically generated instances and reports
-PASS / FAIL / SKIP with a counterexample summary on failure.
+PASS / FAIL / SKIP with a counterexample summary on failure, and the wall
+time it took, which the command prints but keeps out of its report.
 """
 from __future__ import annotations
 
 import os
+import time
 import zlib
 
 import numpy as np
@@ -21,7 +23,7 @@ from .solver import (ConstraintParams, _Objective, box_bounds, brute_force_min,
                      project_capped_simplex)
 from .unfairness import UnfairnessConfig, is_martingale, unfairness_m, unfairness_n
 
-Result = tuple[str, str, str]  # (name, PASS|FAIL|SKIP, detail)
+Result = tuple[str, str, str, float]  # (name, PASS|FAIL|SKIP, detail, seconds)
 
 
 def random_measure(rng: np.random.Generator, lattice) -> Measure:
@@ -290,31 +292,38 @@ CHECKS = [
 
 
 def run_verification(cfg, out_dir: str, seed: int) -> list[Result]:
-    """Run every invariant suite; returns (name, status, detail) triples.
-    Each check draws from a generator salted with a hash of its name, so
-    adding, removing or reordering checks leaves the others' draws alone."""
+    """Run every invariant suite; returns (name, status, detail, seconds)
+    per check.  Each check draws from a generator salted with a hash of its
+    name, so adding, removing or reordering checks leaves the others' draws
+    alone."""
     rng_for = lambda name: np.random.default_rng([seed, zlib.crc32(name.encode())])
     results: list[Result] = []
 
     process_path = _resolve_in(cfg, out_dir, cfg.io.process_file)
     if os.path.exists(process_path):
+        start = time.perf_counter()
         try:
             load_process(process_path)
-            results.append(("process-file-adapted", "PASS", ""))
+            status, detail = "PASS", ""
         except FairmeasureError as exc:
-            results.append(("process-file-adapted", "FAIL", str(exc)))
+            status, detail = "FAIL", str(exc)
+        results.append(("process-file-adapted", status, detail, time.perf_counter() - start))
 
     for name, fn in CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = fn(rng_for(name))
-            results.append((name, "PASS" if ok else "FAIL", detail))
+            status = "PASS" if ok else "FAIL"
         except FairmeasureError as exc:
-            results.append((name, "FAIL", f"raised {type(exc).__name__}: {exc}"))
+            status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
+        results.append((name, status, detail, time.perf_counter() - start))
 
     p = cfg.constraints.p
     if p < 1.0:
-        results.append((f"m-triangle-p={p}", "SKIP", "skipped: p<1"))
+        results.append((f"m-triangle-p={p}", "SKIP", "skipped: p<1", 0.0))
     else:
+        start = time.perf_counter()
         ok, detail = _check_triangle(p)(rng_for("m-triangle"))
-        results.append((f"m-triangle-p={p}", "PASS" if ok else "FAIL", detail))
+        results.append((f"m-triangle-p={p}", "PASS" if ok else "FAIL", detail,
+                        time.perf_counter() - start))
     return results

@@ -267,3 +267,54 @@ def breakpoint_projection(v, lo, hi, total=1.0):
             tau = min(max((held - total) / n_free, left), right) if n_free else right
         out[r] = np.clip(x - tau, lo, hi)
     return out.reshape(v.shape)
+
+
+# -- the full-grid oracle -------------------------------------------------------------
+
+def grid_min(g, params, resolution=200):
+    """The grid search that ``brute_force_min`` replaced, unchanged: every
+    one of the (resolution + 1)^(P - 1) grid rows is decoded, gathered and
+    summed, and only then are the rows outside the box dropped.  Returns
+    ``fm.BruteForceResult``."""
+    import math
+    from fairmeasure._tree import row_blocks
+    from fairmeasure.solver import _GRID_BUDGET, _Objective, box_bounds
+    lat = g.lattice
+    P = lat.n_paths
+    if P > 6:
+        raise fm.SizeBudgetError(f"brute force supports at most 6 paths, got {P}")
+    if not 1 <= resolution <= 2000:
+        raise fm.ParameterError(f"resolution must be in 1..2000, got {resolution}")
+    size = (resolution + 1) ** (P - 1)
+    if size > _GRID_BUDGET:
+        raise fm.SizeBudgetError(f"grid of {resolution + 1}^{P - 1} points exceeds {_GRID_BUDGET}")
+    lo, hi = box_bounds(lat, params.N)
+    obj = _Objective(g, params)
+    axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
+    best_q, best_value, in_box = None, math.inf, False
+    for rows in row_blocks(size, P):
+        # grid rows in lexicographic order, the first coordinate slowest
+        digits = np.unravel_index(np.arange(rows.start, rows.stop), (resolution + 1,) * (P - 1))
+        head = np.column_stack([axis[i] for axis, i in zip(axes, digits)])
+        last = 1.0 - head.sum(axis=1)
+        keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
+        cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+        if cand.shape[0] == 0:
+            continue
+        in_box = True
+        W = obj.tree.node_weights(cand)
+        if obj.floor is not None:
+            keep = (obj.floor.moments(W)[0] >= params.c - 1e-12).all(axis=1)
+            cand = cand[keep]
+            if cand.shape[0] == 0:
+                continue
+            W = [w[keep] for w in W]
+        values = obj.raw(W)
+        best = int(np.argmin(values))  # first occurrence = lexicographically smallest
+        if values[best] < best_value:
+            best_q, best_value = cand[best], float(values[best])
+    if not in_box:
+        raise fm.InfeasibleError("no grid point lies in the box-simplex")
+    if best_q is None:
+        raise fm.InfeasibleError(f"no grid point satisfies the correlation floor c={params.c}")
+    return fm.BruteForceResult(measure=fm.Measure(lat, best_q), value=best_value)

@@ -448,6 +448,24 @@ def test_verify_reports_p_below_one_as_skipped(tmp_path, capsys):
     assert "[SKIP] m-triangle-p=0.5 -- skipped: p<1" in out
 
 
+def test_verify_times_checks_on_stdout_only(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    reports = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / run), "--seed", "5"]
+        assert cli.main(args) == 0
+        reports.append((tmp_path / run / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    checks = json.loads(reports[0])["checks"]
+    assert all(set(check) == {"name", "status", "detail"} for check in checks)
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(lines) == 2 * len(checks)
+    for line in lines:
+        seconds = line.rsplit(" (", 1)[1]
+        assert seconds.endswith(" s)") and float(seconds[:-3]) >= 0.0
+
+
 @pytest.mark.parametrize("patch,expected", [
     ({"lattice": {"b": 1, "K": 1}}, "lattice"),
     ({"constraints": {"N": 0.5}}, "constraints"),

@@ -255,16 +255,21 @@ def test_projection_batch_shapes():
 @given(projection_cases(offsets=True), st.integers(1, 3))
 def test_projection_matches_breakpoint_reference(case, G):
     """The Newton projection against the sorting breakpoint search it
-    replaced, row by row of a batch, to 1e-15 times max(1, total): both are
-    exact up to rounding, and where the root lies within rounding of a
+    replaced, row by row of a batch, to 1e-15 times the largest of 1, the
+    total and the shifted row's magnitude max|row - trunc(mean(row))|: both
+    are exact up to rounding, and where the root lies within rounding of a
     breakpoint they solve neighbouring pieces, whose closed forms then
-    differ by a few ulps of the held sum (totals here reach 128)."""
+    differ by a few ulps of the held sum (totals here reach 128).  Each
+    rounds tau at the scale of the shifted row it is subtracted from, so
+    q = row - tau can differ by ulps of that magnitude even when the total
+    is small."""
     v, lo, hi, total = case
     V = np.array([v[::1 - 2 * (r % 2)] + r for r in range(G)])
     Q = fm.project_capped_simplex(V, lo, hi, total)
     for row, q in zip(V, Q):
         expect = ref.breakpoint_projection(row, lo, hi, total)
-        assert np.abs(q - expect).max() <= 1e-15 * max(1.0, total)
+        shifted = float(np.abs(row - np.trunc(row.mean())).max())
+        assert np.abs(q - expect).max() <= 1e-15 * max(1.0, total, shifted)
 
 
 @settings(max_examples=300, deadline=None)
@@ -564,6 +569,23 @@ def test_brute_force_size_limits():
     g6 = random_process(np.random.default_rng(0), fm.build_lattice(6, 1))
     with pytest.raises(fm.SizeBudgetError, match="grid"):
         fm.brute_force_min(g6, fm.ConstraintParams(N=2.0), resolution=2000)
+
+
+def test_brute_force_rejects_a_bool_resolution(two_path):
+    with pytest.raises(fm.ParameterError, match="resolution must be in 1..2000, got True"):
+        fm.brute_force_min(two_path, fm.ConstraintParams(N=2.0), resolution=True)
+
+
+def test_brute_force_rejects_a_non_integral_resolution(two_path):
+    params = fm.ConstraintParams(N=2.0)
+    for bad in (2.5, 50.0):
+        with pytest.raises(fm.ParameterError, match=f"resolution must be in 1..2000, got {bad}"):
+            fm.brute_force_min(two_path, params, resolution=bad)
+    # numpy integers pass, as SolveOptions accepts them for its counts
+    got = fm.brute_force_min(two_path, params, resolution=np.int64(50))
+    expect = fm.brute_force_min(two_path, params, resolution=50)
+    assert got.value == expect.value
+    assert np.array_equal(got.measure.weights, expect.measure.weights)
 
 
 def test_brute_force_infeasible_floor(two_path_pair):

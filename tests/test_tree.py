@@ -2,9 +2,11 @@
 
 Differential and hypothesis tests: values and gradients of m, n, the
 correlation floor and the p = 2 inner product, on batches of weight rows
-(including zero-weight blocks), and the exact cases the acceptance gate
-relies on.
+(including zero-weight blocks), the exact cases the acceptance gate
+relies on, and the grid oracle against the full-grid loop it replaced.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,3 +229,83 @@ def test_brute_force_matches_full_grid_reference(block, monkeypatch):
         got = fm.brute_force_min(g, params, resolution=res)
         assert got.value == pytest.approx(v_ref, rel=1e-12, abs=1e-15)
         assert np.array_equal(got.measure.weights, q_ref)
+
+
+def grid_correlations(g, N, resolution):
+    """The floor integral of exchanges 0 and 1 at every grid row in the box."""
+    lo, hi = box_bounds(g.lattice, N)
+    P = g.lattice.n_paths
+    axis = np.linspace(lo[0], hi[0], resolution + 1)
+    head = np.stack(np.meshgrid(*[axis] * (P - 1), indexing="ij"), -1).reshape(-1, P - 1)
+    last = 1.0 - head.sum(axis=1)
+    keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
+    tree = Tree(g)
+    cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+    return Floor(tree, [(0, 1)]).moments(tree.node_weights(cand))[0][:, 0]
+
+
+def oracle_outcome(search, g, params, resolution):
+    """(value, weight bytes), or the type and text of the error raised."""
+    try:
+        got = search(g, params, resolution)
+    except fm.FairmeasureError as exc:
+        return type(exc), str(exc)
+    return got.value, got.measure.weights.tobytes()
+
+
+@st.composite
+def grid_instances(draw):
+    """(process, params, resolution, BLOCK_ELEMS or None, floor mode).
+
+    P in 2..6 (b = 2 with K <= 2, or b in 3..6 with K = 1); N at 1, at
+    1 + 1e-9 or up to 4; m at p in {1, 1.5, 2, 3} or n, on a random or a flat
+    process; an active two-exchange floor or one no grid point meets; rows
+    scored in the default blocks, in blocks of 7 entries or in blocks that
+    end inside a prefix's run.  Grids reach about 2e5 points."""
+    b = draw(st.integers(2, 6))
+    lat = fm.build_lattice(b, draw(st.integers(1, 2)) if b == 2 else 1)
+    P = lat.n_paths
+    floor = draw(st.sampled_from([None, None, "active", "unmet"]))
+    n = 2 if floor else draw(st.integers(1, 2))
+    if draw(st.booleans()) and not floor:
+        g = fm.LatticeProcess(lat, n, 1, np.ones((lat.depth + 1, P, n)))  # every point ties
+    else:
+        g = random_process(np.random.default_rng(draw(st.integers(0, 2 ** 16))), lat, n=n,
+                           low=0.5, high=2.5)
+    N = draw(st.sampled_from([1.0, 1.0 + 1e-9]) | st.floats(1.0, 4.0))
+    block = draw(st.sampled_from([None, 7, "split"]))
+    points = min({None: 2e5, 7: 300, "split": 1500}[block], 2e4 if floor else 2e5)
+    r_max = 1
+    while r_max < 2000 and (r_max + 2) ** (P - 1) <= points:
+        r_max += 1
+    resolution = draw(st.just(r_max) | st.integers(1, r_max))
+    if block == "split":  # blocks of rows that are not whole runs of the last axis
+        block = P * draw(st.integers(2, 2 * resolution + 3).filter(
+            lambda rows: rows % (resolution + 1) != 0))
+    objective = draw(st.sampled_from(["m", "n"]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    c = None
+    if floor:
+        free = ref.grid_min(g, fm.ConstraintParams(N=N, p=p, objective=objective), resolution)
+        at_free = fm.correlation_integral(free.measure, g, 0, 1)
+        top = float(grid_correlations(g, N, resolution).max())
+        c = top + 0.5 if floor == "unmet" else at_free + (top - at_free) * draw(
+            st.floats(0.1, 1.0))
+    return g, fm.ConstraintParams(N=N, c=c, p=p, objective=objective), resolution, block, floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_instances())
+def test_brute_force_is_bit_identical_to_the_full_grid_search(case):
+    """The in-box enumeration against the full-grid loop it replaced: the
+    same value and the same weight bytes, or the same error and text."""
+    g, params, resolution, block, floor = case
+    with mock.patch.object(_tree, "BLOCK_ELEMS", block or _tree.BLOCK_ELEMS):
+        expect = oracle_outcome(ref.grid_min, g, params, resolution)
+        got = oracle_outcome(fm.brute_force_min, g, params, resolution)
+    assert got == expect
+    if floor == "unmet":
+        assert expect == (fm.InfeasibleError,
+                          f"no grid point satisfies the correlation floor c={params.c}")
+    else:
+        assert isinstance(expect[0], float)
