@@ -23,8 +23,8 @@ from . import __version__
 from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, build_lattice,
                       uniform_measure)
-from .processes import (GbmParams, calibrate_from_prices, read_price_csv,
-                        simulate_gbm)
+from .processes import (GbmParams, calibrate_from_prices, parse_float_field,
+                        read_price_csv, simulate_gbm)
 from .solver import ConstraintParams, SolveOptions, minimize
 from .unfairness import UnfairnessConfig, unfairness_m, unfairness_n
 
@@ -206,16 +206,10 @@ def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None
             if not (index.isascii() and index.isdigit()):
                 raise ParameterError(f"{where}: bad {name} {index!r}")
             cell += (int(index),)
-        # float() alone would also take digit separators ("0_0.5"), non-ASCII
-        # digits and surrounding spaces; without them its syntax is ASCII's
-        if not (text.isascii() and "_" not in text and text == text.strip()):
-            raise ParameterError(f"{where}: bad {value_name} {text!r}")
         try:
-            value = float(text)
-        except ValueError:
-            raise ParameterError(f"{where}: bad {value_name} {text!r}") from None
-        if not math.isfinite(value):
-            raise ParameterError(f"{where}: non-finite {value_name} {text!r}")
+            value = parse_float_field(text)
+        except ValueError as exc:
+            raise ParameterError(f"{where}: {exc} {value_name} {text!r}") from None
         if cell in cells:
             raise ParameterError(f"{where}: duplicate row for {_cell_name(lattice, names, cell)}")
         cells[cell] = value
@@ -448,10 +442,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means an infeasible optimization
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         cfg = parse_config(args.config)
-        seed = cfg.solver.seed if args.seed is None else args.seed
+        if args.seed is not None:
+            # through SolveOptions, so every command gets the same checked seed
+            cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
         handler = {
             "simulate": cmd_simulate,
             "calibrate": cmd_calibrate,
@@ -459,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
             "optimize": cmd_optimize,
             "verify": cmd_verify,
         }[args.command]
-        return handler(cfg, args.out, seed)
+        return handler(cfg, args.out, cfg.solver.seed)
     except (FairmeasureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -224,12 +224,28 @@ class PriceSeries:
         return int(self.timestamps.size)
 
 
+def parse_float_field(text: str) -> float:
+    """The float of one CSV field, under the rule every CSV reader shares:
+    ASCII only, no digit separators, no surrounding space, finite.  float()
+    alone would also take "1_0", non-ASCII digits and surrounding spaces.
+    Raises ValueError whose message, "bad" or "non-finite", the caller puts
+    before the field's name."""
+    if not (text.isascii() and "_" not in text and text == text.strip()):
+        raise ValueError("bad")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("bad") from None
+    if not math.isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
 def _parse_timestamp(text: str) -> float:
     text = text.strip()
-    try:
+    # int() would also take "1_000", "+5" and non-ASCII digits
+    if text.isascii() and text.removeprefix("-").isdigit():
         return float(int(text))
-    except ValueError:
-        pass
     try:
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -261,11 +277,11 @@ def read_price_csv(path) -> list[PriceSeries]:
             if not name:
                 raise IngestionError(f"{path}:{lineno}: empty exchange name")
             try:
-                price = float(row[2])
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: bad price {row[2]!r}") from None
-            if not math.isfinite(price) or price <= 0.0:
-                raise IngestionError(f"{path}:{lineno}: price must be finite and positive")
+                price = parse_float_field(row[2])
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: {exc} price {row[2]!r}") from None
+            if price <= 0.0:
+                raise IngestionError(f"{path}:{lineno}: price must be positive")
             if name not in data:
                 order.append(name)
                 data[name] = []
@@ -304,7 +320,7 @@ def _uniform_interval(series: PriceSeries) -> float:
     return dt
 
 
-def calibrate_from_prices(series: list[PriceSeries], *, d: int = 1) -> GbmParams:
+def calibrate_from_prices(series: list[PriceSeries]) -> GbmParams:
     """Fit per-exchange drift/vol and the cross-exchange correlation.
 
     Per series: sigma = sd(log returns)/sqrt(dt) with the unbiased sample
@@ -314,11 +330,9 @@ def calibrate_from_prices(series: list[PriceSeries], *, d: int = 1) -> GbmParams
     unit diagonal.  A constant series gets sigma = 0 and zero off-diagonal
     correlation, with a warning.  Start values are the last observations.
 
-    Series are scalar, so d must be 1 and n = len(series); correlation needs
+    Series are scalar, so d = 1 and n = len(series); correlation needs
     equally long, equally sampled series when n >= 2.
     """
-    if d != 1:
-        raise ParameterError("price series are scalar; calibration supports d = 1 only")
     if not series:
         raise IngestionError("no series to calibrate")
     n = len(series)

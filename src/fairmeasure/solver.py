@@ -6,7 +6,7 @@ same as the per-event condition), optionally cut by a correlation floor on
 every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
 with a quadratic penalty rho * sum max(0, c - I)^2 over the exchange pairs
-for the floor, rho growing each round, started from the base measure.  A
+for the floor (rho 10, x10 per round, <= 6 rounds) from the base measure.  A
 row stops once its Frank-Wolfe gap over the box-simplex is at most ``tol``;
 that gap is the solver's one stationarity measure.  On the lattice, m with
 p >= 1 and n are convex in the weights; where m is also smooth (p > 1) and
@@ -22,8 +22,8 @@ axis of the node kernel.  Each row keeps its own step size; an active mask
 drops a row once its gap is at most tol, its line search stalls, its
 projected step vanishes or it reaches max_iter, and each backtracking trial
 evaluates only the rows still searching.  Penalty rounds are shared: every row starts
-at rho = penalty_init, and after each round the rows that meet the floor
-leave while the rest go on at the grown rho, so rho is one scalar per round.
+at rho = 10, and after each round the rows that meet the floor leave while
+the rest go on at the grown rho, so rho is one scalar per round.
 Kernel calls and the projection treat rows independently, so each start
 follows the same float path as it would alone.
 
@@ -107,19 +107,16 @@ class SolveOptions:
     restarts: int = 8
     seed: int = 0
     gradient: str = "analytic"    # "analytic" | "fd"
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_rounds: int = 6
 
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
             raise ParameterError(f"gradient must be 'fd' or 'analytic', got {self.gradient!r}")
-        for name in ("max_iter", "restarts", "penalty_rounds"):
+        for name in ("max_iter", "restarts", "seed"):
             val = getattr(self, name)
             if not isinstance(val, Integral) or isinstance(val, bool):
                 raise ParameterError(f"{name} must be an int, got {val!r}")
-        if self.max_iter < 0 or self.restarts < 1 or self.penalty_rounds < 1:
-            raise ParameterError("need max_iter >= 0, restarts >= 1 and penalty_rounds >= 1")
+        if self.max_iter < 0 or self.restarts < 1 or self.seed < 0:
+            raise ParameterError("need max_iter >= 0, restarts >= 1 and seed >= 0")
         if not 0.0 < self.step < math.inf:
             raise ParameterError(f"step must be finite and > 0, got {self.step}")
         if not 0.0 <= self.tol < math.inf:
@@ -179,8 +176,7 @@ class ConstraintReport:
         return out
 
 
-def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams,
-                      feas_tol: float = FEASIBILITY_TOL) -> ConstraintReport:
+def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams) -> ConstraintReport:
     """Report per-atom box slacks, normalization, and correlation-floor slacks."""
     if Q.lattice != g.lattice:
         raise ParameterError("measure and process live on different lattices")
@@ -194,9 +190,9 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams,
     for i, j in _floor_pairs(g, params):
         corr[(i, j)] = correlation_integral(Q, g, i, j)
         slack[(i, j)] = corr[(i, j)] - params.c
-    feasible = (float(lower.min()) >= -feas_tol and float(upper.min()) >= -feas_tol
-                and abs(norm_err) <= feas_tol
-                and all(s >= -feas_tol for s in slack.values()))
+    feasible = (float(lower.min()) >= -FEASIBILITY_TOL and float(upper.min()) >= -FEASIBILITY_TOL
+                and abs(norm_err) <= FEASIBILITY_TOL
+                and all(s >= -FEASIBILITY_TOL for s in slack.values()))
     return ConstraintReport(lower, upper, norm_err, corr, slack, feasible)
 
 
@@ -308,22 +304,28 @@ class SolveReport:
             raise ParameterError("feasible report with slack below tolerance")
 
 
+# The floor's penalty schedule: the first rho, its growth per round, the most rounds.
+_PENALTY_INIT = 10.0
+_PENALTY_GROWTH = 10.0
+_PENALTY_ROUNDS = 6
+
+
 def _solve_starts(obj: _Objective, starts: np.ndarray,
                   project: Callable[[np.ndarray], np.ndarray],
                   gap: Callable[[np.ndarray, np.ndarray], np.ndarray], opts: SolveOptions,
                   floor_active: bool) -> Descent:
     """Descend from every start row at once.  Every row begins at rho =
-    penalty_init, and the rows still above the floor after a round go on
-    with rho grown by penalty_growth, so one scalar rho serves each round."""
+    _PENALTY_INIT, and the rows still above the floor after a round go on
+    with rho grown by _PENALTY_GROWTH, so one scalar rho serves each round."""
     run = Descent(obj, starts, project, gap, opts)
     rows = np.arange(len(starts))
-    rho = opts.penalty_init if floor_active else 0.0
-    for _ in range(opts.penalty_rounds if floor_active else 1):
+    rho = _PENALTY_INIT if floor_active else 0.0
+    for _ in range(_PENALTY_ROUNDS if floor_active else 1):
         run.round(rows, rho)
         rows = rows[run.viol[rows] > FEASIBILITY_TOL]
         if not floor_active or not rows.size:
             break
-        rho *= opts.penalty_growth
+        rho *= _PENALTY_GROWTH
     return run
 
 
@@ -341,8 +343,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     the starts; for m with p > 1 and no floor the objective is convex and
     smooth, so the base start alone reaches the optimum and no random start
     is drawn.  The correlation floor is handled by the quadratic penalty
-    rho * sum max(0, c - I)^2 over the exchange pairs, rho growing by
-    ``penalty_growth`` each round.  Every start point is itself kept as a
+    rho * sum max(0, c - I)^2 over the exchange pairs; rho starts at 10 and
+    grows tenfold per round, at most 6 rounds.  Every start point is kept as a
     candidate, so whenever the base measure is feasible the report is
     feasible with value no worse than the base value.  If no candidate ever
     satisfies the floor the best penalized point is returned with
@@ -438,20 +440,17 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     lo, hi = box_bounds(lat, params.N)
     obj = _Objective(g, params)
     axis = np.linspace(lo[0], hi[0], width)  # every axis, as the box is uniform
-    inside = lambda last: (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
     best_q, best_value, in_box = None, math.inf, False
-    for rows in row_blocks(size, P):
-        # rows are prefixes on the first P - 2 axes by the last; prefix sums match head.sum's
-        first, skip = divmod(rows.start, width)
-        pre = [axis[d] for d in np.unravel_index(np.arange(first, (rows.stop - 1) // width + 1),
+    for rows in row_blocks(width ** (P - 2), P * width):
+        # prefixes on the first P - 2 axes by the last head axis, summed left to right
+        pre = [axis[d] for d in np.unravel_index(np.arange(rows.start, rows.stop),
                                                  (1,) + (width,) * (P - 2))[1:]]
-        box = inside(1.0 - (sum(pre, np.zeros(1))[:, None] + axis)).ravel()
-        i, j = np.divmod(skip + np.flatnonzero(box[skip:skip + rows.stop - rows.start]), width)
-        head = np.stack([x[i] for x in pre] + [axis[j]], axis=1)
-        last = 1.0 - head.sum(axis=1)
-        cand = np.column_stack([head, np.clip(last, lo[-1], hi[-1])]).compress(inside(last), axis=0)
-        if cand.shape[0] == 0:
+        last = 1.0 - (sum(pre, np.zeros(rows.stop - rows.start))[:, None] + axis)
+        i, j = np.nonzero((last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12))
+        if i.size == 0:
             continue
+        cand = np.column_stack([x[i] for x in pre]
+                               + [axis[j], np.clip(last[i, j], lo[-1], hi[-1])])
         in_box = True
         W = obj.tree.node_weights(cand)
         values = obj.raw(W)

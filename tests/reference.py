@@ -188,10 +188,11 @@ def solve_from(obj, q0, project, gap, opts, floor_active):
     """Penalty rounds from one start: rho grows until the floor is met.
     Returns a dict of the point reached (q, value, violation), the summed
     iterations and trace, and the last round's rho and stop reason."""
-    from fairmeasure.solver import FEASIBILITY_TOL
-    rho = opts.penalty_init if floor_active else 0.0
+    from fairmeasure.solver import (_PENALTY_GROWTH, _PENALTY_INIT, _PENALTY_ROUNDS,
+                                    FEASIBILITY_TOL)
+    rho = _PENALTY_INIT if floor_active else 0.0
     q, iters, trace, rounds = q0, 0, [], 0
-    for _ in range(opts.penalty_rounds if floor_active else 1):
+    for _ in range(_PENALTY_ROUNDS if floor_active else 1):
         q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, opts, rho)
         iters += n
         trace.extend(steps)
@@ -199,7 +200,7 @@ def solve_from(obj, q0, project, gap, opts, floor_active):
         used = rho
         if not floor_active or viol <= FEASIBILITY_TOL:
             break
-        rho *= opts.penalty_growth
+        rho *= _PENALTY_GROWTH
     return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace,
                 rho=used, stop=stop, penalty_rounds=rounds)
 

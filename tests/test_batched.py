@@ -191,10 +191,11 @@ def test_minimize_matches_reference_on_the_penalty_path(gradient):
 
 def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):
     params = fm.ConstraintParams(N=2.0, c=0.9, p=2.0)
-    opts = fm.SolveOptions(restarts=3, max_iter=40, penalty_rounds=3)
+    opts = fm.SolveOptions(restarts=3, max_iter=40)
     rep, runs = assert_matches_reference(two_path_pair, params, opts)
     assert not rep.feasible
-    assert all(run["penalty_rounds"] == 3 and run["rho"] == 1000.0 for run in runs)
+    assert all(run["penalty_rounds"] == solver._PENALTY_ROUNDS and run["rho"] == 1e6
+               for run in runs)
 
 
 @settings(max_examples=25, deadline=None)

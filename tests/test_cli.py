@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -594,3 +595,23 @@ def test_config_requires_exactly_one_process_source(tmp_path, capsys):
 def test_missing_config_exits_1(tmp_path, capsys):
     assert cli.main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "config.json")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "process.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--config", "c.json", "--seed", "2.5"]])
+def test_usage_errors_exit_1_not_the_infeasible_code(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "usage: fairmeasure" in err and "Traceback" not in err
+
+
+def test_solve_options_fields_are_the_solver_config_keys():
+    assert {f.name for f in dataclasses.fields(fm.SolveOptions)} == set(cli._SOLVER)

@@ -203,8 +203,6 @@ def test_calibrate_input_errors():
     b = fm.PriceSeries("b", np.arange(4.0), np.array([1.0, 2.0, 1.5, 1.2]))
     with pytest.raises(fm.IngestionError):
         fm.calibrate_from_prices([a, b])
-    with pytest.raises(fm.ParameterError):
-        fm.calibrate_from_prices([a], d=2)
 
 
 def test_psd_projection():
@@ -256,6 +254,14 @@ def test_read_price_csv(tmp_path):
     ("timestamp,exchange,price\n1,a,zero\n", "price"),
     ("timestamp,exchange,price\n1,a,-2.0\n", "positive"),
     ("timestamp,exchange,price\n1,,2.0\n", "exchange"),
+    ("timestamp,exchange,price\n1,a, 1_0\n", "bad price"),
+    ("timestamp,exchange,price\n1,a,\uff11\uff12\n", "bad price"),
+    ("timestamp,exchange,price\n1,a,2.5 \n", "bad price"),
+    ("timestamp,exchange,price\n1,a,1_0\n", "bad price"),
+    ("timestamp,exchange,price\n1,a,inf\n", "non-finite price"),
+    ("timestamp,exchange,price\n1_000,a,2.0\n", "timestamp"),
+    ("timestamp,exchange,price\n+5,a,2.0\n", "timestamp"),
+    ("timestamp,exchange,price\n\uff11\uff12,a,2.0\n", "timestamp"),
 ])
 def test_read_price_csv_rejects_malformed_rows(tmp_path, body, msg):
     path = tmp_path / "bad.csv"

@@ -685,17 +685,12 @@ def test_solve_report_contents(two_path):
     assert all(s >= -fm.solver.FEASIBILITY_TOL for s in rep.constraint_slacks.values())
 
 
-def test_solve_options_need_a_penalty_round():
-    with pytest.raises(fm.ParameterError):
-        fm.SolveOptions(penalty_rounds=0)
-
-
 @pytest.mark.parametrize("field,bad", [
     ("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
     ("tol", -1e-9), ("tol", math.nan), ("tol", math.inf),
     ("max_iter", 2.5), ("max_iter", True),
     ("restarts", 2.5), ("restarts", True),
-    ("penalty_rounds", 2.5), ("penalty_rounds", True),
+    ("seed", -1), ("seed", 2.5), ("seed", True),
 ])
 def test_solve_options_reject_out_of_range_values(field, bad):
     with pytest.raises(fm.ParameterError, match=field):
@@ -703,9 +698,8 @@ def test_solve_options_reject_out_of_range_values(field, bad):
 
 
 def test_solve_options_accept_their_edge_values():
-    opts = fm.SolveOptions(max_iter=0, step=1e-300, tol=0.0, restarts=1,
-                           penalty_rounds=np.int64(1))
-    assert opts.tol == 0.0 and opts.penalty_rounds == 1
+    opts = fm.SolveOptions(max_iter=0, step=1e-300, tol=0.0, restarts=1, seed=np.int64(0))
+    assert opts.tol == 0.0 and opts.seed == 0
 
 
 def test_minimize_deterministic_given_seed(two_path):
