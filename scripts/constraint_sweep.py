@@ -38,7 +38,6 @@ def main() -> None:
 
     N_grid = [1.2, 1.5, 2.0, 3.0]
     c_grid = [0.0, base_corr / 2, base_corr * 0.9]
-    grad = "analytic" if args.objective == "n" else "fd"
 
     rows = []
     winners: dict[tuple[float, float], np.ndarray] = {}
@@ -52,7 +51,7 @@ def main() -> None:
                     extra.append(winners[key])
             params = fm.ConstraintParams(N=N, c=c, p=args.p, objective=args.objective)
             rep = fm.minimize(g, params,
-                              fm.SolveOptions(restarts=4, seed=args.seed, gradient=grad),
+                              fm.SolveOptions(restarts=4, seed=args.seed),
                               extra_starts=extra)
             winners[(N, c)] = rep.measure.weights
             slack = min(v for k, v in rep.constraint_slacks.items()

@@ -5,8 +5,7 @@
 rounds through :meth:`Descent.round`.  The objective supplies per-row values
 and gradients (``solver._Objective``), the projection maps rows onto the
 feasible box-simplex, the gap gives each row's Frank-Wolfe gap over it, and
-the options give max_iter, step, tol and the gradient mode; an FD gradient
-uses the relative step ``_FD_STEP``.
+the options give max_iter, step and tol.
 """
 from __future__ import annotations
 
@@ -16,8 +15,6 @@ import numpy as np
 
 # A backtracking line search that halves the step to this size has stalled.
 _MIN_STEP = 1e-14
-# Relative step of the central differences of gradient="fd".
-_FD_STEP = 1e-7
 
 
 class Descent:
@@ -61,7 +58,7 @@ class Descent:
             if not active.size:
                 break
             x = q[active]
-            grad = obj.gradient(x, opts.gradient, _FD_STEP, rho)
+            grad = obj.gradient(x, rho)
             self.counts[active, 1] += 1
             done = self.gap(x, grad) <= opts.tol
             self.stop[active[done]] = "tol"

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError
 from .lattice import LatticeProcess, _weighted_mean
 
-# Weight entries per row block when a large batch (an FD stencil or the
-# oracle grid) is evaluated piecewise; bounds the kernel's working memory.
+# Weight entries per row block when a large batch (the oracle grid) is
+# evaluated piecewise; bounds the kernel's working memory.
 BLOCK_ELEMS = 1 << 18
 
 

@@ -74,6 +74,8 @@ _GBM = {"n": int, "d": int, "drift": np.ndarray, "vol": np.ndarray, "corr": np.n
         "s0": np.ndarray}
 _CALIBRATION = {"csv": str, "exchanges": list}
 _CONSTRAINTS = {"N": float, "c": float, "p": float}
+# "gradient" builds nothing: parse_config accepts it as "analytic" (the only
+# gradient) or null, so that configs which name it still parse.
 _SOLVER = {"max_iter": int, "step": float, "tol": float, "restarts": int, "seed": int,
            "gradient": str}
 _IO = {"process_file": str, "measure_file": str, "report_file": str, "params_file": str}
@@ -144,9 +146,13 @@ def parse_config(path: str) -> RunConfig:
     objective = {"objective": top["objective"]} if "objective" in top else {}
     constraints = _build(ConstraintParams, top.get("constraints", {}), _CONSTRAINTS,
                          "constraints", **objective)
+    solver = dict(top.get("solver", {}))
+    if solver.pop("gradient", None) not in (None, "analytic"):
+        raise ConfigError('solver.gradient: only "analytic" is supported; '
+                          "the FD gradient was removed")
     return RunConfig(lattice=lattice, gbm=gbm, calibration=calibration,
                      constraints=constraints,
-                     solver=_build(SolveOptions, top.get("solver", {}), _SOLVER, "solver"),
+                     solver=_build(SolveOptions, solver, _SOLVER, "solver"),
                      io=_build(IoPaths, top.get("io", {}), _IO, "io"),
                      config_dir=os.path.dirname(os.path.abspath(path)))
 

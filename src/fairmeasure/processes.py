@@ -242,14 +242,11 @@ def parse_float_field(text: str) -> float:
 
 
 def _parse_timestamp(text: str) -> float:
-    text = text.strip()
+    """Epoch seconds of an integer or ISO-8601 field; raises ValueError."""
     # int() would also take "1_000", "+5" and non-ASCII digits
     if text.isascii() and text.removeprefix("-").isdigit():
         return float(int(text))
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise IngestionError(f"bad timestamp {text!r}: {exc}") from None
+    stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp()
@@ -267,15 +264,21 @@ def read_price_csv(path) -> list[PriceSeries]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["timestamp", "exchange", "price"]:
-            raise IngestionError(f"{path}: expected header 'timestamp,exchange,price', got {header}")
+        if header != ["timestamp", "exchange", "price"]:
+            raise IngestionError(f"{path}:1: expected header 'timestamp,exchange,price', "
+                                 f"got {header}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3:
                 raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0])
-            name = row[1].strip()
+            try:
+                ts = _parse_timestamp(row[0])
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from None
+            name = row[1]
             if not name:
                 raise IngestionError(f"{path}:{lineno}: empty exchange name")
+            if name != name.strip():
+                raise IngestionError(f"{path}:{lineno}: bad exchange name {name!r}")
             try:
                 price = parse_float_field(row[2])
             except ValueError as exc:

@@ -36,10 +36,8 @@ safeguard (Cominetti, Mascarenhas & Silva 2014; Dai & Fletcher 2006;
 Kiwiel 2008), in a number of O(P) passes that is small in practice and
 bounded by 2P + floor(log2 P) + 4.
 
-Each value and analytic gradient is one O(P) pass of the node kernel in
-``_tree``; an FD gradient is one batched pass over 2P perturbed rows, O(P^2)
-in all, so "analytic" is the default and "fd" an explicit check, refused
-above ``_FD_PATH_BUDGET`` paths.
+Each value and each gradient is one O(P) pass of the node kernel in
+``_tree``; the gradient is the kernel's exact adjoint sweep.
 """
 from __future__ import annotations
 
@@ -50,7 +48,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._descent import _FD_STEP, Descent
+from ._descent import Descent
 from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
@@ -65,11 +63,6 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-8
-# Most paths on which gradient="fd" is accepted.  An FD gradient is 2P kernel
-# rows, O(P^2): on b = 2 lattices one took 9 ms at P = 256, 0.16 s at P = 1024
-# and 0.59 s at P = 2048, against under 1 ms for the analytic gradient, so a
-# 300-iteration, 4-start solve at P = 1024 already spends minutes in FD.
-_FD_PATH_BUDGET = 1024
 _GRID_BUDGET = 10 ** 8  # oracle grid points; scoring them takes about a minute
 
 
@@ -106,21 +99,24 @@ class SolveOptions:
     tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
-    gradient: str = "analytic"    # "analytic" | "fd"
 
     def __post_init__(self):
-        if self.gradient not in ("fd", "analytic"):
-            raise ParameterError(f"gradient must be 'fd' or 'analytic', got {self.gradient!r}")
-        for name in ("max_iter", "restarts", "seed"):
+        for name, least in (("max_iter", 0), ("restarts", 1), ("seed", 0)):
             val = getattr(self, name)
             if not isinstance(val, Integral) or isinstance(val, bool):
                 raise ParameterError(f"{name} must be an int, got {val!r}")
-        if self.max_iter < 0 or self.restarts < 1 or self.seed < 0:
-            raise ParameterError("need max_iter >= 0, restarts >= 1 and seed >= 0")
+            if val < least:
+                raise ParameterError(f"{name} must be >= {least}, got {val}")
         if not 0.0 < self.step < math.inf:
             raise ParameterError(f"step must be finite and > 0, got {self.step}")
         if not 0.0 <= self.tol < math.inf:
             raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
+
+    @property
+    def gradient(self) -> str:
+        """The one gradient there is, the kernel's adjoint; not a field, so it
+        cannot be set, but callers written when it was an option can read it."""
+        return "analytic"
 
 
 def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +196,9 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams) -
 
 class _Objective:
     """Penalized objective on raw weight rows (G, P) or one vector (P,):
-    values and gradients, each one pass of the node kernel in ``_tree``
-    (FD: over 2P perturbed rows per row).  The penalty weight rho is an
-    argument, so one tree serves every penalty round."""
+    values and exact gradients, each one pass of the node kernel in
+    ``_tree``.  The penalty weight rho is an argument, so one tree serves
+    every penalty round."""
 
     def __init__(self, g: LatticeProcess, params: ConstraintParams):
         self.params = params
@@ -225,33 +221,18 @@ class _Objective:
         viols = np.maximum(0.0, self.params.c - self.floor.moments(W)[0])
         return raw + rho * (viols * viols).sum(axis=1), raw, viols.max(axis=1)
 
-    def gradient(self, Q: np.ndarray, mode: str, h: float, rho: float = 0.0) -> np.ndarray:
-        """Gradient of the penalized value, in the shape of Q."""
-        X = np.atleast_2d(Q)
-        if mode == "analytic":
-            W = self.tree.node_weights(X)
-            if self.params.objective == "m":
-                terms, D = self.tree.m(W, self.params.p, adjoint=True)
-            else:
-                terms, D = self.tree.n_value(W, adjoint=True)
-            if self.floor is not None and rho > 0.0:
-                pen = self.floor.penalty_terms(W, self.params.c, rho)
-                terms = [t + e for t, e in zip(terms, pen)]
-            return self.tree.reverse(terms, D).reshape(Q.shape)
-        if mode != "fd":
-            raise ParameterError(f"unknown gradient mode {mode!r}")
-        G, P = X.shape
-        step = h * np.maximum(1.0, np.sqrt((X * X).sum(axis=1)))
-        # stencil row s perturbs row s // 2P at coordinate s % P, up in the
-        # first P of its 2P rows and down in the rest
-        pen = np.empty(2 * G * P)
-        for rows in row_blocks(2 * G * P, P):
-            row, j = np.divmod(np.arange(rows.start, rows.stop), 2 * P)
-            S = X[row]
-            S[np.arange(row.size), j % P] += np.where(j < P, step[row], -step[row])
-            pen[rows] = self.evaluate(S, rho)[0]
-        pen = pen.reshape(G, 2, P)
-        return ((pen[:, 0] - pen[:, 1]) / (2.0 * step[:, None])).reshape(Q.shape)
+    def gradient(self, Q: np.ndarray, rho: float = 0.0) -> np.ndarray:
+        """Gradient of the penalized value, in the shape of Q: the adjoint
+        sweep of the node kernel."""
+        W = self.tree.node_weights(np.atleast_2d(Q))
+        if self.params.objective == "m":
+            terms, D = self.tree.m(W, self.params.p, adjoint=True)
+        else:
+            terms, D = self.tree.n_value(W, adjoint=True)
+        if self.floor is not None and rho > 0.0:
+            pen = self.floor.penalty_terms(W, self.params.c, rho)
+            terms = [t + e for t, e in zip(terms, pen)]
+        return self.tree.reverse(terms, D).reshape(Q.shape)
 
 
 # -- minimization --------------------------------------------------------------
@@ -285,7 +266,7 @@ class SolveReport:
     start point followed by the point solved from it (2r is start r itself,
     2r + 1 its descent).  ``gap`` is the winner's Frank-Wolfe gap, a
     certified bound on value minus the optimal value, where one holds: m
-    with p > 1, no active floor and the analytic gradient; None elsewhere."""
+    with p > 1 and no active floor; None elsewhere."""
 
     measure: Measure
     value: float
@@ -348,15 +329,10 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     candidate, so whenever the base measure is feasible the report is
     feasible with value no worse than the base value.  If no candidate ever
     satisfies the floor the best penalized point is returned with
-    ``feasible=False``.  ``gradient="fd"`` above ``_FD_PATH_BUDGET`` paths
-    raises :class:`SizeBudgetError`.
+    ``feasible=False``.
     """
     lat = g.lattice
     P = lat.n_paths
-    if opts.gradient == "fd" and P > _FD_PATH_BUDGET:
-        raise SizeBudgetError(
-            f"gradient='fd' on {P} paths exceeds the budget of {_FD_PATH_BUDGET}: "
-            "each FD gradient evaluates 2P weight rows, O(P^2); use gradient='analytic'")
     lo, hi = box_bounds(lat, params.N)
     project = lambda V: project_capped_simplex(V, lo[0], hi[0])
     gap = lambda V, grad: frank_wolfe_gap(V, grad, lo[0], hi[0])
@@ -398,10 +374,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     measure = Measure(lat, q)
     report = check_constraints(measure, g, params)
     # the winner's gap certifies its value only where m is smooth and convex
-    # (no floor, so rho = 0) and its gradient is exact
-    certified = None
-    if smooth_convex and opts.gradient == "analytic":
-        certified = max(0.0, float(gap(q, obj.gradient(q, "analytic", _FD_STEP))))
+    # (no floor, so rho = 0)
+    certified = max(0.0, float(gap(q, obj.gradient(q)))) if smooth_convex else None
     feasible = bool(feasible_idx.size) and report.feasible
     return SolveReport(measure=measure, value=float(value[w]),
                        gap=certified, constraint_slacks=report.summary(),

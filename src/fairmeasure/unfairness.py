@@ -18,7 +18,7 @@ unfairness, so the space carrying the p = 2 inner product is simply the
 set of all lattice processes; no membership check is needed.
 
 All of them run on the node kernel in ``_tree``.  On P paths a value costs
-O(P), and so does an analytic gradient; an FD gradient is 2P kernel rows.
+O(P), and so does its exact gradient.
 """
 from __future__ import annotations
 

@@ -141,6 +141,19 @@ def grad_penalty(q, g, pairs, c, rho):
     return grad
 
 
+def central_difference(obj, q, h, rho=0.0):
+    """The gradient of ``obj``'s penalized value at q (P,) by central
+    differences, one coordinate at a time, with the step h * max(1, |q|)."""
+    step = h * max(1.0, float(np.linalg.norm(q)))
+    grad = np.empty(q.size)
+    for j in range(q.size):
+        plus, minus = q.copy(), q.copy()
+        plus[j] += step
+        minus[j] -= step
+        grad[j] = (obj.evaluate(plus, rho)[0][0] - obj.evaluate(minus, rho)[0][0]) / (2.0 * step)
+    return grad
+
+
 # -- the per-start solver loop ----------------------------------------------------
 
 def pgd(obj, q0, project, gap, opts, rho):
@@ -149,7 +162,7 @@ def pgd(obj, q0, project, gap, opts, rho):
     were batched.  A start stops at "tol" once ``gap`` (the package's
     Frank-Wolfe gap) is at most tol.  Returns (q, raw value, violation,
     iterations, trace, stop reason)."""
-    from fairmeasure._descent import _FD_STEP, _MIN_STEP
+    from fairmeasure._descent import _MIN_STEP
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
     trace = []
@@ -157,7 +170,7 @@ def pgd(obj, q0, project, gap, opts, rho):
     iters = 0
     stop = "max_iter"
     for _ in range(opts.max_iter):
-        grad = obj.gradient(q, opts.gradient, _FD_STEP, rho)
+        grad = obj.gradient(q, rho)
         if float(gap(q, grad)) <= opts.tol:
             stop = "tol"
             break

@@ -14,6 +14,7 @@ from fairmeasure import UnfairnessConfig, cli
 from fairmeasure._tree import Floor, Tree
 from fairmeasure.solver import _Objective, box_bounds
 
+import reference as ref
 from conftest import (binomial_process, dyadic_martingale,
                       martingale_from_terminal, random_measure, random_process)
 
@@ -213,10 +214,9 @@ def test_criterion_5_zero_recovery():
         lo, hi = box_bounds(g.lattice, N)
         assert np.all(oracle.weights >= lo) and np.all(oracle.weights <= hi), \
             f"{name}: oracle not inside the box"
-        for objective, grad in (("m", "fd"), ("n", "analytic")):
+        for objective in ("m", "n"):
             params = fm.ConstraintParams(N=N, p=2.0, objective=objective)
-            rep = fm.minimize(g, params,
-                              fm.SolveOptions(restarts=4, max_iter=600, gradient=grad))
+            rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, max_iter=600))
             if not rep.feasible:
                 failures.append(f"{name}/{objective}: infeasible")
             if rep.value > 1e-8:
@@ -240,8 +240,8 @@ def _corpus_for_criterion_6():
     lat4 = fm.build_lattice(4, 1)
     cases = []
 
-    def add(name, g, params, grad="fd", resolution=2000):
-        cases.append((name, g, params, grad, resolution))
+    def add(name, g, params, resolution=2000):
+        cases.append((name, g, params, resolution))
 
     def rand(seed, lat):
         return random_process(np.random.default_rng(seed), lat, low=0.5, high=2.5)
@@ -268,9 +268,9 @@ def _corpus_for_criterion_6():
     add("2p-narrow-boundary", binomial_process(lat1, 1.0, 1.2, 0.85),
         fm.ConstraintParams(N=1.05, p=2.0, objective="m"))
     add("2p-n", binomial_process(lat1, 1.0, 1.45, 0.7),
-        fm.ConstraintParams(N=2.0, objective="n"), grad="analytic")
+        fm.ConstraintParams(N=2.0, objective="n"))
     add("2p-n-boundary", binomial_process(lat1, 1.0, 1.8, 0.7),
-        fm.ConstraintParams(N=1.15, objective="n"), grad="analytic")
+        fm.ConstraintParams(N=1.15, objective="n"))
 
     # penalized: correlation floor active between the unconstrained optimum
     # and the achievable maximum; the floor value is taken from an exact
@@ -315,9 +315,8 @@ def test_criterion_6_oracle_equivalence():
     cases = _corpus_for_criterion_6()
     if len(cases) < 20:
         failures.append(f"corpus has {len(cases)} < 20 instances")
-    for name, g, params, grad, resolution in cases:
-        rep = fm.minimize(g, params,
-                          fm.SolveOptions(restarts=4, max_iter=400, gradient=grad))
+    for name, g, params, resolution in cases:
+        rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, max_iter=400))
         oracle = fm.brute_force_min(g, params, resolution=resolution)
         tol = max(1e-4, 1e-3 * oracle.value)
         gap = abs(rep.value - oracle.value)
@@ -380,23 +379,23 @@ def test_criterion_8_refinement_monotonicity():
     lat2 = fm.build_lattice(2, 2)
     lat3 = fm.build_lattice(3, 1)
     instances.append((binomial_process(lat1, 1.0, 2.0, 0.5),
-                      fm.ConstraintParams(N=1.4, p=2.0, objective="m"), "fd"))
+                      fm.ConstraintParams(N=1.4, p=2.0, objective="m")))
     instances.append((binomial_process(lat1, 1.0, 1.8, 0.7),
-                      fm.ConstraintParams(N=1.2, p=1.0, objective="m"), "fd"))
+                      fm.ConstraintParams(N=1.2, p=1.0, objective="m")))
     instances.append((binomial_process(lat1, 1.0, 1.5, 0.9),
-                      fm.ConstraintParams(N=2.0, objective="n"), "analytic"))
+                      fm.ConstraintParams(N=2.0, objective="n")))
     for _ in range(4):
         instances.append((random_process(rng, lat2, low=0.5, high=2.5),
                           fm.ConstraintParams(N=float(rng.uniform(1.2, 2.5)),
-                                              p=2.0, objective="m"), "fd"))
+                                              p=2.0, objective="m")))
     for _ in range(3):
         instances.append((random_process(rng, lat3, low=0.5, high=2.5),
                           fm.ConstraintParams(N=float(rng.uniform(1.2, 2.5)),
-                                              p=2.0, objective="m"), "fd"))
+                                              p=2.0, objective="m")))
     if len(instances) != 10:
         failures.append(f"{len(instances)} instances != 10")
-    for idx, (g, params, grad) in enumerate(instances):
-        opts = fm.SolveOptions(restarts=3, max_iter=300, gradient=grad)
+    for idx, (g, params) in enumerate(instances):
+        opts = fm.SolveOptions(restarts=3, max_iter=300)
         coarse = fm.minimize(g, params, opts)
         fine_g = fm.duplicate_branches(g, copies=2)
         lifted = fm.lift_measure(coarse.measure, copies=2)
@@ -425,8 +424,8 @@ def test_criterion_9_gradient_check():
         q = fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi)
         params = param_sets[points % len(param_sets)]
         obj = _Objective(g, params)
-        ana = obj.gradient(q, "analytic", 1e-6)
-        fd = obj.gradient(q, "fd", 1e-6)
+        ana = obj.gradient(q)
+        fd = ref.central_difference(obj, q, 1e-6)
         scale = max(float(np.linalg.norm(ana)), float(np.linalg.norm(fd)), 1e-12)
         rel = float(np.linalg.norm(ana - fd)) / scale
         if rel > 1e-4:

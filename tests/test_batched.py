@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fairmeasure as fm
 from fairmeasure import solver
+from fairmeasure._descent import Descent
 from fairmeasure._projection import frank_wolfe_gap
 from fairmeasure.solver import _Objective, box_bounds
 
@@ -31,9 +32,9 @@ class Counting:
         self.evaluations += 1
         return self.obj.evaluate(Q, rho)
 
-    def gradient(self, Q, mode, h, rho=0.0):
+    def gradient(self, Q, rho=0.0):
         self.gradients += 1
-        return self.obj.gradient(Q, mode, h, rho)
+        return self.obj.gradient(Q, rho)
 
     def project(self, v):
         self.projections += 1
@@ -119,13 +120,12 @@ def test_batched_rows_equal_reference_points(two_path):
         assert run.trace(r) == expect["trace"]
 
 
-@pytest.mark.parametrize("objective,gradient", [("m", "analytic"), ("n", "analytic"),
-                                                ("m", "fd"), ("n", "fd")])
-def test_minimize_matches_reference(objective, gradient):
+@pytest.mark.parametrize("objective", ["m", "n"])
+def test_minimize_matches_reference(objective):
     g = random_process(np.random.default_rng(5), fm.build_lattice(2, 4), low=0.5, high=2.0)
     params = fm.ConstraintParams(N=3.0, p=1.5 if objective == "m" else 2.0,
                                  objective=objective)
-    opts = fm.SolveOptions(restarts=4, max_iter=120, gradient=gradient)
+    opts = fm.SolveOptions(restarts=4, max_iter=120)
     # smooth convex m draws no random starts, so its batch is made of extras
     lo, hi = box_bounds(g.lattice, params.N)
     extra = [np.random.default_rng([1, r]).uniform(lo, hi) for r in range(3)]
@@ -137,13 +137,40 @@ def test_minimize_matches_reference(objective, gradient):
 
 def test_minimize_matches_reference_at_a_kink():
     """m at p = 1 is kinked at its zero, here the uniform base measure: the
-    base row is stationary at once, the random rows descend to the kink and
-    stop on the gap test or on a projected step that no longer moves."""
+    base row is stationary at once, and the random rows descend to the kink,
+    where the gradient jumps and no step decreases the value any more."""
     lat = fm.build_lattice(2, 1)
     g = fm.LatticeProcess(lat, 1, 1, np.array([[[1.0], [1.0]], [[1.5], [0.5]]]))
-    opts = fm.SolveOptions(restarts=4, max_iter=400, gradient="fd")
+    opts = fm.SolveOptions(restarts=4, max_iter=400)
     _, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, p=1.0), opts)
-    assert {"zero-step", "tol"} <= {run["stop"] for run in runs}
+    assert [run["stop"] for run in runs] == ["tol"] + ["stalled-line-search"] * 3
+    assert runs[0]["iterations"] == 0 and all(run["iterations"] > 0 for run in runs[1:])
+
+
+def test_descent_stops_when_the_projected_step_does_not_move(two_path):
+    """m at p = 2 with N = 1.2 has its optimum on the box edge.  With a gap
+    that never certifies, each row steps onto that edge, and there the next
+    projected step returns the same point: every row stops at "zero-step",
+    as it does in the reference loop."""
+    lo, hi = box_bounds(two_path.lattice, 1.2)
+    starts = np.array([fm.uniform_measure(two_path.lattice).weights] +
+                      [fm.project_capped_simplex(np.random.default_rng([0, r]).uniform(lo, hi),
+                                                 lo, hi) for r in range(1, 4)])
+    obj = _Objective(two_path, fm.ConstraintParams(N=1.2, p=2.0))
+    never = lambda v, grad: np.full(np.shape(v)[:-1], np.inf)
+    opts = fm.SolveOptions()
+    run = Descent(obj, starts, lambda v: fm.project_capped_simplex(v, lo, hi), never, opts)
+    run.round(np.arange(len(starts)), 0.0)
+    assert run.stop.tolist() == ["zero-step"] * 4
+    assert run.iterations.tolist() == [1] * 4
+    for r, q0 in enumerate(starts):
+        counting = Counting(obj, lo, hi)
+        q, raw, viol, iters, trace, stop = ref.pgd(counting, q0, counting.project, never,
+                                                   opts, 0.0)
+        assert (run.stop[r], run.iterations[r], run.raw[r], run.viol[r]) == (stop, iters, raw, viol)
+        assert np.array_equal(run.q[r], q) and run.trace(r) == trace
+        assert run.counts[r].tolist() == [counting.evaluations, counting.gradients,
+                                          counting.projections]
 
 
 def test_minimize_matches_reference_with_extra_starts(two_path):
@@ -175,15 +202,14 @@ def test_nonsmooth_or_nonconvex_problems_keep_random_starts(two_path, params):
     assert [rec.kind for rec in rep.restarts] == ["base", "random", "random"]
 
 
-@pytest.mark.parametrize("gradient", ["analytic", "fd"])
-def test_minimize_matches_reference_on_the_penalty_path(gradient):
+def test_minimize_matches_reference_on_the_penalty_path():
     """A floor at its value under the uniform measure binds as soon as a row
     moves; with a short max_iter the rows meet it after different numbers of
     penalty rounds, so the batch shrinks between rounds as within them."""
     lat = fm.build_lattice(2, 2)
     g = random_process(np.random.default_rng(5), lat, n=2, low=0.5, high=2.0)
     c = fm.correlation_integral(fm.uniform_measure(lat), g, 0, 1)
-    opts = fm.SolveOptions(restarts=6, max_iter=4, gradient=gradient)
+    opts = fm.SolveOptions(restarts=6, max_iter=4)
     rep, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, c=c, p=2.0), opts)
     assert len({run["penalty_rounds"] for run in runs}) > 2
     assert rep.feasible

@@ -602,7 +602,8 @@ def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "config.json")
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "seed >= 0" in err and "Traceback" not in err
+    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "process.csv").exists() and not (tmp_path / "report.json").exists()
 
 
@@ -614,4 +615,29 @@ def test_usage_errors_exit_1_not_the_infeasible_code(capsys, argv):
 
 
 def test_solve_options_fields_are_the_solver_config_keys():
-    assert {f.name for f in dataclasses.fields(fm.SolveOptions)} == set(cli._SOLVER)
+    """Every solver key but "gradient", which builds nothing, is a field."""
+    assert {f.name for f in dataclasses.fields(fm.SolveOptions)} == cli._SOLVER.keys() - {"gradient"}
+
+
+def test_config_gradient_other_than_analytic_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json", solver={"gradient": "fd"})
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert 'solver.gradient: only "analytic" is supported' in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("gradient", ["analytic", None])
+def test_config_gradient_analytic_changes_no_output_byte(tmp_path, gradient):
+    """A config that still names the analytic gradient writes the same
+    report and measure as one without the key."""
+    outs = []
+    for name, solver in (("without", {}), ("with", {"gradient": gradient})):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "process.csv").write_text(CANONICAL_PROCESS_CSV, encoding="utf-8")
+        cfg = write_config(out / "config.json", solver=solver)
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("report.json", "measure.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -262,9 +262,13 @@ def test_read_price_csv(tmp_path):
     ("timestamp,exchange,price\n1_000,a,2.0\n", "timestamp"),
     ("timestamp,exchange,price\n+5,a,2.0\n", "timestamp"),
     ("timestamp,exchange,price\n\uff11\uff12,a,2.0\n", "timestamp"),
+    (" timestamp , exchange , price\n1,a,2.0\n", "header"),
+    ("timestamp,exchange,price\n 100 ,a,2.0\n", "timestamp"),
+    ("timestamp,exchange,price\n1, a ,2.0\n", "exchange"),
 ])
 def test_read_price_csv_rejects_malformed_rows(tmp_path, body, msg):
+    """Every error names the file and the line, and no field is stripped."""
     path = tmp_path / "bad.csv"
     path.write_text(body, encoding="utf-8")
-    with pytest.raises(fm.IngestionError, match=msg):
+    with pytest.raises(fm.IngestionError, match=rf"bad\.csv:\d+: .*{msg}"):
         fm.read_price_csv(path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,7 +425,7 @@ def test_gap_bounds_the_distance_to_the_oracle(shape, p, N, seed):
     for q in [fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi),
               fm.uniform_measure(g.lattice).weights, oracle.measure.weights]:
         value = float(obj.evaluate(q)[1][0])
-        gap = float(frank_wolfe_gap(q, obj.gradient(q, "analytic", 1e-7), lo[0], hi[0]))
+        gap = float(frank_wolfe_gap(q, obj.gradient(q), lo[0], hi[0]))
         assert gap >= value - oracle.value - 1e-12 * max(1.0, value)
 
 
@@ -435,11 +436,10 @@ def test_solve_report_gap_only_where_certified(two_path, two_path_pair):
     assert rep.restarts[0].stop == "tol" and 0.0 <= rep.gap <= 1e-16
     rep = fm.minimize(two_path, fm.ConstraintParams(N=2.0, p=1.5), opts)
     assert rep.gap is not None and 0.0 <= rep.value <= rep.gap <= opts.tol
-    for g, params, grad in [(two_path, fm.ConstraintParams(N=2.0, p=1.0), "analytic"),
-                            (two_path, fm.ConstraintParams(N=2.0, objective="n"), "analytic"),
-                            (two_path, fm.ConstraintParams(N=2.0, p=2.0), "fd"),
-                            (two_path_pair, fm.ConstraintParams(N=2.0, c=0.3), "analytic")]:
-        rep = fm.minimize(g, params, fm.SolveOptions(restarts=2, max_iter=50, gradient=grad))
+    for g, params in [(two_path, fm.ConstraintParams(N=2.0, p=1.0)),
+                      (two_path, fm.ConstraintParams(N=2.0, objective="n")),
+                      (two_path_pair, fm.ConstraintParams(N=2.0, c=0.3))]:
+        rep = fm.minimize(g, params, fm.SolveOptions(restarts=2, max_iter=50))
         assert rep.gap is None
 
 
@@ -456,7 +456,7 @@ def test_minimize_recovers_risk_neutral_measure(two_path):
 
 def test_minimize_n_objective_zero(two_path):
     params = fm.ConstraintParams(N=2.0, objective="n")
-    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=4, gradient="analytic"))
+    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=4))
     assert rep.feasible
     assert rep.value <= 1e-8
     assert np.allclose(rep.measure.weights, [1 / 3, 2 / 3], atol=1e-3)
@@ -609,8 +609,8 @@ def test_analytic_gradient_matches_fd():
                            fm.ConstraintParams(N=2.5, p=3.0, objective="m"),
                            fm.ConstraintParams(N=2.5, objective="n")]:
                 obj = _Objective(g, params)
-                ana = obj.gradient(q, "analytic", 1e-6)
-                fd = obj.gradient(q, "fd", 1e-6)
+                ana = obj.gradient(q)
+                fd = ref.central_difference(obj, q, 1e-6)
                 scale = max(np.linalg.norm(ana), np.linalg.norm(fd))
                 assert np.linalg.norm(ana - fd) <= 1e-4 * scale
 
@@ -622,35 +622,13 @@ def test_analytic_gradient_matches_fd_with_penalty(two_path_pair):
     lo, hi = box_bounds(two_path_pair.lattice, 2.0)
     for _ in range(8):
         q = fm.project_capped_simplex(rng.uniform(lo, hi), lo, hi)
-        ana = obj.gradient(q, "analytic", 1e-6, rho=25.0)
-        fd = obj.gradient(q, "fd", 1e-6, rho=25.0)
+        ana = obj.gradient(q, rho=25.0)
+        fd = ref.central_difference(obj, q, 1e-6, rho=25.0)
         scale = max(np.linalg.norm(ana), np.linalg.norm(fd))
         assert np.linalg.norm(ana - fd) <= 1e-4 * scale
 
 
-def test_fd_gradient_at_the_path_budget():
-    P = fm.solver._FD_PATH_BUDGET
-    g = random_process(np.random.default_rng(2), fm.build_lattice(P, 1))
-    params = fm.ConstraintParams(N=2.0)
-    rep = fm.minimize(g, params, fm.SolveOptions(restarts=1, max_iter=1, gradient="fd"))
-    assert rep.restarts[0].gradients == 1
-
-
-def test_fd_gradient_above_the_path_budget_is_refused(monkeypatch):
-    g = random_process(np.random.default_rng(2),
-                       fm.build_lattice(fm.solver._FD_PATH_BUDGET + 1, 1))
-    params = fm.ConstraintParams(N=2.0)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("objective built before the budget check")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(fm.solver, "_Objective", no_work)
-        with pytest.raises(fm.SizeBudgetError, match="gradient='analytic'"):
-            fm.minimize(g, params, fm.SolveOptions(restarts=1, gradient="fd"))
-
-
-@pytest.mark.parametrize("case", ["m", "p=1", "n", "floor", "fd"])
+@pytest.mark.parametrize("case", ["m", "p=1", "n", "floor"])
 def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkeypatch):
     """The rows minimize differentiates are those its records count, plus
     the winner once where its gap certifies the value."""
@@ -660,7 +638,7 @@ def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkey
     params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
                                  objective="n" if case == "n" else "m",
                                  c=0.9 if case == "floor" else None)
-    opts = fm.SolveOptions(restarts=3, max_iter=60, gradient="fd" if case == "fd" else "analytic")
+    opts = fm.SolveOptions(restarts=3, max_iter=60)
     rows = []
     gradient = _Objective.gradient
 
@@ -688,12 +666,13 @@ def test_solve_report_contents(two_path):
 @pytest.mark.parametrize("field,bad", [
     ("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
     ("tol", -1e-9), ("tol", math.nan), ("tol", math.inf),
-    ("max_iter", 2.5), ("max_iter", True),
-    ("restarts", 2.5), ("restarts", True),
+    ("max_iter", -1), ("max_iter", 2.5), ("max_iter", True),
+    ("restarts", 0), ("restarts", 2.5), ("restarts", True),
     ("seed", -1), ("seed", 2.5), ("seed", True),
 ])
 def test_solve_options_reject_out_of_range_values(field, bad):
-    with pytest.raises(fm.ParameterError, match=field):
+    """Each error names the field and the value it was given."""
+    with pytest.raises(fm.ParameterError, match=rf"^{field} .*, got {re.escape(str(bad))}$"):
         fm.SolveOptions(**{field: bad})
 
 

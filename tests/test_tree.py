@@ -16,6 +16,7 @@ import fairmeasure as fm
 from fairmeasure import UnfairnessConfig, _tree
 from fairmeasure._tree import Floor, Tree
 from fairmeasure.solver import _Objective, box_bounds
+from fairmeasure.verify import _central_difference
 
 import reference as ref
 from conftest import martingale_from_terminal, random_measure, random_process
@@ -126,7 +127,7 @@ def test_penalty_gradient_matches_reference(case, lift, rho):
     for q in Q:
         c = ref.corr_raw(q, g, 0, 1) + lift
         params = fm.ConstraintParams(N=2.0, c=c, p=2.0)
-        got = _Objective(g, params).gradient(q, "analytic", 1e-7, rho)
+        got = _Objective(g, params).gradient(q, rho)
         expect = ref.grad_m(q, g, 2.0) + ref.grad_penalty(q, g, pairs, c, rho)
         assert close(got, expect)
 
@@ -134,28 +135,14 @@ def test_penalty_gradient_matches_reference(case, lift, rho):
 @settings(max_examples=60, deadline=None)
 @given(instances(positive=True, d_max=1), st.sampled_from(["m", "n"]))
 def test_batched_fd_gradient_matches_loop(case, objective):
-    """One batched kernel call over the 2P perturbations against the
-    coordinate loop of single evaluations, in small and default row blocks."""
+    """The central differences of ``verify``'s gradient check, two kernel
+    calls over P perturbed rows each, against the coordinate loop of single
+    evaluations in ``reference``: the kernel treats rows independently, so
+    the two agree float for float."""
     g, Q = case
     q = 0.5 * Q[0] + 0.5 / g.lattice.n_paths  # positive, so central differences are defined
-    params = fm.ConstraintParams(N=4.0, p=2.0, objective=objective)
-    obj = _Objective(g, params)
-    h = 1e-6
-    step = h * max(1.0, float(np.linalg.norm(q)))
-    loop = np.empty_like(q)
-    for v in range(q.size):
-        plus, minus = q.copy(), q.copy()
-        plus[v] += step
-        minus[v] -= step
-        loop[v] = (obj.evaluate(plus)[0][0] - obj.evaluate(minus)[0][0]) / (2.0 * step)
-    batched = obj.gradient(q, "fd", h)
-    assert np.allclose(batched, loop, rtol=1e-6, atol=1e-6 * np.abs(loop).max())
-    saved = _tree.BLOCK_ELEMS
-    try:
-        _tree.BLOCK_ELEMS = 3 * q.size
-        assert np.array_equal(obj.gradient(q, "fd", h), batched)
-    finally:
-        _tree.BLOCK_ELEMS = saved
+    obj = _Objective(g, fm.ConstraintParams(N=4.0, p=2.0, objective=objective))
+    assert np.array_equal(_central_difference(obj, q, 0.0), ref.central_difference(obj, q, 1e-6))
 
 
 # -- exact cases -------------------------------------------------------------------
