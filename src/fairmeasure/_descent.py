@@ -3,9 +3,45 @@
 ``solver.minimize`` hands every start to one :class:`Descent` as a row of a
 (G, P) weight array, the G axis of the node kernel, and runs its penalty
 rounds through :meth:`Descent.round`.  The objective supplies per-row values
-and gradients (``solver._Objective``), the projection maps rows onto the
-feasible box-simplex, the gap gives each row's Frank-Wolfe gap over it, and
-the options give max_iter, step and tol.
+and gradients (``solver._Objective``) and says whether they are
+differentiable, the projection maps rows onto the feasible box-simplex, the
+gap gives each row's Frank-Wolfe gap over it, and the options give
+max_iter, step and tol.
+
+Every iteration searches along the projected arc P(x - t g): each trial
+step t is one projection and one evaluation, and a rejected trial halves
+t.  How the first trial step is chosen and what a trial is tested against
+depend on the objective:
+
+* Differentiable (m with p > 1, with or without the floor's quadratic
+  penalty): spectral projected gradient (Barzilai & Borwein 1988; Raydan
+  1997; Birgin, Martinez & Raydan 2000).  The first trial step of a round
+  is ``opts.step``; after that it is the Barzilai-Borwein ratio s's / s'y
+  of the row's last pair, s = x_k - x_{k-1} and y = g_k - g_{k-1},
+  clamped to [_BB_MIN, _BB_MAX], with s'y <= 0 (no positive curvature
+  along s) taking _BB_MAX.  A trial is accepted by the Armijo test against
+  the largest of the row's last _WINDOW penalized values in the round, so
+  the value may rise for a few iterations (Grippo, Lampariello & Lucidi
+  1986).
+* Nonsmooth (n, and m with p <= 1): the trial step doubles from the last
+  accepted one, capped at ``opts.step``, and the Armijo test is monotone,
+  against the current value.
+
+Variants measured against this one, by ``minimize`` on the instances of
+the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
+2.4), which lose:
+
+* The spectral step and the window on every row: n on a deep lattice
+  (b = 2, K = 11) stopped at 0.05153 instead of 0.05049, and m at p = 1
+  and n on two-path instances ran all 400 iterations with 8300-10500
+  evaluations per row, 6 s instead of 0.035 s each.  Across a kink the BB
+  ratio estimates no curvature.
+* A monotone test with the spectral step: the correlation-floor instance
+  (b = 4, K = 3, three exchanges) took 3.7 s instead of 0.95 s, and its
+  rows stopped at stalled-line-search or zero-step instead of tol.
+* The spectral step capped at ``opts.step``: m on the deep lattice took
+  49 iterations instead of 36, and the 20 tiny oracle instances 0.46 s
+  instead of 0.24 s in all.
 """
 from __future__ import annotations
 
@@ -15,15 +51,20 @@ import numpy as np
 
 # A backtracking line search that halves the step to this size has stalled.
 _MIN_STEP = 1e-14
+# The clamp on a Barzilai-Borwein step, and how many of a row's last
+# penalized values its Armijo test may rise to, on the differentiable rows.
+_BB_MIN, _BB_MAX = 1e-10, 1e10
+_WINDOW = 10
 
 
 class Descent:
     """The rows of a batch and what each has done so far.
 
-    Each row has its own step size and leaves the active set when it stops;
-    each backtracking trial evaluates only the rows still searching.  Every
-    kernel call and projection treats rows independently, so a row's path
-    is the same float for float whatever else is in the batch."""
+    Each row has its own step size and line-search window and leaves the
+    active set when it stops; each backtracking trial evaluates only the
+    rows still searching.  Every kernel call and projection treats rows
+    independently, so a row's path is the same float for float whatever
+    else is in the batch."""
 
     def __init__(self, obj, starts: np.ndarray,
                  project: Callable[[np.ndarray], np.ndarray],
@@ -39,22 +80,28 @@ class Descent:
         self.stop = np.full(S, "max_iter", dtype=object)
 
     def trace(self, row: int) -> list[tuple[float, float, float]]:
-        """(raw value, step size, violation) after each accepted step of a row."""
+        """(raw value, step size, violation) after each accepted step of a
+        row; the step size is the trial step t that the line search
+        accepted, the point being P(x - t g)."""
         return [tuple(step) for step in self.steps[row, :self.iterations[row]].tolist()]
 
     def round(self, rows: np.ndarray, rho: float) -> None:
         """At most max_iter iterations on ``rows`` at penalty weight rho.  A
         row is stationary, and stops at "tol", once its Frank-Wolfe gap is at
-        most tol."""
+        most tol.  The step and the window start afresh each round, as rho
+        changes the penalized value."""
         obj, opts, q, t = self.obj, self.opts, self.q, np.full(len(self.q), self.opts.step)
-        pen = np.zeros(len(q))
+        spectral = obj.differentiable
+        # each row's last penalized values in this round, -inf where none yet
+        recent = np.full((len(q), _WINDOW if spectral else 1), -np.inf)
+        last_x, last_grad = np.empty_like(q), np.empty_like(q)   # the spectral rows' last pair
         q[rows] = self.project(q[rows])
-        pen[rows], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho)
+        recent[rows, 0], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho)
         self.counts[rows] += (1, 0, 1)
         self.stop[rows], self.rho[rows] = "max_iter", rho
         self.rounds[rows] += 1
         active = rows
-        for _ in range(opts.max_iter):
+        for it in range(opts.max_iter):
             if not active.size:
                 break
             x = q[active]
@@ -63,7 +110,16 @@ class Descent:
             done = self.gap(x, grad) <= opts.tol
             self.stop[active[done]] = "tol"
             active, x, grad = active[~done], x[~done], grad[~done]
-            t[active] = np.minimum(opts.step, 2.0 * t[active])
+            if not spectral:
+                t[active] = np.minimum(opts.step, 2.0 * t[active])
+            else:
+                if it:   # every active row has accepted `it` steps this round
+                    s, y = x - last_x[active], grad - last_grad[active]
+                    ss, sy = (s * s).sum(axis=1), (s * y).sum(axis=1)
+                    with np.errstate(divide="ignore"):
+                        t[active] = np.where(sy > 0.0, np.clip(ss / sy, _BB_MIN, _BB_MAX),
+                                             _BB_MAX)
+                last_x[active], last_grad[active] = x, grad
             took = np.zeros(active.size, dtype=bool)
             search = np.arange(active.size)       # positions in active
             while search.size:
@@ -83,9 +139,10 @@ class Descent:
                     break
                 f_pen, f_raw, f_viol = obj.evaluate(xn, rho)
                 self.counts[r, 0] += 1
-                ok = f_pen <= pen[r] - 1e-4 * d2 / t[r]
+                ok = f_pen <= recent[r].max(axis=1) - 1e-4 * d2 / t[r]
                 a = r[ok]
-                q[a], pen[a], self.raw[a], self.viol[a] = xn[ok], f_pen[ok], f_raw[ok], f_viol[ok]
+                q[a], self.raw[a], self.viol[a] = xn[ok], f_raw[ok], f_viol[ok]
+                recent[a, (it + 1) % recent.shape[1]] = f_pen[ok]
                 n = self.iterations[a]
                 if a.size and n.max() == self.steps.shape[1]:
                     self.steps = np.concatenate((self.steps, np.empty_like(self.steps)), axis=1)

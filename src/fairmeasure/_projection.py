@@ -32,9 +32,12 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np
     ``_newton_tau``.  Each row is first shifted by the integer part of its
     mean, which is exact and leaves rows of mean below 1 in magnitude
     untouched: far from 0, v - tau would cancel most of each coordinate's
-    digits and lose the sum constraint.  Rows are independent: each comes
-    out the same whatever the other rows.  Already-feasible rows come back
-    unchanged; non-finite inputs raise.
+    digits and lose the sum constraint.  A row whose coordinates lie far
+    apart cancels digits all the same, and its result is projected once
+    more wherever its sum misses total by more than 1e-13; see
+    ``_project_rows``.  Rows are independent: each comes out the same
+    whatever the other rows.  Already-feasible rows come back unchanged;
+    non-finite inputs raise.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2):
@@ -72,6 +75,23 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np
 
 
 def _project_rows(V: np.ndarray, sums: np.ndarray, lo, hi, total: float) -> np.ndarray:
+    """The projection of each row of V (G, P), whose row sums are ``sums``.
+
+    Where a row's coordinates lie far apart, as after a long step t g, the
+    free coordinates v - tau cancel most of their digits, and the sum can
+    miss total by an ulp of the largest |v|.  Such a row, one whose result
+    is off total by more than the 1e-13 that ``project_capped_simplex``
+    accepts as feasible, is projected once more from that result, whose
+    coordinates lie within the box."""
+    out = _clip_rows(V, sums, lo, hi, total)
+    sums = np.add.reduce(out, axis=1)
+    off = np.flatnonzero(np.abs(sums - total) > 1e-13)
+    if off.size:
+        out[off] = _clip_rows(out[off], sums[off], lo, hi, total)
+    return out
+
+
+def _clip_rows(V: np.ndarray, sums: np.ndarray, lo, hi, total: float) -> np.ndarray:
     """clip(V - tau, lo, hi) per row of V (G, P), whose row sums are ``sums``."""
     P = V.shape[1]
     mean = sums / P

@@ -17,13 +17,24 @@ descent is also multi-started from random feasible points, and each
 start's record says why it stopped.  A grid-search oracle over tiny
 instances provides an independent check of the optimizer.
 
+Each iteration searches the projected arc P(x - t g), halving t until an
+Armijo test passes.  Where the penalized value is differentiable (m with
+p > 1, with or without the floor) this is spectral projected gradient
+(Barzilai & Borwein 1988; Birgin, Martinez & Raydan 2000): t starts from
+the Barzilai-Borwein ratio of the row's last step and gradient change, and
+the test is against the largest of its last few values, so the value need
+not fall at every step.  On n and on m with p <= 1 the trial step doubles
+from the last one up to ``SolveOptions.step`` and the test is monotone; see
+``_descent``.
+
 The starts descend in lock step as the rows of one (G, P) batch, the G
-axis of the node kernel.  Each row keeps its own step size; an active mask
-drops a row once its gap is at most tol, its line search stalls, its
-projected step vanishes or it reaches max_iter, and each backtracking trial
-evaluates only the rows still searching.  Penalty rounds are shared: every row starts
-at rho = 10, and after each round the rows that meet the floor leave while
-the rest go on at the grown rho, so rho is one scalar per round.
+axis of the node kernel.  Each row keeps its own step size and window; an
+active mask drops a row once its gap is at most tol, its line search
+stalls, its projected step vanishes or it reaches max_iter, and each
+backtracking trial evaluates only the rows still searching.  Penalty rounds
+are shared: every row starts at rho = 10, and after each round the rows
+that meet the floor leave while the rest go on at the grown rho, so rho is
+one scalar per round.
 Kernel calls and the projection treat rows independently, so each start
 follows the same float path as it would alone.
 
@@ -89,10 +100,12 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``step`` (finite, > 0) is the largest trial step of a line search;
-    ``tol`` (finite, >= 0) bounds the Frank-Wolfe gap at which a start
-    stops; ``restarts`` counts the base start and the random ones, which
-    ``minimize`` draws only where m is not both smooth and convex."""
+    """``step`` (finite, > 0) is the first trial step of each penalty round,
+    and on the nonsmooth objectives (n, m with p <= 1) also the largest;
+    where m is differentiable (p > 1) later trial steps are spectral and may
+    exceed it.  ``tol`` (finite, >= 0) bounds the Frank-Wolfe gap at which a
+    start stops; ``restarts`` counts the base start and the random ones,
+    which ``minimize`` draws only where m is not both smooth and convex."""
 
     max_iter: int = 300
     step: float = 1.0
@@ -198,10 +211,13 @@ class _Objective:
     """Penalized objective on raw weight rows (G, P) or one vector (P,):
     values and exact gradients, each one pass of the node kernel in
     ``_tree``.  The penalty weight rho is an argument, so one tree serves
-    every penalty round."""
+    every penalty round.  ``differentiable`` says whether the penalized
+    value is continuously differentiable: m with p > 1, as the floor's
+    penalty is, but not n or m with p <= 1."""
 
     def __init__(self, g: LatticeProcess, params: ConstraintParams):
         self.params = params
+        self.differentiable = params.objective == "m" and params.p > 1.0
         self.tree = Tree(g)
         pairs = _floor_pairs(g, params)
         self.floor = Floor(self.tree, pairs) if pairs else None
@@ -264,7 +280,10 @@ class SolveReport:
     """The winning measure and what the solver did.  ``restarts`` has one
     record per start; ``winner`` indexes the candidates, which are each
     start point followed by the point solved from it (2r is start r itself,
-    2r + 1 its descent).  ``gap`` is the winner's Frank-Wolfe gap, a
+    2r + 1 its descent).  ``trace`` has, per accepted step of the winner's
+    descent, its raw value, the trial step t the line search accepted (the
+    spectral step, or a halving of it, where m is differentiable) and its
+    floor violation.  ``gap`` is the winner's Frank-Wolfe gap, a
     certified bound on value minus the optimal value, where one holds: m
     with p > 1 and no active floor; None elsewhere."""
 
@@ -336,8 +355,9 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     lo, hi = box_bounds(lat, params.N)
     project = lambda V: project_capped_simplex(V, lo[0], hi[0])
     gap = lambda V, grad: frank_wolfe_gap(V, grad, lo[0], hi[0])
-    floor_active = bool(_floor_pairs(g, params))
-    smooth_convex = params.objective == "m" and params.p > 1.0 and not floor_active
+    obj = _Objective(g, params)
+    floor_active = obj.floor is not None
+    smooth_convex = obj.differentiable and not floor_active
     extra = [np.asarray(s, dtype=float) for s in extra_starts]
     if any(s.shape != (P,) for s in extra):
         raise ParameterError(f"extra starts must have one weight per path, shape ({P},)")
@@ -352,7 +372,6 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
         starts[r] = s
     starts[1:] = project(starts[1:])
 
-    obj = _Objective(g, params)
     _, start_raw, start_viol = obj.evaluate(starts)
     run = _solve_starts(obj, starts, project, gap, opts, floor_active)
 

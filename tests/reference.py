@@ -158,15 +158,23 @@ def central_difference(obj, q, h, rho=0.0):
 
 def pgd(obj, q0, project, gap, opts, rho):
     """One penalty round of projected gradient descent from one start, one
-    row at a time: the loop ``minimize`` ran per start before the starts
-    were batched.  A start stops at "tol" once ``gap`` (the package's
-    Frank-Wolfe gap) is at most tol.  Returns (q, raw value, violation,
+    row at a time: the loop ``minimize`` runs per start, written without
+    the batch.  A start stops at "tol" once ``gap`` (the package's
+    Frank-Wolfe gap) is at most tol.  Where ``obj.differentiable`` the
+    first trial step is ``opts.step`` and later ones the Barzilai-Borwein
+    ratio s's / s'y of the last pair, clamped, and a trial is tested
+    against the largest of the last ``_WINDOW`` penalized values;
+    elsewhere the trial step doubles up to ``opts.step`` and the test is
+    against the current value.  Returns (q, raw value, violation,
     iterations, trace, stop reason)."""
-    from fairmeasure._descent import _MIN_STEP
+    from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW
+    spectral = obj.differentiable
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
+    recent = [pen]
     trace = []
     t = opts.step
+    last = None
     iters = 0
     stop = "max_iter"
     for _ in range(opts.max_iter):
@@ -174,7 +182,14 @@ def pgd(obj, q0, project, gap, opts, rho):
         if float(gap(q, grad)) <= opts.tol:
             stop = "tol"
             break
-        t = min(opts.step, 2.0 * t)
+        if not spectral:
+            t = min(opts.step, 2.0 * t)
+        elif last is not None:
+            s, y = q - last[0], grad - last[1]
+            sy = float((s * y).sum())
+            t = min(max(float((s * s).sum()) / sy, _BB_MIN), _BB_MAX) if sy > 0.0 else _BB_MAX
+        last = (q, grad)
+        ref_value = max(recent[-_WINDOW:]) if spectral else pen
         accepted = False
         stop = "stalled-line-search"
         while t > _MIN_STEP:
@@ -184,8 +199,9 @@ def pgd(obj, q0, project, gap, opts, rho):
                 stop = "zero-step"
                 break
             fn_pen, fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, rho))
-            if fn_pen <= pen - 1e-4 * d2 / t:
+            if fn_pen <= ref_value - 1e-4 * d2 / t:
                 q, pen, raw, viol = qn, fn_pen, fn_raw, vn
+                recent.append(pen)
                 iters += 1
                 trace.append((fn_raw, t, vn))
                 accepted = True
@@ -198,7 +214,8 @@ def pgd(obj, q0, project, gap, opts, rho):
 
 
 def solve_from(obj, q0, project, gap, opts, floor_active):
-    """Penalty rounds from one start: rho grows until the floor is met.
+    """Penalty rounds from one start: rho grows until the floor is met, and
+    each round starts its step and its window afresh in ``pgd``.
     Returns a dict of the point reached (q, value, violation), the summed
     iterations and trace, and the last round's rho and stop reason."""
     from fairmeasure.solver import (_PENALTY_GROWTH, _PENALTY_INIT, _PENALTY_ROUNDS,

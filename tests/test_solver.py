@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
-from fairmeasure import _projection
+from fairmeasure import _projection, solver
 from fairmeasure._projection import frank_wolfe_gap
 from fairmeasure.solver import _Objective, box_bounds
 
@@ -242,6 +243,21 @@ def test_projection_keeps_the_sum_at_a_large_penalty_step():
     Q = fm.project_capped_simplex(V, lo, hi)
     assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-13
     assert np.all(Q >= lo) and np.all(Q <= hi)
+
+
+def test_projection_keeps_the_sum_at_a_long_spectral_step():
+    """Rows x - t g with t = 1e10, as the longest Barzilai-Borwein step
+    makes them: coordinates about 1e7 apart, whose free ones cancel most of
+    their digits, still come back on the sum constraint, in the box, and
+    as a fixed point of the projection."""
+    lo, hi = box_bounds(fm.build_lattice(3, 2), 2.0)
+    rng = np.random.default_rng(4)
+    X = fm.project_capped_simplex(rng.uniform(lo, hi, (50, 9)), lo, hi)
+    V = X - 1e10 * rng.normal(0.0, 1e-3, (50, 9))
+    Q = fm.project_capped_simplex(V, lo, hi)
+    assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-13
+    assert np.all(Q >= lo) and np.all(Q <= hi)
+    assert np.array_equal(fm.project_capped_simplex(Q, lo, hi), Q)
 
 
 def test_projection_batch_shapes():
@@ -479,6 +495,52 @@ def test_minimize_never_worse_than_base(two_path):
         rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=2, max_iter=40))
         assert rep.feasible
         assert 0.0 <= rep.value <= base_val + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.sampled_from([1.5, 2.0, 3.0]),
+       st.floats(1.05, 3.0), st.one_of(st.none(), st.floats(-0.05, 0.1)),
+       st.integers(0, 2 ** 16))
+def test_spectral_steps_keep_every_row_on_the_box_simplex(b, K, p, N, shift, seed):
+    """m with p > 1 takes Barzilai-Borwein steps as long as 1e10, where
+    x - t g cancels most digits of each coordinate.  Every point the
+    descent projects, and so every row's end point, still lies on the
+    box-simplex with its sum within 1e-12; the winner is a valid measure no
+    worse than a feasible base, and a row stopped at "tol" has its gap at
+    most tol at the point it returns.  ``shift`` puts a floor that far above
+    the pair's correlation under the base measure."""
+    rng = np.random.default_rng(seed)
+    lat = fm.build_lattice(b, K)
+    g = random_process(rng, lat, n=1 if shift is None else 2, low=0.4, high=2.5)
+    U = fm.uniform_measure(lat)
+    c = None if shift is None else fm.correlation_integral(U, g, 0, 1) + shift
+    params = fm.ConstraintParams(N=N, c=c, p=p)
+    opts = fm.SolveOptions(restarts=3, max_iter=100, seed=seed)
+    lo, hi = box_bounds(lat, N)
+    runs, points = [], []
+    solve, project = solver._solve_starts, solver.project_capped_simplex
+
+    def keep(*args):
+        runs.append(solve(*args))
+        return runs[-1]
+
+    def keep_points(*args):
+        points.append(np.atleast_2d(project(*args)))
+        return points[-1].reshape(np.shape(args[0]))
+
+    with mock.patch.object(solver, "_solve_starts", keep), \
+            mock.patch.object(solver, "project_capped_simplex", keep_points):
+        rep = fm.minimize(g, params, opts)
+    assert abs(rep.measure.weights.sum() - 1.0) <= 1e-12
+    run = runs[0]
+    for Q in points + [run.q]:
+        assert (np.abs(Q.sum(axis=1) - 1.0) <= 1e-12).all()
+        assert ((Q >= lo - 1e-15) & (Q <= hi + 1e-15)).all()
+    if fm.check_constraints(U, g, params).feasible:
+        assert rep.value <= fm.unfairness_m(U, g, fm.UnfairnessConfig(p=p))
+    for r in np.flatnonzero(run.stop == "tol"):
+        q = run.q[r]
+        assert run.gap(q, run.obj.gradient(q, run.rho[r])) <= opts.tol
 
 
 def test_minimize_constant_process_returns_zero():
