@@ -10,9 +10,8 @@ from .errors import (ConfigError, DomainError, EquivalenceViolationError,
                      NoMartingaleMeasureError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
 from .lattice import (AdaptedLattice, Density, LatticeProcess, Measure,
-                      abs_product_mean, build_lattice, cond_exp,
-                      cond_exp_reweighted, covariance, duplicate_branches,
-                      expectation, lift_measure, uniform_measure)
+                      build_lattice, cond_exp, cond_exp_reweighted,
+                      duplicate_branches, lift_measure, uniform_measure)
 from .processes import (GbmParams, PriceSeries, branch_innovations,
                         calibrate_from_prices, project_correlation_psd,
                         read_price_csv, risk_neutral_binomial_measure,

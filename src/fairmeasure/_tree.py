@@ -146,10 +146,12 @@ class Tree:
 
 
 class Floor:
-    """Correlation integrals sum_k dt Cov_q / E_q|g_i g_j| of scalar exchange
-    pairs, under raw (unnormalized) weights, and the floor penalty's terms.
-    The products are einsums, not BLAS matmuls, so a row's result does not
-    depend on how many rows share the call."""
+    """The correlation floor on pairs of scalar exchanges: the integrals
+    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights, and the
+    penalty rho * sum max(0, c - integral)^2, its largest violation and its
+    adjoint terms.  The solver, the oracle and the constraint report read
+    the same all-pairs pass.  The products are einsums, not BLAS matmuls,
+    so a row's result does not depend on how many rows share the call."""
 
     def __init__(self, tree: Tree, pairs: list[tuple[int, int]]):
         self.tree, self.pairs = tree, pairs
@@ -172,6 +174,13 @@ class Floor:
             total = total + self.tree.dt * cov / scale
             parts.append((ex, ey, cov, scale))
         return total, parts
+
+    def penalty(self, W: list[np.ndarray], c: float, rho: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, rho * sum max(0, c - integral)^2 and the largest
+        max(0, c - integral)."""
+        viols = np.maximum(0.0, c - self.moments(W)[0])
+        return rho * (viols * viols).sum(axis=1), viols.max(axis=1)
 
     def penalty_terms(self, W: list[np.ndarray], c: float, rho: float) -> list:
         """Node terms of rho * sum max(0, c - integral)^2 for :meth:`Tree.reverse`."""

@@ -74,10 +74,7 @@ _GBM = {"n": int, "d": int, "drift": np.ndarray, "vol": np.ndarray, "corr": np.n
         "s0": np.ndarray}
 _CALIBRATION = {"csv": str, "exchanges": list}
 _CONSTRAINTS = {"N": float, "c": float, "p": float}
-# "gradient" builds nothing: parse_config accepts it as "analytic" (the only
-# gradient) or null, so that configs which name it still parse.
-_SOLVER = {"max_iter": int, "step": float, "tol": float, "restarts": int, "seed": int,
-           "gradient": str}
+_SOLVER = {"max_iter": int, "step": float, "tol": float, "restarts": int, "seed": int}
 _IO = {"process_file": str, "measure_file": str, "report_file": str, "params_file": str}
 
 
@@ -147,6 +144,7 @@ def parse_config(path: str) -> RunConfig:
     constraints = _build(ConstraintParams, top.get("constraints", {}), _CONSTRAINTS,
                          "constraints", **objective)
     solver = dict(top.get("solver", {}))
+    # configs written when the gradient was an option may still name the one left
     if solver.pop("gradient", None) not in (None, "analytic"):
         raise ConfigError('solver.gradient: only "analytic" is supported; '
                           "the FD gradient was removed")
@@ -382,7 +380,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str, seed: int) -> int:
 
 def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
     process = _obtain_process(cfg, out_dir, seed)
-    report = minimize(process, cfg.constraints, replace(cfg.solver, seed=seed))
+    report = minimize(process, cfg.constraints, cfg.solver)
     measure_path = _resolve_out(out_dir, cfg.io.measure_file)
     write_measure_csv(measure_path, report.measure)
     payload = {

@@ -313,29 +313,6 @@ def cond_exp_reweighted(x: np.ndarray, F: Density, k: int, base: Measure):
     return out
 
 
-def expectation(Q: Measure, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(Q.weights @ x)
-
-
-def covariance(Q: Measure, x: np.ndarray, y: np.ndarray) -> float:
-    """Cov_Q(x, y) = E_Q[xy] - E_Q[x] E_Q[y] for scalar path vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ParameterError("covariance takes scalar path vectors")
-    return expectation(Q, x * y) - expectation(Q, x) * expectation(Q, y)
-
-
-def abs_product_mean(Q: Measure, x: np.ndarray, y: np.ndarray) -> float:
-    """E_Q[|x*y|] for scalar path vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ParameterError("abs_product_mean takes scalar path vectors")
-    return expectation(Q, np.abs(x * y))
-
-
 # -- branch duplication (embedding into a finer lattice) ----------------------
 
 def _embedding(lat: AdaptedLattice, copies: int) -> tuple[AdaptedLattice, np.ndarray]:
@@ -367,6 +344,5 @@ __all__ = [
     "AdaptedLattice", "Measure", "Density", "LatticeProcess",
     "DEFAULT_PATH_BUDGET", "NORMALIZATION_TOL",
     "build_lattice", "uniform_measure", "cond_exp", "cond_exp_reweighted",
-    "expectation", "covariance", "abs_product_mean",
     "find_adaptedness_violation", "duplicate_branches", "lift_measure",
 ]

@@ -144,25 +144,37 @@ def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarra
 
 def correlation_integral(Q: Measure, g: LatticeProcess, i: int, j: int) -> float:
     """Time-integrated normalized covariance between exchanges i and j:
-    the right-endpoint time sum of Cov_Q / E_Q|g_i g_j|."""
+    the right-endpoint time sum of Cov_Q / E_Q|g_i g_j|, as the solver and
+    ``check_constraints`` compute it, in one pass over every pair."""
     if Q.lattice != g.lattice:
         raise ParameterError("measure and process live on different lattices")
     if not (0 <= i < g.n and 0 <= j < g.n and i != j):
         raise ParameterError(f"need distinct exchange indices in 0..{g.n - 1}")
-    if g.d != 1:
-        raise UnsupportedConstraintError(
-            "the correlation floor is defined for scalar exchanges (d = 1) only")
-    tree = Tree(g)
-    return float(Floor(tree, [(i, j)]).moments(tree.node_weights(Q.weights))[0][0, 0])
+    return _correlations(Q, g, _floor_pairs(g))[min(i, j), max(i, j)]
 
 
-def _floor_pairs(g: LatticeProcess, params: ConstraintParams) -> list[tuple[int, int]]:
-    if params.c is None or g.n < 2:
+def _floor_pairs(g: LatticeProcess, params: ConstraintParams | None = None
+                 ) -> list[tuple[int, int]]:
+    """The exchange pairs i < j that a correlation floor binds: every pair,
+    or none where ``params`` sets no floor.  The floor is defined for scalar
+    exchanges only."""
+    if (params is not None and params.c is None) or g.n < 2:
         return []
     if g.d != 1:
         raise UnsupportedConstraintError(
-            "correlation floor with d > 1 is undefined; use d = 1 or c = None")
+            "the correlation floor is defined for scalar exchanges (d = 1) only; "
+            "use d = 1 or c = None")
     return [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+
+
+def _correlations(Q: Measure, g: LatticeProcess, pairs: list[tuple[int, int]]
+                  ) -> dict[tuple[int, int], float]:
+    """The correlation integral of each pair, from the solver's ``Floor``."""
+    if not pairs:
+        return {}
+    tree = Tree(g)
+    integrals = Floor(tree, pairs).moments(tree.node_weights(Q.weights))[0][0]
+    return dict(zip(pairs, integrals.tolist()))
 
 
 @dataclass
@@ -194,11 +206,8 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams) -
     lower = q - lo
     upper = hi - q
     norm_err = float(q.sum()) - 1.0
-    corr: dict[tuple[int, int], float] = {}
-    slack: dict[tuple[int, int], float] = {}
-    for i, j in _floor_pairs(g, params):
-        corr[(i, j)] = correlation_integral(Q, g, i, j)
-        slack[(i, j)] = corr[(i, j)] - params.c
+    corr = _correlations(Q, g, _floor_pairs(g, params))
+    slack = {pair: value - params.c for pair, value in corr.items()}
     feasible = (float(lower.min()) >= -FEASIBILITY_TOL and float(upper.min()) >= -FEASIBILITY_TOL
                 and abs(norm_err) <= FEASIBILITY_TOL
                 and all(s >= -FEASIBILITY_TOL for s in slack.values()))
@@ -234,8 +243,8 @@ class _Objective:
         raw = self.raw(W)
         if self.floor is None:
             return raw, raw, np.zeros_like(raw)
-        viols = np.maximum(0.0, self.params.c - self.floor.moments(W)[0])
-        return raw + rho * (viols * viols).sum(axis=1), raw, viols.max(axis=1)
+        penalty, violation = self.floor.penalty(W, self.params.c, rho)
+        return raw + penalty, raw, violation
 
     def gradient(self, Q: np.ndarray, rho: float = 0.0) -> np.ndarray:
         """Gradient of the penalized value, in the shape of Q: the adjoint

@@ -154,6 +154,54 @@ def central_difference(obj, q, h, rho=0.0):
     return grad
 
 
+# -- the linear programs of n and of m at p = 1 -------------------------------------
+
+def lp_min(g, params):
+    """The minimum of n, or of m at p = 1, over the box-simplex, and a point
+    that attains it, for scalar exchanges (d = 1).  Each functional is a
+    sum of absolute values of linear functions of q: W_k |g_k - E[g_l|F_k]|
+    at a level-k node is |sum q_pi (g_k - g_l(pi))| over the paths below it,
+    and W_k |E[g_{k+1}|F_k] - g_k| / g_k likewise.  So min sum |A q| is the
+    linear program min sum t subject to -t <= A q <= t, solved by HiGHS at
+    feasibility tolerances of 1e-10 (at scipy's default of 1e-7 the value
+    on a 2048-path lattice lies 4e-5 relative below the functional at the
+    returned point).  Returns (value, q)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+    from fairmeasure.solver import box_bounds
+    assert g.d == 1 and (params.objective == "n" or params.p == 1.0)
+    lat = g.lattice
+    P, K, dt = lat.n_paths, lat.depth, lat.dt
+    paths = np.arange(P)
+    rows, cols, data, R = [], [], [], 0
+    for k in range(K):
+        node = lat.block_index(k)
+        if params.objective == "n":
+            pairs = [(k + 1, 1.0 / g.values[k])]
+        else:
+            pairs = [(l, dt * dt) for l in range(k + 1, K + 1)]
+        for l, scale in pairs:
+            coef = (g.values[l] - g.values[k]) * scale      # (P, n)
+            for e in range(g.n):
+                rows.append(R + node * g.n + e)
+                cols.append(paths)
+                data.append(coef[:, e])
+            R += lat.n_blocks(k) * g.n
+    A = sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(R, P))
+    eye = sparse.identity(R, format="csr")
+    lo, hi = box_bounds(lat, params.N)
+    res = linprog(np.concatenate((np.zeros(P), np.ones(R))),
+                  A_ub=sparse.vstack((sparse.hstack((A, -eye)), sparse.hstack((-A, -eye)))),
+                  b_ub=np.zeros(2 * R),
+                  A_eq=sparse.hstack((np.ones((1, P)), sparse.csr_matrix((1, R)))), b_eq=[1.0],
+                  bounds=list(zip(lo, hi)) + [(0.0, None)] * R, method="highs",
+                  options=dict(primal_feasibility_tolerance=1e-10,
+                               dual_feasibility_tolerance=1e-10))
+    assert res.status == 0, res.message
+    return float(res.fun), res.x[:P]
+
+
 # -- the per-start solver loop ----------------------------------------------------
 
 def pgd(obj, q0, project, gap, opts, rho):

@@ -615,8 +615,7 @@ def test_usage_errors_exit_1_not_the_infeasible_code(capsys, argv):
 
 
 def test_solve_options_fields_are_the_solver_config_keys():
-    """Every solver key but "gradient", which builds nothing, is a field."""
-    assert {f.name for f in dataclasses.fields(fm.SolveOptions)} == cli._SOLVER.keys() - {"gradient"}
+    assert {f.name for f in dataclasses.fields(fm.SolveOptions)} == cli._SOLVER.keys()
 
 
 def test_config_gradient_other_than_analytic_exits_1(tmp_path, capsys):

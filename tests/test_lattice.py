@@ -254,22 +254,6 @@ def test_cond_exp_linear_and_idempotent(data):
         assert np.array_equal(fm.cond_exp(once, k, Q), once)  # exact: block-constant input
 
 
-# -- moments -------------------------------------------------------------------
-
-def test_covariance_examples(two_path_lattice):
-    U = fm.uniform_measure(two_path_lattice)
-    x = np.array([2.0, 0.5])
-    # E[x^2] = 2.125, E[x] = 1.25 -> Cov = 2.125 - 1.5625 = 0.5625
-    assert fm.covariance(U, x, x) == pytest.approx(0.5625, abs=1e-15)
-    assert fm.abs_product_mean(U, x, x) == pytest.approx(2.125, abs=1e-15)
-    const = np.array([3.0, 3.0])
-    assert fm.covariance(U, const, x) == pytest.approx(0.0, abs=1e-15)
-    a = np.array([1.0, -1.0])
-    b = np.array([-1.0, 1.0])
-    # E[ab] = -1, means 0 -> Cov = -1
-    assert fm.covariance(U, a, b) == pytest.approx(-1.0, abs=1e-15)
-
-
 # -- process container ----------------------------------------------------------
 
 def test_process_rejects_non_adapted():

@@ -445,6 +445,48 @@ def test_gap_bounds_the_distance_to_the_oracle(shape, p, N, seed):
         assert gap >= value - oracle.value - 1e-12 * max(1.0, value)
 
 
+def lp_bound(g, params):
+    """The LP's minimum, after checking that the kernel's value at the LP's
+    point is that minimum: the LP is the functional, not a relaxation."""
+    value, q = ref.lp_min(g, params)
+    obj = _Objective(g, params)
+    at_q = float(obj.raw(obj.tree.node_weights(q))[0])
+    assert math.isclose(at_q, value, rel_tol=1e-9, abs_tol=1e-15), (at_q, value)
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 2), st.sampled_from(["m", "n"]),
+       st.floats(1.05, 3.0), st.integers(0, 2 ** 16))
+def test_minimize_is_bounded_below_by_the_linear_program(b, K, n, objective, N, seed):
+    """n and m at p = 1 are linear programs over the box-simplex, and no
+    point the solver returns lies below their minimum."""
+    pytest.importorskip("scipy")
+    g = random_process(np.random.default_rng(seed), fm.build_lattice(b, K), n=n,
+                       low=0.3, high=3.0)
+    params = fm.ConstraintParams(N=N, p=1.0, objective=objective)
+    bound = lp_bound(g, params)
+    assert fm.minimize(g, params, fm.SolveOptions(restarts=3, seed=seed)).value \
+        >= bound - 1e-9 * bound
+
+
+@pytest.mark.parametrize("objective", ["m", "n"])
+def test_minimize_is_bounded_below_by_the_linear_program_on_a_deep_lattice(objective):
+    """The same on the benchmark's deep lattice (b = 2, K = 11, P = 2048),
+    with its solver options.  At seed 1 the solver reads n = 0.0504891
+    against the LP's 0.0501722 (+0.63%), and m at p = 1 0.0081882 against
+    0.0081811 (+0.09%); those gaps are recorded, not asserted."""
+    pytest.importorskip("scipy")
+    one = np.array([[1.0]])
+    g = fm.simulate_gbm(fm.build_lattice(2, 11),
+                        fm.GbmParams(n=1, d=1, drift=0.2 * one, vol=0.3 * one, corr=one,
+                                     s0=one), seed=1)
+    params = fm.ConstraintParams(N=2.0, p=1.0, objective=objective)
+    bound = lp_bound(g, params)
+    opts = fm.SolveOptions(max_iter=300, step=1.0, tol=1e-9, restarts=4, seed=0)
+    assert fm.minimize(g, params, opts).value >= bound - 1e-9 * bound
+
+
 def test_solve_report_gap_only_where_certified(two_path, two_path_pair):
     opts = fm.SolveOptions(restarts=2)
     rep = fm.minimize(two_path, fm.ConstraintParams(N=1.2, p=2.0), opts)

@@ -105,6 +105,30 @@ def test_correlation_integrals_match_reference(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(2, 4), st.integers(1, 3),
+       st.integers(0, 2 ** 31))
+def test_reported_correlations_are_the_solvers_floats(b, K, n, G, seed):
+    """Every pair's integral is one float: the solver's all-pairs Floor on
+    a batch of G rows, ``check_constraints`` and ``correlation_integral``
+    (either order of the pair) on each row alone."""
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(seed)
+    g = random_process(rng, lat, n=n, low=-3.0, high=3.0)
+    Q = rng.uniform(0.1, 1.0, (G, lat.n_paths))
+    Q /= Q.sum(axis=1, keepdims=True)
+    params = fm.ConstraintParams(N=2.0, c=0.0)
+    floor = _Objective(g, params).floor
+    batch = floor.moments(floor.tree.node_weights(Q))[0]
+    for q, row in zip(Q, batch):
+        measure = fm.Measure(lat, q)
+        solver = dict(zip(floor.pairs, row.tolist()))
+        assert fm.check_constraints(measure, g, params).correlation == solver
+        for (i, j), value in solver.items():
+            assert fm.correlation_integral(measure, g, i, j) == value
+            assert fm.correlation_integral(measure, g, j, i) == value
+
+
+@settings(max_examples=100, deadline=None)
 @given(instances(positive=True))
 def test_adjoint_gradients_match_reference(case):
     g, Q = case
