@@ -5,8 +5,8 @@
 rounds through :meth:`Descent.round`.  The objective supplies per-row values
 and gradients (``solver._Objective``) and says whether they are
 differentiable, the projection maps rows onto the feasible box-simplex, the
-gap gives each row's Frank-Wolfe gap over it, and the options give
-max_iter, step and tol.
+gap gives each row's Frank-Wolfe gap over it, and max_iter bounds the
+iterations of one penalty round.
 
 Every iteration searches along the projected arc P(x - t g): each trial
 step t is one projection and one evaluation, and a rejected trial halves
@@ -16,15 +16,15 @@ depend on the objective:
 * Differentiable (m with p > 1, with or without the floor's quadratic
   penalty): spectral projected gradient (Barzilai & Borwein 1988; Raydan
   1997; Birgin, Martinez & Raydan 2000).  The first trial step of a round
-  is ``opts.step``; after that it is the Barzilai-Borwein ratio s's / s'y
-  of the row's last pair, s = x_k - x_{k-1} and y = g_k - g_{k-1},
-  clamped to [_BB_MIN, _BB_MAX], with s'y <= 0 (no positive curvature
-  along s) taking _BB_MAX.  A trial is accepted by the Armijo test against
+  is ``STEP``; after that it is the Barzilai-Borwein ratio s's / s'y of
+  the row's last pair, s = x_k - x_{k-1} and y = g_k - g_{k-1}, clamped to
+  [_BB_MIN, _BB_MAX], with s'y <= 0 (no positive curvature along s)
+  taking ``STEP`` again.  A trial is accepted by the Armijo test against
   the largest of the row's last _WINDOW penalized values in the round, so
   the value may rise for a few iterations (Grippo, Lampariello & Lucidi
   1986).
 * Nonsmooth (n, and m with p <= 1): the trial step doubles from the last
-  accepted one, capped at ``opts.step``, and the Armijo test is monotone,
+  accepted one, capped at ``STEP``, and the Armijo test is monotone,
   against the current value.
 
 Variants measured against this one, by ``minimize`` on the instances of
@@ -45,7 +45,7 @@ the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
   accepts a step: the same floats in every row, and the floor instance
   7% faster, but the deep lattice 20% slower, with 596 gradient calls
   instead of 336.
-* The spectral step capped at ``opts.step``: m on the deep lattice took
+* The spectral step capped at ``STEP``: m on the deep lattice took
   49 iterations instead of 36, and the 20 tiny oracle instances 0.46 s
   instead of 0.24 s in all.
 """
@@ -55,6 +55,8 @@ from typing import Callable
 
 import numpy as np
 
+# The first trial step of each round; the Frank-Wolfe gap at which a row stops.
+STEP, TOL = 1.0, 1e-9
 # A backtracking line search that halves the step to this size has stalled.
 _MIN_STEP = 1e-14
 # The clamp on a Barzilai-Borwein step, and how many of a row's last
@@ -74,9 +76,9 @@ class Descent:
 
     def __init__(self, obj, starts: np.ndarray,
                  project: Callable[[np.ndarray], np.ndarray],
-                 gap: Callable[[np.ndarray, np.ndarray], np.ndarray], opts):
+                 gap: Callable[[np.ndarray, np.ndarray], np.ndarray], max_iter: int):
         S = len(starts)
-        self.obj, self.project, self.gap, self.opts = obj, project, gap, opts
+        self.obj, self.project, self.gap, self.max_iter = obj, project, gap, max_iter
         self.q = starts.copy()
         self.raw, self.viol, self.rho = np.zeros(S), np.zeros(S), np.zeros(S)
         self.iterations = np.zeros(S, dtype=int)
@@ -94,9 +96,9 @@ class Descent:
     def round(self, rows: np.ndarray, rho: float) -> None:
         """At most max_iter iterations on ``rows`` at penalty weight rho.  A
         row is stationary, and stops at "tol", once its Frank-Wolfe gap is at
-        most tol.  The step and the window start afresh each round, as rho
+        most TOL.  The step and the window start afresh each round, as rho
         changes the penalized value."""
-        obj, opts, q, t = self.obj, self.opts, self.q, np.full(len(self.q), self.opts.step)
+        obj, q, t = self.obj, self.q, np.full(len(self.q), STEP)
         spectral = obj.differentiable
         # each row's last penalized values in this round, -inf where none yet
         recent = np.full((len(q), _WINDOW if spectral else 1), -np.inf)
@@ -107,24 +109,24 @@ class Descent:
         self.stop[rows], self.rho[rows] = "max_iter", rho
         self.rounds[rows] += 1
         active = rows
-        for it in range(opts.max_iter):
+        for it in range(self.max_iter):
             if not active.size:
                 break
             x = q[active]
             grad = obj.gradient(x, rho)
             self.counts[active, 1] += 1
-            done = self.gap(x, grad) <= opts.tol
+            done = self.gap(x, grad) <= TOL
             self.stop[active[done]] = "tol"
             active, x, grad = active[~done], x[~done], grad[~done]
             if not spectral:
-                t[active] = np.minimum(opts.step, 2.0 * t[active])
+                t[active] = np.minimum(STEP, 2.0 * t[active])
             else:
                 if it:   # every active row has accepted `it` steps this round
                     s, y = x - last_x[active], grad - last_grad[active]
                     ss, sy = (s * s).sum(axis=1), (s * y).sum(axis=1)
                     with np.errstate(divide="ignore"):
                         t[active] = np.where(sy > 0.0, np.clip(ss / sy, _BB_MIN, _BB_MAX),
-                                             _BB_MAX)
+                                             STEP)
                 last_x[active], last_grad[active] = x, grad
             took = np.zeros(active.size, dtype=bool)
             search = np.arange(active.size)       # positions in active

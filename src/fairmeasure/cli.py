@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from ._descent import STEP, TOL
 from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, build_lattice,
                       uniform_measure)
@@ -74,7 +75,10 @@ _GBM = {"n": int, "d": int, "drift": np.ndarray, "vol": np.ndarray, "corr": np.n
         "s0": np.ndarray}
 _CALIBRATION = {"csv": str, "exchanges": list}
 _CONSTRAINTS = {"N": float, "c": float, "p": float}
-_SOLVER = {"max_iter": int, "step": float, "tol": float, "restarts": int, "seed": int}
+_SOLVER = {"max_iter": int, "restarts": int, "seed": int}
+# Solver keys that were options and are now fixed, each with its one value;
+# older configs that still name them parse, and any other value is an error.
+_RETIRED = {"gradient": "analytic", "step": STEP, "tol": TOL}
 _IO = {"process_file": str, "measure_file": str, "report_file": str, "params_file": str}
 
 
@@ -144,10 +148,11 @@ def parse_config(path: str) -> RunConfig:
     constraints = _build(ConstraintParams, top.get("constraints", {}), _CONSTRAINTS,
                          "constraints", **objective)
     solver = dict(top.get("solver", {}))
-    # configs written when the gradient was an option may still name the one left
-    if solver.pop("gradient", None) not in (None, "analytic"):
-        raise ConfigError('solver.gradient: only "analytic" is supported; '
-                          "the FD gradient was removed")
+    for key, fixed in _RETIRED.items():
+        val = solver.pop(key, None)
+        if val is not None and _typed(val, type(fixed), f"solver.{key}") != fixed:
+            raise ConfigError(f"solver.{key}: only {json.dumps(fixed)} is supported; "
+                              "the option was removed")
     return RunConfig(lattice=lattice, gbm=gbm, calibration=calibration,
                      constraints=constraints,
                      solver=_build(SolveOptions, solver, _SOLVER, "solver"),

@@ -220,6 +220,11 @@ class LatticeProcess:
         return LatticeProcess(self.lattice, self.n, self.d, self.values * factor)
 
 
+def check_same_lattice(Q: Measure, g: LatticeProcess) -> None:
+    if Q.lattice != g.lattice:
+        raise ParameterError("measure and process live on different lattices")
+
+
 def find_adaptedness_violation(lattice: AdaptedLattice, values: np.ndarray):
     """Return (k, block index) of the first non-constant block, or None.
 

@@ -333,18 +333,18 @@ def calibrate_from_prices(series: list[PriceSeries]) -> GbmParams:
     unit diagonal.  A constant series gets sigma = 0 and zero off-diagonal
     correlation, with a warning.  Start values are the last observations.
 
-    Series are scalar, so d = 1 and n = len(series); correlation needs
-    equally long, equally sampled series when n >= 2.
+    Series are scalar, so d = 1 and n = len(series); correlation pairs the
+    returns of each time step, so when n >= 2 every series must be observed
+    at the same timestamps.
     """
     if not series:
         raise IngestionError("no series to calibrate")
     n = len(series)
-    dts = [_uniform_interval(s) for s in series]
-    dt = dts[0]
-    if any(abs(x - dt) > 1e-9 * dt for x in dts):
-        raise IngestionError("series do not share a common sampling interval")
-    if n >= 2 and len({len(s) for s in series}) != 1:
-        raise IngestionError("correlation needs series of equal length")
+    for s in series:
+        if not np.array_equal(s.timestamps, series[0].timestamps):
+            raise IngestionError(f"series {series[0].exchange!r} and {s.exchange!r} are not "
+                                 "observed at the same timestamps; correlation needs them to be")
+    dt = _uniform_interval(series[0])
 
     returns = [np.diff(np.log(s.prices)) for s in series]
     drift = np.zeros((n, 1))

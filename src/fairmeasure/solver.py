@@ -7,15 +7,16 @@ every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
 with a quadratic penalty rho * sum max(0, c - I)^2 over the exchange pairs
 for the floor (rho 10, x10 per round, <= 6 rounds) from the base measure.  A
-row stops once its Frank-Wolfe gap over the box-simplex is at most ``tol``;
-that gap is the solver's one stationarity measure.  On the lattice, m with
-p >= 1 and n are convex in the weights; where m is also smooth (p > 1) and
-no floor binds, every stationary point is a global minimizer and the gap
-bounds the distance to the optimal value, so one start suffices and the
-report carries the winner's gap.  Elsewhere (n, p <= 1, the floor) the
-descent is also multi-started from random feasible points, and each
-start's record says why it stopped.  A grid-search oracle over tiny
-instances provides an independent check of the optimizer.
+row stops once its Frank-Wolfe gap over the box-simplex is at most
+``_descent.TOL``; that gap is the solver's one stationarity measure.  On
+the lattice, m with p >= 1 and n are convex in the weights; where m is
+also smooth (p > 1) and no floor binds, every stationary point is a global
+minimizer and the gap bounds the distance to the optimal value, so one
+start suffices and the report carries the winner's gap.  Elsewhere (n,
+p <= 1, the floor) the descent is also multi-started from random feasible
+points, and each start's record says why it stopped.  A grid-search
+oracle over tiny instances provides an independent check of the
+optimizer.
 
 Each iteration searches the projected arc P(x - t g), halving t until an
 Armijo test passes.  Where the penalized value is differentiable (m with
@@ -24,12 +25,12 @@ p > 1, with or without the floor) this is spectral projected gradient
 the Barzilai-Borwein ratio of the row's last step and gradient change, and
 the test is against the largest of its last few values, so the value need
 not fall at every step.  On n and on m with p <= 1 the trial step doubles
-from the last one up to ``SolveOptions.step`` and the test is monotone; see
+from the last one up to ``_descent.STEP`` and the test is monotone; see
 ``_descent``.
 
 The starts descend in lock step as the rows of one (G, P) batch, the G
 axis of the node kernel.  Each row keeps its own step size and window; an
-active mask drops a row once its gap is at most tol, its line search
+active mask drops a row once its gap is at most TOL, its line search
 stalls, its projected step vanishes or it reaches max_iter, and each
 backtracking trial evaluates only the rows still searching.  Penalty rounds
 are shared: every row starts at rho = 10, and after each round the rows
@@ -64,7 +65,9 @@ from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
-from .lattice import AdaptedLattice, LatticeProcess, Measure, uniform_measure
+from .lattice import (AdaptedLattice, LatticeProcess, Measure, check_same_lattice,
+                      uniform_measure)
+from .unfairness import UnfairnessConfig
 
 __all__ = [
     "ConstraintParams", "SolveOptions", "ConstraintReport", "RestartRecord",
@@ -90,8 +93,7 @@ class ConstraintParams:
     def __post_init__(self):
         if not 1.0 <= self.N < math.inf:
             raise ParameterError(f"equivalence bound N must be finite and >= 1, got {self.N}")
-        if not 0.0 < self.p < math.inf:
-            raise ParameterError(f"exponent p must be finite and > 0, got {self.p}")
+        UnfairnessConfig(self.p)   # checks p
         if self.objective not in ("m", "n"):
             raise ParameterError(f"objective must be 'm' or 'n', got {self.objective!r}")
         if self.c is not None and not math.isfinite(self.c):
@@ -100,16 +102,13 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``step`` (finite, > 0) is the first trial step of each penalty round,
-    and on the nonsmooth objectives (n, m with p <= 1) also the largest;
-    where m is differentiable (p > 1) later trial steps are spectral and may
-    exceed it.  ``tol`` (finite, >= 0) bounds the Frank-Wolfe gap at which a
-    start stops; ``restarts`` counts the base start and the random ones,
-    which ``minimize`` draws only where m is not both smooth and convex."""
+    """``max_iter`` limits each penalty round, not the whole solve: a start
+    that runs all 6 rounds may take up to 6 * max_iter iterations.
+    ``restarts`` counts the base start and the random ones, which
+    ``minimize`` draws only where m is not both smooth and convex; ``seed``
+    draws them."""
 
     max_iter: int = 300
-    step: float = 1.0
-    tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
 
@@ -120,10 +119,6 @@ class SolveOptions:
                 raise ParameterError(f"{name} must be an int, got {val!r}")
             if val < least:
                 raise ParameterError(f"{name} must be >= {least}, got {val}")
-        if not 0.0 < self.step < math.inf:
-            raise ParameterError(f"step must be finite and > 0, got {self.step}")
-        if not 0.0 <= self.tol < math.inf:
-            raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
 
     @property
     def gradient(self) -> str:
@@ -134,8 +129,7 @@ class SolveOptions:
 
 def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarray]:
     """Atomwise equivalence box [mu/N, N*mu] around the uniform base measure."""
-    if not 1.0 <= N < math.inf:
-        raise ParameterError(f"equivalence bound N must be finite and >= 1, got {N}")
+    ConstraintParams(N)   # checks N
     P = lattice.n_paths
     return np.full(P, 1.0 / P / N), np.full(P, 1.0 / P * N)
 
@@ -146,8 +140,7 @@ def correlation_integral(Q: Measure, g: LatticeProcess, i: int, j: int) -> float
     """Time-integrated normalized covariance between exchanges i and j:
     the right-endpoint time sum of Cov_Q / E_Q|g_i g_j|, as the solver and
     ``check_constraints`` compute it, in one pass over every pair."""
-    if Q.lattice != g.lattice:
-        raise ParameterError("measure and process live on different lattices")
+    check_same_lattice(Q, g)
     if not (0 <= i < g.n and 0 <= j < g.n and i != j):
         raise ParameterError(f"need distinct exchange indices in 0..{g.n - 1}")
     return _correlations(Q, g, _floor_pairs(g))[min(i, j), max(i, j)]
@@ -199,8 +192,7 @@ class ConstraintReport:
 
 def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams) -> ConstraintReport:
     """Report per-atom box slacks, normalization, and correlation-floor slacks."""
-    if Q.lattice != g.lattice:
-        raise ParameterError("measure and process live on different lattices")
+    check_same_lattice(Q, g)
     lo, hi = box_bounds(Q.lattice, params.N)
     q = Q.weights
     lower = q - lo
@@ -265,7 +257,7 @@ class _Objective:
 class RestartRecord(NamedTuple):
     """What the descent from one start did.  ``kind`` is "base", "random" or
     "extra"; ``stop`` is why its last penalty round ended: "tol" (Frank-Wolfe
-    gap at most ``SolveOptions.tol``), "stalled-line-search" (no step above the
+    gap at most ``_descent.TOL``), "stalled-line-search" (no step above the
     minimum step decreased the value), "zero-step" (the projected step did
     not move) or "max_iter".  The counts are rows the descent evaluated,
     differentiated and projected for this start; ``rho`` is the penalty
@@ -321,12 +313,12 @@ _PENALTY_ROUNDS = 6
 
 def _solve_starts(obj: _Objective, starts: np.ndarray,
                   project: Callable[[np.ndarray], np.ndarray],
-                  gap: Callable[[np.ndarray, np.ndarray], np.ndarray], opts: SolveOptions,
+                  gap: Callable[[np.ndarray, np.ndarray], np.ndarray], max_iter: int,
                   floor_active: bool) -> Descent:
     """Descend from every start row at once.  Every row begins at rho =
     _PENALTY_INIT, and the rows still above the floor after a round go on
     with rho grown by _PENALTY_GROWTH, so one scalar rho serves each round."""
-    run = Descent(obj, starts, project, gap, opts)
+    run = Descent(obj, starts, project, gap, max_iter)
     rows = np.arange(len(starts))
     rho = _PENALTY_INIT if floor_active else 0.0
     for _ in range(_PENALTY_ROUNDS if floor_active else 1):
@@ -346,12 +338,12 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     Projected gradient descent on the path weights, started from the base
     measure and any ``extra_starts`` (projected first; useful for warm
     starts across related instances), all descending together as one batch
-    of rows, each until its Frank-Wolfe gap is at most ``opts.tol``.  Where
-    the problem is nonsmooth or nonconvex (objective n, p <= 1 or an active
-    correlation floor) (restarts - 1) random feasible points are added to
-    the starts; for m with p > 1 and no floor the objective is convex and
-    smooth, so the base start alone reaches the optimum and no random start
-    is drawn.  The correlation floor is handled by the quadratic penalty
+    of rows, each until its Frank-Wolfe gap is at most ``_descent.TOL``.
+    Where the problem is nonsmooth or nonconvex (objective n, p <= 1 or an
+    active correlation floor) (restarts - 1) random feasible points are
+    added to the starts; for m with p > 1 and no floor the objective is
+    convex and smooth, so the base start alone reaches the optimum and no
+    random start is drawn.  The correlation floor is handled by the quadratic penalty
     rho * sum max(0, c - I)^2 over the exchange pairs; rho starts at 10 and
     grows tenfold per round, at most 6 rounds.  Every start point is kept as a
     candidate, so whenever the base measure is feasible the report is
@@ -382,7 +374,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     starts[1:] = project(starts[1:])
 
     _, start_raw, start_viol = obj.evaluate(starts)
-    run = _solve_starts(obj, starts, project, gap, opts, floor_active)
+    run = _solve_starts(obj, starts, project, gap, opts.max_iter, floor_active)
 
     # the candidates: start r is 2r and the point descended from it 2r + 1
     value = np.column_stack((start_raw, run.raw)).ravel()

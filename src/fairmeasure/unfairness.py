@@ -30,7 +30,7 @@ import numpy as np
 
 from ._tree import Tree
 from .errors import ParameterError
-from .lattice import LatticeProcess, Measure
+from .lattice import LatticeProcess, Measure, check_same_lattice
 
 __all__ = [
     "UnfairnessConfig", "MartingaleCheck",
@@ -54,11 +54,6 @@ class MartingaleCheck(NamedTuple):
     max_deviation: float
 
 
-def _check_same_lattice(Q: Measure, g: LatticeProcess) -> None:
-    if Q.lattice != g.lattice:
-        raise ParameterError("measure and process live on different lattices")
-
-
 def unfairness_m(Q: Measure, g: LatticeProcess,
                  cfg: UnfairnessConfig = UnfairnessConfig()) -> float:
     """L^p deviation of g from its conditional expectations under Q.
@@ -69,7 +64,7 @@ def unfairness_m(Q: Measure, g: LatticeProcess,
     in the Euclidean norm over its d components.  Nonnegative, and zero
     exactly when g is a Q-martingale on the lattice.
     """
-    _check_same_lattice(Q, g)
+    check_same_lattice(Q, g)
     tree = Tree(g)
     return float(tree.m(tree.node_weights(Q.weights), cfg.p)[0])
 
@@ -82,7 +77,7 @@ def unfairness_n(Q: Measure, g: LatticeProcess) -> float:
     the normalization divides.  Unchanged when g is scaled by a positive
     constant, and zero exactly for Q-martingales.
     """
-    _check_same_lattice(Q, g)
+    check_same_lattice(Q, g)
     tree = Tree(g)
     return float(tree.n_value(tree.node_weights(Q.weights))[0])
 
@@ -95,8 +90,8 @@ def inner_product_m(Q: Measure, x: LatticeProcess, y: LatticeProcess) -> float:
     unfairness_m(Q, x, p=2), and the form vanishes whenever either argument
     is a Q-martingale.
     """
-    _check_same_lattice(Q, x)
-    _check_same_lattice(Q, y)
+    check_same_lattice(Q, x)
+    check_same_lattice(Q, y)
     if (x.n, x.d) != (y.n, y.d):
         raise ParameterError("processes have different exchange layouts")
     tree = Tree(LatticeProcess(x.lattice, 2 * x.n, x.d,
@@ -111,7 +106,7 @@ def is_martingale(Q: Measure, x: LatticeProcess, tol: float = 1e-9) -> Martingal
     expectations.  Returns the verdict and the largest deviation found
     (over times, paths and components).
     """
-    _check_same_lattice(Q, x)
+    check_same_lattice(Q, x)
     tree = Tree(x)
     A = tree.averages(tree.node_weights(Q.weights), 1)
     worst = max(float(np.abs(tree.nodes[k][:, None] - A[k]).max()) for k in range(tree.K))

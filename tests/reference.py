@@ -204,38 +204,38 @@ def lp_min(g, params):
 
 # -- the per-start solver loop ----------------------------------------------------
 
-def pgd(obj, q0, project, gap, opts, rho):
+def pgd(obj, q0, project, gap, max_iter, rho):
     """One penalty round of projected gradient descent from one start, one
     row at a time: the loop ``minimize`` runs per start, written without
     the batch.  A start stops at "tol" once ``gap`` (the package's
-    Frank-Wolfe gap) is at most tol.  Where ``obj.differentiable`` the
-    first trial step is ``opts.step`` and later ones the Barzilai-Borwein
-    ratio s's / s'y of the last pair, clamped, and a trial is tested
-    against the largest of the last ``_WINDOW`` penalized values;
-    elsewhere the trial step doubles up to ``opts.step`` and the test is
+    Frank-Wolfe gap) is at most ``TOL``.  Where ``obj.differentiable`` the
+    first trial step is ``STEP`` and later ones the Barzilai-Borwein ratio
+    s's / s'y of the last pair, clamped (``STEP`` where s'y <= 0), and a
+    trial is tested against the largest of the last ``_WINDOW`` penalized
+    values; elsewhere the trial step doubles up to ``STEP`` and the test is
     against the current value.  Returns (q, raw value, violation,
     iterations, trace, stop reason)."""
-    from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW
+    from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW, STEP, TOL
     spectral = obj.differentiable
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
     recent = [pen]
     trace = []
-    t = opts.step
+    t = STEP
     last = None
     iters = 0
     stop = "max_iter"
-    for _ in range(opts.max_iter):
+    for _ in range(max_iter):
         grad = obj.gradient(q, rho)
-        if float(gap(q, grad)) <= opts.tol:
+        if float(gap(q, grad)) <= TOL:
             stop = "tol"
             break
         if not spectral:
-            t = min(opts.step, 2.0 * t)
+            t = min(STEP, 2.0 * t)
         elif last is not None:
             s, y = q - last[0], grad - last[1]
             sy = float((s * y).sum())
-            t = min(max(float((s * s).sum()) / sy, _BB_MIN), _BB_MAX) if sy > 0.0 else _BB_MAX
+            t = min(max(float((s * s).sum()) / sy, _BB_MIN), _BB_MAX) if sy > 0.0 else STEP
         last = (q, grad)
         ref_value = max(recent[-_WINDOW:]) if spectral else pen
         accepted = False
@@ -261,7 +261,7 @@ def pgd(obj, q0, project, gap, opts, rho):
     return q, raw, viol, iters, trace, stop
 
 
-def solve_from(obj, q0, project, gap, opts, floor_active):
+def solve_from(obj, q0, project, gap, max_iter, floor_active):
     """Penalty rounds from one start: rho grows until the floor is met, and
     each round starts its step and its window afresh in ``pgd``.
     Returns a dict of the point reached (q, value, violation), the summed
@@ -271,7 +271,7 @@ def solve_from(obj, q0, project, gap, opts, floor_active):
     rho = _PENALTY_INIT if floor_active else 0.0
     q, iters, trace, rounds = q0, 0, [], 0
     for _ in range(_PENALTY_ROUNDS if floor_active else 1):
-        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, opts, rho)
+        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, max_iter, rho)
         iters += n
         trace.extend(steps)
         rounds += 1

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
-from fairmeasure import solver
-from fairmeasure._descent import _BB_MAX, Descent
+from fairmeasure import _descent, solver
+from fairmeasure._descent import STEP, Descent
 from fairmeasure._projection import frank_wolfe_gap
 from fairmeasure.solver import _Objective, box_bounds
 
@@ -65,7 +65,7 @@ def reference_solve(g, params, opts, extra=()):
     runs, candidates = [], []
     for q0 in starts:
         counting = Counting(obj, lo, hi)
-        run = ref.solve_from(counting, q0, counting.project, gap, opts, floor_active)
+        run = ref.solve_from(counting, q0, counting.project, gap, opts.max_iter, floor_active)
         run.update(evaluations=counting.evaluations, gradients=counting.gradients,
                    projections=counting.projections)
         runs.append(run)
@@ -114,9 +114,9 @@ def test_batched_rows_equal_reference_points(two_path):
     obj = _Objective(two_path, params)
     project = lambda v: fm.project_capped_simplex(v, lo, hi)
     gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
-    run = solver._solve_starts(obj, starts, project, gap, opts, False)
+    run = solver._solve_starts(obj, starts, project, gap, opts.max_iter, False)
     for r, q0 in enumerate(starts):
-        expect = ref.solve_from(obj, q0, project, gap, opts, False)
+        expect = ref.solve_from(obj, q0, project, gap, opts.max_iter, False)
         assert np.array_equal(run.q[r], expect["q"])
         assert run.trace(r) == expect["trace"]
 
@@ -152,25 +152,25 @@ def test_descent_stops_when_the_projected_step_does_not_move(two_path):
     """m at p = 2 with N = 1.2 has its optimum on the box edge.  With a gap
     that never certifies, each row steps onto that edge, and there the next
     projected step returns the same point: every row stops at "zero-step",
-    as it does in the reference loop.  The last row's first step lands an
-    ulp beside the edge; from a pair that short, s'y <= 0 gives the longest
-    spectral step, and the row takes four steps to reach the edge."""
+    as it does in the reference loop.  The last row's second step moves one
+    ulp; from a pair that short s'y <= 0, so its next trial is the round's
+    first step, not the longest spectral one, and that trial does not move."""
     lo, hi = box_bounds(two_path.lattice, 1.2)
     starts = np.array([fm.uniform_measure(two_path.lattice).weights] +
                       [fm.project_capped_simplex(np.random.default_rng([0, r]).uniform(lo, hi),
                                                  lo, hi) for r in range(1, 4)])
     obj = _Objective(two_path, fm.ConstraintParams(N=1.2, p=2.0))
     never = lambda v, grad: np.full(np.shape(v)[:-1], np.inf)
-    opts = fm.SolveOptions()
-    run = Descent(obj, starts, lambda v: fm.project_capped_simplex(v, lo, hi), never, opts)
+    max_iter = fm.SolveOptions().max_iter
+    run = Descent(obj, starts, lambda v: fm.project_capped_simplex(v, lo, hi), never, max_iter)
     run.round(np.arange(len(starts)), 0.0)
     assert run.stop.tolist() == ["zero-step"] * 4
-    assert run.iterations.tolist() == [1, 1, 1, 4]
-    assert max(step for _, step, _ in run.trace(3)) == _BB_MAX
+    assert run.iterations.tolist() == [1, 1, 1, 2]
+    assert all(step <= STEP for _, step, _ in run.trace(3))
     for r, q0 in enumerate(starts):
         counting = Counting(obj, lo, hi)
         q, raw, viol, iters, trace, stop = ref.pgd(counting, q0, counting.project, never,
-                                                   opts, 0.0)
+                                                   max_iter, 0.0)
         assert (run.stop[r], run.iterations[r], run.raw[r], run.viol[r]) == (stop, iters, raw, viol)
         assert np.array_equal(run.q[r], q) and run.trace(r) == trace
         assert run.counts[r].tolist() == [counting.evaluations, counting.gradients,
@@ -190,7 +190,7 @@ def test_smooth_convex_m_draws_no_random_starts(two_path, p):
     the extra starts descend, and no random start is drawn.  Every row
     reaches the gap tolerance, at p = 3 too, where the gradient of |x|^3
     vanishes like x^2 near the interior zero and only a step that grows
-    past ``opts.step`` gets there within max_iter."""
+    past ``STEP`` gets there within max_iter."""
     params = fm.ConstraintParams(N=1.7, p=p)
     extra = [np.array([0.2, 0.8]), np.array([0.5, 0.5])]
     rep, runs = assert_matches_reference(two_path, params, fm.SolveOptions(restarts=3), extra)
@@ -243,7 +243,7 @@ def test_minimize_matches_reference_on_random_instances(b, K, n, objective, N, r
                                                          seed=seed))
 
 
-def test_restart_records_stop_reasons(two_path):
+def test_restart_records_stop_reasons(two_path, monkeypatch):
     """Smooth convex m draws no random starts, so extra starts fill the batch."""
     params = fm.ConstraintParams(N=2.0, p=2.0)
     extra = [np.array([0.3, 0.7]), np.array([0.6, 0.4])]
@@ -252,7 +252,8 @@ def test_restart_records_stop_reasons(two_path):
     capped = fm.minimize(two_path, params, fm.SolveOptions(restarts=3, max_iter=2), extra)
     assert [rec.stop for rec in capped.restarts] == ["max_iter"] * 3
     assert all(rec.iterations == 2 and rec.gradients == 2 for rec in capped.restarts)
-    frozen = fm.minimize(two_path, params, fm.SolveOptions(restarts=2, step=1e-15),
-                          [np.array([0.8, 0.2])])
+    # a first trial step below the line search's minimum step stalls every row
+    monkeypatch.setattr(_descent, "STEP", 1e-15)
+    frozen = fm.minimize(two_path, params, fm.SolveOptions(restarts=2), [np.array([0.8, 0.2])])
     assert [rec.stop for rec in frozen.restarts] == ["stalled-line-search"] * 2
     assert frozen.winner == 0 and frozen.iterations == 0

@@ -34,7 +34,7 @@ def write_config(path, **overrides):
         },
         "constraints": {"N": 2.0, "c": None, "p": 2.0},
         "objective": "m",
-        "solver": {"max_iter": 300, "restarts": 3, "tol": 1e-9, "seed": 0},
+        "solver": {"max_iter": 300, "restarts": 3, "seed": 0},
         "io": {"process_file": "process.csv", "measure_file": "measure.csv",
                "report_file": "report.json"},
     }
@@ -483,13 +483,13 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys, patch, expected)
 @pytest.mark.parametrize("patch,expected", [
     ({"constraints": {"N": 2.0, "p": math.inf}}, "constraints"),
     ({"constraints": {"N": math.inf}}, "constraints"),
-    ({"solver": {"step": math.nan}}, "solver"),
-    ({"solver": {"step": 0.0}}, "solver"),
-    ({"solver": {"tol": math.nan}}, "solver"),
+    ({"solver": {"max_iter": -1}}, "solver"),
+    ({"solver": {"restarts": 0}}, "solver"),
+    ({"solver": {"seed": -1}}, "solver"),
 ])
 def test_config_non_finite_or_out_of_range_numbers_exit_1(tmp_path, capsys, patch, expected):
-    """JSON's Infinity and NaN literals reach the dataclass checks, which
-    reject them before any command runs."""
+    """Out-of-range numbers, JSON's Infinity literal among them, reach the
+    dataclass checks, which reject them before any command runs."""
     cfg = write_config(tmp_path / "config.json", **patch)
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"error: {expected}: " in capsys.readouterr().err
@@ -639,4 +639,41 @@ def test_config_gradient_analytic_changes_no_output_byte(tmp_path, gradient):
         assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append(out)
     for name in ("report.json", "measure.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [("step", 1), ("step", 1.0), ("tol", 1e-9),
+                                       ("gradient", "analytic"), ("step", None),
+                                       ("tol", None), ("gradient", None)])
+def test_config_retired_solver_key_at_its_one_value_parses(tmp_path, key, value):
+    cfg = write_config(tmp_path / "config.json", solver={key: value})
+    assert cli.parse_config(cfg).solver == fm.SolveOptions(max_iter=300, restarts=3, seed=0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("step", 0.5), ("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
+    ("step", True), ("step", "1.0"), ("tol", 0.0), ("tol", 1e-8), ("tol", math.nan),
+    ("tol", True), ("gradient", "fd"), ("gradient", True), ("gradient", 1.0),
+])
+def test_config_retired_solver_key_at_another_value_exits_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "config.json", solver={key: value})
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: solver.{key}: ") and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_retired_solver_keys_change_no_output_byte(tmp_path):
+    """A config that sets every retired key at its value writes the same
+    process, measure and report as one without them."""
+    outs = []
+    for name, solver in (("without", {}),
+                         ("with", {"gradient": "analytic", "step": 1.0, "tol": 1e-9})):
+        out = tmp_path / name
+        out.mkdir()
+        cfg = write_config(out / "config.json", constraints={"p": 1.0}, solver=solver)
+        for command in ("simulate", "optimize"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("process.csv", "measure.csv", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

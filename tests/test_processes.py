@@ -205,6 +205,20 @@ def test_calibrate_input_errors():
         fm.calibrate_from_prices([a, b])
 
 
+def test_calibrate_needs_series_observed_at_the_same_timestamps():
+    """Returns correlate step by step, so two series of equal length and
+    interval but shifted in time are an error, not a correlation."""
+    ts = np.arange(10.0)
+    prices = np.exp(0.05 * np.sin(ts) + 0.01 * ts)
+    a = fm.PriceSeries("a", ts, prices)
+    b = fm.PriceSeries("b", ts + 1000.0, prices[::-1].copy())
+    with pytest.raises(fm.IngestionError, match="series 'a' and 'b' are not observed at the "
+                                                "same timestamps"):
+        fm.calibrate_from_prices([a, b])
+    params = fm.calibrate_from_prices([a, fm.PriceSeries("b", ts, b.prices)])
+    assert params.n == 2 and -1.0 <= params.corr[0, 1] <= 1.0
+
+
 def test_psd_projection():
     bad = np.array([[1.0, 0.9, -0.9],
                     [0.9, 1.0, 0.9],
