@@ -33,7 +33,9 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np
     point v (P,) or of each row of v (G, P).
 
     The bounds are two floats, a uniform box as the solver uses, or two
-    arrays of shape (P,); both take the same code and give the same floats.
+    arrays of shape (P,).  Arrays whose entries are all equal, as
+    ``box_bounds`` returns them, are taken as their two floats, which give
+    the same result at less cost per call.
     The projection is clip(v - tau, lo, hi) for the dual variable tau of the
     sum constraint, a continuous quadratic knapsack solved exactly and
     without sorting by a safeguarded Newton method on
@@ -54,15 +56,18 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np
     if v.ndim not in (1, 2):
         raise ParameterError("point and bounds must have matching shapes")
     P = v.shape[-1]
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != (P,) or hi.shape != (P,):
+            raise ParameterError("point and bounds must have matching shapes")
+        if P and (lo == lo[0]).all() and (hi == hi[0]).all():
+            lo, hi = lo[0], hi[0]
+    if np.ndim(lo) == 0:
         lo, hi = float(lo), float(hi)
         finite = math.isfinite(lo) and math.isfinite(hi)
         empty = lo > hi
         slo, shi = P * lo, P * hi
     else:
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if lo.shape != (P,) or hi.shape != (P,):
-            raise ParameterError("point and bounds must have matching shapes")
         finite = bool(np.isfinite(lo).all() and np.isfinite(hi).all())
         empty = bool(np.any(lo > hi))
         slo, shi = float(lo.sum()), float(hi.sum())

@@ -6,8 +6,16 @@ its node weights W_K = Q, W_k = W_{k+1}.reshape(G, -1, b).sum(-1).  The
 forward fold A_k = sum_children W_{k+1} [g_{k+1}, A_{k+1}] / W_k gives every
 E[g_l | F_k], l > k, in O(P) work and about K numpy calls, where a path
 array per (k, l) pair costs O(K^2 P).  Each step is
-``lattice._weighted_mean``, as in ``cond_exp``: constants pass through
-exactly, one-step averages agree to the bit, zero-weight nodes average to 0.
+``lattice._weighted_mean``, as in ``cond_exp``, over the stacked children
+[g_{k+1}, A_{k+1}] (g_{k+1} alone, the constant node array, where the
+horizon ends at k + 1): constants pass through exactly, one-step averages
+agree to the bit, zero-weight nodes average to 0.  On a binary lattice a
+scalar process's step with one later column would stack two entries per
+child, and numpy's passes over so short a trailing axis are slow; there
+g_{k+1} and A_{k+1} are averaged in two calls, whose unit trailing axes
+numpy folds away (about half the step's time at 4096 rows) and whose two
+products add alike in either order, so the floats are the stacked step's.
+With longer axes the second call costs more than the copies it saves.
 
 Each functional is F = sum_k sum_nodes W_k f_k(A_k).  Below a level-k node
 dA_kl/dq_pi = (g_l(pi) - A_kl) / W_k, whose 1/W_k cancels the W_k in front,
@@ -66,14 +74,20 @@ class Tree:
         for k in range(K - 1, -1, -1):
             h, child = min(horizon, K - k), self.nodes[k + 1]
             M = child.shape[1]
+            w = W[k + 1].reshape(G, b ** k, b)
+            Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
             if h == 1:
                 X = child.reshape(1, b ** k, b, M)
+            elif b == 2 and h * M == 2:  # averaged apart: see the module docstring
+                A[k] = np.empty((G, b ** k, 2, 1))
+                A[k][:, :, 0] = _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk)
+                A[k][:, :, 1] = _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk)
+                continue
             else:
                 X = np.empty((G, b ** (k + 1), h, M))
                 X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
                 X = X.reshape(G, b ** k, b, h * M)
-            Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
-            A[k] = _weighted_mean(W[k + 1].reshape(G, b ** k, b), X, Wk).reshape(G, b ** k, h, M)
+            A[k] = _weighted_mean(w, X, Wk).reshape(G, b ** k, h, M)
         if not positive:  # the fold kept weightless nodes at their first child's value
             for k in range(K):
                 A[k][W[k] <= 0.0] = 0.0
@@ -105,11 +119,13 @@ class Tree:
         A, dt2 = self.averages(W, self.K), self.dt * self.dt
         total, terms, D = 0.0, [], []
         for k in range(self.K):
-            dev = self.nodes[k][:, None, :] - A[k]
-            nrm = np.abs(dev) if self.d == 1 else np.sqrt(
-                (dev.reshape(dev.shape[:-1] + (self.n, self.d)) ** 2).sum(axis=-1))
+            own = None if adjoint else A[k]  # the value pass writes dev and nrm over A
+            dev = np.subtract(self.nodes[k][:, None, :], A[k], out=own)
+            nrm = np.abs(dev, out=own) if self.d == 1 else np.sqrt(
+                np.square(dev, out=own).reshape(dev.shape[:-1] + (self.n, self.d)).sum(axis=-1))
             if not adjoint:
-                total = total + np.einsum("gv,gvhe->g", W[k], nrm ** p)
+                nrm **= p
+                total = total + np.einsum("gv,gvhe->g", W[k], nrm)
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)

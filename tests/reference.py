@@ -154,6 +154,46 @@ def central_difference(obj, q, h, rho=0.0):
     return grad
 
 
+# -- the stacked fold ----------------------------------------------------------------
+
+def stacked_averages(tree, W, horizon):
+    """``Tree.averages`` as one ``_weighted_mean`` per level over the stacked
+    X = [child | A_{k+1}], unchanged from before the fold averaged the
+    child column on its own: A[k][:, :, j] = E[g_{k+1+j} | F_k], shape
+    (G, b^k, h, n*d) with h = min(horizon, K - k)."""
+    from fairmeasure.lattice import _weighted_mean
+    b, K, G = tree.b, tree.K, W[0].shape[0]
+    positive = bool((W[K] > 0.0).all())
+    A = [None] * K
+    for k in range(K - 1, -1, -1):
+        h, child = min(horizon, K - k), tree.nodes[k + 1]
+        M = child.shape[1]
+        if h == 1:
+            X = child.reshape(1, b ** k, b, M)
+        else:
+            X = np.empty((G, b ** (k + 1), h, M))
+            X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
+            X = X.reshape(G, b ** k, b, h * M)
+        Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
+        A[k] = _weighted_mean(W[k + 1].reshape(G, b ** k, b), X, Wk).reshape(G, b ** k, h, M)
+    if not positive:  # the fold kept weightless nodes at their first child's value
+        for k in range(K):
+            A[k][W[k] <= 0.0] = 0.0
+    return A
+
+
+def m_from_averages(tree, W, A, p):
+    """``Tree.m``'s value per row on the averages A of ``Tree.averages``
+    at horizon K, each deviation and norm in a new array."""
+    total = 0.0
+    for k in range(tree.K):
+        dev = tree.nodes[k][:, None, :] - A[k]
+        nrm = np.abs(dev) if tree.d == 1 else np.sqrt(
+            (dev.reshape(dev.shape[:-1] + (tree.n, tree.d)) ** 2).sum(axis=-1))
+        total = total + np.einsum("gv,gvhe->g", W[k], nrm ** p)
+    return tree.dt * tree.dt * total
+
+
 # -- the linear programs of n and of m at p = 1 -------------------------------------
 
 def lp_min(g, params):

@@ -269,6 +269,40 @@ def test_projection_batch_shapes():
             fm.project_capped_simplex(bad, lo, hi)
 
 
+@pytest.mark.parametrize("G, P", [(1, 2), (1, 64), (5, 2), (5, 64)])
+def test_projection_uniform_array_box_is_the_float_box(G, P):
+    """A box of equal arrays, as ``box_bounds`` returns it, projects to the
+    bytes of the same box as two floats, for a batch and for one point."""
+    rng = np.random.default_rng(G * 100 + P)
+    for N in (1.0, 1.5, 4.0):
+        lo, hi = box_bounds(fm.build_lattice(P, 1), N)
+        V = rng.normal(1.0 / P, 2.0 / P, (G, P))
+        for v in (V, V[0]):
+            got = fm.project_capped_simplex(v, lo, hi)
+            assert got.tobytes() == fm.project_capped_simplex(v, lo[0], hi[0]).tobytes()
+
+
+@pytest.mark.parametrize("which", ["lo", "hi"])
+def test_projection_nearly_uniform_array_box(which):
+    """A box uniform but for one coordinate keeps its own bounds: the
+    projection matches the sorting reference and moves where the uniform
+    box would not."""
+    rng = np.random.default_rng(8)
+    P = 16
+    lo, hi = np.full(P, 0.5 / P), np.full(P, 2.0 / P)
+    bounds = {"lo": lo, "hi": hi}
+    bounds[which][3] = 0.1 / P if which == "lo" else 4.0 / P
+    for _ in range(20):
+        V = rng.normal(1.0 / P, 3.0 / P, (3, P))
+        V[:, 3] = -1.0 if which == "lo" else 1.0
+        Q = fm.project_capped_simplex(V, lo, hi)
+        for row, q in zip(V, Q):
+            assert np.abs(q - ref.breakpoint_projection(row, lo, hi)).max() <= 1e-15
+        assert np.all(Q >= lo) and np.all(Q <= hi)
+        assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-13
+        assert np.all(Q[:, 3] == bounds[which][3])
+
+
 @settings(max_examples=500, deadline=None)
 @given(projection_cases(offsets=True), st.integers(1, 3))
 def test_projection_matches_breakpoint_reference(case, G):

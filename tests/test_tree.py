@@ -208,6 +208,89 @@ def test_zero_weight_blocks_average_to_zero():
     assert np.all(np.isfinite(A[0]))
 
 
+# -- the fold against the stacked reference --------------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def fold_cases(draw):
+    """(tree, node weights): b <= 4 (b = 2 in half the draws), K <= 4,
+    n <= 3 and d in {1, 2} (a scalar process in half the draws), G in
+    {1, 3, 2000} rows of random weights; in about two of three draws each
+    node of one level carries no weight with probability 1/3, so some rows
+    have weightless nodes down to the leaves."""
+    b, K = draw(st.sampled_from([2, 2, 3, 4])), draw(st.integers(1, 4))
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    n, d = (1, 1) if draw(st.booleans()) else (draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    g = random_process(rng, lat, n=n, d=d, low=-3.0, high=3.0)
+    G = draw(st.sampled_from([1, 3, 2000]))
+    Q = rng.uniform(0.0, 1.0, (G, lat.n_paths))
+    level = draw(st.sampled_from([None, *range(1, K + 1)]))
+    if level is not None:
+        blocks = Q.reshape(G, b ** level, -1)
+        blocks[rng.uniform(size=(G, b ** level)) < 1 / 3] = 0.0
+    tree = Tree(g)
+    return tree, tree.node_weights(Q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fold_cases())
+def test_fold_is_the_stacked_fold_bit_for_bit(case):
+    """Averaging a binary scalar step's child column apart changes no
+    float: every level at every horizon, weightless nodes included."""
+    tree, W = case
+    for horizon in range(1, tree.K + 1):
+        got, expect = tree.averages(W, horizon), ref.stacked_averages(tree, W, horizon)
+        assert all(same_bits(a, e) for a, e in zip(got, expect))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fold_cases())
+def test_m_value_pass_is_the_stacked_sum_bit_for_bit(case):
+    """The value pass, deviations and norms written over the averages, is
+    the einsum sum over the stacked fold's averages, float for float."""
+    tree, W = case
+    for p in (0.5, 1.0, 1.5, 2.0, 3.0):
+        expect = ref.m_from_averages(tree, W, ref.stacked_averages(tree, W, tree.K), p)
+        assert same_bits(tree.m(W, p), expect)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("b, K, n, d", [(2, 1, 2, 1), (3, 1, 2, 2), (2, 3, 1, 1), (4, 2, 2, 2)])
+def test_kernel_passes_leave_their_inputs_alone(b, K, n, d, zero):
+    """The value pass overwrites only arrays it made: the node arrays, the
+    process values and the caller's weight rows keep their bytes, and a
+    second call returns the first call's bytes.  ``zero`` takes the fold's
+    path for weightless nodes (a weightless leaf, and a weightless level-(K-1)
+    node where K > 1); the scalar binary case takes the two-call step."""
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(b * 10 + K)
+    g = random_process(rng, lat, n=n, d=d, low=0.3, high=3.0)
+    y = random_process(rng, lat, n=n, d=d, low=0.3, high=3.0)
+    Q = rng.uniform(0.5, 1.0, (3, lat.n_paths))
+    if zero:
+        Q[:, :b if K > 1 else 1] = 0.0
+    Q /= Q.sum(axis=1, keepdims=True)
+    tree = Tree(g)
+    pair = Tree(fm.LatticeProcess(lat, 2 * n, d, np.concatenate((g.values, y.values), axis=2)))
+    W, pair_W = tree.node_weights(Q), pair.node_weights(Q)
+    measure = fm.Measure(lat, Q[0])
+    inputs = lambda: [g.values, y.values, Q, measure.weights] + tree.nodes + pair.nodes + W + pair_W
+    saved = [x.copy() for x in inputs()]
+    calls = [lambda p=p: tree.m(W, p) for p in (0.5, 1.0, 2.0, 3.0)] + [
+        lambda: tree.n_value(W),
+        lambda: pair.inner(pair_W, g.n_components),
+        lambda: np.float64(fm.is_martingale(measure, g).max_deviation)]
+    for call in calls:
+        first = call()
+        assert same_bits(call(), first)
+        assert all(same_bits(a, e) for a, e in zip(inputs(), saved))
+
+
 # -- the brute-force grid ----------------------------------------------------------
 
 def reference_brute_force(g, params, resolution):
