@@ -8,7 +8,6 @@ round-tripping repr so files reload bit-identically.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import itertools
 import json
@@ -24,8 +23,8 @@ from ._descent import STEP, TOL
 from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, build_lattice,
                       uniform_measure)
-from .processes import (GbmParams, calibrate_from_prices, parse_float_field,
-                        read_price_csv, simulate_gbm)
+from .processes import (GbmParams, _read_csv, _read_text, calibrate_from_prices,
+                        parse_float_field, read_price_csv, simulate_gbm)
 from .solver import ConstraintParams, SolveOptions, minimize
 from .unfairness import UnfairnessConfig, unfairness_m, unfairness_n
 
@@ -124,8 +123,7 @@ def _build(make, obj: dict, table: dict, where: str, **extra):
 def parse_config(path: str) -> RunConfig:
     """Load and validate a run configuration, naming any offending key."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(_read_text(path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -165,19 +163,16 @@ def parse_config(path: str) -> RunConfig:
 def write_process_csv(path: str, process: LatticeProcess) -> None:
     """Header path,k,exchange,component,value; base-b digit-string paths."""
     lat = process.lattice
-    labels = lat.labels()
+    cells = itertools.product(lat.labels(), range(lat.depth + 1), range(process.n),
+                              range(process.d))
+    values = process.values.transpose(1, 0, 2).reshape(-1).tolist()
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("path,k,exchange,component,value\n")
-        for idx in range(lat.n_paths):
-            for k in range(lat.depth + 1):
-                for i in range(process.n):
-                    for j in range(process.d):
-                        val = float(process.values[k, idx, i * process.d + j])
-                        fh.write(f"{labels[idx]},{k},{i},{j},{val!r}\n")
+        fh.write("path,k,exchange,component,value\n" + "".join(
+            f"{label},{k},{i},{j},{val!r}\n" for (label, k, i, j), val in zip(cells, values)))
 
 
 def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None = None):
-    """The one reader of the path-indexed CSV formats.
+    """The reader of the path-indexed CSV formats.
 
     ``columns`` is the header: the path label, integer index columns, then
     one float column.  Labels go through the lattice's label codec; the
@@ -186,18 +181,9 @@ def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None
     exactly once.  Returns the lattice and that grid as a float array of
     shape (n_paths, *index extents).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != columns:
-            raise ParameterError(f"{path}: expected header {','.join(columns)!r}, got {header}")
-        rows = list(enumerate(reader, start=2))
+    rows = _read_csv(path, columns, ParameterError)
     if not rows:
         raise ParameterError(f"{path}: no data rows")
-    for line, row in rows:
-        if len(row) != len(columns):
-            raise ParameterError(f"{path}:{line}: expected {len(columns)} fields, "
-                                 f"got {len(row)}")
     if lattice is None:
         try:
             lattice = AdaptedLattice.for_labels([row[0] for _, row in rows])
@@ -258,12 +244,9 @@ def load_process(path: str) -> LatticeProcess:
 
 
 def write_measure_csv(path: str, measure: Measure) -> None:
-    lat = measure.lattice
-    labels = lat.labels()
+    rows = zip(measure.lattice.labels(), measure.weights.tolist())
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("path,weight\n")
-        for idx in range(lat.n_paths):
-            fh.write(f"{labels[idx]},{float(measure.weights[idx])!r}\n")
+        fh.write("path,weight\n" + "".join(f"{label},{w!r}\n" for label, w in rows))
 
 
 def read_measure_csv(path: str, lattice: AdaptedLattice) -> Measure:

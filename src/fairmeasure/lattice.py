@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -18,6 +19,16 @@ from .errors import EquivalenceViolationError, ParameterError, SizeBudgetError
 DEFAULT_PATH_BUDGET = 1 << 20
 NORMALIZATION_TOL = 1e-12
 _DIGITS = "0123456789"  # path-label alphabet: digit d names branch d
+
+
+def _as_count(name: str, val, least: int, most: int | None = None) -> int:
+    """``val`` as a Python int, under the rule every count shares: an
+    integral number that is not a bool, in ``least``..``most``."""
+    if (isinstance(val, Integral) and not isinstance(val, bool)
+            and least <= val and (most is None or val <= most)):
+        return int(val)
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    raise ParameterError(f"{name} must be an integer {bound}, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -33,14 +44,7 @@ class AdaptedLattice:
 
     def __post_init__(self):
         for name, least in (("branching", 2), ("depth", 1)):
-            val = getattr(self, name)
-            try:
-                ok = not isinstance(val, bool) and int(val) == val and val >= least
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise ParameterError(f"{name} must be an integer >= {least}, got {val}")
-            object.__setattr__(self, name, int(val))
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), least))
 
     @property
     def n_paths(self) -> int:
@@ -61,12 +65,10 @@ class AdaptedLattice:
         return out
 
     def block_size(self, k: int) -> int:
-        self._check_time(k)
-        return self.branching ** (self.depth - k)
+        return self.branching ** (self.depth - self._check_time(k))
 
     def n_blocks(self, k: int) -> int:
-        self._check_time(k)
-        return self.branching ** k
+        return self.branching ** self._check_time(k)
 
     def partition(self, k: int) -> list[range]:
         """Blocks of paths sharing a digit prefix of length k, as index ranges."""
@@ -100,16 +102,15 @@ class AdaptedLattice:
         """The smallest lattice that can name these paths: depth from the
         first label, branching one above the largest digit, within the
         default path budget.  Malformed labels are left to :meth:`path_index`."""
-        top = max((_DIGITS.find(ch) for label in labels for ch in label), default=0)
+        top = max(map(_DIGITS.find, set().union(*labels)), default=0)
         return build_lattice(max(top + 1, 2), max(len(labels[0]), 1))
 
     def _check_labels(self) -> None:
         if self.branching > len(_DIGITS):
             raise ParameterError("digit-string labels support branching <= 10")
 
-    def _check_time(self, k: int) -> None:
-        if not 0 <= k <= self.depth:
-            raise ParameterError(f"time index {k} outside 0..{self.depth}")
+    def _check_time(self, k: int) -> int:
+        return _as_count("k", k, 0, self.depth)
 
 
 def build_lattice(b: int, K: int, path_budget: int = DEFAULT_PATH_BUDGET) -> AdaptedLattice:
@@ -123,6 +124,17 @@ def build_lattice(b: int, K: int, path_budget: int = DEFAULT_PATH_BUDGET) -> Ada
     return lattice
 
 
+def _path_array(lattice: AdaptedLattice, values, subject: str) -> np.ndarray:
+    """A read-only float copy of one value per path, each finite and >= 0."""
+    x = np.asarray(values, dtype=float).copy()
+    if x.shape != (lattice.n_paths,):
+        raise ParameterError(f"{subject} shape {x.shape} does not match {lattice.n_paths} paths")
+    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise ParameterError(f"{subject} must be finite and nonnegative")
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Measure:
     """Probability weights on paths; must sum to 1 within 1e-12."""
@@ -131,15 +143,9 @@ class Measure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.shape != (self.lattice.n_paths,):
-            raise ParameterError(
-                f"weights shape {w.shape} does not match {self.lattice.n_paths} paths")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ParameterError("weights must be finite and nonnegative")
+        w = _path_array(self.lattice, self.weights, "weights")
         if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
             raise ParameterError(f"weights sum to {w.sum()!r}, not 1 within {NORMALIZATION_TOL}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     def density(self) -> "Density":
@@ -155,15 +161,9 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.values, dtype=float).copy()
-        if f.shape != (self.lattice.n_paths,):
-            raise ParameterError(
-                f"density shape {f.shape} does not match {self.lattice.n_paths} paths")
-        if np.any(f < 0.0) or not np.all(np.isfinite(f)):
-            raise ParameterError("density must be finite and nonnegative")
+        f = _path_array(self.lattice, self.values, "density")
         if abs(float(f.mean()) - 1.0) > NORMALIZATION_TOL:
             raise ParameterError("density does not integrate to 1 against the base measure")
-        f.setflags(write=False)
         object.__setattr__(self, "values", f)
 
     def measure(self) -> Measure:
@@ -191,8 +191,8 @@ class LatticeProcess:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ParameterError("need n >= 1 exchanges and d >= 1 components")
+        for name in ("n", "d"):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), 1))
         v = np.asarray(self.values, dtype=float).copy()
         expected = (self.lattice.depth + 1, self.lattice.n_paths, self.n * self.d)
         if v.shape != expected:
@@ -273,7 +273,6 @@ def cond_exp(x: np.ndarray, k: int, Q: Measure, *, return_zero_blocks: bool = Fa
     Accepts a path vector or an (n_paths, m) array (columnwise).
     """
     lat = Q.lattice
-    lat._check_time(k)
     X, was_vector = _as_columns(x, lat.n_paths)
     nblk, bs = lat.n_blocks(k), lat.block_size(k)
     Xb = X.reshape(nblk, bs, X.shape[1])
@@ -323,11 +322,10 @@ def cond_exp_reweighted(x: np.ndarray, F: Density, k: int, base: Measure):
 def _embedding(lat: AdaptedLattice, copies: int) -> tuple[AdaptedLattice, np.ndarray]:
     """The lattice with every branch of ``lat`` split into ``copies``
     children, and for each of its paths the index of the path it copies."""
-    if int(copies) != copies or copies < 2:
-        raise ParameterError(f"copies must be an integer >= 2, got {copies}")
-    fine = AdaptedLattice(lat.branching * int(copies), lat.depth)
+    copies = _as_count("copies", copies, 2)
+    fine = AdaptedLattice(lat.branching * copies, lat.depth)
     powers = lat.branching ** np.arange(lat.depth - 1, -1, -1)
-    return fine, (fine.digits // int(copies)) @ powers
+    return fine, (fine.digits // copies) @ powers
 
 
 def duplicate_branches(process: LatticeProcess, copies: int = 2) -> LatticeProcess:

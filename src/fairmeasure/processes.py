@@ -10,6 +10,7 @@ accuracy instead of statistically.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import IngestionError, NoMartingaleMeasureError, ParameterError
-from .lattice import AdaptedLattice, LatticeProcess, Measure
+from .lattice import AdaptedLattice, LatticeProcess, Measure, _as_count
 
 __all__ = [
     "GbmParams", "PriceSeries",
@@ -48,8 +49,8 @@ class GbmParams:
     s0: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ParameterError("need n >= 1 exchanges and d >= 1 components")
+        for name in ("n", "d"):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), 1))
         M = self.n * self.d
         for name in ("drift", "vol", "s0"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
@@ -241,6 +242,38 @@ def parse_float_field(text: str) -> float:
     return value
 
 
+def _read_text(path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file.  A byte that is not UTF-8 raises ``error``
+    naming the file and the line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}") from None
+
+
+def _read_csv(path, columns: list[str], error: type[Exception]) -> list[tuple[int, list[str]]]:
+    """The one reader of the CSV formats: each record after the header
+    ``columns`` as (line, fields), the header on line 1.  A file that is not
+    UTF-8, a field over csv's size limit, another header or a record with
+    another field count raises ``error`` naming the file and the line."""
+    rows: list[list[str]] = []
+    try:   # extend keeps the records before a bad one, which gives its line
+        rows.extend(csv.reader(io.StringIO(_read_text(path, error), newline="")))
+    except csv.Error as exc:
+        raise error(f"{path}:{len(rows) + 1}: {exc}") from None
+    header = rows[0] if rows else None
+    if header != columns:
+        raise error(f"{path}:1: expected header {','.join(columns)!r}, got {header}")
+    records = list(enumerate(rows[1:], start=2))
+    for line, row in records:
+        if len(row) != len(columns):
+            raise error(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
+    return records
+
+
 def _parse_timestamp(text: str) -> float:
     """Epoch seconds of an integer or ISO-8601 field; raises ValueError."""
     # int() would also take "1_000", "+5" and non-ASCII digits
@@ -261,34 +294,26 @@ def read_price_csv(path) -> list[PriceSeries]:
     """
     order: list[str] = []
     data: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "exchange", "price"]:
-            raise IngestionError(f"{path}:1: expected header 'timestamp,exchange,price', "
-                                 f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                ts = _parse_timestamp(row[0])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from None
-            name = row[1]
-            if not name:
-                raise IngestionError(f"{path}:{lineno}: empty exchange name")
-            if name != name.strip():
-                raise IngestionError(f"{path}:{lineno}: bad exchange name {name!r}")
-            try:
-                price = parse_float_field(row[2])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc} price {row[2]!r}") from None
-            if price <= 0.0:
-                raise IngestionError(f"{path}:{lineno}: price must be positive")
-            if name not in data:
-                order.append(name)
-                data[name] = []
-            data[name].append((ts, price))
+    for lineno, row in _read_csv(path, ["timestamp", "exchange", "price"], IngestionError):
+        try:
+            ts = _parse_timestamp(row[0])
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from None
+        name = row[1]
+        if not name:
+            raise IngestionError(f"{path}:{lineno}: empty exchange name")
+        if name != name.strip():
+            raise IngestionError(f"{path}:{lineno}: bad exchange name {name!r}")
+        try:
+            price = parse_float_field(row[2])
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: {exc} price {row[2]!r}") from None
+        if price <= 0.0:
+            raise IngestionError(f"{path}:{lineno}: price must be positive")
+        if name not in data:
+            order.append(name)
+            data[name] = []
+        data[name].append((ts, price))
     if not order:
         raise IngestionError(f"{path}: no observations")
     out = []

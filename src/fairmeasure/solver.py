@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,8 +64,8 @@ from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
-from .lattice import (AdaptedLattice, LatticeProcess, Measure, check_same_lattice,
-                      uniform_measure)
+from .lattice import (AdaptedLattice, LatticeProcess, Measure, _as_count,
+                      check_same_lattice, uniform_measure)
 from .unfairness import UnfairnessConfig
 
 __all__ = [
@@ -118,11 +117,7 @@ class SolveOptions:
 
     def __post_init__(self):
         for name, least in (("max_iter", 0), ("restarts", 1), ("seed", 0)):
-            val = getattr(self, name)
-            if not isinstance(val, Integral) or isinstance(val, bool):
-                raise ParameterError(f"{name} must be an int, got {val!r}")
-            if val < least:
-                raise ParameterError(f"{name} must be >= {least}, got {val}")
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), least))
 
     @property
     def gradient(self) -> str:
@@ -429,9 +424,7 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     P = lat.n_paths
     if P > 6:
         raise SizeBudgetError(f"brute force supports at most 6 paths, got {P}")
-    if isinstance(resolution, bool) or not isinstance(resolution, Integral) or not 1 <= resolution <= 2000:
-        raise ParameterError(f"resolution must be in 1..2000, got {resolution}")
-    width = resolution + 1
+    width = _as_count("resolution", resolution, 1, 2000) + 1
     size = width ** (P - 1)
     if size > _GRID_BUDGET:
         raise SizeBudgetError(f"grid of {width}^{P - 1} points exceeds {_GRID_BUDGET}")

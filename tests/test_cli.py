@@ -210,11 +210,24 @@ def test_readers_reject_non_ascii_digit_labels(tmp_path, digit):
     ("process", "path,k,exchange,component,value\n" + "".join(
         f"{label},{k},0,0,1.0\n" for label in ("00", "01", "10", "11") for k in (0, 1)),
      r"process\.csv: k runs over 0\.\.1, expected 0\.\.2"),
+    ("process", CANONICAL_PROCESS_CSV.encode().replace(b"0,1,0,0,2.0", b"0,1,0,0,\xff"),
+     r"process\.csv:3: not UTF-8: byte 0xff"),
+    ("measure", b"path,weight\n0,0.5\n1,\xff\n", r"measure\.csv:3: not UTF-8: byte 0xff"),
+    ("process", CANONICAL_PROCESS_CSV.replace("0,1,0,0,2.0", "0,1,0,0," + "1" * 131073),
+     r"process\.csv:3: field larger than field limit \(131072\)"),
+    ("measure", "path,weight\n0,0.5\n1," + "1" * 131073 + "\n",
+     r"measure\.csv:3: field larger than field limit \(131072\)"),
+    ("process", CANONICAL_PROCESS_CSV.replace(",value\n", ",val\n"),
+     r"process\.csv:1: expected header 'path,k,exchange,component,value', got \['path', "),
+    ("measure", "path,w\n0,0.5\n1,0.5\n",
+     r"measure\.csv:1: expected header 'path,weight', got \['path', 'w'\]"),
 ], ids=["process-fields", "measure-fields", "process-incomplete", "measure-incomplete",
-        "process-duplicate", "negative-index", "non-ascii-index", "bad-value", "short-time"])
+        "process-duplicate", "negative-index", "non-ascii-index", "bad-value", "short-time",
+        "process-not-utf8", "measure-not-utf8", "process-long-field", "measure-long-field",
+        "process-header", "measure-header"])
 def test_readers_share_their_error_messages(tmp_path, reader, body, message):
     path = tmp_path / f"{reader}.csv"
-    path.write_text(body, encoding="utf-8")
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(fm.ParameterError, match=message):
         if reader == "process":
             cli.read_process_csv(path)
@@ -544,18 +557,28 @@ def test_config_names_a_missing_required_key(tmp_path, capsys, section, key):
     assert f"error: {section}.{key}: missing required key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,label", [("process.csv", "¹"), ("process.csv", "١"),
-                                        ("measure.csv", "2")])
-def test_eval_bad_label_exits_1_without_traceback(tmp_path, capsys, name, label):
+# the label "\udcff" writes the byte 0xff, which is not UTF-8
+@pytest.mark.parametrize("command,name,label,message", [
+    pytest.param("eval", "process.csv", "¹", "bad path label '¹'", id="process.csv-¹"),
+    pytest.param("eval", "process.csv", "١", "bad path label '١'", id="process.csv-١"),
+    pytest.param("eval", "measure.csv", "2", "bad path label '2'", id="measure.csv-2"),
+    pytest.param("eval", "process.csv", "\udcff", "not UTF-8", id="process.csv-0xff-eval"),
+    pytest.param("verify", "process.csv", "\udcff", "not UTF-8", id="process.csv-0xff-verify"),
+])
+def test_eval_bad_label_exits_1_without_traceback(tmp_path, capsys, command, name, label,
+                                                  message):
     cfg = write_config(tmp_path / "config.json")
     files = {"process.csv": CANONICAL_PROCESS_CSV, "measure.csv": "path,weight\n0,0.5\n1,0.5\n"}
     files[name] = files[name].replace("\n1,", f"\n{label},", 1)
     for file, body in files.items():
-        (tmp_path / file).write_text(body, encoding="utf-8")
-    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
+        (tmp_path / file).write_bytes(body.encode("utf-8", "surrogateescape"))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
     line = 3 if name == "measure.csv" else 4
-    assert err.startswith("error: ") and f"{name}:{line}: bad path label '{label}'" in err
+    if command == "verify":
+        assert "[FAIL] process-file-adapted -- " in out and f"{name}:{line}: {message}" in out
+    else:
+        assert err.startswith("error: ") and f"{name}:{line}: {message}" in err
     assert "Traceback" not in err
 
 
@@ -595,6 +618,15 @@ def test_config_requires_exactly_one_process_source(tmp_path, capsys):
 def test_missing_config_exits_1(tmp_path, capsys):
     assert cli.main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config" in capsys.readouterr().err
+    # and one that is not UTF-8
+    cfg = write_config(tmp_path / "config.json")
+    cfg.write_bytes(cfg.read_bytes().replace(b'"b": 2', b'"b": \xff', 1))
+    assert cli.main(["eval", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config.json:1: not UTF-8: byte 0xff" in err
+    assert "Traceback" not in err
+    with pytest.raises(fm.ConfigError, match=r"config\.json:1: not UTF-8"):
+        cli.parse_config(cfg)
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
@@ -602,7 +634,7 @@ def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "config.json")
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+    assert err.startswith("error: ") and "seed must be an integer >= 0, got -1" in err
     assert "Traceback" not in err
     assert not (tmp_path / "process.csv").exists() and not (tmp_path / "report.json").exists()
 

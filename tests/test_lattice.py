@@ -54,22 +54,60 @@ def test_build_lattice_argument_errors():
     fm.build_lattice(2, 21, path_budget=1 << 22)
 
 
+_ONE_STEP = fm.build_lattice(2, 1)
+_ONE_STEP_VALUES = np.array([[[1.0], [1.0]], [[2.0], [0.5]]])
+_ONE_STEP_PROCESS = fm.LatticeProcess(_ONE_STEP, 1, 1, _ONE_STEP_VALUES)
+_GBM = {"drift": [[0.0]], "vol": [[0.1]], "corr": [[1.0]], "s0": [[1.0]]}
+
+# Every count site beside the lattice's own: a call that passes it one count and returns the count as
+# kept (or the int the site computes from it), a valid count, and a count
+# out of range.
+COUNT_SITES = {
+    "process-n": (lambda v: fm.LatticeProcess(_ONE_STEP, v, 1, _ONE_STEP_VALUES).n, 1, 0),
+    "process-d": (lambda v: fm.LatticeProcess(_ONE_STEP, 1, v, _ONE_STEP_VALUES).d, 1, 0),
+    "gbm-n": (lambda v: fm.GbmParams(n=v, d=1, **_GBM).n, 1, 0),
+    "gbm-d": (lambda v: fm.GbmParams(n=1, d=v, **_GBM).d, 1, 0),
+    "block-size-k": (lambda v: fm.build_lattice(2, 2).block_size(v), 1, 3),
+    "n-blocks-k": (lambda v: fm.build_lattice(2, 2).n_blocks(v), 1, -1),
+    "max-iter": (lambda v: fm.SolveOptions(max_iter=v).max_iter, 5, -1),
+    "restarts": (lambda v: fm.SolveOptions(restarts=v).restarts, 2, 0),
+    "seed": (lambda v: fm.SolveOptions(seed=v).seed, 3, -1),
+    "duplicate-copies": (lambda v: fm.duplicate_branches(_ONE_STEP_PROCESS, v)
+                         .lattice.branching, 3, 1),
+    "lift-copies": (lambda v: fm.lift_measure(fm.uniform_measure(_ONE_STEP), v)
+                    .lattice.branching, 3, 1),
+}
+# sites whose counts leave nothing to inspect
+_REJECT_ONLY = {
+    "cond-exp-k": (lambda v: fm.cond_exp(np.ones(2), v, fm.uniform_measure(_ONE_STEP)), 2),
+    "resolution": (lambda v: fm.brute_force_min(
+        _ONE_STEP_PROCESS, fm.ConstraintParams(N=2.0), resolution=v), 2001),
+}
+
+
 def test_lattice_stores_python_ints():
-    lat = fm.AdaptedLattice(2.0, np.int64(2))
+    lat = fm.AdaptedLattice(np.int64(2), np.int64(2))
     assert lat == fm.build_lattice(2, 2)
     assert type(lat.branching) is int and type(lat.depth) is int
     assert np.array_equal(fm.uniform_measure(lat).weights, np.full(4, 0.25))
-    assert fm.build_lattice(3.0, 2).branching == 3
+    for name, (call, valid, _) in COUNT_SITES.items():
+        got = call(np.int64(valid))
+        assert type(got) is int and got == call(valid), name
 
 
-@pytest.mark.parametrize("b,K", [(True, 2), (2, True), (2.5, 2), (2, 1.5), ("2", 2),
-                                 (None, 2), (float("nan"), 2), (2, float("inf")),
-                                 (1, 2), (2, 0)])
-def test_lattice_rejects_non_integral_sizes(b, K):
-    with pytest.raises(fm.ParameterError, match="must be an integer"):
-        fm.AdaptedLattice(b, K)
-    with pytest.raises(fm.ParameterError, match="must be an integer"):
-        fm.build_lattice(b, K)
+@pytest.mark.parametrize("calls,args", [
+    *(pytest.param((fm.AdaptedLattice, fm.build_lattice), (b, K), id=f"{b}-{K}")
+      for b, K in [(True, 2), (2, True), (2.5, 2), (2, 1.5), ("2", 2), (None, 2),
+                   (float("nan"), 2), (2, float("inf")), (1, 2), (2, 0),
+                   (2.0, 2), (3.0, 2), (2, 2.0)]),
+    *(pytest.param((call,), (bad,), id=f"{name}-{bad!r}")
+      for name, (call, *_, out) in {**COUNT_SITES, **_REJECT_ONLY}.items()
+      for bad in (True, 1.5, 2.0, "2", None, out)),
+])
+def test_lattice_rejects_non_integral_sizes(calls, args):
+    for call in calls:
+        with pytest.raises(fm.ParameterError, match="must be an integer"):
+            call(*args)
 
 
 @pytest.mark.parametrize("b,K", [(2, 1), (2, 4), (3, 3), (7, 2), (10, 2)])

@@ -279,10 +279,16 @@ def test_read_price_csv(tmp_path):
     (" timestamp , exchange , price\n1,a,2.0\n", "header"),
     ("timestamp,exchange,price\n 100 ,a,2.0\n", "timestamp"),
     ("timestamp,exchange,price\n1, a ,2.0\n", "exchange"),
+    pytest.param(b"timestamp,exchange,price\n1,a,2.0\n2,a,\xff\n", "not UTF-8: byte 0xff",
+                 id="not-utf8"),
+    pytest.param("timestamp,exchange,price\n1,a," + "1" * 131073 + "\n",
+                 r"field larger than field limit \(131072\)", id="long-field"),
+    pytest.param("timestamp,exchange\n1,a\n", "expected header 'timestamp,exchange,price'",
+                 id="short-header"),
 ])
 def test_read_price_csv_rejects_malformed_rows(tmp_path, body, msg):
     """Every error names the file and the line, and no field is stripped."""
     path = tmp_path / "bad.csv"
-    path.write_text(body, encoding="utf-8")
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(fm.IngestionError, match=rf"bad\.csv:\d+: .*{msg}"):
         fm.read_price_csv(path)

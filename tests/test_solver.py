@@ -711,14 +711,14 @@ def test_brute_force_size_limits():
 
 
 def test_brute_force_rejects_a_bool_resolution(two_path):
-    with pytest.raises(fm.ParameterError, match="resolution must be in 1..2000, got True"):
+    with pytest.raises(fm.ParameterError, match="resolution must be an integer in 1..2000, got True"):
         fm.brute_force_min(two_path, fm.ConstraintParams(N=2.0), resolution=True)
 
 
 def test_brute_force_rejects_a_non_integral_resolution(two_path):
     params = fm.ConstraintParams(N=2.0)
     for bad in (2.5, 50.0):
-        with pytest.raises(fm.ParameterError, match=f"resolution must be in 1..2000, got {bad}"):
+        with pytest.raises(fm.ParameterError, match=f"resolution must be an integer in 1..2000, got {bad}"):
             fm.brute_force_min(two_path, params, resolution=bad)
     # numpy integers pass, as SolveOptions accepts them for its counts
     got = fm.brute_force_min(two_path, params, resolution=np.int64(50))
