@@ -2,10 +2,9 @@
 over it, for one point or a batch of rows.
 
 The solver's feasible set without the correlation floor is
-{q : sum q = total, lo <= q <= hi}, with the uniform box mu/N <= q <= N*mu
-that the solver passes as two floats; every iterate of the descent and
-every random start pass through the projection, and the descent's
-stationarity test is the Frank-Wolfe gap.
+{q : sum q = 1, lo <= q <= hi}, with the uniform box mu/N <= q <= N*mu;
+every iterate of the descent and every random start pass through the
+projection, and the descent's stationarity test is the Frank-Wolfe gap.
 
 Variants of the projection measured against this one, on the projections
 of the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11,
@@ -27,27 +26,26 @@ import numpy as np
 from .errors import ParameterError
 
 
-def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray,
-                           total: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {q : sum q = total, lo <= q <= hi}, of one
+def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray,
+                           hi: float | np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {q : sum q = 1, lo <= q <= hi}, of one
     point v (P,) or of each row of v (G, P).
 
-    The bounds are two floats, a uniform box as the solver uses, or two
-    arrays of shape (P,).  Arrays whose entries are all equal, as
-    ``box_bounds`` returns them, are taken as their two floats, which give
-    the same result at less cost per call.
+    The box is the solver's uniform box: two floats, or two arrays of shape
+    (P,) whose entries are all equal, as ``box_bounds`` returns them, which
+    are taken as their two floats; any other array box is refused.
     The projection is clip(v - tau, lo, hi) for the dual variable tau of the
     sum constraint, a continuous quadratic knapsack solved exactly and
     without sorting by a safeguarded Newton method on
-    f(tau) = sum clip(v - tau, lo, hi) = total (Cominetti, Mascarenhas &
+    f(tau) = sum clip(v - tau, lo, hi) = 1 (Cominetti, Mascarenhas &
     Silva 2014, Math. Prog. Comp. 6; Dai & Fletcher 2006, Math. Prog. 106),
-    started from the tau that would make the row's mean total / P; see
+    started from the tau that would make the row's mean 1 / P; see
     ``_newton_tau``.  Each row is first shifted by the integer part of its
     mean, which is exact and leaves rows of mean below 1 in magnitude
     untouched: far from 0, v - tau would cancel most of each coordinate's
     digits and lose the sum constraint.  A row whose coordinates lie far
     apart cancels digits all the same, and its result is projected once
-    more wherever its sum misses total by more than 1e-13; see
+    more wherever its sum misses 1 by more than 1e-13; see
     ``_project_rows``.  Rows are independent: each comes out the same
     whatever the other rows.  Already-feasible rows come back unchanged;
     non-finite inputs raise.
@@ -60,60 +58,54 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray, hi: float | np
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if lo.shape != (P,) or hi.shape != (P,):
             raise ParameterError("point and bounds must have matching shapes")
-        if P and (lo == lo[0]).all() and (hi == hi[0]).all():
-            lo, hi = lo[0], hi[0]
-    if np.ndim(lo) == 0:
-        lo, hi = float(lo), float(hi)
-        finite = math.isfinite(lo) and math.isfinite(hi)
-        empty = lo > hi
-        slo, shi = P * lo, P * hi
-    else:
-        finite = bool(np.isfinite(lo).all() and np.isfinite(hi).all())
-        empty = bool(np.any(lo > hi))
-        slo, shi = float(lo.sum()), float(hi.sum())
-    if not (finite and np.isfinite(v).all()):
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(v).all()):
         raise ParameterError("point and bounds must be finite")
-    if empty:
-        raise ParameterError("empty box: lo > hi somewhere")
-    if not slo - 1e-12 <= total <= shi + 1e-12:
+    if np.ndim(lo):
+        if P and not ((lo == lo[0]).all() and (hi == hi[0]).all()):
+            raise ParameterError("the box must be uniform: array bounds need all entries equal")
+        lo, hi = (lo[0], hi[0]) if P else (0.0, 0.0)
+    lo, hi = float(lo), float(hi)
+    if lo > hi:
+        raise ParameterError("empty box: lo > hi")
+    if not P * lo - 1e-12 <= 1.0 <= P * hi + 1e-12:
         raise ParameterError(
-            f"box and simplex do not intersect: sum bounds [{slo}, {shi}] exclude {total}")
+            f"box and simplex do not intersect: sum bounds [{P * lo}, {P * hi}] exclude 1")
     V = np.atleast_2d(v)
     sums = np.add.reduce(V, axis=1)
     inside = np.logical_and.reduce((V >= lo - 1e-15) & (V <= hi + 1e-15), axis=1)
-    rows = np.flatnonzero(~inside | (np.abs(sums - total) > 1e-13))
+    rows = np.flatnonzero(~inside | (np.abs(sums - 1.0) > 1e-13))
     if rows.size and rows.size == len(V):
-        return _project_rows(V, sums, lo, hi, total).reshape(v.shape)
+        return _project_rows(V, sums, lo, hi).reshape(v.shape)
     out = V.copy()
     if rows.size:
-        out[rows] = _project_rows(V[rows], sums[rows], lo, hi, total)
+        out[rows] = _project_rows(V[rows], sums[rows], lo, hi)
     return out.reshape(v.shape)
 
 
-def _project_rows(V: np.ndarray, sums: np.ndarray, lo, hi, total: float) -> np.ndarray:
+def _project_rows(V: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The projection of each row of V (G, P), whose row sums are ``sums``.
 
     Where a row's coordinates lie far apart, as after a long step t g, the
     free coordinates v - tau cancel most of their digits, and the sum can
-    miss total by an ulp of the largest |v|.  Such a row, one whose result
-    is off total by more than the 1e-13 that ``project_capped_simplex``
+    miss 1 by an ulp of the largest |v|.  Such a row, one whose result
+    is off 1 by more than the 1e-13 that ``project_capped_simplex``
     accepts as feasible, is projected once more from that result, whose
     coordinates lie within the box."""
-    out = _clip_rows(V, sums, lo, hi, total)
+    out = _clip_rows(V, sums, lo, hi)
     sums = np.add.reduce(out, axis=1)
-    off = np.flatnonzero(np.abs(sums - total) > 1e-13)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-13)
     if off.size:
-        out[off] = _clip_rows(out[off], sums[off], lo, hi, total)
+        out[off] = _clip_rows(out[off], sums[off], lo, hi)
     return out
 
 
-def _clip_rows(V: np.ndarray, sums: np.ndarray, lo, hi, total: float) -> np.ndarray:
+def _clip_rows(V: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """clip(V - tau, lo, hi) per row of V (G, P), whose row sums are ``sums``."""
     P = V.shape[1]
     mean = sums / P
     shift = np.trunc(mean)
     moved = V - shift[:, None]
-    tau, _ = _newton_tau(moved, lo, hi, total, mean - shift - total / P)
+    tau, _ = _newton_tau(moved, lo, hi, mean - shift - 1.0 / P)
     moved -= tau[:, None]
     np.maximum(moved, lo, out=moved)
     return np.minimum(moved, hi, out=moved)
@@ -124,33 +116,32 @@ def _max_passes(P: int) -> int:
     return 2 * P + P.bit_length() + 3
 
 
-def _newton_tau(V: np.ndarray, lo, hi, total: float, tau: np.ndarray
+def _newton_tau(V: np.ndarray, lo: float, hi: float, tau: np.ndarray
                 ) -> tuple[np.ndarray, int]:
-    """tau with sum clip(V - tau, lo, hi) = total for each row of V (G, P),
+    """tau with sum clip(V - tau, lo, hi) = 1 for each row of V (G, P),
     started from ``tau``, and the number of passes the loop made.
 
     f(tau) = sum clip(v - tau, lo, hi) is piecewise linear and nonincreasing,
     with breakpoints at the floats v - hi and v - lo.  A pass reads, at each
     row's current tau, the coordinates held at hi (v - hi >= tau), held at
-    lo (v - lo < tau; never both, so a coordinate with lo == hi is held
-    once) and free.  These are the sets of the piece (z, z'] of f that holds
+    lo (v - lo < tau; never both, so with lo == hi each is held once) and
+    free.  These are the sets of the piece (z, z'] of f that holds
     tau, z and z' consecutive breakpoints, and they give the closed form
-    tau' = (held sum - total) / #free, where the held sum adds hi, lo and
+    tau' = (held sum - 1) / #free, where the held sum adds hi, lo and
     the free coordinates' v.  tau' is the Newton step on f, and the exact
     root when the piece holds it.  A row stops when tau' == tau: the sets
     at tau return tau itself, so no float tolerance decides.  A row with no
-    free coordinate stops when its held sum equals total, and otherwise has
+    free coordinate stops when its held sum equals 1, and otherwise has
     no Newton step.
 
     The safeguard is a bracket (a, b), open and shrinking: it starts as
-    (-inf, +inf), a is the last tau with f > total, b the last with
-    f < total, and every tau evaluated lies strictly inside it.  A pass
+    (-inf, +inf), a is the last tau with f > 1, b the last with
+    f < 1, and every tau evaluated lies strictly inside it.  A pass
     where every row's Newton step lies inside its bracket, as on every pass
     until some row turns back, takes them all at once.  A Newton step that
     does not, or a row with no free coordinate, takes a breakpoint step
-    instead: to the median of the breakpoints strictly inside the bracket
-    (coordinates with lo == hi move no value and are skipped), as in
-    Kiwiel's median search (2008, JOTA 138).  With no breakpoint left
+    instead: to the median of the breakpoints strictly inside the bracket,
+    as in Kiwiel's median search (2008, JOTA 138).  With no breakpoint left
     inside, the bracket lies within the piece that holds b, and the row
     ends at that piece's closed form clipped to [a, b] (b = +inf being the
     piece where every coordinate is at lo, and a = -inf that where every
@@ -173,7 +164,7 @@ def _newton_tau(V: np.ndarray, lo, hi, total: float, tau: np.ndarray
     out = idx = None    # the result and the rows still solving, once a row has ended
     with np.errstate(divide="ignore", invalid="ignore"):
         for passes in range(1, _max_passes(P) + 1):
-            newton = _closed_form(V, Zhi, Zlo, lo, hi, total, tau)
+            newton = _closed_form(V, Zhi, Zlo, lo, hi, tau)
             right = newton > tau
             left = newton < tau
             np.copyto(a, tau, where=right)
@@ -189,12 +180,12 @@ def _newton_tau(V: np.ndarray, lo, hi, total: float, tau: np.ndarray
                 break
             tau = np.where(step, newton, tau)
             for r in np.flatnonzero(moving & ~step):
-                tau[r] = _median_breakpoint(Zhi[r], Zlo[r], lo, hi, a[r], b[r])
+                tau[r] = _median_breakpoint(Zhi[r], Zlo[r], a[r], b[r])
             ends = np.flatnonzero(np.isnan(tau))
             if ends.size:
                 if idx is None:
                     out, idx = np.empty(G), np.arange(G)
-                nb = _closed_form(V[ends], Zhi[ends], Zlo[ends], lo, hi, total, b[ends])
+                nb = _closed_form(V[ends], Zhi[ends], Zlo[ends], lo, hi, b[ends])
                 out[idx[ends]] = np.where(np.isnan(nb), b[ends], np.clip(nb, a[ends], b[ends]))
                 keep = np.ones(len(idx), dtype=bool)
                 keep[ends] = False
@@ -210,10 +201,9 @@ def _newton_tau(V: np.ndarray, lo, hi, total: float, tau: np.ndarray
     return out, passes
 
 
-def _closed_form(V, Zhi, Zlo, lo, hi, total: float, tau: np.ndarray) -> np.ndarray:
+def _closed_form(V, Zhi, Zlo, lo: float, hi: float, tau: np.ndarray) -> np.ndarray:
     """Per row, the closed-form tau of the piece of f that holds ``tau``:
-    +-inf where no coordinate is free, nan where moreover the held sum is
-    total."""
+    +-inf where no coordinate is free, nan where moreover the held sum is 1."""
     t = tau[:, None]
     up = Zhi >= t
     down = Zlo < t
@@ -221,25 +211,22 @@ def _closed_form(V, Zhi, Zlo, lo, hi, total: float, tau: np.ndarray) -> np.ndarr
     np.copyto(held, hi, where=up)
     np.copyto(held, lo, where=down)
     free = V.shape[1] - np.add.reduce(up | down, axis=1)
-    return (np.add.reduce(held, axis=1) - total) / free
+    return (np.add.reduce(held, axis=1) - 1.0) / free
 
 
-def _median_breakpoint(zhi, zlo, lo, hi, a: float, b: float) -> float:
+def _median_breakpoint(zhi, zlo, a: float, b: float) -> float:
     """The median of one row's breakpoints zhi = v - hi and zlo = v - lo
-    strictly inside (a, b), skipping coordinates with lo == hi; nan where
-    there is none."""
-    moves = np.not_equal(lo, hi)
-    inner = np.concatenate([z[(z > a) & (z < b) & moves] for z in (zhi, zlo)])
+    strictly inside (a, b); nan where there is none."""
+    inner = np.concatenate([z[(z > a) & (z < b)] for z in (zhi, zlo)])
     if not inner.size:
         return math.nan
     k = inner.size // 2
     return float(np.partition(inner, k)[k])
 
 
-def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float,
-                    total: float = 1.0) -> np.ndarray:
+def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The Frank-Wolfe gap max_s <grad, q - s> over the uniform box-simplex
-    {s : sum s = total, lo <= s <= hi}, of one point q (P,) or of each row
+    {s : sum s = 1, lo <= s <= hi}, of one point q (P,) or of each row
     of q (G, P), with the gradient in the same shape.
 
     The gap is zero exactly at the stationary points of a differentiable f
@@ -252,7 +239,7 @@ def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float,
     """
     X, D = np.atleast_2d(q), np.atleast_2d(grad)
     P, width = D.shape[1], hi - lo
-    spare = total - P * lo
+    spare = 1.0 - P * lo
     k = min(int(spare // width), P - 1) if width > 0.0 and spare > 0.0 else 0
     rest = spare - k * width
     part = np.partition(D, k, axis=1)

@@ -23,7 +23,7 @@ from ._descent import STEP, TOL
 from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, build_lattice,
                       uniform_measure)
-from .processes import (GbmParams, _read_csv, _read_text, calibrate_from_prices,
+from .processes import (GbmParams, _is_integer, _read_csv, _read_text, calibrate_from_prices,
                         parse_float_field, read_price_csv, simulate_gbm)
 from .solver import ConstraintParams, SolveOptions, minimize
 from .unfairness import UnfairnessConfig, unfairness_m, unfairness_n
@@ -123,16 +123,22 @@ def _build(make, obj: dict, table: dict, where: str, **extra):
 def parse_config(path: str) -> RunConfig:
     """Load and validate a run configuration, naming any offending key."""
     try:
-        data = json.loads(_read_text(path, ConfigError))
+        text = _read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    try:   # int() raises ValueError on an integer of over 4300 digits
+        data = json.loads(text)
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
 
     top = _keys(data, _CONFIG, "config")
     lattice = _build(build_lattice, top.get("lattice", {}), _LATTICE, "lattice")
+    try:   # every command reads or writes files labelled by the lattice
+        lattice._check_labels()
+    except ParameterError as exc:
+        raise ConfigError(f"lattice: {exc}") from None
     proc = _keys(top.get("process", {}), _PROCESS, "process")
     if ("gbm" in proc) == ("calibration" in proc):
         raise ConfigError("process: exactly one of 'gbm' or 'calibration' is required")
@@ -166,9 +172,12 @@ def write_process_csv(path: str, process: LatticeProcess) -> None:
     cells = itertools.product(lat.labels(), range(lat.depth + 1), range(process.n),
                               range(process.d))
     values = process.values.transpose(1, 0, 2).reshape(-1).tolist()
+    lines = (f"{label},{k},{i},{j},{val!r}\n" for (label, k, i, j), val in zip(cells, values))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("path,k,exchange,component,value\n" + "".join(
-            f"{label},{k},{i},{j},{val!r}\n" for (label, k, i, j), val in zip(cells, values)))
+        fh.write("path,k,exchange,component,value\n")
+        # one join per 65536 lines: a join of the whole file doubles peak memory
+        while chunk := "".join(itertools.islice(lines, 65536)):
+            fh.write(chunk)
 
 
 def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None = None):
@@ -198,9 +207,12 @@ def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None
         except ParameterError as exc:
             raise ParameterError(f"{where}: {exc}") from None
         for name, index in zip(names, indices):
-            if not (index.isascii() and index.isdigit()):
-                raise ParameterError(f"{where}: bad {name} {index!r}")
-            cell += (int(index),)
+            try:   # int() raises ValueError on an index of over 4300 digits
+                if not (index.isascii() and index.isdigit()):
+                    raise ValueError
+                cell += (int(index),)
+            except ValueError:
+                raise ParameterError(f"{where}: bad {name} {index!r}") from None
         try:
             value = parse_float_field(text)
         except ValueError as exc:
@@ -421,6 +433,13 @@ def cmd_verify(cfg: RunConfig, out_dir: str, seed: int) -> int:
 # -- entry point ------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    def integer(text: str) -> int:
+        """--seed under the integer rule of the timestamp column; argparse
+        names this function when it refuses the text."""
+        if not _is_integer(text):
+            raise ValueError(text)
+        return int(text)   # which raises ValueError itself on over 4300 digits
+
     parser = argparse.ArgumentParser(
         prog="fairmeasure",
         description="Fairest-measure tools on finite scenario lattices.")
@@ -428,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["simulate", "calibrate", "eval", "optimize", "verify"])
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=".", help="directory for output files")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=integer, default=None,
                         help="override the config's solver seed")
     return parser
 

@@ -75,11 +75,6 @@ class AdaptedLattice:
         bs = self.block_size(k)
         return [range(j * bs, (j + 1) * bs) for j in range(self.n_blocks(k))]
 
-    def block_index(self, k: int) -> np.ndarray:
-        """For each path, the index of its partition(k) block."""
-        bs = self.block_size(k)
-        return np.arange(self.n_paths) // bs
-
     def path_label(self, idx: int) -> str:
         """Base-b digit string of a path (serialization order)."""
         self._check_labels()
@@ -260,15 +255,14 @@ def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return first[..., 0, :] + np.einsum("...c,...cm->...m", w, X - first) / W[..., None]
 
 
-def cond_exp(x: np.ndarray, k: int, Q: Measure, *, return_zero_blocks: bool = False):
+def cond_exp(x: np.ndarray, k: int, Q: Measure):
     """Conditional expectation of x given the time-k prefix information, under Q.
 
     Per block B of partition(k) the result is sum_B(x*q) / sum_B(q), repeated
-    across the block.  Blocks of total weight zero yield 0 (request
-    ``return_zero_blocks`` for the per-block flags); this zero convention
-    takes precedence over everything else.  On positive-weight blocks where x
-    is constant, the constant is passed through unchanged, so inputs already
-    measurable at level k come back exactly.
+    across the block.  Blocks of total weight zero yield 0; this zero
+    convention takes precedence over everything else.  On positive-weight
+    blocks where x is constant, the constant is passed through unchanged, so
+    inputs already measurable at level k come back exactly.
 
     Accepts a path vector or an (n_paths, m) array (columnwise).
     """
@@ -284,8 +278,6 @@ def cond_exp(x: np.ndarray, k: int, Q: Measure, *, return_zero_blocks: bool = Fa
     out = np.repeat(avg, bs, axis=0)
     if was_vector:
         out = out[:, 0]
-    if return_zero_blocks:
-        return out, zero
     return out
 
 
@@ -303,11 +295,12 @@ def cond_exp_reweighted(x: np.ndarray, F: Density, k: int, base: Measure):
         raise ParameterError("density and base measure live on different lattices")
     X, was_vector = _as_columns(x, lat.n_paths)
     num = cond_exp(F.values[:, None] * X, k, base)
-    den, zero = cond_exp(F.values, k, base, return_zero_blocks=True)
-    zero_paths = np.repeat(zero, lat.block_size(k))
+    den = cond_exp(F.values, k, base)
+    bs = lat.block_size(k)
+    zero_paths = np.repeat(base.weights.reshape(-1, bs).sum(axis=1) <= 0.0, bs)
     bad = (den <= 0.0) & ~zero_paths
     if np.any(bad):
-        blk = int(np.argmax(bad)) // lat.block_size(k)
+        blk = int(np.argmax(bad)) // bs
         raise EquivalenceViolationError(
             f"density has zero conditional mass on positive-weight block {blk} at time {k}")
     out = np.where(zero_paths[:, None], 0.0,

@@ -165,21 +165,16 @@ def risk_neutral_binomial_measure(process: LatticeProcess) -> Measure:
 
     At each node with value s and child values c0, c1 the digit-0 branch
     gets p0 = (s - c1) / (c0 - c1); path weights are products of branch
-    probabilities.  Requires the node value strictly between distinct
-    children.
+    probabilities, built top-down as node products.  Requires the node
+    value strictly between distinct children.
     """
     lat = process.lattice
     if process.n != 1 or process.d != 1 or lat.branching != 2:
         raise ParameterError("risk-neutral measure needs n = 1, d = 1, b = 2")
-    vals = process.values[:, :, 0]
-    weights = np.ones(lat.n_paths)
-    digits = lat.digits
+    nodes = [process.values[k, ::2 ** (lat.depth - k), 0] for k in range(lat.depth + 1)]
+    weights = np.ones(1)
     for k in range(lat.depth):
-        bs = lat.block_size(k)
-        nblk = lat.n_blocks(k)
-        s = vals[k].reshape(nblk, bs)[:, 0]
-        c0 = vals[k + 1].reshape(nblk, bs)[:, 0]
-        c1 = vals[k + 1].reshape(nblk, bs)[:, bs // 2]
+        s, c0, c1 = nodes[k], nodes[k + 1][0::2], nodes[k + 1][1::2]
         spread = c0 - c1
         if np.any(spread == 0.0):
             node = int(np.argmax(spread == 0.0))
@@ -190,8 +185,7 @@ def risk_neutral_binomial_measure(process: LatticeProcess) -> Measure:
             node = int(np.argmax((p0 <= 0.0) | (p0 >= 1.0)))
             raise NoMartingaleMeasureError(
                 f"node value outside its children at time {k}, node {node}")
-        blk = lat.block_index(k)
-        weights = weights * np.where(digits[:, k] == 0, p0[blk], 1.0 - p0[blk])
+        weights = np.stack([weights * p0, weights * (1.0 - p0)], axis=1).reshape(-1)
     return Measure(lat, weights)
 
 
@@ -274,10 +268,16 @@ def _read_csv(path, columns: list[str], error: type[Exception]) -> list[tuple[in
     return records
 
 
+def _is_integer(text: str) -> bool:
+    """The integer rule of the timestamp column and of ``--seed``: ASCII
+    digits with an optional leading '-'.  int() alone would also take
+    "1_000", "+5", surrounding space and non-ASCII digits."""
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
 def _parse_timestamp(text: str) -> float:
     """Epoch seconds of an integer or ISO-8601 field; raises ValueError."""
-    # int() would also take "1_000", "+5" and non-ASCII digits
-    if text.isascii() and text.removeprefix("-").isdigit():
+    if _is_integer(text):
         return float(int(text))
     stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if stamp.tzinfo is None:

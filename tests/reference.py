@@ -215,7 +215,7 @@ def lp_min(g, params):
     paths = np.arange(P)
     rows, cols, data, R = [], [], [], 0
     for k in range(K):
-        node = lat.block_index(k)
+        node = paths // lat.block_size(k)
         if params.objective == "n":
             pairs = [(k + 1, 1.0 / g.values[k])]
         else:

@@ -205,6 +205,8 @@ def test_readers_reject_non_ascii_digit_labels(tmp_path, digit):
      r"process\.csv:5: bad k '-1'"),
     ("process", CANONICAL_PROCESS_CSV.replace("1,1,0,0", "1,١,0,0"),
      r"process\.csv:5: bad k '١'"),
+    ("process", CANONICAL_PROCESS_CSV.replace("1,1,0,0", "1," + "1" * 5000 + ",0,0"),
+     r"process\.csv:5: bad k '1111"),
     ("process", CANONICAL_PROCESS_CSV.replace("0,1,0,0,2.0", "0,1,0,0,x"),
      r"process\.csv:3: bad value 'x'"),
     ("process", "path,k,exchange,component,value\n" + "".join(
@@ -222,7 +224,8 @@ def test_readers_reject_non_ascii_digit_labels(tmp_path, digit):
     ("measure", "path,w\n0,0.5\n1,0.5\n",
      r"measure\.csv:1: expected header 'path,weight', got \['path', 'w'\]"),
 ], ids=["process-fields", "measure-fields", "process-incomplete", "measure-incomplete",
-        "process-duplicate", "negative-index", "non-ascii-index", "bad-value", "short-time",
+        "process-duplicate", "negative-index", "non-ascii-index", "long-index", "bad-value",
+        "short-time",
         "process-not-utf8", "measure-not-utf8", "process-long-field", "measure-long-field",
         "process-header", "measure-header"])
 def test_readers_share_their_error_messages(tmp_path, reader, body, message):
@@ -486,6 +489,7 @@ def test_verify_times_checks_on_stdout_only(tmp_path, capsys):
     ({"constraints": {"N": 2.0, "p": -1.0}}, "constraints"),
     ({"objective": "x"}, "objective"),
     ({"solver": {"gradient": "magic"}}, "solver"),
+    ({"lattice": {"b": 11, "K": 2}}, "lattice: digit-string labels support branching <= 10"),
 ])
 def test_config_errors_name_the_offending_key(tmp_path, capsys, patch, expected):
     cfg = write_config(tmp_path / "config.json", **patch)
@@ -627,6 +631,13 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
     with pytest.raises(fm.ConfigError, match=r"config\.json:1: not UTF-8"):
         cli.parse_config(cfg)
+    # and one with an integer longer than int() takes
+    cfg = write_config(tmp_path / "config.json")
+    cfg.write_bytes(cfg.read_bytes().replace(b'"b": 2', b'"b": ' + b"1" * 5000, 1))
+    assert cli.main(["eval", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and "is not valid JSON: Exceeds the limit" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
@@ -639,7 +650,8 @@ def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     assert not (tmp_path / "process.csv").exists() and not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("argv", [["eval"], ["eval", "--config", "c.json", "--seed", "2.5"]])
+@pytest.mark.parametrize("argv", [["eval"]] + [["eval", "--config", "c.json", "--seed", seed]
+                                               for seed in ("2.5", "1_0", "١", " 3", "1" * 5000)])
 def test_usage_errors_exit_1_not_the_infeasible_code(capsys, argv):
     assert cli.main(argv) == cli.EXIT_ERROR
     err = capsys.readouterr().err

@@ -205,8 +205,7 @@ def test_cond_exp_hand_weighted_average(two_path_lattice):
 def test_cond_exp_zero_block_flag():
     lat = fm.build_lattice(2, 1)
     Q = fm.Measure(lat, [0.0, 1.0])
-    out, zero = fm.cond_exp(np.array([7.0, 3.0]), 1, Q, return_zero_blocks=True)
-    assert zero.tolist() == [True, False]
+    out = fm.cond_exp(np.array([7.0, 3.0]), 1, Q)
     assert out.tolist() == [0.0, 3.0]
 
 

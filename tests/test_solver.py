@@ -160,12 +160,11 @@ def bisection_projection(v, lo, hi, total=1.0):
 
 @st.composite
 def projection_cases(draw, offsets=False):
-    """(v, lo, hi, total): P in 1..64, repeated entries in v, uniform (N = 1
-    included), non-uniform (partly degenerate) or fully degenerate boxes,
-    and totals at sum(lo), at sum(hi) or between.  On the grid, v and the
-    box are multiples of 1/8, so breakpoints tie across coordinates and the
-    search lands on them exactly.  With ``offsets``, v moves by up to 1e5
-    either way."""
+    """(v, lo, hi): P in 1..64, repeated entries in v, and the uniform box
+    of N in [1, 4], N = 1 (lo == hi) included, as ``box_bounds`` arrays.
+    On the grid, v is a multiple of 1/8, so breakpoints tie across
+    coordinates and the search lands on them exactly.  With ``offsets``, v
+    moves by up to 1e5 either way."""
     P = draw(st.integers(1, 64))
     grid = draw(st.booleans())
     number = st.integers(-16, 16).map(lambda k: k / 8) if grid else st.floats(-2.0, 2.0)
@@ -173,32 +172,20 @@ def projection_cases(draw, offsets=False):
     v = np.array(draw(st.lists(st.sampled_from(pool), min_size=P, max_size=P)))
     if offsets:
         v = v + draw(st.one_of(st.just(0.0), st.floats(-1e5, 1e5)))
-    box = draw(st.sampled_from(["uniform", "non-uniform", "degenerate"]))
-    if box == "uniform":
-        N = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
-        lo, hi = np.full(P, 1.0 / (N * P)), np.full(P, N / P)
-    else:
-        unit = st.integers(0, 8).map(lambda k: k / 8) if grid else st.floats(0.0, 1.0)
-        lo = np.array(draw(st.lists(unit, min_size=P, max_size=P)))
-        width = st.one_of(st.just(0.0), unit)
-        hi = lo + (0.0 if box == "degenerate"
-                   else np.array(draw(st.lists(width, min_size=P, max_size=P))))
-    where = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
-    slo, shi = float(lo.sum()), float(hi.sum())
-    total = slo if where == 0.0 else shi if where == 1.0 else slo + where * (shi - slo)
-    return v, lo, hi, total
+    N = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
+    return v, np.full(P, 1.0 / (N * P)), np.full(P, N / P)
 
 
 @settings(max_examples=300, deadline=None)
 @given(projection_cases())
 def test_projection_matches_bisection_reference(case):
-    v, lo, hi, total = case
-    q = fm.project_capped_simplex(v, lo, hi, total)
-    ref = bisection_projection(v, lo, hi, total)
+    v, lo, hi = case
+    q = fm.project_capped_simplex(v, lo, hi)
+    ref = bisection_projection(v, lo, hi)
     assert np.abs(q - ref).max() <= 1e-12
-    assert abs(float(q.sum()) - total) <= 1e-12 * max(1.0, total)
+    assert abs(float(q.sum()) - 1.0) <= 1e-12
     assert np.all(q >= lo - 1e-15) and np.all(q <= hi + 1e-15)
-    again = fm.project_capped_simplex(q, lo, hi, total)
+    again = fm.project_capped_simplex(q, lo, hi)
     assert np.abs(again - q).max() <= 1e-12
     d_new, d_ref = float(((q - v) ** 2).sum()), float(((ref - v) ** 2).sum())
     assert d_new <= d_ref + 1e-12 * max(1.0, d_ref)
@@ -209,17 +196,17 @@ def test_projection_matches_bisection_reference(case):
 def test_projection_rows_match_their_own_projection(case, G, rnd):
     """A (G, P) batch: each row comes out exactly as its own 1-D projection,
     whichever rows share the call, and still matches the bisection."""
-    v, lo, hi, total = case
+    v, lo, hi = case
     rows = [v] + [np.array(rnd.sample(list(v), len(v))) + rnd.choice([0.0, 1e-3, -2.0])
                   for _ in range(G - 1)]
     V = np.array(rows)
-    Q = fm.project_capped_simplex(V, lo, hi, total)
+    Q = fm.project_capped_simplex(V, lo, hi)
     assert Q.shape == V.shape
     for row, q in zip(V, Q):
-        assert np.array_equal(q, fm.project_capped_simplex(row, lo, hi, total))
-        assert np.abs(q - bisection_projection(row, lo, hi, total)).max() <= 1e-12
+        assert np.array_equal(q, fm.project_capped_simplex(row, lo, hi))
+        assert np.abs(q - bisection_projection(row, lo, hi)).max() <= 1e-12
     for k in range(G):
-        assert np.array_equal(fm.project_capped_simplex(V[k:], lo, hi, total), Q[k:])
+        assert np.array_equal(fm.project_capped_simplex(V[k:], lo, hi), Q[k:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,13 +214,13 @@ def test_projection_rows_match_their_own_projection(case, G, rnd):
 def test_projection_keeps_the_sum_far_from_zero(case, offset, G):
     """Rows shifted far from 0, as a step against a large penalty gradient
     puts them, still come back on the sum constraint and in the box."""
-    v, lo, hi, total = case
+    v, lo, hi = case
     V = np.array([v + offset * (1.0 + 0.5 * r) for r in range(G)])
-    Q = fm.project_capped_simplex(V, lo, hi, total)
-    assert np.abs(Q.sum(axis=1) - total).max() <= 1e-12 * max(1.0, total)
+    Q = fm.project_capped_simplex(V, lo, hi)
+    assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.all(Q >= lo - 1e-15) and np.all(Q <= hi + 1e-15)
     for row, q in zip(V, Q):
-        assert np.array_equal(q, fm.project_capped_simplex(row, lo, hi, total))
+        assert np.array_equal(q, fm.project_capped_simplex(row, lo, hi))
 
 
 def test_projection_keeps_the_sum_at_a_large_penalty_step():
@@ -284,61 +271,47 @@ def test_projection_uniform_array_box_is_the_float_box(G, P):
 
 @pytest.mark.parametrize("which", ["lo", "hi"])
 def test_projection_nearly_uniform_array_box(which):
-    """A box uniform but for one coordinate keeps its own bounds: the
-    projection matches the sorting reference and moves where the uniform
-    box would not."""
-    rng = np.random.default_rng(8)
+    """A box uniform but for one coordinate is refused, naming the rule."""
     P = 16
-    lo, hi = np.full(P, 0.5 / P), np.full(P, 2.0 / P)
-    bounds = {"lo": lo, "hi": hi}
+    bounds = {"lo": np.full(P, 0.5 / P), "hi": np.full(P, 2.0 / P)}
     bounds[which][3] = 0.1 / P if which == "lo" else 4.0 / P
-    for _ in range(20):
-        V = rng.normal(1.0 / P, 3.0 / P, (3, P))
-        V[:, 3] = -1.0 if which == "lo" else 1.0
-        Q = fm.project_capped_simplex(V, lo, hi)
-        for row, q in zip(V, Q):
-            assert np.abs(q - ref.breakpoint_projection(row, lo, hi)).max() <= 1e-15
-        assert np.all(Q >= lo) and np.all(Q <= hi)
-        assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-13
-        assert np.all(Q[:, 3] == bounds[which][3])
+    with pytest.raises(fm.ParameterError, match="the box must be uniform"):
+        fm.project_capped_simplex(np.full(P, 1.0 / P), bounds["lo"], bounds["hi"])
 
 
 @settings(max_examples=500, deadline=None)
 @given(projection_cases(offsets=True), st.integers(1, 3))
 def test_projection_matches_breakpoint_reference(case, G):
     """The Newton projection against the sorting breakpoint search it
-    replaced, row by row of a batch, to 1e-15 times the largest of 1, the
-    total and the shifted row's magnitude max|row - trunc(mean(row))|: both
-    are exact up to rounding, and where the root lies within rounding of a
-    breakpoint they solve neighbouring pieces, whose closed forms then
-    differ by a few ulps of the held sum (totals here reach 128).  Each
-    rounds tau at the scale of the shifted row it is subtracted from, so
-    q = row - tau can differ by ulps of that magnitude even when the total
-    is small."""
-    v, lo, hi, total = case
+    replaced, row by row of a batch, to 1e-15 times the larger of 1 and
+    the shifted row's magnitude max|row - trunc(mean(row))|: both are exact
+    up to rounding, and where the root lies within rounding of a breakpoint
+    they solve neighbouring pieces, whose closed forms then differ by a few
+    ulps of the held sum.  Each rounds tau at the scale of the shifted row
+    it is subtracted from, so q = row - tau can differ by ulps of that
+    magnitude."""
+    v, lo, hi = case
     V = np.array([v[::1 - 2 * (r % 2)] + r for r in range(G)])
-    Q = fm.project_capped_simplex(V, lo, hi, total)
+    Q = fm.project_capped_simplex(V, lo, hi)
     for row, q in zip(V, Q):
-        expect = ref.breakpoint_projection(row, lo, hi, total)
+        expect = ref.breakpoint_projection(row, lo, hi)
         shifted = float(np.abs(row - np.trunc(row.mean())).max())
-        assert np.abs(q - expect).max() <= 1e-15 * max(1.0, total, shifted)
+        assert np.abs(q - expect).max() <= 1e-15 * max(1.0, shifted)
 
 
 @settings(max_examples=300, deadline=None)
-@given(projection_cases(offsets=True), st.integers(1, 4), st.data())
-def test_projection_scalar_and_array_bounds_agree(case, G, data):
+@given(projection_cases(offsets=True), st.integers(1, 4))
+def test_projection_scalar_and_array_bounds_agree(case, G):
     """A uniform box given as two floats or as two arrays gives the same
     floats, on the same checks."""
-    v, lo, hi, _ = case
+    v, lo, hi = case
     P, low, high = len(v), float(lo[0]), float(hi[0])
-    where = data.draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
-    total = float(np.full(P, low).sum()) + where * P * (high - low)
     V = np.array([v * (r + 1) for r in range(G)])
-    arrays = fm.project_capped_simplex(V, np.full(P, low), np.full(P, high), total)
-    assert np.array_equal(fm.project_capped_simplex(V, low, high, total), arrays)
-    assert np.array_equal(fm.project_capped_simplex(V[0], low, high, total), arrays[0])
+    arrays = fm.project_capped_simplex(V, np.full(P, low), np.full(P, high))
+    assert np.array_equal(fm.project_capped_simplex(V, low, high), arrays)
+    assert np.array_equal(fm.project_capped_simplex(V[0], low, high), arrays[0])
     with pytest.raises(fm.ParameterError, match="do not intersect"):
-        fm.project_capped_simplex(V, low, high, P * high + 1.0)
+        fm.project_capped_simplex(V, low + 1.0, high + 1.0)
     with pytest.raises(fm.ParameterError, match="empty box"):
         fm.project_capped_simplex(V, high + 1.0, high)
 
@@ -395,16 +368,14 @@ def test_projection_passes_stay_under_the_proven_cap(P, G, monkeypatch):
 
 
 def test_projection_grid_row_where_newton_alone_cycles():
-    """A row on the 1/8 grid, found by hypothesis, on which Newton steps
-    taken without the bracket cycle between pieces until the pass cap."""
-    v, lo, hi = np.full(31, 2.0), np.zeros(31), np.zeros(31)
-    v[[3, 24, 28]], v[[5, 9, 23]] = 0.0, -0.375
-    lo[17], lo[[24, 28]] = 0.5, 0.25
-    hi[[3, 28]], hi[5], hi[[9, 23, 24]], hi[17] = 0.625, 1.0, 0.5, 1.25
+    """A row on the 1/68 grid, with the uniform box of P = 17 and N = 2
+    (lo = 1/34, hi = 2/17), on which Newton steps taken without the bracket
+    cycle between pieces until the pass cap."""
+    v = np.array([-34, 21, -22, 8, 20, 45, 9, 3, 33, 14, 38, -15, 21, 33, 21, -10, 27]) / 68
+    lo, hi = box_bounds(fm.build_lattice(17, 1), 2.0)
     V = np.array([v, v + 1.0, v[::-1], -v])
-    for lows, highs in ((lo, hi), (lo[::-1], hi[::-1])):
-        Q = fm.project_capped_simplex(V, lows, highs, 2.5)
-        assert np.abs(Q - ref.breakpoint_projection(V, lows, highs, 2.5)).max() <= 1e-15
+    Q = fm.project_capped_simplex(V, lo, hi)
+    assert np.abs(Q - ref.breakpoint_projection(V, lo, hi)).max() <= 1e-15
 
 
 # -- Frank-Wolfe gap ------------------------------------------------------------------
