@@ -53,23 +53,9 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray,
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2):
         raise ParameterError("point and bounds must have matching shapes")
-    P = v.shape[-1]
-    if np.ndim(lo) or np.ndim(hi):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if lo.shape != (P,) or hi.shape != (P,):
-            raise ParameterError("point and bounds must have matching shapes")
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(v).all()):
+    lo, hi = _uniform_box(lo, hi, v.shape[-1])
+    if not np.isfinite(v).all():
         raise ParameterError("point and bounds must be finite")
-    if np.ndim(lo):
-        if P and not ((lo == lo[0]).all() and (hi == hi[0]).all()):
-            raise ParameterError("the box must be uniform: array bounds need all entries equal")
-        lo, hi = (lo[0], hi[0]) if P else (0.0, 0.0)
-    lo, hi = float(lo), float(hi)
-    if lo > hi:
-        raise ParameterError("empty box: lo > hi")
-    if not P * lo - 1e-12 <= 1.0 <= P * hi + 1e-12:
-        raise ParameterError(
-            f"box and simplex do not intersect: sum bounds [{P * lo}, {P * hi}] exclude 1")
     V = np.atleast_2d(v)
     sums = np.add.reduce(V, axis=1)
     inside = np.logical_and.reduce((V >= lo - 1e-15) & (V <= hi + 1e-15), axis=1)
@@ -80,6 +66,31 @@ def project_capped_simplex(v: np.ndarray, lo: float | np.ndarray,
     if rows.size:
         out[rows] = _project_rows(V[rows], sums[rows], lo, hi)
     return out.reshape(v.shape)
+
+
+def _uniform_box(lo, hi, P: int) -> tuple[float, float]:
+    """The two floats of the uniform box lo <= q <= hi on P coordinates,
+    checked: two floats, or two arrays of shape (P,) whose entries are all
+    equal, as ``box_bounds`` returns them; finite; not empty; and meeting
+    the simplex sum q = 1."""
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != (P,) or hi.shape != (P,):
+            raise ParameterError("point and bounds must have matching shapes")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ParameterError("point and bounds must be finite")
+        if P and not ((lo == lo[0]).all() and (hi == hi[0]).all()):
+            raise ParameterError("the box must be uniform: array bounds need all entries equal")
+        lo, hi = (lo[0], hi[0]) if P else (0.0, 0.0)
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError("point and bounds must be finite")
+    if lo > hi:
+        raise ParameterError("empty box: lo > hi")
+    if not P * lo - 1e-12 <= 1.0 <= P * hi + 1e-12:
+        raise ParameterError(
+            f"box and simplex do not intersect: sum bounds [{P * lo}, {P * hi}] exclude 1")
+    return lo, hi
 
 
 def _project_rows(V: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -224,10 +235,12 @@ def _median_breakpoint(zhi, zlo, a: float, b: float) -> float:
     return float(np.partition(inner, k)[k])
 
 
-def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float | np.ndarray,
+                    hi: float | np.ndarray) -> np.ndarray:
     """The Frank-Wolfe gap max_s <grad, q - s> over the uniform box-simplex
     {s : sum s = 1, lo <= s <= hi}, of one point q (P,) or of each row
-    of q (G, P), with the gradient in the same shape.
+    of q (G, P), with the gradient in the same shape.  The box is taken
+    and checked as in ``project_capped_simplex``.
 
     The gap is zero exactly at the stationary points of a differentiable f
     on the set, and bounds f(q) - min f where f is also convex (Jaggi 2013,
@@ -238,6 +251,7 @@ def frank_wolfe_gap(q: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> np
     in O(P).  Rows are independent, as in the projection.
     """
     X, D = np.atleast_2d(q), np.atleast_2d(grad)
+    lo, hi = _uniform_box(lo, hi, D.shape[1])
     P, width = D.shape[1], hi - lo
     spare = 1.0 - P * lo
     k = min(int(spare // width), P - 1) if width > 0.0 and spare > 0.0 else 0

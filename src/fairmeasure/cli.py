@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._descent import STEP, TOL
-from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError
+from .errors import ConfigError, FairmeasureError, ParameterError, SizeBudgetError, quoted
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, build_lattice,
                       uniform_measure)
 from .processes import (GbmParams, _is_integer, _read_csv, _read_text, calibrate_from_prices,
@@ -128,8 +128,9 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:   # int() raises ValueError on an integer of over 4300 digits
         data = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:   # without int()'s advice to call sys.set_int_max_str_digits
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise ConfigError(f"config {path} is not valid JSON: {reason}") from None
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
 
@@ -212,11 +213,11 @@ def _read_path_csv(path: str, columns: list[str], lattice: AdaptedLattice | None
                     raise ValueError
                 cell += (int(index),)
             except ValueError:
-                raise ParameterError(f"{where}: bad {name} {index!r}") from None
+                raise ParameterError(f"{where}: bad {name} {quoted(index)}") from None
         try:
             value = parse_float_field(text)
         except ValueError as exc:
-            raise ParameterError(f"{where}: {exc} {value_name} {text!r}") from None
+            raise ParameterError(f"{where}: {exc} {value_name} {quoted(text)}") from None
         if cell in cells:
             raise ParameterError(f"{where}: duplicate row for {_cell_name(lattice, names, cell)}")
         cells[cell] = value
@@ -434,11 +435,14 @@ def cmd_verify(cfg: RunConfig, out_dir: str, seed: int) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     def integer(text: str) -> int:
-        """--seed under the integer rule of the timestamp column; argparse
-        names this function when it refuses the text."""
-        if not _is_integer(text):
-            raise ValueError(text)
-        return int(text)   # which raises ValueError itself on over 4300 digits
+        """--seed under the integer rule of the timestamp column, refused
+        in argparse's own words with the text quoted as readers quote it."""
+        try:   # int() raises ValueError itself on over 4300 digits
+            if not _is_integer(text):
+                raise ValueError(text)
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer value: {quoted(text)}") from None
 
     parser = argparse.ArgumentParser(
         prog="fairmeasure",

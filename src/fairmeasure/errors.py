@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote the text of an input."""
+
+# Characters of a field that a message quotes before it cuts the rest.
+_QUOTE_CHARS = 32
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, or for a field longer than 32 characters the repr of
+    its first 32 and its length, so that a message stays one short line."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 class FairmeasureError(ValueError):

@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import EquivalenceViolationError, ParameterError, SizeBudgetError
+from .errors import EquivalenceViolationError, ParameterError, SizeBudgetError, quoted
 
 DEFAULT_PATH_BUDGET = 1 << 20
 NORMALIZATION_TOL = 1e-12
@@ -88,7 +88,7 @@ class AdaptedLattice:
         ASCII digits 0..b-1 names a path."""
         self._check_labels()
         if len(label) != self.depth or label.strip(_DIGITS[:self.branching]):
-            raise ParameterError(f"bad path label {label!r}: expected {self.depth} "
+            raise ParameterError(f"bad path label {quoted(label)}: expected {self.depth} "
                                  f"digit(s) 0..{self.branching - 1}")
         return int(label, self.branching)
 

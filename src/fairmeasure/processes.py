@@ -16,10 +16,11 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
-from .errors import IngestionError, NoMartingaleMeasureError, ParameterError
+from .errors import IngestionError, NoMartingaleMeasureError, ParameterError, quoted
 from .lattice import AdaptedLattice, LatticeProcess, Measure, _as_count
 
 __all__ = [
@@ -236,31 +237,47 @@ def parse_float_field(text: str) -> float:
     return value
 
 
-def _read_text(path, error: type[Exception]) -> str:
+def _read_text(path, error: type[Exception],
+               line: Callable[[str], int] = lambda text: text.count("\n") + 1) -> str:
     """The text of a UTF-8 file.  A byte that is not UTF-8 raises ``error``
-    naming the file and the line that holds it."""
+    naming the file and the line that holds it, which ``line`` numbers
+    from the text before the byte: by newlines, unless told otherwise."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}") from None
+        where = line(data[:exc.start].decode("utf-8"))
+        raise error(f"{path}:{where}: not UTF-8: byte {data[exc.start]:#04x}") from None
+
+
+def _csv_record(text: str) -> int:
+    """The number of the CSV record that holds the end of ``text``, as
+    ``_read_csv`` numbers records: a quoted field may span lines, and a
+    bare carriage return ends a record as a newline does."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text + "x", newline="")))
+    except csv.Error:
+        return len(rows) + 1
+    return len(rows)
 
 
 def _read_csv(path, columns: list[str], error: type[Exception]) -> list[tuple[int, list[str]]]:
     """The one reader of the CSV formats: each record after the header
-    ``columns`` as (line, fields), the header on line 1.  A file that is not
-    UTF-8, a field over csv's size limit, another header or a record with
-    another field count raises ``error`` naming the file and the line."""
+    ``columns`` as (line, fields), the header on line 1, each line a CSV
+    record.  A file that is not UTF-8, a field over csv's size limit,
+    another header or a record with another field count raises ``error``
+    naming the file and the record."""
     rows: list[list[str]] = []
     try:   # extend keeps the records before a bad one, which gives its line
-        rows.extend(csv.reader(io.StringIO(_read_text(path, error), newline="")))
+        rows.extend(csv.reader(io.StringIO(_read_text(path, error, _csv_record), newline="")))
     except csv.Error as exc:
         raise error(f"{path}:{len(rows) + 1}: {exc}") from None
     header = rows[0] if rows else None
     if header != columns:
-        raise error(f"{path}:1: expected header {','.join(columns)!r}, got {header}")
+        got = header if header is None else f"[{', '.join(map(quoted, header))}]"
+        raise error(f"{path}:1: expected header {','.join(columns)!r}, got {got}")
     records = list(enumerate(rows[1:], start=2))
     for line, row in records:
         if len(row) != len(columns):
@@ -276,9 +293,14 @@ def _is_integer(text: str) -> bool:
 
 
 def _parse_timestamp(text: str) -> float:
-    """Epoch seconds of an integer or ISO-8601 field; raises ValueError."""
+    """Epoch seconds of an integer or ISO-8601 field; raises ValueError.
+    float() rounds an integer's digits as float(int()) does, with no limit
+    on their number."""
     if _is_integer(text):
-        return float(int(text))
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("integer out of the float range")
+        return value
     stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
@@ -298,16 +320,16 @@ def read_price_csv(path) -> list[PriceSeries]:
         try:
             ts = _parse_timestamp(row[0])
         except ValueError as exc:
-            raise IngestionError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from None
+            raise IngestionError(f"{path}:{lineno}: bad timestamp {quoted(row[0])}: {exc}") from None
         name = row[1]
         if not name:
             raise IngestionError(f"{path}:{lineno}: empty exchange name")
         if name != name.strip():
-            raise IngestionError(f"{path}:{lineno}: bad exchange name {name!r}")
+            raise IngestionError(f"{path}:{lineno}: bad exchange name {quoted(name)}")
         try:
             price = parse_float_field(row[2])
         except ValueError as exc:
-            raise IngestionError(f"{path}:{lineno}: {exc} price {row[2]!r}") from None
+            raise IngestionError(f"{path}:{lineno}: {exc} price {quoted(row[2])}") from None
         if price <= 0.0:
             raise IngestionError(f"{path}:{lineno}: price must be positive")
         if name not in data:

@@ -12,11 +12,11 @@ row stops once its Frank-Wolfe gap over the box-simplex is at most
 the lattice, m with p >= 1 and n are convex in the weights; where m is
 also smooth (p > 1) and no floor binds, every stationary point is a global
 minimizer and the gap bounds the distance to the optimal value, so one
-start suffices and the report carries the winner's gap.  Elsewhere (n,
-p <= 1, the floor) the descent is also multi-started from random feasible
-points, and each start's record says why it stopped.  A grid-search
-oracle over tiny instances provides an independent check of the
-optimizer.
+start suffices and the report carries the winner's gap.  Elsewhere (n on
+b > 2, p <= 1, the floor) the descent is also multi-started from random
+feasible points, and each start's record says why it stopped.  A
+grid-search oracle over tiny instances provides an independent check of
+the optimizer.
 
 Each iteration searches the projected arc P(x - t g), halving t until an
 Armijo test passes.  Where the penalized value is differentiable (m with
@@ -50,6 +50,11 @@ bounded by 2P + floor(log2 P) + 4.
 
 Each value and each gradient is one O(P) pass of the node kernel in
 ``_tree``; the gradient is the kernel's exact adjoint sweep.
+
+n on a binary lattice with no floor takes none of the above: there its
+minimum is the exact bottom-up walk over subtree mass of ``_exact``, in
+O(P) breakpoints per level, and a top-down pass from the root's unit mass
+gives a measure that attains it.
 """
 from __future__ import annotations
 
@@ -60,6 +65,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._descent import Descent
+from ._exact import min_n
 from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
@@ -261,7 +267,9 @@ class RestartRecord(NamedTuple):
     not move) or "max_iter".  The counts are rows the descent evaluated,
     differentiated and projected for this start; ``rho`` is the penalty
     weight of its last round, ``value`` and ``violation`` those of the point
-    it reached."""
+    it reached.  Where the exact walk solved n (b = 2, no floor) the one
+    record has kind and stop "exact", no iterations and one evaluation, of
+    the walk's point."""
 
     kind: str
     stop: str
@@ -285,7 +293,9 @@ class SolveReport:
     spectral step, or a halving of it, where m is differentiable) and its
     floor violation.  ``gap`` is the winner's Frank-Wolfe gap, a
     certified bound on value minus the optimal value, where one holds: m
-    with p > 1 and no active floor; None elsewhere."""
+    with p > 1 and no active floor; 0.0 where the exact walk solved n, whose
+    candidates are the base measure (0) and the walk's point (1); None
+    elsewhere."""
 
     measure: Measure
     value: float
@@ -338,8 +348,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     measure and any ``extra_starts`` (projected first; useful for warm
     starts across related instances), all descending together as one batch
     of rows, each until its Frank-Wolfe gap is at most ``_descent.TOL``.
-    Where the problem is nonsmooth or nonconvex (objective n, p <= 1 or an
-    active correlation floor) (restarts - 1) random feasible points are
+    Where the problem is nonsmooth or nonconvex (objective n on b > 2, p <= 1
+    or an active correlation floor) (restarts - 1) random feasible points are
     added to the starts; for m with p > 1 and no floor the objective is
     convex and smooth, so the base start alone reaches the optimum and no
     random start is drawn.  The correlation floor is handled by the quadratic penalty
@@ -349,6 +359,11 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     feasible with value no worse than the base value.  If no candidate ever
     satisfies the floor the best penalized point is returned with
     ``feasible=False``.
+
+    Objective n on a binary lattice with no floor is solved exactly
+    instead, with no descent: the walk of ``_exact`` over subtree mass
+    gives a minimizer, the options and the extra starts play no part, and
+    the report's one record has kind "exact" and its gap is 0.0.
     """
     lat = g.lattice
     P = lat.n_paths
@@ -361,6 +376,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     extra = [np.asarray(s, dtype=float) for s in extra_starts]
     if any(s.shape != (P,) for s in extra):
         raise ParameterError(f"extra starts must have one weight per path, shape ({P},)")
+    if params.objective == "n" and lat.branching == 2 and not floor_active:
+        return _solve_exact(g, params, obj, lo[0], hi[0])
 
     randoms = 0 if smooth_convex else opts.restarts - 1
     kinds = ["base"] + ["random"] * randoms + ["extra"] * len(extra)
@@ -401,6 +418,24 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
                        iterations=int(run.iterations[r]) if solved else 0,
                        trace=run.trace(r) if solved else [], feasible=feasible,
                        restarts=records, winner=w)
+
+
+def _solve_exact(g: LatticeProcess, params: ConstraintParams, obj: _Objective,
+                 lo: float, hi: float) -> SolveReport:
+    """n on a binary lattice with no floor, by the exact walk.  The base
+    measure is evaluated first, so nonpositive values raise n's own error
+    before the walk divides by them; it stays a candidate, so the report
+    is never worse than the base."""
+    base = float(obj.evaluate(uniform_measure(g.lattice).weights)[1][0])
+    q = min_n(obj.tree, lo, hi)
+    value = float(obj.evaluate(q)[1][0])
+    w = int(value < base)
+    measure = Measure(g.lattice, q) if w else uniform_measure(g.lattice)
+    report = check_constraints(measure, g, params)
+    record = RestartRecord("exact", "exact", 0, 1, 0, 0, 0, 0.0, value, 0.0)
+    return SolveReport(measure=measure, value=value if w else base, gap=0.0,
+                       constraint_slacks=report.summary(), iterations=0, trace=[],
+                       feasible=report.feasible, restarts=[record], winner=w)
 
 
 # -- brute-force oracle ----------------------------------------------------------

@@ -269,7 +269,7 @@ def _check_gap(rng) -> tuple[bool, str]:
         obj = _Objective(g, params)
         q = project_capped_simplex(rng.uniform(lo, hi), lo, hi)
         grad = obj.gradient(q)
-        gap = float(frank_wolfe_gap(q, grad, lo[0], hi[0]))
+        gap = float(frank_wolfe_gap(q, grad, lo, hi))
         s, spare = lo.copy(), 1.0 - float(lo.sum())
         for i in np.argsort(grad):
             s[i] += min(max(spare, 0.0), hi[i] - lo[i])

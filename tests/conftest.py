@@ -21,6 +21,14 @@ def two_path(two_path_lattice):
 
 
 @pytest.fixture
+def three_path():
+    """One trinomial step, value 1 branching to children (2, 1.25, 0.5): a
+    lattice with b = 3, where n keeps the descent."""
+    vals = np.array([[[1.0]] * 3, [[2.0], [1.25], [0.5]]])
+    return fm.LatticeProcess(fm.build_lattice(3, 1), 1, 1, vals)
+
+
+@pytest.fixture
 def two_path_pair(two_path_lattice):
     """Two identical exchanges holding the canonical instance."""
     vals = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 2.0], [0.5, 0.5]]])

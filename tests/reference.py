@@ -242,6 +242,65 @@ def lp_min(g, params):
     return float(res.fun), res.x[:P]
 
 
+# -- the exact n on a binary lattice ----------------------------------------------
+
+def exact_n_min(g, N):
+    """The minimum of n over the box-simplex on a binary lattice, by the
+    naive dynamic program over subtree mass that ``fairmeasure._exact``
+    walks.  A leaf's F is 0 on [lo, hi].  At a node with children c1, c2,
+    G(m1, m2) = F_c1(m1) + F_c2(m2) + sum_e |a_e m1 + b_e m2| is affine on
+    each cell of the arrangement of the child breakpoint lines m1 = x1,
+    m2 = x2 and the zero-drift rays a_e m1 + b_e m2 = 0, so
+    F_v(m) = min over m1 + m2 = m of G is the lower convex hull of the
+    points (m1 + m2, G) over the O(n^2) candidate splits, the vertices of
+    that arrangement: every pair of child breakpoints and every child
+    breakpoint on a ray.  Returns F_root(1)."""
+    from fairmeasure.solver import box_bounds
+    lat = g.lattice
+    assert lat.branching == 2
+    K = lat.depth
+    lo, hi = box_bounds(lat, N)
+    leaf = (np.array([lo[0], hi[0]]), np.zeros(2))
+    funcs = [leaf] * lat.n_paths
+    for k in range(K - 1, -1, -1):
+        node = g.values[k, ::2 ** (K - k)]
+        child = g.values[k + 1, ::2 ** (K - k - 1)]
+        funcs = [_node_function(funcs[2 * v], funcs[2 * v + 1],
+                                (child[2 * v] - node[v]) / node[v],
+                                (child[2 * v + 1] - node[v]) / node[v])
+                 for v in range(2 ** k)]
+    m, F = funcs[0]
+    return float(np.interp(1.0, m, F))
+
+
+def _node_function(f1, f2, a, b):
+    """(breakpoints, values) of F_v from its children's, as in ``exact_n_min``."""
+    (X1, F1), (X2, F2) = f1, f2
+    splits = [np.stack(np.meshgrid(X1, X2, indexing="ij"), axis=-1).reshape(-1, 2)]
+    for ae, be in zip(a, b):
+        if ae * be < 0.0:
+            splits += [np.column_stack((X1, -ae * X1 / be)), np.column_stack((-be * X2 / ae, X2))]
+    V = np.concatenate(splits)
+    V = V[(V[:, 0] >= X1[0]) & (V[:, 0] <= X1[-1]) & (V[:, 1] >= X2[0]) & (V[:, 1] <= X2[-1])]
+    G = (np.interp(V[:, 0], X1, F1) + np.interp(V[:, 1], X2, F2)
+         + np.abs(V @ np.stack((a, b))).sum(axis=1))
+    return lower_hull(V.sum(axis=1), G)
+
+
+def lower_hull(x, y):
+    """The vertices of the lower convex hull of the points (x, y), in
+    increasing x, as two arrays."""
+    hull = []
+    for px, py in sorted(zip(x.tolist(), y.tolist())):
+        if hull and px == hull[-1][0]:
+            continue          # the lower of two points at one x came first
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (py - hull[-2][1])
+                                  - (hull[-1][1] - hull[-2][1]) * (px - hull[-2][0])) <= 0.0:
+            hull.pop()
+        hull.append((px, py))
+    return tuple(np.array(c) for c in zip(*hull))
+
+
 # -- the per-start solver loop ----------------------------------------------------
 
 def pgd(obj, q0, project, gap, max_iter, rho):

@@ -123,7 +123,9 @@ def test_batched_rows_equal_reference_points(two_path):
 
 @pytest.mark.parametrize("objective", ["m", "n"])
 def test_minimize_matches_reference(objective):
-    g = random_process(np.random.default_rng(5), fm.build_lattice(2, 4), low=0.5, high=2.0)
+    """n on a binary lattice is solved exactly, so its case descends on b = 3."""
+    lat = fm.build_lattice(2, 4) if objective == "m" else fm.build_lattice(3, 3)
+    g = random_process(np.random.default_rng(5), lat, low=0.5, high=2.0)
     params = fm.ConstraintParams(N=3.0, p=1.5 if objective == "m" else 2.0,
                                  objective=objective)
     opts = fm.SolveOptions(restarts=4, max_iter=120)
@@ -177,10 +179,10 @@ def test_descent_stops_when_the_projected_step_does_not_move(two_path):
                                           counting.projections]
 
 
-def test_minimize_matches_reference_with_extra_starts(two_path):
+def test_minimize_matches_reference_with_extra_starts(three_path):
     params = fm.ConstraintParams(N=1.7, objective="n")
-    extra = [np.array([0.2, 0.8]), np.array([0.5, 0.5])]
-    rep, _ = assert_matches_reference(two_path, params, fm.SolveOptions(restarts=3), extra)
+    extra = [np.array([0.2, 0.5, 0.3]), np.array([1.0, 1.0, 1.0]) / 3.0]
+    rep, _ = assert_matches_reference(three_path, params, fm.SolveOptions(restarts=3), extra)
     assert [rec.kind for rec in rep.restarts] == ["base", "random", "random", "extra", "extra"]
 
 
@@ -205,8 +207,9 @@ def test_smooth_convex_m_draws_no_random_starts(two_path, p):
 @pytest.mark.parametrize("params", [fm.ConstraintParams(N=1.7, p=1.0),
                                     fm.ConstraintParams(N=1.7, p=0.5),
                                     fm.ConstraintParams(N=1.7, objective="n")])
-def test_nonsmooth_or_nonconvex_problems_keep_random_starts(two_path, params):
-    rep = fm.minimize(two_path, params, fm.SolveOptions(restarts=3))
+def test_nonsmooth_or_nonconvex_problems_keep_random_starts(three_path, params):
+    """On b = 3, where n is not solved exactly."""
+    rep = fm.minimize(three_path, params, fm.SolveOptions(restarts=3))
     assert [rec.kind for rec in rep.restarts] == ["base", "random", "random"]
 
 
@@ -236,6 +239,8 @@ def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):
 @given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 2), st.sampled_from(["m", "n"]),
        st.floats(1.1, 3.0), st.integers(1, 5), st.integers(0, 2 ** 16))
 def test_minimize_matches_reference_on_random_instances(b, K, n, objective, N, restarts, seed):
+    """n descends on b = 3 only: on b = 2 it is solved exactly."""
+    b = 3 if objective == "n" else b
     rng = np.random.default_rng(seed)
     g = random_process(rng, fm.build_lattice(b, K), n=n, low=0.4, high=2.5)
     params = fm.ConstraintParams(N=N, p=float(rng.choice([1.0, 2.0, 3.0])), objective=objective)

@@ -207,6 +207,12 @@ def test_readers_reject_non_ascii_digit_labels(tmp_path, digit):
      r"process\.csv:5: bad k '١'"),
     ("process", CANONICAL_PROCESS_CSV.replace("1,1,0,0", "1," + "1" * 5000 + ",0,0"),
      r"process\.csv:5: bad k '1111"),
+    ("process", CANONICAL_PROCESS_CSV.replace("1,1,0,0", "1," + "1" * 5000 + ",0,0"),
+     r"process\.csv:5: bad k '1{32}'\.\.\. \(5000 characters\)$"),
+    ("process", CANONICAL_PROCESS_CSV.replace("0,1,0,0,2.0", "0,1,0,0," + "x" * 5000),
+     r"process\.csv:3: bad value 'x{32}'\.\.\. \(5000 characters\)$"),
+    ("measure", "path,weight\n" + "0" * 5000 + ",0.5\n1,0.5\n",
+     r"measure\.csv:2: bad path label '0{32}'\.\.\. \(5000 characters\): expected 1 "),
     ("process", CANONICAL_PROCESS_CSV.replace("0,1,0,0,2.0", "0,1,0,0,x"),
      r"process\.csv:3: bad value 'x'"),
     ("process", "path,k,exchange,component,value\n" + "".join(
@@ -224,7 +230,8 @@ def test_readers_reject_non_ascii_digit_labels(tmp_path, digit):
     ("measure", "path,w\n0,0.5\n1,0.5\n",
      r"measure\.csv:1: expected header 'path,weight', got \['path', 'w'\]"),
 ], ids=["process-fields", "measure-fields", "process-incomplete", "measure-incomplete",
-        "process-duplicate", "negative-index", "non-ascii-index", "long-index", "bad-value",
+        "process-duplicate", "negative-index", "non-ascii-index", "long-index",
+        "long-index-quoted", "long-value-quoted", "long-label-quoted", "bad-value",
         "short-time",
         "process-not-utf8", "measure-not-utf8", "process-long-field", "measure-long-field",
         "process-header", "measure-header"])
@@ -638,6 +645,25 @@ def test_missing_config_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config ") and "is not valid JSON: Exceeds the limit" in err
     assert "Traceback" not in err
+
+
+def test_config_errors_pass_on_no_advice_about_the_interpreter(tmp_path):
+    """int()'s advice to call sys.set_int_max_str_digits is for programmers,
+    not for the author of a config file."""
+    cfg = write_config(tmp_path / "config.json")
+    cfg.write_bytes(cfg.read_bytes().replace(b'"b": 2', b'"b": ' + b"1" * 5000, 1))
+    with pytest.raises(fm.ConfigError) as info:
+        cli.parse_config(cfg)
+    assert str(info.value).endswith("is not valid JSON: Exceeds the limit (4300 digits) for "
+                                    "integer string conversion: value has 5000 digits")
+
+
+@pytest.mark.parametrize("seed,shown", [("1_0", "'1_0'"),
+                                        ("1" * 5000, "'" + "1" * 32 + "'... (5000 characters)")])
+def test_a_refused_seed_is_quoted_as_readers_quote_fields(capsys, seed, shown):
+    assert cli.main(["eval", "--config", "c.json", "--seed", seed]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: invalid integer value: {shown}\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])

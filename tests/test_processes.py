@@ -285,10 +285,36 @@ def test_read_price_csv(tmp_path):
                  r"field larger than field limit \(131072\)", id="long-field"),
     pytest.param("timestamp,exchange\n1,a\n", "expected header 'timestamp,exchange,price'",
                  id="short-header"),
+    pytest.param("timestamp,exchange,price\n" + "1" * 5000 + ",a,2.0\n",
+                 r"bad timestamp '1{32}'\.\.\. \(5000 characters\): integer out of the float "
+                 r"range$", id="long-timestamp"),
+    pytest.param("timestamp,exchange,price\n" + "1" * 400 + ",a,2.0\n",
+                 r"bad timestamp '1{32}'\.\.\. \(400 characters\): integer out of the float "
+                 r"range$", id="timestamp-over-float"),
+    pytest.param("timestamp,exchange,price\n1, " + "a" * 5000 + ",2.0\n",
+                 r"bad exchange name ' a{31}'\.\.\. \(5001 characters\)$", id="long-exchange"),
+    pytest.param("timestamp,exchange,price\n1,a,2" + "_0" * 3000 + "\n",
+                 r"bad price '2(_0){15}_'\.\.\. \(6001 characters\)$", id="long-price"),
 ])
 def test_read_price_csv_rejects_malformed_rows(tmp_path, body, msg):
     """Every error names the file and the line, and no field is stripped."""
     path = tmp_path / "bad.csv"
     path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(fm.IngestionError, match=rf"bad\.csv:\d+: .*{msg}"):
+        fm.read_price_csv(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("quoted_break", [False, True], ids=["plain", "quoted-break"])
+def test_a_byte_that_is_not_utf8_is_numbered_by_its_record(tmp_path, end, quoted_break):
+    """The record that holds the byte, as field-count errors number records:
+    a bare carriage return ends a record, and a quoted line break does not."""
+    name = f'"a{end}b"' if quoted_break else "a"
+    head = f"timestamp,exchange,price{end}1,{name},2.0{end}".encode()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head + b"2,a,\xff" + end.encode())
+    with pytest.raises(fm.IngestionError, match=r"bad\.csv:3: not UTF-8: byte 0xff$"):
+        fm.read_price_csv(path)
+    path.write_bytes(head + b"2,a" + end.encode())
+    with pytest.raises(fm.IngestionError, match=r"bad\.csv:3: expected 3 fields, got 2$"):
         fm.read_price_csv(path)
