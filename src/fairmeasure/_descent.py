@@ -29,7 +29,7 @@ depend on the objective:
 
 Variants measured against this one, by ``minimize`` on the instances of
 the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
-2.4), which lose:
+2.4), which lose (n on the deep lattice was measured before the exact walk):
 
 * The spectral step and the window on every row: n on a deep lattice
   (b = 2, K = 11) stopped at 0.05153 instead of 0.05049, and m at p = 1

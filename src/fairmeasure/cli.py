@@ -43,6 +43,9 @@ class CalibrationSource:
     def __post_init__(self):
         if self.exchanges is not None and not all(isinstance(e, str) for e in self.exchanges):
             raise ParameterError("exchanges: expected a list of strings")
+        twice = [e for i, e in enumerate(self.exchanges or []) if e in self.exchanges[:i]]
+        if twice:
+            raise ParameterError(f"exchanges: {quoted(twice[0])} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,12 @@ class IoPaths:
     measure_file: str = "measure.csv"
     report_file: str = "report.json"
     params_file: str = "params.json"
+
+    def __post_init__(self):
+        first: dict[str, str] = {}
+        for key, name in vars(self).items():
+            if (other := first.setdefault(os.path.normpath(name), key)) != key:
+                raise ParameterError(f"{other} and {key} name the same file {quoted(name)}")
 
 
 @dataclass(frozen=True)

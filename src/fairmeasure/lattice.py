@@ -108,14 +108,12 @@ class AdaptedLattice:
         return _as_count("k", k, 0, self.depth)
 
 
-def build_lattice(b: int, K: int, path_budget: int = DEFAULT_PATH_BUDGET) -> AdaptedLattice:
-    """Construct the lattice with b branches per node and K steps.
-
-    Rejects lattices whose path count b^K exceeds ``path_budget``.
-    """
+def build_lattice(b: int, K: int) -> AdaptedLattice:
+    """The lattice with b branches per node and K steps, refused where its
+    path count b^K exceeds ``DEFAULT_PATH_BUDGET``."""
     lattice = AdaptedLattice(b, K)
-    if lattice.n_paths > path_budget:
-        raise SizeBudgetError(f"lattice would have {b}^{K} paths, budget is {path_budget}")
+    if lattice.n_paths > DEFAULT_PATH_BUDGET:
+        raise SizeBudgetError(f"lattice would have {b}^{K} paths, budget is {DEFAULT_PATH_BUDGET}")
     return lattice
 
 
@@ -240,26 +238,35 @@ def _as_columns(x: np.ndarray, n_paths: int):
     if x.ndim == 1:
         if x.shape != (n_paths,):
             raise ParameterError(f"vector length {x.shape[0]} does not match {n_paths} paths")
-        return x[:, None], True
+        return x[:, None]
     if x.ndim == 2 and x.shape[0] == n_paths:
-        return x, False
+        return x
     raise ParameterError(f"expected ({n_paths},) or ({n_paths}, m) array, got shape {x.shape}")
 
 
+def _parent_weights(w: np.ndarray, b: int) -> np.ndarray:
+    """Each node's total over its b children, consecutive on w's last axis.
+    At b = 2 one add of the strided halves gives the reduction's floats."""
+    return w[..., 0::2] + w[..., 1::2] if b == 2 else w.reshape(w.shape[:-1] + (-1, b)).sum(-1)
+
+
 def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """X_0 + sum(w * (X - X_0)) / W over the children axis, w (..., c), X
-    (..., c, m), W (...) the positive total weight: exact where X is constant.
-    ``cond_exp`` and the node kernel both average through it, so a one-step
-    conditional expectation is the same float on either path."""
-    first = X[..., :1, :]
-    return first[..., 0, :] + np.einsum("...c,...cm->...m", w, X - first) / W[..., None]
+    """X_0 + sum_{c>=1} w_c (X_c - X_0) / W over the children axis, w (..., c),
+    X (..., c, m), W (...) the positive total weight: exact where X is constant.
+    The children are added one by one: a column's floats ignore its neighbours and the CPU."""
+    first = X[..., 0, :]
+    acc = w[..., 1, None] * (X[..., 1, :] - first)
+    for c in range(2, X.shape[-2]):
+        acc += w[..., c, None] * (X[..., c, :] - first)
+    return first + acc / W[..., None]
 
 
 def cond_exp(x: np.ndarray, k: int, Q: Measure):
     """Conditional expectation of x given the time-k prefix information, under Q.
 
     Per block B of partition(k) the result is sum_B(x*q) / sum_B(q), repeated
-    across the block.  Blocks of total weight zero yield 0; this zero
+    across the block, folded up from the paths level by level through the
+    node kernel's average.  Blocks of total weight zero yield 0; this zero
     convention takes precedence over everything else.  On positive-weight
     blocks where x is constant, the constant is passed through unchanged, so
     inputs already measurable at level k come back exactly.
@@ -267,18 +274,16 @@ def cond_exp(x: np.ndarray, k: int, Q: Measure):
     Accepts a path vector or an (n_paths, m) array (columnwise).
     """
     lat = Q.lattice
-    X, was_vector = _as_columns(x, lat.n_paths)
-    nblk, bs = lat.n_blocks(k), lat.block_size(k)
-    Xb = X.reshape(nblk, bs, X.shape[1])
-    wb = Q.weights.reshape(nblk, bs)
-    W = wb.sum(axis=1)
-    zero = W <= 0.0
-    avg = _weighted_mean(wb, Xb, np.where(zero, 1.0, W))
-    avg[zero] = 0.0
-    out = np.repeat(avg, bs, axis=0)
-    if was_vector:
-        out = out[:, 0]
-    return out
+    X = _as_columns(x, lat.n_paths)
+    b, bs = lat.branching, lat.block_size(k)
+    w = Q.weights
+    for _ in range(lat.depth - k):
+        W = _parent_weights(w, b)
+        X = _weighted_mean(w.reshape(-1, b), X.reshape(-1, b, X.shape[1]),
+                           np.where(W > 0.0, W, 1.0))
+        w = W
+    out = np.repeat(np.where((w <= 0.0)[:, None], 0.0, X), bs, axis=0)
+    return out.reshape(np.shape(x))
 
 
 def cond_exp_reweighted(x: np.ndarray, F: Density, k: int, base: Measure):
@@ -293,21 +298,14 @@ def cond_exp_reweighted(x: np.ndarray, F: Density, k: int, base: Measure):
     lat = base.lattice
     if F.lattice != lat:
         raise ParameterError("density and base measure live on different lattices")
-    X, was_vector = _as_columns(x, lat.n_paths)
-    num = cond_exp(F.values[:, None] * X, k, base)
+    num = cond_exp(F.values[:, None] * _as_columns(x, lat.n_paths), k, base)
     den = cond_exp(F.values, k, base)
-    bs = lat.block_size(k)
-    zero_paths = np.repeat(base.weights.reshape(-1, bs).sum(axis=1) <= 0.0, bs)
-    bad = (den <= 0.0) & ~zero_paths
+    bad = (den <= 0.0) & (cond_exp(np.ones(lat.n_paths), k, base) > 0.0)
     if np.any(bad):
-        blk = int(np.argmax(bad)) // bs
+        blk = int(np.argmax(bad)) // lat.block_size(k)
         raise EquivalenceViolationError(
             f"density has zero conditional mass on positive-weight block {blk} at time {k}")
-    out = np.where(zero_paths[:, None], 0.0,
-                   num / np.where(den > 0.0, den, 1.0)[:, None])
-    if was_vector:
-        out = out[:, 0]
-    return out
+    return (num / np.where(den > 0.0, den, 1.0)[:, None]).reshape(np.shape(x))
 
 
 # -- branch duplication (embedding into a finer lattice) ----------------------

@@ -111,11 +111,6 @@ def _check_characterization(rng) -> tuple[bool, str]:
         for proc, expect_mart in [(generic, None), (mart, True)]:
             check = is_martingale(Q, proc, 1e-9)
             for p in (1.0, 2.0, 3.0):
-                # p = 1 on deep lattices accumulates multi-step rounding of
-                # order 1e-15 > 1e-18 even for exact martingales; the exact
-                # p = 1 corpus (dyadic uniform) lives in the test suite.
-                if p == 1.0 and lat.depth > 1 and check.ok:
-                    continue
                 m_val = unfairness_m(Q, proc, UnfairnessConfig(p=p))
                 if check.ok and m_val > 1e-18:
                     return False, f"martingale with m={m_val!r} (p={p}, trial {trial})"

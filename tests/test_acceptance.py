@@ -66,10 +66,10 @@ def test_criterion_1_martingale_characterization():
             if not (check.ok and m_val <= 1e-18):
                 failures.append(f"dyadic martingale: m={m_val!r} ok={check.ok} p={p}")
         count += 1
-    # 40 one-step martingales under random measures (exact at every p)
+    # 40 martingales under random measures, K = 1..3 (exact at every p)
     for _ in range(40):
         b = int(rng.integers(2, 4))
-        lat = fm.build_lattice(b, 1)
+        lat = fm.build_lattice(b, int(rng.integers(1, 4)))
         Q = random_measure(rng, lat)
         mart = martingale_from_terminal(rng.uniform(0.5, 4.0, lat.n_paths), Q)
         check = fm.is_martingale(Q, mart, 1e-9)
@@ -194,7 +194,7 @@ def test_criterion_4_inner_product_suite():
         mart = martingale_from_terminal(rng.uniform(0.5, 2.0, lat.n_paths), Q)
         x = random_process(rng, lat, low=-3.0, high=3.0)
         val = fm.inner_product_m(Q, x, mart)
-        if abs(val) > 1e-9:
+        if val != 0.0:
             failures.append(f"martingale pairing {trial}: {val!r}")
     _report(4, "p=2 inner-product suite (1e-9)", failures)
 

@@ -446,9 +446,11 @@ def test_optimize_calibrated_config_with_a_floor(tmp_path):
     assert abs(float(measure.weights.sum()) - 1.0) <= 1e-13
 
 
-def test_verify_default_suite_passes(tmp_path, capsys):
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_default_suite_passes(tmp_path, capsys, seed):
     cfg = write_config(tmp_path / "config.json")
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path), "--seed", str(seed)]
+    assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert "[PASS] tower-property" in out
     assert "FAIL" not in out
@@ -615,6 +617,29 @@ def test_verify_draws_do_not_depend_on_the_other_checks(tmp_path, monkeypatch):
     assert len({tuple(v) for v in full.values()}) == len(names)
     for partial in (results[1], results[2]):
         assert partial == {n: full[n] for n in partial}
+
+
+@pytest.mark.parametrize("io,keys", [
+    ({"process_file": "x.csv", "measure_file": "x.csv"}, "process_file and measure_file"),
+    ({"measure_file": "./out/m.csv", "report_file": "out/m.csv"}, "measure_file and report_file"),
+    ({"params_file": "a/../report.json"}, "report_file and params_file"),
+])
+def test_config_refuses_io_names_of_one_file(tmp_path, capsys, io, keys):
+    """Two outputs of one name would overwrite each other: optimize would
+    write the measure over the process that eval then reads."""
+    cfg = write_config(tmp_path / "config.json", io=io)
+    for command in ("simulate", "optimize"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: {keys} name the same file ")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_refuses_a_calibration_exchange_listed_twice(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json",
+                       process={"calibration": {"csv": "prices.csv", "exchanges": ["a", "b", "a"]}})
+    assert cli.main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: process.calibration: exchanges: 'a' is listed twice\n"
 
 
 def test_config_requires_exactly_one_process_source(tmp_path, capsys):

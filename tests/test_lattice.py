@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
-from fairmeasure.lattice import NORMALIZATION_TOL
+from fairmeasure._tree import Tree
+from fairmeasure.lattice import NORMALIZATION_TOL, _weighted_mean
 
-from conftest import random_measure
+from conftest import random_measure, random_process
 
 
 # -- strategies ---------------------------------------------------------------
@@ -51,7 +52,6 @@ def test_build_lattice_argument_errors():
         fm.build_lattice(2, 0)
     with pytest.raises(fm.SizeBudgetError):
         fm.build_lattice(2, 21)
-    fm.build_lattice(2, 21, path_budget=1 << 22)
 
 
 _ONE_STEP = fm.build_lattice(2, 1)
@@ -217,6 +217,38 @@ def test_cond_exp_columns_match_vectors():
     out = fm.cond_exp(X, 1, Q)
     for col in range(3):
         assert np.array_equal(out[:, col], fm.cond_exp(X[:, col], 1, Q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 4), st.integers(1, 2), st.sampled_from([0.0, 0.3]),
+       st.integers(0, 2 ** 31))
+def test_cond_exp_one_step_is_the_kernels_average(b, K, d, zero_share, seed):
+    """For x measurable at level k + 1, cond_exp(x, k, Q) is the node
+    kernel's one-step average repeated over each block, bit for bit, also
+    where some paths weigh nothing."""
+    rng = np.random.default_rng(seed)
+    lat = fm.build_lattice(b, K)
+    w = rng.uniform(0.1, 1.0, lat.n_paths) * (rng.uniform(size=lat.n_paths) >= zero_share)
+    w[0] = 1.0
+    Q = fm.Measure(lat, w / w.sum())
+    g = random_process(rng, lat, d=d)
+    tree = Tree(g)
+    A = tree.averages(tree.node_weights(Q.weights), 1)
+    for k in range(K):
+        kernel = np.repeat(A[k][0, :, 0], lat.block_size(k), axis=0)
+        assert fm.cond_exp(g.values[k + 1], k, Q).tobytes() == kernel.tobytes()
+
+
+@pytest.mark.parametrize("b", range(2, 11))
+def test_weighted_mean_of_a_column_does_not_depend_on_its_neighbours(b):
+    """A column averaged alone and the same column stacked with two others
+    give the same bits: the children are added one after another."""
+    rng = np.random.default_rng(b)
+    w = rng.uniform(0.1, 1.0, (120, b))
+    X = rng.uniform(-3.0, 3.0, (120, b, 3))
+    W = w.sum(axis=1)
+    alone = _weighted_mean(w, np.ascontiguousarray(X[:, :, :1]), W)
+    assert alone.tobytes() == _weighted_mean(w, X, W)[:, :1].tobytes()
 
 
 def test_cond_exp_reweighted_hand_value(two_path_lattice):

@@ -243,7 +243,7 @@ def test_characterization_exact_martingales_pass_both_sides():
 
 
 def test_characterization_random_measure_martingales():
-    # one-step lattices are exact for every p; deeper ones for p >= 2
+    # exact for every p, on one-step lattices and on deeper ones
     rng = np.random.default_rng(23)
     for _ in range(10):
         lat = fm.build_lattice(2, 1)
@@ -257,9 +257,26 @@ def test_characterization_random_measure_martingales():
         Q = random_measure(rng, lat)
         mart = martingale_from_terminal(rng.uniform(0.5, 2.0, lat.n_paths), Q)
         assert fm.is_martingale(Q, mart, 1e-9).ok
-        for p in (2.0, 3.0):
-            assert fm.unfairness_m(Q, mart, UnfairnessConfig(p=p)) <= 1e-18
-        assert fm.unfairness_n(Q, mart) <= 1e-12
+        for p in (1.0, 2.0, 3.0):
+            assert fm.unfairness_m(Q, mart, UnfairnessConfig(p=p)) == 0.0
+        assert fm.unfairness_n(Q, mart) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 4), st.integers(1, 2), st.integers(0, 2 ** 31))
+def test_random_measure_martingales_are_exact_at_every_depth(b, K, d, seed):
+    """A martingale built by ``cond_exp`` under a random measure has a
+    one-step deviation, an m at every p and a pairing with any process of
+    exactly 0.0, however deep the lattice."""
+    rng = np.random.default_rng(seed)
+    lat = fm.build_lattice(b, K)
+    Q = random_measure(rng, lat)
+    mart = martingale_from_terminal(rng.uniform(0.5, 2.0, lat.n_paths * d), Q, d=d)
+    x = random_process(rng, lat, d=d, low=-3.0, high=3.0)
+    assert fm.is_martingale(Q, mart).max_deviation == 0.0
+    for p in (0.5, 1.0, 2.0, 3.0):
+        assert fm.unfairness_m(Q, mart, UnfairnessConfig(p=p)) == 0.0
+    assert fm.inner_product_m(Q, x, mart) == 0.0
 
 
 def test_config_validation():
