@@ -14,8 +14,21 @@ it, so a martingale built by ``cond_exp`` has A_k = g_k at every depth.  On
 a binary lattice a scalar process's step with one later column would stack
 two entries per child, and numpy's passes over so short a trailing axis are
 slow; there g_{k+1} and A_{k+1} are averaged in two calls (at K = 2 and
-65536 rows, 2.5-3.8 ms against 4.7-6.1 ms stacked; 2-vCPU Xeon, numpy 2.4).
-With longer axes the second call costs more than the copies it saves.
+65536 rows, 2.6-3.0 ms against 4.8-5.8 ms stacked on row-major weights and
+0.86-0.95 ms against 2.5-2.6 ms on column-major ones; 2-vCPU Xeon, numpy
+2.4).  With longer axes the second call costs more than the copies it saves.
+
+The kernel follows the layout of the weights.  The descent's batches are
+row-major and a few rows tall.  An oracle block is column-major: up to
+65536 rows of at most six paths, so a row-major pass would run one loop of
+1-4 entries per row.  Where the row axis of W_K is the fastest
+(``_rows_last``; a single row never is), the fold's buffers put it fastest
+too and every pass runs one long loop along the rows.  The floats are those
+of the row-major block: the fold is elementwise, numpy adds up to seven
+children in order in either layout (eight or more it adds pairwise on a
+row-major row; no column-major block has so many), the floor's moments add
+the nodes in turn in either layout, and the value sums of m and n go
+through ``_node_sum``.
 
 Each functional is F = sum_k sum_nodes W_k f_k(A_k).  Below a level-k node
 dA_kl/dq_pi = (g_l(pi) - A_kl) / W_k, whose 1/W_k cancels the W_k in front,
@@ -45,6 +58,37 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
 
 
+def _rows_last(Q: np.ndarray) -> bool:
+    """Whether the row axis of a weight block (G, P) is its fastest, as in a
+    column-major block of more than one row."""
+    return Q.strides[0] < Q.strides[1]
+
+
+def _empty(shape: tuple, rows_last: bool) -> np.ndarray:
+    """An array of ``shape``; with ``rows_last`` its first (row) axis is the
+    fastest and the other axes keep their row-major order, so that the
+    fold's reshapes stay views."""
+    return np.moveaxis(np.empty(shape[1:] + shape[:1]), -1, 0) if rows_last else np.empty(shape)
+
+
+def _node_sum(w: np.ndarray, x: np.ndarray, rows_last: bool) -> np.ndarray:
+    """Per row, the sum over nodes v of w[:, v] times the sum of x[:, v], with
+    the floats np.einsum gives a row-major block.  einsum's order of addition
+    follows the layout: on a row-major row it multiplies each node's entry
+    sum by the node's weight and adds the nodes in turn, but sums more than
+    two entries, or more than two single-entry nodes, by SIMD lane; on a
+    rows-last block it adds every product in turn.  A rows-last block of at
+    most two nodes of at most two entries is summed here in the row-major
+    order, each step one pass along the rows; any other block goes to einsum
+    row-major."""
+    G, v = w.shape
+    x = x.reshape(G, v, -1)
+    if not rows_last or v > 2 or x.shape[2] > 2:
+        return np.einsum("gv,gvc->g", np.ascontiguousarray(w), np.ascontiguousarray(x))
+    s = x[:, :, 0] + x[:, :, 1] if x.shape[2] == 2 else x[:, :, 0]
+    return w[:, 0] * s[:, 0] + w[:, 1] * s[:, 1] if v == 2 else w[:, 0] * s[:, 0]
+
+
 class Tree:
     """Node arrays of one adapted process."""
 
@@ -66,7 +110,7 @@ class Tree:
         """A[k][:, :, j] = E[g_{k+1+j} | F_k] at the level-k nodes, shape
         (G, b^k, h, n*d) with h = min(horizon, K - k)."""
         b, K, G = self.b, self.K, W[0].shape[0]
-        positive = bool((W[K] > 0.0).all())
+        positive, rows_last = bool((W[K] > 0.0).all()), _rows_last(W[K])
         A: list = [None] * K
         for k in range(K - 1, -1, -1):
             h, child = min(horizon, K - k), self.nodes[k + 1]
@@ -76,12 +120,12 @@ class Tree:
             if h == 1:
                 X = child.reshape(1, b ** k, b, M)
             elif b == 2 and h * M == 2:  # averaged apart: see the module docstring
-                A[k] = np.empty((G, b ** k, 2, 1))
+                A[k] = _empty((G, b ** k, 2, 1), rows_last)
                 A[k][:, :, 0] = _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk)
                 A[k][:, :, 1] = _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk)
                 continue
             else:
-                X = np.empty((G, b ** (k + 1), h, M))
+                X = _empty((G, b ** (k + 1), h, M), rows_last)
                 X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
                 X = X.reshape(G, b ** k, b, h * M)
             A[k] = _weighted_mean(w, X, Wk).reshape(G, b ** k, h, M)
@@ -113,7 +157,7 @@ class Tree:
     def m(self, W: list[np.ndarray], p: float, adjoint: bool = False):
         """The m-functional per weight row (G,), or its (terms, D) for
         :meth:`reverse` with ``adjoint``."""
-        A, dt2 = self.averages(W, self.K), self.dt * self.dt
+        A, dt2, rows_last = self.averages(W, self.K), self.dt * self.dt, _rows_last(W[-1])
         total, terms, D = 0.0, [], []
         for k in range(self.K):
             own = None if adjoint else A[k]  # the value pass writes dev and nrm over A
@@ -122,7 +166,7 @@ class Tree:
                 np.square(dev, out=own).reshape(dev.shape[:-1] + (self.n, self.d)).sum(axis=-1))
             if not adjoint:
                 nrm **= p
-                total = total + np.einsum("gv,gvhe->g", W[k], nrm)
+                total = total + _node_sum(W[k], nrm, rows_last)
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
@@ -137,13 +181,13 @@ class Tree:
         if self.nonpositive is not None:
             raise DomainError(
                 f"drift rate needs strictly positive values at time {self.nonpositive}")
-        A = self.averages(W, 1)
+        A, rows_last = self.averages(W, 1), _rows_last(W[-1])
         total, terms, D = 0.0, [], []
         for k in range(self.K):
             a, g = A[k][:, :, 0], self.nodes[k]
             rate = (a - g) / (self.dt * g)
             if not adjoint:
-                total = total + np.einsum("gv,gvm->g", W[k], np.abs(rate))
+                total = total + _node_sum(W[k], np.abs(rate), rows_last)
                 continue
             slope = np.sign(rate) / g
             terms.append(self.dt * np.abs(rate).sum(axis=2) - np.einsum("gvm,gvm->gv", slope, a))

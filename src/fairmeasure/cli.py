@@ -167,10 +167,14 @@ def parse_config(path: str) -> RunConfig:
         if val is not None and _typed(val, type(fixed), f"solver.{key}") != fixed:
             raise ConfigError(f"solver.{key}: only {json.dumps(fixed)} is supported; "
                               "the option was removed")
+    io = _build(IoPaths, top.get("io", {}), _IO, "io")
+    for key, name in vars(io).items():   # an output would overwrite the price file
+        if calibration is not None and os.path.normpath(name) == os.path.normpath(calibration.csv):
+            raise ConfigError(f"process.calibration.csv and io.{key} name the same file "
+                              f"{quoted(calibration.csv)}")
     return RunConfig(lattice=lattice, gbm=gbm, calibration=calibration,
                      constraints=constraints,
-                     solver=_build(SolveOptions, solver, _SOLVER, "solver"),
-                     io=_build(IoPaths, top.get("io", {}), _IO, "io"),
+                     solver=_build(SolveOptions, solver, _SOLVER, "solver"), io=io,
                      config_dir=os.path.dirname(os.path.abspath(path)))
 
 

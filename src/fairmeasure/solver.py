@@ -84,8 +84,8 @@ __all__ = [
 FEASIBILITY_TOL = 1e-8
 # Oracle grid points.  The worst grid in budget, b = 2, K = 2 at resolution
 # 463 with N = 1.01 (66.5 million of its 99.9 million points in the box),
-# takes 9-10.5 s for m at p = 2 and 8 s for n (one core of a 2-vCPU Xeon,
-# numpy 2.4).
+# takes 3.0-3.4 s for m at p = 2 and 3.1-3.2 s for n (one core of a 2-vCPU
+# Xeon, numpy 2.4; BENCH_20.json).
 _GRID_BUDGET = 10 ** 8
 
 
@@ -453,7 +453,10 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     The last coordinate is eliminated by normalization; only grid points in the
     box are built, in lexicographic order, in row blocks of bounded memory, and a
     point below the floor never wins; ties go to the lexicographically smallest.
-    Limited to 6 paths, integer resolutions to 2000 and 10^8 points on the grid.
+    Each block is built column by column into a column-major (n, P) array, so
+    the node kernel's passes run along the candidates (see ``_tree``); the
+    values are those of the same rows in row-major order.  Limited to 6 paths,
+    integer resolutions to 2000 and 10^8 points on the grid.
     """
     lat = g.lattice
     P = lat.n_paths
@@ -471,17 +474,19 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
         # prefixes on the first P - 2 axes by the last head axis, summed left to right
         pre = [axis[d] for d in np.unravel_index(np.arange(rows.start, rows.stop),
                                                  (1,) + (width,) * (P - 2))[1:]]
-        last = 1.0 - (sum(pre, np.zeros(rows.stop - rows.start))[:, None] + axis)
-        keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
+        last = np.add.outer(sum(pre, np.zeros(rows.stop - rows.start)), axis)
+        np.subtract(1.0, last, out=last)
+        keep = last >= lo[-1] - 1e-12
+        keep &= last <= hi[-1] + 1e-12
         counts = keep.sum(axis=1)
         n = int(counts.sum())
         if n == 0:
             continue
-        cand = np.empty((n, P))
+        cand = np.empty((n, P), order="F")
         for c, x in enumerate(pre):
             cand[:, c] = np.repeat(x, counts)
         cand[:, -2] = np.broadcast_to(axis, last.shape)[keep]
-        cand[:, -1] = np.clip(last[keep], lo[-1], hi[-1])
+        np.clip(last[keep], lo[-1], hi[-1], out=cand[:, -1])
         in_box = True
         W = obj.tree.node_weights(cand)
         values = obj.raw(W)

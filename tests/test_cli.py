@@ -635,6 +635,23 @@ def test_config_refuses_io_names_of_one_file(tmp_path, capsys, io, keys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("key", ["process_file", "measure_file", "report_file", "params_file"])
+def test_config_refuses_an_output_named_as_the_calibration_csv(tmp_path, capsys, key):
+    """An output of the price file's name would overwrite it: simulate would
+    write the process over the prices that the next run calibrates from."""
+    prices = tmp_path / "prices.csv"
+    prices.write_text("timestamp,exchange,price\n0,a,1.0\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "config.json", lattice={"b": 4, "K": 2},
+                       process={"calibration": {"csv": "prices.csv"}},
+                       io={key: "./out/../prices.csv"})
+    for command in ("simulate", "calibrate", "optimize"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: process.calibration.csv and io.{key} name the same file 'prices.csv'\n")
+    assert sorted(tmp_path.iterdir()) == [cfg, prices]
+    assert prices.read_text(encoding="utf-8") == "timestamp,exchange,price\n0,a,1.0\n"
+
+
 def test_config_refuses_a_calibration_exchange_listed_twice(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json",
                        process={"calibration": {"csv": "prices.csv", "exchanges": ["a", "b", "a"]}})

@@ -259,6 +259,59 @@ def test_m_value_pass_is_the_stacked_sum_bit_for_bit(case):
         assert same_bits(tree.m(W, p), expect)
 
 
+@st.composite
+def layout_cases(draw):
+    """(tree, weight rows, positive): b in 2..6 with b^K <= 64, n and d <= 2,
+    a process of positive values in half the draws, G in 2..300 rows of
+    random weights; in about two of three draws each node of one level
+    carries no weight with probability 1/3."""
+    b = draw(st.integers(2, 6))
+    K = draw(st.integers(1, {2: 6, 3: 3, 4: 3, 5: 2, 6: 2}[b]))
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    positive = draw(st.booleans())
+    g = random_process(rng, lat, n=draw(st.integers(1, 2)), d=draw(st.integers(1, 2)),
+                       low=0.3 if positive else -3.0, high=3.0)
+    G = draw(st.integers(2, 300))
+    Q = rng.uniform(0.0, 1.0, (G, lat.n_paths))
+    level = draw(st.sampled_from([None, *range(1, K + 1)]))
+    if level is not None:
+        blocks = Q.reshape(G, b ** level, -1)
+        blocks[rng.uniform(size=(G, b ** level)) < 1 / 3] = 0.0
+    Q[Q.sum(axis=1) == 0.0, 0] = 1.0
+    return Tree(g), Q, positive
+
+
+def value_passes(tree, Q, positive):
+    """m at p in {1, 1.5, 2, 3}, n where the values are positive and the
+    floor's integrals where there is a pair of scalar exchanges."""
+    W = tree.node_weights(Q)
+    out = [tree.m(W, p) for p in (1.0, 1.5, 2.0, 3.0)]
+    if positive:
+        out.append(tree.n_value(W))
+    if tree.n == 2 and tree.d == 1:
+        out.append(Floor(tree, [(0, 1)]).moments(W)[0])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_cases())
+def test_value_passes_do_not_depend_on_the_layout(case):
+    """The oracle hands the kernel column-major blocks: a row-major block,
+    its column-major copy and a row slice of a taller column-major block
+    give m, n and the floor's integrals the same bytes."""
+    tree, Q, positive = case
+    G = len(Q)
+    taller = np.asfortranarray(np.vstack([Q[::-1], Q, Q[::-1]]))
+    column_major, row_slice = np.asfortranarray(Q), taller[G:2 * G]
+    assert column_major.flags.f_contiguous and not column_major.flags.c_contiguous
+    assert not (row_slice.flags.f_contiguous or row_slice.flags.c_contiguous)
+    expect = value_passes(tree, Q, positive)
+    for block in (column_major, row_slice):
+        got = value_passes(tree, block, positive)
+        assert len(got) == len(expect) and all(map(same_bits, got, expect))
+
+
 @pytest.mark.parametrize("zero", [False, True])
 @pytest.mark.parametrize("b, K, n, d", [(2, 1, 2, 1), (3, 1, 2, 2), (2, 3, 1, 1), (4, 2, 2, 2)])
 def test_kernel_passes_leave_their_inputs_alone(b, K, n, d, zero):
