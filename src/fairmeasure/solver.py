@@ -84,7 +84,7 @@ __all__ = [
 FEASIBILITY_TOL = 1e-8
 # Oracle grid points.  The worst grid in budget, b = 2, K = 2 at resolution
 # 463 with N = 1.01 (66.5 million of its 99.9 million points in the box),
-# takes 3.0-3.4 s for m at p = 2 and 3.1-3.2 s for n (one core of a 2-vCPU
+# takes 3.0-4.3 s for m at p = 2 and 3.1-4.2 s for n (one core of a 2-vCPU
 # Xeon, numpy 2.4; BENCH_20.json).
 _GRID_BUDGET = 10 ** 8
 
