@@ -193,9 +193,9 @@ class _Walk:
         to its next event or to the end of its window of child breakpoints,
         and then the event, if its run stopped at one."""
         on = self.on[act]
-        ev = [self._run(act[on], True) if on.any() else act[:0],
-              act[:0] if on.all() else self._run(act[~on], False)]
-        ev = np.concatenate(ev)
+        ev = np.concatenate([self._run(nodes, ray) for nodes, ray in ((act[on], True),
+                                                                     (act[~on], False))
+                             if nodes.size])
         if ev.size:
             self.event(ev)
 
