@@ -221,7 +221,7 @@ class _Walk:
         # each child's window is sorted by (node, key) already, so a stable
         # sort of both merges them, c1 first
         z = np.empty(seg.size, dtype=complex)
-        z.real, z.imag = seg % n, np.fmin(key, _INF)     # a nan key (from nan input) last
+        z.real, z.imag = seg % n, key
         order = np.argsort(z, kind="stable")
         seg, idx, key, cut, G = seg[order], idx[order], key[order], cut[order], G[:, order]
         reach, s_own = reach[order], s_own[order]

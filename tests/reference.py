@@ -307,9 +307,11 @@ _WALK_INF = math.inf
 
 
 def walk_n_min(tree, lo, hi):
-    """The path weights of ``fairmeasure._exact.min_n`` by its earlier walk,
-    one Python iteration per step: each node's F_v is built by ``_walk``,
-    node after node.  The package's bulk walk is checked against it."""
+    """The path weights of ``fairmeasure._exact.min_n`` by the per-step
+    walk: ``_walk`` builds each node's F_v, node after node, with one Python
+    iteration per step.  The package's walk takes each run of steps between
+    two ray events in one numpy merge, all nodes of a level at once, and is
+    checked against this one."""
     K, lo, hi = tree.K, float(lo), float(hi)
     # the leaves: F = 0 on [lo, hi], one breakpoint where lo == hi
     ends = [lo, hi] if hi > lo else [lo]

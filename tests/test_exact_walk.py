@@ -1,7 +1,8 @@
-"""The bulk walk of ``fairmeasure._exact`` against the per-step walk it
-replaced (``reference.walk_n_min``): on random binary lattices and on the
-benchmark's deep GBM, n agrees within 1e-13 relative and every measure is
-feasible.  Also the walk's step cap and columns with zero drift."""
+"""The walk of ``fairmeasure._exact``, one numpy merge per run of steps,
+against the per-step walk of ``reference.walk_n_min``: on random binary
+lattices and on the benchmark's deep GBM, n agrees within 1e-13 relative
+and every measure is feasible.  Also the walk's step cap and columns with
+zero drift."""
 import math
 
 import numpy as np
@@ -80,6 +81,22 @@ def test_zero_drift_columns_stay_off_their_rays(up, down, value):
     assert rep.restarts[0].kind == "exact"
     assert math.isclose(rep.value, value, rel_tol=1e-13)
     assert_walks_agree(g, 2.0)
+
+
+def test_a_column_with_zero_drift_below_some_nodes_only():
+    """The first exchange is constant on c1's half of the tree, where its
+    column is no term, and moves up 1.25 or down 0.75 on c2's half, where
+    every split starts on its ray; both kinds of node take their first
+    runs in the same round.  The second exchange is random."""
+    pytest.importorskip("scipy")
+    lat = fm.build_lattice(2, 5)
+    first = binomial_process(lat, 1.0, 1.25, 0.75).values.copy()
+    first[:, lat.digits[:, 0] == 0] = 1.0
+    rough = random_process(np.random.default_rng(11), lat, low=0.5, high=2.0)
+    g = fm.LatticeProcess(lat, 2, 1, np.concatenate((first, rough.values), axis=2))
+    assert_walks_agree(g, 2.0)
+    params = fm.ConstraintParams(N=2.0, objective="n")
+    assert math.isclose(fm.minimize(g, params).value, ref.lp_min(g, params)[0], rel_tol=1e-12)
 
 
 def test_lift_raises_a_dip_to_the_running_maximum_of_its_child():
