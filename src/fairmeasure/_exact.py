@@ -117,7 +117,7 @@ def _level(X: np.ndarray, S: np.ndarray, start: np.ndarray, A: np.ndarray,
     act = np.flatnonzero((walk.i < walk.e).any(axis=0))
     while act.size:
         # the nodes whose windows fit in one round, one at least
-        load = np.cumsum(np.minimum(walk.e[:, act] - walk.i[:, act], walk.window[act]).sum(axis=0))
+        load = np.minimum(walk.e[:, act] - walk.i[:, act], walk.window[act]).sum(axis=0).cumsum()
         walk.round(act[:max(1, np.searchsorted(load, _ROUND, side="right"))])
         act = act[(walk.i[:, act] < walk.e[:, act]).any(axis=0)]
         if (walk.steps[act] >= walk.cap[act]).any():
