@@ -86,12 +86,34 @@ class Descent:
         self.counts = np.zeros((S, 3), dtype=int)   # evaluations, gradients, projections
         self.steps = np.empty((S, 64, 3))   # per accepted step: raw value, step size, violation
         self.stop = np.full(S, "max_iter", dtype=object)
+        # per row, the tape of the evaluation that reached its point q, and
+        # the row's place in it
+        self.source: list = [None] * S
 
     def trace(self, row: int) -> list[tuple[float, float, float]]:
         """(raw value, step size, violation) after each accepted step of a
         row; the step size is the trial step t that the line search
         accepted, the point being P(x - t g)."""
         return [tuple(step) for step in self.steps[row, :self.iterations[row]].tolist()]
+
+    def _keep(self, rows: np.ndarray, tape, places: np.ndarray) -> None:
+        """Keep the rows ``places`` of ``tape`` as the tapes of ``rows``."""
+        for r, i in zip(rows.tolist(), places.tolist()):
+            self.source[r] = (tape, i)
+
+    def tape(self, rows: np.ndarray):
+        """The tape of the points of ``rows``: a kept tape itself where it
+        holds just these rows in order, else their rows gathered."""
+        kept = [self.source[r] for r in rows.tolist()]
+        tape = kept[0][0]
+        if all(t is tape for t, _ in kept):
+            places = [i for _, i in kept]
+            return tape if places == list(range(len(tape.W[0]))) else tape.take(places)
+        out = tape.empty(len(kept))
+        for t in {id(t): t for t, _ in kept}.values():
+            mine = [j for j, (u, _) in enumerate(kept) if u is t]
+            out.put(mine, t, [kept[j][1] for j in mine])
+        return out
 
     def round(self, rows: np.ndarray, rho: float) -> None:
         """At most max_iter iterations on ``rows`` at penalty weight rho.  A
@@ -104,7 +126,9 @@ class Descent:
         recent = np.full((len(q), _WINDOW if spectral else 1), -np.inf)
         last_x, last_grad = np.empty_like(q), np.empty_like(q)   # the spectral rows' last pair
         q[rows] = self.project(q[rows])
-        recent[rows, 0], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho)
+        tape = obj.tape(q[rows])
+        recent[rows, 0], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho, tape)
+        self._keep(rows, tape, np.arange(rows.size))
         self.counts[rows] += (1, 0, 1)
         self.stop[rows], self.rho[rows] = "max_iter", rho
         self.rounds[rows] += 1
@@ -113,7 +137,7 @@ class Descent:
             if not active.size:
                 break
             x = q[active]
-            grad = obj.gradient(x, rho)
+            grad = obj.gradient(x, rho, self.tape(active))
             self.counts[active, 1] += 1
             done = self.gap(x, grad) <= TOL
             self.stop[active[done]] = "tol"
@@ -145,11 +169,13 @@ class Descent:
                 search, r, xn, d2 = search[~zero], r[~zero], xn[~zero], d2[~zero]
                 if not search.size:
                     break
-                f_pen, f_raw, f_viol = obj.evaluate(xn, rho)
+                tape = obj.tape(xn)
+                f_pen, f_raw, f_viol = obj.evaluate(xn, rho, tape)
                 self.counts[r, 0] += 1
                 ok = f_pen <= recent[r].max(axis=1) - 1e-4 * d2 / t[r]
                 a = r[ok]
                 q[a], self.raw[a], self.viol[a] = xn[ok], f_raw[ok], f_viol[ok]
+                self._keep(a, tape, np.flatnonzero(ok))
                 recent[a, (it + 1) % recent.shape[1]] = f_pen[ok]
                 n = self.iterations[a]
                 if a.size and n.max() == self.steps.shape[1]:

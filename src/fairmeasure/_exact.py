@@ -118,10 +118,8 @@ def _level(X: np.ndarray, S: np.ndarray, start: np.ndarray, A: np.ndarray,
     while act.size:
         # the nodes whose windows fit in one round, one at least
         load = np.minimum(walk.e[:, act] - walk.i[:, act], walk.window[act]).sum(axis=0).cumsum()
-        walk.round(act[:max(1, np.searchsorted(load, _ROUND, side="right"))])
-        act = act[(walk.i[:, act] < walk.e[:, act]).any(axis=0)]
-        if (walk.steps[act] >= walk.cap[act]).any():
-            raise RuntimeError("exact walk passed its step cap")
+        fit = max(1, np.searchsorted(load, _ROUND, side="right"))
+        act = np.concatenate((walk.round(act[:fit]), act[fit:]))
     return walk.pieces()
 
 
@@ -158,142 +156,176 @@ class _Walk:
         self.cap = (self.e - self.i + 1).sum(axis=0) * (term.sum(axis=1) + 2)
         self.steps = np.zeros(nodes, dtype=np.intp)
         self.window = np.full(nodes, _WINDOW)
-        self._rays(np.arange(nodes))
+        self._rays(self.per, self.sgn, self.on, np.arange(nodes))
         self.out = [(np.arange(nodes), x1 + x2, np.full(nodes, math.nan), x1)]
 
-    def _rays(self, ev: np.ndarray) -> None:
-        """Set what the signs fix, for the nodes ``ev``."""
-        per, cols = self.per, self.sgn.shape[0]
-        on, ra, rb = np.zeros(ev.size, dtype=bool), 0.0, 0.0
-        for e in range(cols):
-            s, a, b = self.sgn[e, ev], per[self.COEF + e, 0, ev], per[self.COEF + e, 1, ev]
-            zero = s == 0.0
-            on |= zero
-            sa, sb = s * a, s * b
-            rate1, rate2 = np.where(zero, np.abs(a), sa), np.where(zero, np.abs(b), sb)
-            per[self.RATE + e, 0, ev], per[self.RATE + e, 1, ev] = rate1, rate2
-            per[self.RATE_OTHER + e, 0, ev], per[self.RATE_OTHER + e, 1, ev] = rate2, rate1
-            per[self.TOWARD + e, 0, ev] = np.where(sa < 0.0, -b, math.nan)
-            per[self.TOWARD + e, 1, ev] = np.where(sb < 0.0, -a, math.nan)
+    def _rays(self, per: np.ndarray, sgn: np.ndarray, on: np.ndarray, ev: np.ndarray) -> None:
+        """Set what the signs fix in ``per`` and ``on``, for the nodes ``ev``
+        (positions on the last axis of ``per`` and ``sgn``).  Each field is
+        set for both children at once, c1's and c2's rows of its (2, nodes)
+        block."""
+        s, coef = sgn[:, ev], per[self.COEF:self.TOWARD][:, :, ev]
+        zero = s == 0.0
+        ray, T = 0.0, 0.0
+        for e in range(len(s)):
+            sc = s[e] * coef[e]
+            rate = np.where(zero[e], np.abs(coef[e]), sc)
+            per[self.RATE + e][:, ev], per[self.RATE_OTHER + e][:, ev] = rate, rate[::-1]
+            per[self.TOWARD + e][:, ev] = np.where(sc < 0.0, -coef[e, ::-1], math.nan)
             # the ray: the last column whose split sits on it
-            ra, rb = np.where(zero, a, ra), np.where(zero, b, rb)
-        r1, r2 = rb / (rb - ra), ra / (ra - rb)
-        T = np.zeros(ev.size)
-        for e in range(cols):
-            s = self.sgn[e, ev]
-            T = T + np.where(s == 0.0, 0.0, s * (per[self.COEF + e, 0, ev] * r1
-                                                 + per[self.COEF + e, 1, ev] * r2))
-        per[self.R_OWN, 0, ev], per[self.R_OWN, 1, ev] = r1, r2
-        per[self.R_OTHER, 0, ev], per[self.R_OTHER, 1, ev] = r2, r1
-        per[self.T, 0, ev], per[self.T, 1, ev] = T, T
-        self.on[ev] = on
+            ray = np.where(zero[e], coef[e], ray)
+        r = ray[::-1] / (ray[::-1] - ray)
+        for e in range(len(s)):
+            T = T + np.where(zero[e], 0.0, s[e] * (coef[e] * r).sum(axis=0))
+        per[self.R_OWN][:, ev], per[self.R_OTHER][:, ev], per[self.T][:, ev] = r, r[::-1], T
+        on[ev] = zero.any(axis=0)
 
-    def round(self, act: np.ndarray) -> None:
-        """One round for the active nodes: each takes its run, the steps up
-        to its next event or to the end of its window of child breakpoints,
-        and then the event, if its run stopped at one."""
-        on = self.on[act]
-        ev = np.concatenate([self._run(nodes, ray) for nodes, ray in ((act[on], True),
-                                                                     (act[~on], False))
-                             if nodes.size])
-        if ev.size:
-            self.event(ev)
-
-    def _run(self, act: np.ndarray, ray: bool) -> np.ndarray:
-        """The runs of the nodes ``act``, all on a ray or all off the rays.
-        Returns the nodes whose run stopped at an event.  A step is seen
-        from the child that moves (own) and the other one."""
+    def round(self, act: np.ndarray) -> np.ndarray:
+        """One round for the active nodes ``act``: each takes its run, the
+        steps up to its next event or to the end of its window of child
+        breakpoints, and then the event, if its run stopped at one.  The
+        nodes on a ray and those off the rays merge in one sort, and the
+        round works on copies of their state, written back once.  Returns
+        the nodes of ``act`` with breakpoints left."""
         X, S, n, cols = self.X, self.S, act.size, self.sgn.shape[0]
-        i = self.i[:, act].ravel()
-        left = self.e[:, act].ravel() - i
+        per, sgn, on = self.per[:, :, act], self.sgn[:, act], self.on[act]
+        i, e = self.i[:, act], self.e[:, act]
+        # per child, c1 of every node and then c2: fields, masses, breakpoints
+        flat, mass, at = per.reshape(len(per), 2 * n), per[self.OTHER, ::-1], i.reshape(-1)
+        left = e.reshape(-1) - at
         count = np.minimum(left, np.concatenate((self.window[act],) * 2))
-        # the windows of c1 of all nodes, then of c2
-        seg = np.repeat(np.arange(2 * n), count)
-        idx = _ragged(i + 1, count)
-        G = self.per[:, :, act].reshape(len(self.per), 2 * n)[:, seg]
-        reach, s_own = X[idx], S[idx]
+        seg = np.arange(2 * n).repeat(count)
+        idx = _ragged(at + 1, count)
         # off the rays a child's key is its slope plus its rates; on a ray its
         # ray time, the breakpoint over its share of the ray
-        key = reach / G[self.R_OWN] if ray else _shift(s_own, G[self.RATE:self.RATE_OTHER])
-        # the last breakpoint of a cut window ends the run before it is reached
-        cut = np.zeros(seg.size, dtype=bool)
-        cut[(np.cumsum(count) - 1)[left > count]] = True
+        rays, offs = bool(on.any()), not on.all()
+        if offs:
+            key = _shift(S[idx], flat[self.RATE:self.RATE_OTHER][:, seg])
+        if rays:
+            t = X[idx] / flat[self.R_OWN][seg]
+            key = np.where(np.concatenate((on, on))[seg], t, key) if offs else t
         # each child's window is sorted by (node, key) already, so a stable
-        # sort of both merges them, c1 first
+        # sort of both merges them, c1 first; the child fields are gathered
+        # once, in merge order
         z = np.empty(seg.size, dtype=complex)
         z.real, z.imag = seg % n, key
-        order = np.argsort(z, kind="stable")
-        seg, idx, key, cut, G = seg[order], idx[order], key[order], cut[order], G[:, order]
-        reach, s_own = reach[order], s_own[order]
+        order = z.argsort(kind="stable")
+        seg, idx, key = seg[order], idx[order], key[order]
+        G, reach, s_own = flat[:, seg], X[idx], S[idx]
+        # the last breakpoint of a cut window ends the run before it is reached
+        cut = idx == np.where(left > count, at + count, -1)[seg]
         size = count[:n] + count[n:]
-        first = np.cumsum(size) - size
-        v = np.repeat(np.arange(n), size)
+        end = size.cumsum()
+        first = end - size
+        v = seg % n
+        pos = np.arange(v.size) - first[v]
         # the other child's last breakpoint: its start plus its steps before
         # this one in the round, which are all the node's steps less the own
-        jo = (i[:n] + i[n:] + 1 - first)[v] + np.arange(v.size) - idx
+        jo = (i[0] + i[1] + 1)[v] + pos - idx
         # the other child stays where it was, or on a ray moves to its share
         # of the ray point
         other = np.maximum(G[self.OTHER], X[jo])
-        if ray:
-            other = np.maximum(np.minimum(G[self.R_OTHER] * key, X[jo + 1]), other)
+        slope = key
+        if offs:
+            # the run lasts until a step reaches a ray before its breakpoint
+            cross = [G[self.TOWARD + c] * other / G[self.COEF + c] for c in range(cols)]
+            stop = cross[0] <= reach
+            for c in range(1, cols):
+                stop |= cross[c] <= reach
+        if rays:
             # the run lasts while the ray is cheaper than either child (past a
             # child's last breakpoint its slope is nan)
             s_oth = S[jo + 1]
-            slope = G[self.R_OWN] * s_own + G[self.R_OTHER] * s_oth + G[self.T]
-            stop = ~((slope < _shift(s_own, G[self.RATE:self.RATE_OTHER]))
-                     & (slope < _shift(s_oth, G[self.RATE_OTHER:self.COEF])))
-        else:
-            # the run lasts until a step reaches a ray before its breakpoint
-            slope, stop = key, np.zeros(v.size, dtype=bool)
-            for e in range(cols):
-                stop |= G[self.TOWARD + e] * other / G[self.COEF + e] <= reach
+            on_ray = G[self.R_OWN] * s_own + G[self.R_OTHER] * s_oth + G[self.T]
+            leave = ~((on_ray < _shift(s_own, G[self.RATE:self.RATE_OTHER]))
+                      & (on_ray < _shift(s_oth, G[self.RATE_OTHER:self.COEF])))
+            along = np.maximum(np.minimum(G[self.R_OTHER] * key, X[jo + 1]), other)
+            if offs:
+                ray = on[v]
+                stop, slope, other = (np.where(ray, leave, stop), np.where(ray, on_ray, key),
+                                      np.where(ray, along, other))
+            else:
+                stop, slope, other = leave, on_ray, along
         # each node's run: its steps before its first stop
-        stop = np.append(np.flatnonzero(stop | cut), v.size)
-        took = np.minimum(stop[np.searchsorted(stop, first)], first + size) - first
-        run = _ragged(first, took)
+        stops = np.concatenate(((stop | cut).nonzero()[0], [v.size]))
+        took = np.minimum(stops[stops.searchsorted(first)], end) - first
+        run = pos < took[v]
         one = seg < n
         y1, y2 = np.where(one, reach, other), np.where(one, other, reach)
-        last, moved = (first + took - 1)[took > 0], act[took > 0]
-        self.i[:, moved] = np.where(one, idx, jo)[last], np.where(one, jo, idx)[last]
-        self.per[self.OTHER][:, moved] = y2[last], y1[last]
-        self.steps[act] += took
+        record = [(act[v[run]], (y1 + y2)[run], slope[run], y1[run])]
+        moved = took.nonzero()[0]
+        last = (first + took - 1)[moved]
+        a, b, o = idx[last], jo[last], one[last]
+        i[:, moved] = np.where(o, a, b), np.where(o, b, a)
+        mass[:, moved] = y1[last], y2[last]
         self.window[act] = np.maximum(_WINDOW, 2 * took)
-        self.out.append((act[v[run]], y1[run] + y2[run], slope[run], y1[run]))
-        ev = np.flatnonzero(took < size)
-        return act[ev[~cut[(first + took)[ev]]]]
+        # the events: each node whose run stopped at a step, not at the end
+        # of a window
+        ev = (took < size).nonzero()[0]
+        j = (first + took)[ev]
+        ev, j = ev[~cut[j]], j[~cut[j]]
+        if ev.size:
+            took[ev] += 1
+            ray = on[ev]
+            changed = [ev]
+            if offs:
+                # off the rays the event is the step that stopped the run, up
+                # to the first ray it reaches; only the moving child moves
+                off, j_off = ev[~ray], j[~ray]
+                jc = seg[j_off]
+                nxt = reach[j_off]
+                for c in range(cols):
+                    nxt = np.fmin(nxt, cross[c][j_off])
+                for c in range(cols):
+                    sgn[c, off[cross[c][j_off] == nxt]] = 0.0
+                own = (jc + n) % (2 * n)   # where flat[OTHER] holds the mover's mass
+                step = np.maximum(nxt, flat[self.OTHER][own])
+                flat[self.OTHER][own] = step
+                at[jc] = idx[j_off] - (nxt < reach[j_off])
+                m1 = np.where(jc < n, step, other[j_off])
+                record.append((act[off], m1 + np.where(jc < n, other[j_off], step),
+                               key[j_off], m1))
+            if rays:
+                record.append(self._leave(per, sgn, i, e, mass, ev[ray], act))
+            self._rays(per, sgn, on, ev)
+        self.i[:, act], self.per[:, :, act], self.sgn[:, act], self.on[act] = i, per, sgn, on
+        self.out += record
+        self.steps[act] += took
+        live = (i < e).any(axis=0)
+        if (self.steps[act[live]] >= self.cap[act[live]]).any():
+            raise RuntimeError("exact walk passed its step cap")
+        return act[live]
 
-    def event(self, ev: np.ndarray) -> None:
-        """One step off the current split for each node in ``ev``, by one
-        child: the cheaper of the two, c1 on a tie.  The step ends at the
-        child's next breakpoint or at the first ray it meets; it leaves the
-        rays the split sat on."""
-        cols, per = self.sgn.shape[0], self.per[:, :, ev]
-        s, i, x = self.sgn[:, ev], self.i[:, ev], per[self.OTHER, ::-1]
-        has = i < self.e[:, ev]
-        d = np.where(has, _shift(self.S[i + 1], per[self.RATE:self.RATE_OTHER]), _INF)
+    def _leave(self, per, sgn, i, e, mass, ev, act) -> tuple:
+        """The events of the nodes ``ev`` of a round on a ray: one step off
+        the split by one child, the cheaper of the two, c1 on a tie.  The
+        step ends at the child's next breakpoint or at the first ray it
+        meets; it leaves the rays the split sat on.  Works on the round's
+        arrays and returns the step's record."""
+        cols, S = sgn.shape[0], self.S
+        pe, s, ie, xe = per[:, :, ev], sgn[:, ev], i[:, ev], mass[:, ev]
+        has = ie < e[:, ev]
+        d = np.where(has, _shift(S[ie + 1], pe[self.RATE:self.RATE_OTHER]), _INF)
         one = d[0] <= d[1]
         side, col = (~one).astype(np.intp), np.arange(ev.size)
-        here, there, go = x[side, col], x[1 - side, col], has[side, col]
+        here, there, go = xe[side, col], xe[1 - side, col], has[side, col]
         # a child with no piece left (reached only through nan slopes) stays put
-        target = np.where(go, self.X[i[side, col] + 1], here)
+        target = np.where(go, self.X[ie[side, col] + 1], here)
         nxt, hit = target.copy(), np.zeros(s.shape, dtype=bool)
-        for e in range(cols):
-            own, other = per[self.COEF + e, side, col], per[self.COEF + e, 1 - side, col]
-            heading = (s[e] != 0.0) & (s[e] * own < 0.0)
+        for c in range(cols):
+            own, other = pe[self.COEF + c, side, col], pe[self.COEF + c, 1 - side, col]
+            heading = (s[c] != 0.0) & (s[c] * own < 0.0)
             cross = np.where(heading, -other * there / own, _INF)
             closer = heading & (cross < nxt)
             hit[:, closer] = False
-            hit[e] |= closer | (heading & (cross == nxt))
+            hit[c] |= closer | (heading & (cross == nxt))
             nxt = np.where(closer, cross, nxt)
-            s[e] = np.where(s[e] == 0.0, np.where(own > 0.0, 1.0, -1.0), s[e])
+            s[c] = np.where(s[c] == 0.0, np.where(own > 0.0, 1.0, -1.0), s[c])
         s[hit] = 0.0
-        self.sgn[:, ev] = s
-        self._rays(ev)
-        i[side, col] += go & (nxt >= target)
-        x[side, col] = np.maximum(nxt, here)
-        self.i[:, ev], self.per[self.OTHER][:, ev] = i, x[::-1]
-        self.steps[ev] += 1
-        self.out.append((ev, x[0] + x[1], d[side, col], x[0]))
+        ie[side, col] += go & (nxt >= target)
+        xe[side, col] = np.maximum(nxt, here)
+        i[:, ev], mass[:, ev], sgn[:, ev] = ie, xe, s
+        return act[ev], xe[0] + xe[1], d[side, col], xe[0]
 
     def pieces(self) -> tuple:
         """(offsets, breakpoints, slopes, splits) of every node's F_v, with a

@@ -42,6 +42,8 @@ one O(P) top-down sweep in :meth:`Tree.reverse`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -60,8 +62,8 @@ def row_blocks(rows: int, width: int) -> list[slice]:
 
 def _rows_last(Q: np.ndarray) -> bool:
     """Whether the row axis of a weight block (G, P) is its fastest, as in a
-    column-major block of more than one row."""
-    return Q.strides[0] < Q.strides[1]
+    column-major block of more than one row (one row's stride is arbitrary)."""
+    return len(Q) > 1 and Q.strides[0] < Q.strides[1]
 
 
 def _empty(shape: tuple, rows_last: bool) -> np.ndarray:
@@ -87,6 +89,23 @@ def _node_sum(w: np.ndarray, x: np.ndarray, rows_last: bool) -> np.ndarray:
         return np.einsum("gv,gvc->g", np.ascontiguousarray(w), np.ascontiguousarray(x))
     s = x[:, :, 0] + x[:, :, 1] if x.shape[2] == 2 else x[:, :, 0]
     return w[:, 0] * s[:, 0] + w[:, 1] * s[:, 1] if v == 2 else w[:, 0] * s[:, 0]
+
+
+def _levels(shapes: list[tuple], rows_last: bool, flat: np.ndarray | None = None
+            ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer (``flat``, or a new one) holding an array of each of
+    ``shapes`` in turn, each in the layout of :func:`_empty`, and the views
+    of those arrays."""
+    sizes = [math.prod(s) for s in shapes]
+    if flat is None:
+        flat = np.empty(sum(sizes))
+    views, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        block = flat[at:at + size]
+        views.append(np.moveaxis(block.reshape(shape[1:] + shape[:1]), -1, 0) if rows_last
+                     else block.reshape(shape))
+        at += size
+    return flat, views
 
 
 class Tree:
@@ -154,34 +173,55 @@ class Tree:
                     carry = nxt.reshape(carry.shape)
         return acc
 
-    def m(self, W: list[np.ndarray], p: float, adjoint: bool = False):
+    def m(self, W: list[np.ndarray], p: float, adjoint: bool = False,
+          A: list[np.ndarray] | None = None):
         """The m-functional per weight row (G,), or its (terms, D) for
-        :meth:`reverse` with ``adjoint``."""
-        A, dt2, rows_last = self.averages(W, self.K), self.dt * self.dt, _rows_last(W[-1])
-        total, terms, D = 0.0, [], []
+        :meth:`reverse` with ``adjoint``.  A is the fold at W (a tape's),
+        folded here where None; neither pass writes over it.  The levels'
+        deviations share one buffer, so each elementwise pass runs once over
+        all of them."""
+        if A is None:
+            A = self.averages(W, self.K)
+        dt2, rows_last = self.dt * self.dt, _rows_last(W[-1])
+        shapes = [a.shape for a in A]
+        flat, dev = _levels(shapes, rows_last)
         for k in range(self.K):
-            own = None if adjoint else A[k]  # the value pass writes dev and nrm over A
-            dev = np.subtract(self.nodes[k][:, None, :], A[k], out=own)
-            nrm = np.abs(dev, out=own) if self.d == 1 else np.sqrt(
-                np.square(dev, out=own).reshape(dev.shape[:-1] + (self.n, self.d)).sum(axis=-1))
-            if not adjoint:
-                nrm **= p
-                total = total + _node_sum(W[k], nrm, rows_last)
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
-            D.append(np.repeat(coef, self.d, axis=-1) * dev)
-            terms.append(dt2 * np.einsum("gvhe->gv", nrm ** p)
-                         - np.einsum("gvhm,gvhm->gv", D[-1], A[k]))
-        return (terms + [0.0], D) if adjoint else dt2 * total
+            np.subtract(self.nodes[k][:, None, :], A[k], out=dev[k])
+        if self.d == 1:
+            # the value pass needs no deviations past their norms
+            norms = shapes
+            nrm = np.abs(flat, out=None if adjoint else flat)
+        else:
+            norms = [s[:-1] + (self.n,) for s in shapes]
+            nrm, x = _levels(norms, rows_last)
+            for k in range(self.K):
+                np.sqrt(np.square(dev[k]).reshape(norms[k] + (self.d,)).sum(axis=-1), out=x[k])
+        if not adjoint:
+            nrm **= p
+            return dt2 * sum(_node_sum(w, x, rows_last)
+                             for w, x in zip(W, _levels(norms, rows_last, nrm)[1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
+        if self.d == 1:
+            D = _levels(shapes, rows_last, coef * flat)[1]
+        else:
+            D = [np.repeat(c, self.d, axis=-1) * x
+                 for c, x in zip(_levels(norms, rows_last, coef)[1], dev)]
+        terms = [dt2 * np.einsum("gvhe->gv", x) - np.einsum("gvhm,gvhm->gv", y, a)
+                 for x, y, a in zip(_levels(norms, rows_last, nrm ** p)[1], D, A)]
+        return terms + [0.0], D
 
-    def n_value(self, W: list[np.ndarray], adjoint: bool = False):
+    def n_value(self, W: list[np.ndarray], adjoint: bool = False,
+                A: list[np.ndarray] | None = None):
         """The n-functional per weight row (G,), or its (terms, D) for
-        :meth:`reverse` with ``adjoint`` (subgradient 0 at drift kinks)."""
+        :meth:`reverse` with ``adjoint`` (subgradient 0 at drift kinks).  A
+        is the fold at W, of horizon 1 at least, folded here where None."""
         if self.nonpositive is not None:
             raise DomainError(
                 f"drift rate needs strictly positive values at time {self.nonpositive}")
-        A, rows_last = self.averages(W, 1), _rows_last(W[-1])
+        if A is None:
+            A = self.averages(W, 1)
+        rows_last = _rows_last(W[-1])
         total, terms, D = 0.0, [], []
         for k in range(self.K):
             a, g = A[k][:, :, 0], self.nodes[k]
@@ -232,16 +272,17 @@ class Floor:
             parts.append((ex, ey, cov, scale))
         return total, parts
 
-    def penalty(self, W: list[np.ndarray], c: float, rho: float
-                ) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def penalty(integrals: np.ndarray, c: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """Per row, rho * sum max(0, c - integral)^2 and the largest
-        max(0, c - integral)."""
-        viols = np.maximum(0.0, c - self.moments(W)[0])
+        max(0, c - integral), from the integrals of :meth:`moments`."""
+        viols = np.maximum(0.0, c - integrals)
         return rho * (viols * viols).sum(axis=1), viols.max(axis=1)
 
-    def penalty_terms(self, W: list[np.ndarray], c: float, rho: float) -> list:
-        """Node terms of rho * sum max(0, c - integral)^2 for :meth:`Tree.reverse`."""
-        total, parts = self.moments(W)
+    def penalty_terms(self, moments: tuple, c: float, rho: float) -> list:
+        """Node terms of rho * sum max(0, c - integral)^2 for :meth:`Tree.reverse`,
+        from the (integrals, parts) of :meth:`moments`."""
+        total, parts = moments
         weight = -2.0 * rho * np.maximum(c - total, 0.0)
         terms: list = [0.0]
         for k, (ex, ey, cov, scale) in enumerate(parts, start=1):
@@ -249,3 +290,40 @@ class Floor:
             coef = np.concatenate((-ws * ey, -ws * ex, ws, -ws * cov / scale), axis=1)
             terms.append(np.einsum("gf,vf->gv", coef, self.features[k]))
         return terms
+
+
+class Tape:
+    """The forward pass at a batch of weight rows, kept for the adjoint:
+    the node weights W, the fold's averages A and, where there is a floor,
+    its :meth:`Floor.moments`.  Every array has the batch's rows on axis 0,
+    so a tape's rows can be taken and stored apart."""
+
+    def __init__(self, W: list[np.ndarray], A: list[np.ndarray], moments: tuple | None):
+        self.W, self.A, self.moments = W, A, moments
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every array of the tape, in a fixed order."""
+        floor = [] if self.moments is None else [self.moments[0], *(
+            x for part in self.moments[1] for x in part)]
+        return self.W + self.A + floor
+
+    def _like(self, arrays: list[np.ndarray]) -> Tape:
+        """A tape of this one's structure holding ``arrays``, in :meth:`arrays` order."""
+        K = len(self.A)
+        W, A, floor = arrays[:K + 1], arrays[K + 1:2 * K + 1], arrays[2 * K + 1:]
+        moments = None if self.moments is None else (
+            floor[0], [tuple(floor[i:i + 4]) for i in range(1, len(floor), 4)])
+        return Tape(W, A, moments)
+
+    def take(self, rows) -> Tape:
+        """The tape of the rows ``rows``."""
+        return self._like([x[rows] for x in self.arrays()])
+
+    def empty(self, rows: int) -> Tape:
+        """An unset tape like this one, of ``rows`` rows."""
+        return self._like([np.empty((rows,) + x.shape[1:]) for x in self.arrays()])
+
+    def put(self, rows, tape: Tape, sel=slice(None)) -> None:
+        """Set the rows ``rows`` to the rows ``sel`` of ``tape``."""
+        for x, y in zip(self.arrays(), tape.arrays()):
+            x[rows] = y[sel]

@@ -67,7 +67,7 @@ import numpy as np
 from ._descent import Descent
 from ._exact import min_n
 from ._projection import frank_wolfe_gap, project_capped_simplex
-from ._tree import Floor, Tree, row_blocks
+from ._tree import Floor, Tape, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
 from .lattice import (AdaptedLattice, LatticeProcess, Measure, _as_count,
@@ -216,10 +216,13 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams) -
 class _Objective:
     """Penalized objective on raw weight rows (G, P) or one vector (P,):
     values and exact gradients, each one pass of the node kernel in
-    ``_tree``.  The penalty weight rho is an argument, so one tree serves
-    every penalty round.  ``differentiable`` says whether the penalized
-    value is continuously differentiable: m with p > 1, as the floor's
-    penalty is, but not n or m with p <= 1."""
+    ``_tree``.  The forward pass at a point is its :class:`Tape`; the value
+    and the adjoint read it, so a point whose tape is kept is differentiated
+    without folding again.  The rows enter C-contiguous, so neither pass
+    follows the caller's layout.  The penalty weight rho is an argument, so
+    one tree serves every penalty round.  ``differentiable`` says whether
+    the penalized value is continuously differentiable: m with p > 1, as the
+    floor's penalty is, but not n or m with p <= 1."""
 
     def __init__(self, g: LatticeProcess, params: ConstraintParams):
         self.params = params
@@ -228,33 +231,42 @@ class _Objective:
         pairs = _floor_pairs(g, params)
         self.floor = Floor(self.tree, pairs) if pairs else None
 
-    def raw(self, W: list[np.ndarray]) -> np.ndarray:
+    def raw(self, W: list[np.ndarray], A: list[np.ndarray] | None = None) -> np.ndarray:
         if self.params.objective == "m":
-            return self.tree.m(W, self.params.p)
-        return self.tree.n_value(W)
+            return self.tree.m(W, self.params.p, A=A)
+        return self.tree.n_value(W, A=A)
 
-    def evaluate(self, Q: np.ndarray, rho: float = 0.0
+    def tape(self, Q: np.ndarray) -> Tape:
+        """The forward pass at the rows of Q: node weights, the fold (every
+        horizon for m, one step for n) and the floor's moments."""
+        W = self.tree.node_weights(np.ascontiguousarray(np.atleast_2d(Q)))
+        A = self.tree.averages(W, self.tree.K if self.params.objective == "m" else 1)
+        return Tape(W, A, None if self.floor is None else self.floor.moments(W))
+
+    def evaluate(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(penalized value, raw objective, max floor violation) per row of Q."""
-        W = self.tree.node_weights(Q)
-        raw = self.raw(W)
+        """(penalized value, raw objective, max floor violation) per row of
+        Q, read from its tape (taken here where None)."""
+        tape = self.tape(Q) if tape is None else tape
+        raw = self.raw(tape.W, tape.A)
         if self.floor is None:
             return raw, raw, np.zeros_like(raw)
-        penalty, violation = self.floor.penalty(W, self.params.c, rho)
+        penalty, violation = self.floor.penalty(tape.moments[0], self.params.c, rho)
         return raw + penalty, raw, violation
 
-    def gradient(self, Q: np.ndarray, rho: float = 0.0) -> np.ndarray:
+    def gradient(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None
+                 ) -> np.ndarray:
         """Gradient of the penalized value, in the shape of Q: the adjoint
-        sweep of the node kernel."""
-        W = self.tree.node_weights(np.atleast_2d(Q))
+        sweep of the node kernel over Q's tape (taken here where None)."""
+        tape = self.tape(Q) if tape is None else tape
         if self.params.objective == "m":
-            terms, D = self.tree.m(W, self.params.p, adjoint=True)
+            terms, D = self.tree.m(tape.W, self.params.p, adjoint=True, A=tape.A)
         else:
-            terms, D = self.tree.n_value(W, adjoint=True)
+            terms, D = self.tree.n_value(tape.W, adjoint=True, A=tape.A)
         if self.floor is not None and rho > 0.0:
-            pen = self.floor.penalty_terms(W, self.params.c, rho)
+            pen = self.floor.penalty_terms(tape.moments, self.params.c, rho)
             terms = [t + e for t, e in zip(terms, pen)]
-        return self.tree.reverse(terms, D).reshape(Q.shape)
+        return self.tree.reverse(terms, D).reshape(np.shape(Q))
 
 
 # -- minimization --------------------------------------------------------------
@@ -389,7 +401,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
         starts[r] = s
     starts[1:] = project(starts[1:])
 
-    _, start_raw, start_viol = obj.evaluate(starts)
+    start_tape = obj.tape(starts)
+    _, start_raw, start_viol = obj.evaluate(starts, tape=start_tape)
     run = _solve_starts(obj, starts, project, gap, opts.max_iter, floor_active)
 
     # the candidates: start r is 2r and the point descended from it 2r + 1
@@ -411,7 +424,10 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     report = check_constraints(measure, g, params)
     # the winner's gap certifies its value only where m is smooth and convex
     # (no floor, so rho = 0)
-    certified = max(0.0, float(gap(q, obj.gradient(q)))) if smooth_convex else None
+    certified = None
+    if smooth_convex:
+        tape = run.tape(np.array([r])) if solved else start_tape.take([r])
+        certified = max(0.0, float(gap(q, obj.gradient(q, 0.0, tape))))
     feasible = bool(feasible_idx.size) and report.feasible
     return SolveReport(measure=measure, value=float(value[w]),
                        gap=certified, constraint_slacks=report.summary(),
