@@ -114,26 +114,28 @@ def _level(X: np.ndarray, S: np.ndarray, start: np.ndarray, A: np.ndarray,
     RuntimeError.  X and S carry one nan past the last breakpoint, and so
     do the breakpoints and slopes returned."""
     walk = _Walk(X, S, start, A, B)
-    act = np.flatnonzero((walk.i < walk.e).any(axis=0))
-    while act.size:
-        # the nodes whose windows fit in one round, one at least
-        load = np.minimum(walk.e[:, act] - walk.i[:, act], walk.window[act]).sum(axis=0).cumsum()
-        fit = max(1, np.searchsorted(load, _ROUND, side="right"))
-        act = np.concatenate((walk.round(act[:fit]), act[fit:]))
+    while walk.ids.size:
+        # the first nodes whose windows fit in one round, one at least
+        load = np.minimum(walk.e - walk.i, walk.window[:, None]).sum(axis=1).cumsum()
+        walk.round(max(1, load.searchsorted(_ROUND, side="right")))
     return walk.pieces()
 
 
 class _Walk:
-    """The walk state of every node of one level.  Axis 0 of ``i`` and
-    ``e`` is the child, c1 then c2: its last breakpoint reached and its last
-    breakpoint.  ``sgn`` (cols, nodes) holds the side of each column's ray,
-    as -1.0, 0.0 or 1.0, and ``on`` whether the split sits on a ray.
-    ``per`` (fields, child, node) holds, for each child c of each node: the
-    other child's mass; what the signs fix: the ray fractions of c and of
-    the other child, the rate T of the terms off the ray along it, and per
-    term column the rates towards c and towards the other child; c's
+    """The walk state of the nodes of one level that still walk, ``ids``;
+    a node leaves every array once both its children are walked.  Axis 1
+    of ``i`` and ``e`` is the child, c1 then c2: its last breakpoint reached
+    and its last breakpoint.  ``sgn`` (cols, nodes) holds the side of each
+    column's ray, as -1.0, 0.0 or 1.0, and ``on`` whether the split sits on
+    a ray.  ``per`` (fields, node, child) holds, for each child c of each
+    node: the other child's mass; what the signs fix: the ray fractions of c
+    and of the other child, the rate T of the terms off the ray along it,
+    and per term column the rates towards c and towards the other child; c's
     coefficients (a_e or b_e); and ``toward``: where a step of c heads for
-    the column's ray, minus the other child's coefficient, else nan."""
+    the column's ray, minus the other child's coefficient, else nan.  A
+    round works on views of the first nodes, so the children of a node are
+    adjacent in every flattened (node, child) axis: child k's sibling is
+    k ^ 1."""
 
     OTHER, R_OWN, R_OTHER, T, RATE = range(5)
 
@@ -141,61 +143,70 @@ class _Walk:
         _lift(S)
         nodes, cols = A.shape
         self.RATE_OTHER, self.COEF, self.TOWARD = 4 + cols, 4 + 2 * cols, 4 + 3 * cols
-        self.X, self.S = X, S
-        self.i = np.stack((start[:-1:2], start[1::2]))
-        self.e = np.stack((start[1::2], start[2::2])) - 1
-        x1, x2 = X[self.i]
-        self.per = np.empty((4 + 4 * cols, 2, nodes))
-        self.per[self.OTHER] = x2, x1
-        self.per[self.COEF:self.TOWARD] = np.stack((A.T, B.T), axis=1)
+        self.X, self.S, self.nodes = X, S, nodes
+        self.i = start[:-1].reshape(nodes, 2).copy()
+        self.e = start[1:].reshape(nodes, 2) - 1
+        x1, x2 = X[self.i].T
+        self.per = np.empty((4 + 4 * cols, nodes, 2))
+        self.per[self.OTHER] = np.column_stack((x2, x1))
+        self.per[self.COEF:self.TOWARD] = np.stack((A.T, B.T), axis=-1)
         term = (A != 0.0) | (B != 0.0)
         r = A * x1[:, None] + B * x2[:, None]
         # a column that is no term counts as off its ray, with rates 0
         self.sgn = np.where(term, np.sign(r), 1.0).T.copy()
         self.on = np.empty(nodes, dtype=bool)
-        self.cap = (self.e - self.i + 1).sum(axis=0) * (term.sum(axis=1) + 2)
+        self.cap = (self.e - self.i + 1).sum(axis=1) * (term.sum(axis=1) + 2)
         self.steps = np.zeros(nodes, dtype=np.intp)
         self.window = np.full(nodes, _WINDOW)
-        self._rays(self.per, self.sgn, self.on, np.arange(nodes))
-        self.out = [(np.arange(nodes), x1 + x2, np.full(nodes, math.nan), x1)]
+        self.ids = np.arange(nodes)
+        self._rays(self.per, self.sgn, self.on, slice(None))
+        self.out = [(self.ids, x1 + x2, np.full(nodes, math.nan), x1)]
+        self._keep((self.i < self.e).any(axis=1))
 
-    def _rays(self, per: np.ndarray, sgn: np.ndarray, on: np.ndarray, ev: np.ndarray) -> None:
+    def _keep(self, live: np.ndarray) -> None:
+        """Drop the nodes that are not ``live`` from every array."""
+        if not live.all():
+            for name in ("i", "e", "cap", "steps", "window", "ids", "on"):
+                setattr(self, name, getattr(self, name)[live])
+            # a round reshapes views of per, so it stays C-contiguous
+            self.per, self.sgn = np.ascontiguousarray(self.per[:, live]), self.sgn[:, live]
+
+    def _rays(self, per: np.ndarray, sgn: np.ndarray, on: np.ndarray, ev) -> None:
         """Set what the signs fix in ``per`` and ``on``, for the nodes ``ev``
-        (positions on the last axis of ``per`` and ``sgn``).  Each field is
-        set for both children at once, c1's and c2's rows of its (2, nodes)
-        block."""
-        s, coef = sgn[:, ev], per[self.COEF:self.TOWARD][:, :, ev]
-        zero = s == 0.0
+        (an index of the node axis of ``per`` and ``sgn``).  Each field is
+        set for both children at once."""
+        s, coef = sgn[:, ev], per[self.COEF:self.TOWARD, ev]
+        zero = s[:, :, None] == 0.0
         ray, T = 0.0, 0.0
         for e in range(len(s)):
-            sc = s[e] * coef[e]
+            sc = s[e, :, None] * coef[e]
             rate = np.where(zero[e], np.abs(coef[e]), sc)
-            per[self.RATE + e][:, ev], per[self.RATE_OTHER + e][:, ev] = rate, rate[::-1]
-            per[self.TOWARD + e][:, ev] = np.where(sc < 0.0, -coef[e, ::-1], math.nan)
+            per[self.RATE + e, ev], per[self.RATE_OTHER + e, ev] = rate, rate[:, ::-1]
+            per[self.TOWARD + e, ev] = np.where(sc < 0.0, -coef[e, :, ::-1], math.nan)
             # the ray: the last column whose split sits on it
             ray = np.where(zero[e], coef[e], ray)
-        r = ray[::-1] / (ray[::-1] - ray)
+        r = ray[:, ::-1] / (ray[:, ::-1] - ray)
         for e in range(len(s)):
-            T = T + np.where(zero[e], 0.0, s[e] * (coef[e] * r).sum(axis=0))
-        per[self.R_OWN][:, ev], per[self.R_OTHER][:, ev], per[self.T][:, ev] = r, r[::-1], T
-        on[ev] = zero.any(axis=0)
+            T = T + np.where(zero[e, :, 0], 0.0, s[e] * (coef[e] * r).sum(axis=1))
+        per[self.R_OWN, ev], per[self.R_OTHER, ev], per[self.T, ev] = r, r[:, ::-1], T[:, None]
+        on[ev] = zero[:, :, 0].any(axis=0)
 
-    def round(self, act: np.ndarray) -> np.ndarray:
-        """One round for the active nodes ``act``: each takes its run, the
-        steps up to its next event or to the end of its window of child
+    def round(self, n: int) -> None:
+        """One round for the first ``n`` nodes: each takes its run, the steps
+        up to its next event or to the end of its window of child
         breakpoints, and then the event, if its run stopped at one.  The
-        nodes on a ray and those off the rays merge in one sort, and the
-        round works on copies of their state, written back once.  Returns
-        the nodes of ``act`` with breakpoints left."""
-        X, S, n, cols = self.X, self.S, act.size, self.sgn.shape[0]
-        per, sgn, on = self.per[:, :, act], self.sgn[:, act], self.on[act]
-        i, e = self.i[:, act], self.e[:, act]
-        # per child, c1 of every node and then c2: fields, masses, breakpoints
-        flat, mass, at = per.reshape(len(per), 2 * n), per[self.OTHER, ::-1], i.reshape(-1)
-        left = e.reshape(-1) - at
-        count = np.minimum(left, np.concatenate((self.window[act],) * 2))
+        nodes on a ray and those off the rays merge in one sort."""
+        X, S, cols = self.X, self.S, self.sgn.shape[0]
+        per, sgn, on, ids = self.per[:, :n], self.sgn[:, :n], self.on[:n], self.ids[:n]
+        i, e = self.i[:n], self.e[:n]
+        # per child, c1 and c2 of each node in turn: fields, breakpoints, masses
+        flat, at, last_bp = per.reshape(len(per), 2 * n), i.reshape(-1), e.reshape(-1)
+        mass = flat[self.OTHER]   # child k's mass is mass[k ^ 1]
+        left = last_bp - at
+        count = np.minimum(left, self.window[:n].repeat(2))
         seg = np.arange(2 * n).repeat(count)
-        idx = _ragged(at + 1, count)
+        # each window's breakpoints in turn, from the child's next one
+        idx = np.arange(seg.size) + (at + 1 + count - count.cumsum())[seg]
         # off the rays a child's key is its slope plus its rates; on a ray its
         # ray time, the breakpoint over its share of the ray
         rays, offs = bool(on.any()), not on.all()
@@ -203,25 +214,25 @@ class _Walk:
             key = _shift(S[idx], flat[self.RATE:self.RATE_OTHER][:, seg])
         if rays:
             t = X[idx] / flat[self.R_OWN][seg]
-            key = np.where(np.concatenate((on, on))[seg], t, key) if offs else t
+            key = np.where(on.repeat(2)[seg], t, key) if offs else t
         # each child's window is sorted by (node, key) already, so a stable
         # sort of both merges them, c1 first; the child fields are gathered
         # once, in merge order
+        v = seg >> 1
         z = np.empty(seg.size, dtype=complex)
-        z.real, z.imag = seg % n, key
+        z.real, z.imag = v, key
         order = z.argsort(kind="stable")
-        seg, idx, key = seg[order], idx[order], key[order]
-        G, reach, s_own = flat[:, seg], X[idx], S[idx]
+        seg, idx, key, v = seg[order], idx[order], key[order], v[order]
+        G, reach, s_own = np.take(flat, seg, axis=1), X[idx], S[idx]
         # the last breakpoint of a cut window ends the run before it is reached
         cut = idx == np.where(left > count, at + count, -1)[seg]
-        size = count[:n] + count[n:]
+        size = count[0::2] + count[1::2]
         end = size.cumsum()
         first = end - size
-        v = seg % n
         pos = np.arange(v.size) - first[v]
         # the other child's last breakpoint: its start plus its steps before
         # this one in the round, which are all the node's steps less the own
-        jo = (i[0] + i[1] + 1)[v] + pos - idx
+        jo = (at[0::2] + at[1::2] + 1)[v] + pos - idx
         # the other child stays where it was, or on a ray moves to its share
         # of the ray point
         other = np.maximum(G[self.OTHER], X[jo])
@@ -237,8 +248,9 @@ class _Walk:
             # child's last breakpoint its slope is nan)
             s_oth = S[jo + 1]
             on_ray = G[self.R_OWN] * s_own + G[self.R_OTHER] * s_oth + G[self.T]
-            leave = ~((on_ray < _shift(s_own, G[self.RATE:self.RATE_OTHER]))
-                      & (on_ray < _shift(s_oth, G[self.RATE_OTHER:self.COEF])))
+            d_own = _shift(s_own, G[self.RATE:self.RATE_OTHER])
+            d_oth = _shift(s_oth, G[self.RATE_OTHER:self.COEF])
+            leave = ~((on_ray < d_own) & (on_ray < d_oth))
             along = np.maximum(np.minimum(G[self.R_OTHER] * key, X[jo + 1]), other)
             if offs:
                 ray = on[v]
@@ -247,18 +259,20 @@ class _Walk:
             else:
                 stop, slope, other = leave, on_ray, along
         # each node's run: its steps before its first stop
-        stops = np.concatenate(((stop | cut).nonzero()[0], [v.size]))
+        stops = np.empty(v.size + 1, dtype=bool)
+        np.bitwise_or(stop, cut, out=stops[:-1])
+        stops[-1] = True
+        stops = stops.nonzero()[0]
         took = np.minimum(stops[stops.searchsorted(first)], end) - first
         run = pos < took[v]
-        one = seg < n
-        y1, y2 = np.where(one, reach, other), np.where(one, other, reach)
-        record = [(act[v[run]], (y1 + y2)[run], slope[run], y1[run])]
-        moved = took.nonzero()[0]
-        last = (first + took - 1)[moved]
-        a, b, o = idx[last], jo[last], one[last]
-        i[:, moved] = np.where(o, a, b), np.where(o, b, a)
-        mass[:, moved] = y1[last], y2[last]
-        self.window[act] = np.maximum(_WINDOW, 2 * took)
+        record = [(ids[v[run]], (reach + other)[run], slope[run],
+                   np.where((seg & 1) == 0, reach, other)[run])]
+        # the moving child of each node's last step and its sibling
+        last = (first + took - 1)[took.nonzero()[0]]
+        k = seg[last]
+        at[k], at[k ^ 1] = idx[last], jo[last]
+        mass[k ^ 1], mass[k] = reach[last], other[last]
+        self.window[:n] = np.maximum(_WINDOW, 2 * took)
         # the events: each node whose run stopped at a step, not at the end
         # of a window
         ev = (took < size).nonzero()[0]
@@ -267,53 +281,53 @@ class _Walk:
         if ev.size:
             took[ev] += 1
             ray = on[ev]
-            changed = [ev]
             if offs:
                 # off the rays the event is the step that stopped the run, up
                 # to the first ray it reaches; only the moving child moves
-                off, j_off = ev[~ray], j[~ray]
-                jc = seg[j_off]
-                nxt = reach[j_off]
+                off, jf = (ev[~ray], j[~ray]) if rays else (ev, j)
+                k = seg[jf]
+                nxt = reach[jf]
                 for c in range(cols):
-                    nxt = np.fmin(nxt, cross[c][j_off])
+                    nxt = np.fmin(nxt, cross[c][jf])
                 for c in range(cols):
-                    sgn[c, off[cross[c][j_off] == nxt]] = 0.0
-                own = (jc + n) % (2 * n)   # where flat[OTHER] holds the mover's mass
-                step = np.maximum(nxt, flat[self.OTHER][own])
-                flat[self.OTHER][own] = step
-                at[jc] = idx[j_off] - (nxt < reach[j_off])
-                m1 = np.where(jc < n, step, other[j_off])
-                record.append((act[off], m1 + np.where(jc < n, other[j_off], step),
-                               key[j_off], m1))
+                    sgn[c, off[cross[c][jf] == nxt]] = 0.0
+                mass[k ^ 1] = np.maximum(nxt, mass[k ^ 1])
+                at[k] = idx[jf] - (nxt < reach[jf])
+                record.append((ids[off], mass[2 * off + 1] + mass[2 * off], key[jf],
+                               mass[2 * off + 1]))
             if rays:
-                record.append(self._leave(per, sgn, i, e, mass, ev[ray], act))
-            self._rays(per, sgn, on, ev)
-        self.i[:, act], self.per[:, :, act], self.sgn[:, act], self.on[act] = i, per, sgn, on
+                record.append(self._leave(flat, sgn, at, last_bp, ev[ray], j[ray], seg, reach,
+                                          jo, d_own, d_oth, ids))
+            self._rays(per, sgn, on, ev if ev.size < n else slice(None))
         self.out += record
-        self.steps[act] += took
-        live = (i < e).any(axis=0)
-        if (self.steps[act[live]] >= self.cap[act[live]]).any():
+        self.steps[:n] += took
+        if (self.steps[:n] >= self.cap[:n]).any():
             raise RuntimeError("exact walk passed its step cap")
-        return act[live]
+        live = at < last_bp
+        if not live.all():
+            self._keep(np.concatenate((live[0::2] | live[1::2],
+                                       np.ones(self.ids.size - n, dtype=bool))))
 
-    def _leave(self, per, sgn, i, e, mass, ev, act) -> tuple:
-        """The events of the nodes ``ev`` of a round on a ray: one step off
-        the split by one child, the cheaper of the two, c1 on a tie.  The
-        step ends at the child's next breakpoint or at the first ray it
-        meets; it leaves the rays the split sat on.  Works on the round's
-        arrays and returns the step's record."""
-        cols, S = sgn.shape[0], self.S
-        pe, s, ie, xe = per[:, :, ev], sgn[:, ev], i[:, ev], mass[:, ev]
-        has = ie < e[:, ev]
-        d = np.where(has, _shift(S[ie + 1], pe[self.RATE:self.RATE_OTHER]), _INF)
-        one = d[0] <= d[1]
-        side, col = (~one).astype(np.intp), np.arange(ev.size)
-        here, there, go = xe[side, col], xe[1 - side, col], has[side, col]
+    def _leave(self, flat, sgn, at, last_bp, ev, j, seg, reach, jo, d_own, d_oth, ids) -> tuple:
+        """The events of the nodes ``ev`` on a ray, whose runs stopped at the
+        entries ``j`` of the round's merge: one step off the split by one
+        child, the cheaper of the two, c1 on a tie.  The step ends at the
+        child's next breakpoint or at the first ray it meets; it leaves the
+        rays the split sat on.  Returns the step's record."""
+        cols, mass = sgn.shape[0], flat[self.OTHER]
+        k = seg[j]                        # the child of the entry, and its sibling k ^ 1
+        nb = jo[j] + 1                    # the sibling's next breakpoint
+        has = nb <= last_bp[k ^ 1]
+        mine, theirs = d_own[j], np.where(has, d_oth[j], _INF)
+        c1 = (k & 1) == 0
+        step = np.where(c1, mine <= theirs, theirs <= mine) == c1   # the entry's child moves
+        k = np.where(step, k, k ^ 1)      # the moving child
+        here, there, go = mass[k ^ 1], mass[k], step | has
         # a child with no piece left (reached only through nan slopes) stays put
-        target = np.where(go, self.X[ie[side, col] + 1], here)
-        nxt, hit = target.copy(), np.zeros(s.shape, dtype=bool)
+        target = np.where(go, np.where(step, reach[j], self.X[nb]), here)
+        nxt, hit, s = target, np.zeros((cols, ev.size), dtype=bool), sgn[:, ev]
         for c in range(cols):
-            own, other = pe[self.COEF + c, side, col], pe[self.COEF + c, 1 - side, col]
+            own, other = flat[self.COEF + c][k], flat[self.COEF + c][k ^ 1]
             heading = (s[c] != 0.0) & (s[c] * own < 0.0)
             cross = np.where(heading, -other * there / own, _INF)
             closer = heading & (cross < nxt)
@@ -322,10 +336,10 @@ class _Walk:
             nxt = np.where(closer, cross, nxt)
             s[c] = np.where(s[c] == 0.0, np.where(own > 0.0, 1.0, -1.0), s[c])
         s[hit] = 0.0
-        ie[side, col] += go & (nxt >= target)
-        xe[side, col] = np.maximum(nxt, here)
-        i[:, ev], mass[:, ev], sgn[:, ev] = ie, xe, s
-        return act[ev], xe[0] + xe[1], d[side, col], xe[0]
+        sgn[:, ev] = s
+        at[k] += go & (nxt >= target)
+        mass[k ^ 1] = np.maximum(nxt, here)
+        return ids[ev], mass[2 * ev + 1] + mass[2 * ev], np.where(step, mine, theirs), mass[2 * ev + 1]
 
     def pieces(self) -> tuple:
         """(offsets, breakpoints, slopes, splits) of every node's F_v, with a
@@ -344,8 +358,8 @@ class _Walk:
         new = np.ones(kept.size, dtype=bool)
         new[1:] = slope[1:] != slope[:-1]       # nan at each node's start
         end = kept[np.append(new[1:], True)]
-        offsets = np.zeros(self.i.shape[1] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(node[end], minlength=self.i.shape[1]), out=offsets[1:])
+        offsets = np.zeros(self.nodes + 1, dtype=np.intp)
+        np.cumsum(np.bincount(node[end], minlength=self.nodes), out=offsets[1:])
         X, S = np.full(end.size + 1, math.nan), np.full(end.size + 1, math.nan)
         np.take(m, end, out=X[:-1])
         np.compress(new, slope, out=S[:-1])
@@ -368,9 +382,3 @@ def _shift(s: np.ndarray, rates: np.ndarray) -> np.ndarray:
     for rate in rates:
         s = s + rate
     return s
-
-
-def _ragged(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """first[v], first[v] + 1, ..., first[v] + counts[v] - 1, for v in turn."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts - first, counts)
