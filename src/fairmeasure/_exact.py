@@ -115,9 +115,13 @@ def _level(X: np.ndarray, S: np.ndarray, start: np.ndarray, A: np.ndarray,
     do the breakpoints and slopes returned."""
     walk = _Walk(X, S, start, A, B)
     while walk.ids.size:
-        # the first nodes whose windows fit in one round, one at least
-        load = np.minimum(walk.e - walk.i, walk.window[:, None]).sum(axis=1).cumsum()
-        walk.round(max(1, load.searchsorted(_ROUND, side="right")))
+        # the first nodes whose windows fit in one round, one at least (all
+        # of them where even their full windows fit)
+        fit = walk.ids.size
+        if 2 * walk.window.sum() > _ROUND:
+            load = np.minimum(walk.e - walk.i, walk.window[:, None]).sum(axis=1).cumsum()
+            fit = max(1, load.searchsorted(_ROUND, side="right"))
+        walk.round(fit)
     return walk.pieces()
 
 
@@ -137,19 +141,21 @@ class _Walk:
     adjacent in every flattened (node, child) axis: child k's sibling is
     k ^ 1."""
 
-    OTHER, R_OWN, R_OTHER, T, RATE = range(5)
+    OTHER, COEF = 0, 1
 
     def __init__(self, X, S, start, A, B):
         _lift(S)
         nodes, cols = A.shape
-        self.RATE_OTHER, self.COEF, self.TOWARD = 4 + cols, 4 + 2 * cols, 4 + 3 * cols
+        # the fields that the signs fix follow the coefficients
+        self.R_OWN, self.R_OTHER, self.T = 1 + cols, 2 + cols, 3 + cols
+        self.RATE, self.RATE_OTHER, self.TOWARD = 4 + cols, 4 + 2 * cols, 4 + 3 * cols
         self.X, self.S, self.nodes = X, S, nodes
         self.i = start[:-1].reshape(nodes, 2).copy()
         self.e = start[1:].reshape(nodes, 2) - 1
         x1, x2 = X[self.i].T
         self.per = np.empty((4 + 4 * cols, nodes, 2))
         self.per[self.OTHER] = np.column_stack((x2, x1))
-        self.per[self.COEF:self.TOWARD] = np.stack((A.T, B.T), axis=-1)
+        self.per[self.COEF:self.R_OWN] = np.stack((A.T, B.T), axis=-1)
         term = (A != 0.0) | (B != 0.0)
         r = A * x1[:, None] + B * x2[:, None]
         # a column that is no term counts as off its ray, with rates 0
@@ -173,23 +179,23 @@ class _Walk:
 
     def _rays(self, per: np.ndarray, sgn: np.ndarray, on: np.ndarray, ev) -> None:
         """Set what the signs fix in ``per`` and ``on``, for the nodes ``ev``
-        (an index of the node axis of ``per`` and ``sgn``).  Each field is
-        set for both children at once."""
-        s, coef = sgn[:, ev], per[self.COEF:self.TOWARD, ev]
-        zero = s[:, :, None] == 0.0
-        ray, T = 0.0, 0.0
-        for e in range(len(s)):
-            sc = s[e, :, None] * coef[e]
-            rate = np.where(zero[e], np.abs(coef[e]), sc)
-            per[self.RATE + e, ev], per[self.RATE_OTHER + e, ev] = rate, rate[:, ::-1]
-            per[self.TOWARD + e, ev] = np.where(sc < 0.0, -coef[e, :, ::-1], math.nan)
-            # the ray: the last column whose split sits on it
+        (an index of the node axis of ``per`` and ``sgn``), every field of
+        both children in one write."""
+        s, coef = sgn[:, ev, None], per[self.COEF:self.R_OWN, ev]
+        zero, sc = s == 0.0, s * coef
+        # the ray: the last column whose split sits on it
+        ray = 0.0
+        for e in range(len(coef)):
             ray = np.where(zero[e], coef[e], ray)
         r = ray[:, ::-1] / (ray[:, ::-1] - ray)
-        for e in range(len(s)):
-            T = T + np.where(zero[e, :, 0], 0.0, s[e] * (coef[e] * r).sum(axis=1))
-        per[self.R_OWN, ev], per[self.R_OTHER, ev], per[self.T, ev] = r, r[:, ::-1], T[:, None]
-        on[ev] = zero[:, :, 0].any(axis=0)
+        # T sums the terms off the ray in column order
+        T = np.add.reduce(np.where(zero, 0.0, s * (coef * r).sum(axis=2, keepdims=True)),
+                          axis=0, initial=0.0)
+        rate = np.where(zero, np.abs(coef), sc)
+        per[self.R_OWN:, ev] = np.concatenate((
+            r[None], r[None, :, ::-1], T.repeat(2, axis=1)[None], rate, rate[:, :, ::-1],
+            np.where(sc < 0.0, -coef[:, :, ::-1], math.nan)))
+        on[ev] = zero.any(axis=0)[:, 0]
 
     def round(self, n: int) -> None:
         """One round for the first ``n`` nodes: each takes its run, the steps
@@ -216,14 +222,14 @@ class _Walk:
             t = X[idx] / flat[self.R_OWN][seg]
             key = np.where(on.repeat(2)[seg], t, key) if offs else t
         # each child's window is sorted by (node, key) already, so a stable
-        # sort of both merges them, c1 first; the child fields are gathered
-        # once, in merge order
+        # sort of both merges them, c1 first; the child fields a run reads
+        # are gathered once, in merge order
         v = seg >> 1
         z = np.empty(seg.size, dtype=complex)
         z.real, z.imag = v, key
         order = z.argsort(kind="stable")
         seg, idx, key, v = seg[order], idx[order], key[order], v[order]
-        G, reach, s_own = np.take(flat, seg, axis=1), X[idx], S[idx]
+        reach, s_own = X[idx], S[idx]
         # the last breakpoint of a cut window ends the run before it is reached
         cut = idx == np.where(left > count, at + count, -1)[seg]
         size = count[0::2] + count[1::2]
@@ -235,23 +241,24 @@ class _Walk:
         jo = (at[0::2] + at[1::2] + 1)[v] + pos - idx
         # the other child stays where it was, or on a ray moves to its share
         # of the ray point
-        other = np.maximum(G[self.OTHER], X[jo])
+        other = np.maximum(mass[seg], X[jo])
         slope = key
         if offs:
             # the run lasts until a step reaches a ray before its breakpoint
-            cross = [G[self.TOWARD + c] * other / G[self.COEF + c] for c in range(cols)]
+            cross = [flat[self.TOWARD + c][seg] * other / flat[self.COEF + c][seg]
+                     for c in range(cols)]
             stop = cross[0] <= reach
             for c in range(1, cols):
                 stop |= cross[c] <= reach
         if rays:
             # the run lasts while the ray is cheaper than either child (past a
             # child's last breakpoint its slope is nan)
+            r_own, r_other, T, *rates = np.take(flat[self.R_OWN:self.TOWARD], seg, axis=1)
             s_oth = S[jo + 1]
-            on_ray = G[self.R_OWN] * s_own + G[self.R_OTHER] * s_oth + G[self.T]
-            d_own = _shift(s_own, G[self.RATE:self.RATE_OTHER])
-            d_oth = _shift(s_oth, G[self.RATE_OTHER:self.COEF])
+            on_ray = r_own * s_own + r_other * s_oth + T
+            d_own, d_oth = _shift(s_own, rates[:cols]), _shift(s_oth, rates[cols:])
             leave = ~((on_ray < d_own) & (on_ray < d_oth))
-            along = np.maximum(np.minimum(G[self.R_OTHER] * key, X[jo + 1]), other)
+            along = np.maximum(np.minimum(r_other * key, X[jo + 1]), other)
             if offs:
                 ray = on[v]
                 stop, slope, other = (np.where(ray, leave, stop), np.where(ray, on_ray, key),
@@ -266,7 +273,7 @@ class _Walk:
         took = np.minimum(stops[stops.searchsorted(first)], end) - first
         run = pos < took[v]
         record = [(ids[v[run]], (reach + other)[run], slope[run],
-                   np.where((seg & 1) == 0, reach, other)[run])]
+                   np.where(seg & 1, other, reach)[run])]
         # the moving child of each node's last step and its sibling
         last = (first + took - 1)[took.nonzero()[0]]
         k = seg[last]
@@ -314,7 +321,7 @@ class _Walk:
         child, the cheaper of the two, c1 on a tie.  The step ends at the
         child's next breakpoint or at the first ray it meets; it leaves the
         rays the split sat on.  Returns the step's record."""
-        cols, mass = sgn.shape[0], flat[self.OTHER]
+        mass = flat[self.OTHER]
         k = seg[j]                        # the child of the entry, and its sibling k ^ 1
         nb = jo[j] + 1                    # the sibling's next breakpoint
         has = nb <= last_bp[k ^ 1]
@@ -325,18 +332,13 @@ class _Walk:
         here, there, go = mass[k ^ 1], mass[k], step | has
         # a child with no piece left (reached only through nan slopes) stays put
         target = np.where(go, np.where(step, reach[j], self.X[nb]), here)
-        nxt, hit, s = target, np.zeros((cols, ev.size), dtype=bool), sgn[:, ev]
-        for c in range(cols):
-            own, other = flat[self.COEF + c][k], flat[self.COEF + c][k ^ 1]
-            heading = (s[c] != 0.0) & (s[c] * own < 0.0)
-            cross = np.where(heading, -other * there / own, _INF)
-            closer = heading & (cross < nxt)
-            hit[:, closer] = False
-            hit[c] |= closer | (heading & (cross == nxt))
-            nxt = np.where(closer, cross, nxt)
-            s[c] = np.where(s[c] == 0.0, np.where(own > 0.0, 1.0, -1.0), s[c])
-        s[hit] = 0.0
-        sgn[:, ev] = s
+        # each column's ray that the step heads for, and where it meets it
+        s, own, other = sgn[:, ev], flat[self.COEF:self.R_OWN][:, k], flat[self.COEF:self.R_OWN][:, k ^ 1]
+        heading = (s != 0.0) & (s * own < 0.0)
+        cross = np.where(heading, -other * there / own, _INF)
+        nxt = np.minimum(target, cross.min(axis=0))
+        sgn[:, ev] = np.where(heading & (cross == nxt), 0.0,
+                              np.where(s == 0.0, np.where(own > 0.0, 1.0, -1.0), s))
         at[k] += go & (nxt >= target)
         mass[k ^ 1] = np.maximum(nxt, here)
         return ids[ev], mass[2 * ev + 1] + mass[2 * ev], np.where(step, mine, theirs), mass[2 * ev + 1]
