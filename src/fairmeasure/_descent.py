@@ -6,7 +6,9 @@ rounds through :meth:`Descent.round`.  The objective supplies per-row values
 and gradients (``solver._Objective``) and says whether they are
 differentiable, the projection maps rows onto the feasible box-simplex, the
 gap gives each row's Frank-Wolfe gap over it, and max_iter bounds the
-iterations of one penalty round.
+iterations of one penalty round.  Each evaluation's forward pass is its
+tape (``_tree.Tape``); a row keeps the tape that reached its point, and
+its next gradient reads it, so differentiating runs only the adjoint.
 
 Every iteration searches along the projected arc P(x - t g): each trial
 step t is one projection and one evaluation, and a rejected trial halves
@@ -41,10 +43,6 @@ the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
   rows stopped at stalled-line-search or zero-step instead of tol.  On
   the nonsmooth rows alone it raised n on the deep lattice from 0.0504891
   to 0.0509553.
-* One pass per iteration that takes a row's gradient as soon as the row
-  accepts a step: the same floats in every row, and the floor instance
-  7% faster, but the deep lattice 20% slower, with 596 gradient calls
-  instead of 336.
 * The spectral step capped at ``STEP``: m on the deep lattice took
   49 iterations instead of 36, and the 20 tiny oracle instances 0.46 s
   instead of 0.24 s in all.
@@ -70,7 +68,8 @@ class Descent:
 
     Each row has its own step size and line-search window and leaves the
     active set when it stops; each backtracking trial evaluates only the
-    rows still searching.  Every kernel call and projection treats rows
+    rows still searching, and a row that accepts keeps its place in the
+    trial's tape.  Every kernel call and projection treats rows
     independently, so a row's path is the same float for float whatever
     else is in the batch."""
 
@@ -108,7 +107,7 @@ class Descent:
         tape = kept[0][0]
         if all(t is tape for t, _ in kept):
             places = [i for _, i in kept]
-            return tape if places == list(range(len(tape.W[0]))) else tape.take(places)
+            return tape if places == list(range(len(tape))) else tape.take(places)
         out = tape.empty(len(kept))
         for t in {id(t): t for t, _ in kept}.values():
             mine = [j for j, (u, _) in enumerate(kept) if u is t]

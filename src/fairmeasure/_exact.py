@@ -35,17 +35,24 @@ the children's breakpoints in ray time (a breakpoint over the child's share
 r1 or r2 of a step along the ray) for as long as the ray is cheaper than
 either child.  An event is the step that ends a run: the step off the rays
 that reaches a ray before its breakpoint, or the step that leaves a ray.
-It is taken on its own, by the step rule above.  A level walks all its
-nodes in lock step, in rounds: a round merges the runs of all the nodes on a
-ray in one stable sort keyed by (node, ray time), those of all the nodes
-off the rays in another keyed by (node, slope), and then takes the event of
-every node whose run ended at one.  So a level costs a Python iteration per
-event of its busiest node (2 to 4 on most levels of the benchmark's GBM, up
-to 32 next to the root), not one per step.  A round looks ahead a window of
-each child's breakpoints, at least ``_WINDOW`` and twice the node's last
-run, and takes at most ``_ROUND`` breakpoints in all (or one node's windows,
-where they alone are more), which bounds its working memory; a run cut at
-the end of its window goes on in the next round.
+
+A level walks all its nodes in lock step, in rounds of one run and at most
+one event per node.  One stable sort keyed by (node, key) merges the runs
+of every node, the key being the shifted slope off the rays and the ray
+time on one.  Each node whose run stopped at a step then takes its event
+from the arrays of that merge: off the rays the event is the step that
+stopped the run, cut at the first ray it reaches (the crossings are those
+the stop test computed); on a ray it is the step rule above, fed the
+slopes of the two directions that the stop test compared.  Only the nodes
+whose signs changed have what the signs fix computed again, and a node
+leaves the level's arrays once both its children are walked, so a round
+works on views of its nodes' state.  So a level costs a Python iteration
+per event of its busiest node (2 to 4 on most levels of the benchmark's
+GBM, up to 32 next to the root), not one per step.  A round looks ahead a
+window of each child's breakpoints, at least ``_WINDOW`` and twice the
+node's last run, and takes at most ``_ROUND`` breakpoints in all (or one
+node's windows, where they alone are more), which bounds its working
+memory; a run cut at the end of its window goes on in the next round.
 
 Steps of equal slope merge into one piece.  Where F_v is linear, a convex
 combination of two optimal splits is optimal too, as the objective is
@@ -132,14 +139,14 @@ class _Walk:
     and its last breakpoint.  ``sgn`` (cols, nodes) holds the side of each
     column's ray, as -1.0, 0.0 or 1.0, and ``on`` whether the split sits on
     a ray.  ``per`` (fields, node, child) holds, for each child c of each
-    node: the other child's mass; what the signs fix: the ray fractions of c
-    and of the other child, the rate T of the terms off the ray along it,
-    and per term column the rates towards c and towards the other child; c's
-    coefficients (a_e or b_e); and ``toward``: where a step of c heads for
-    the column's ray, minus the other child's coefficient, else nan.  A
-    round works on views of the first nodes, so the children of a node are
-    adjacent in every flattened (node, child) axis: child k's sibling is
-    k ^ 1."""
+    node: the other child's mass; c's coefficients (a_e or b_e); and what
+    the signs fix, in one block: the ray fractions of c and of the other
+    child, the rate T of the terms off the ray along it, per term column
+    the rates towards c and towards the other child, and ``toward``: where
+    a step of c heads for the column's ray, minus the other child's
+    coefficient, else nan.  A round works on views of the first nodes, in
+    which the children of a node are adjacent on every flattened (node,
+    child) axis: child k's sibling is k ^ 1."""
 
     OTHER, COEF = 0, 1
 
@@ -303,24 +310,28 @@ class _Walk:
                 record.append((ids[off], mass[2 * off + 1] + mass[2 * off], key[jf],
                                mass[2 * off + 1]))
             if rays:
-                record.append(self._leave(flat, sgn, at, last_bp, ev[ray], j[ray], seg, reach,
-                                          jo, d_own, d_oth, ids))
+                record.append(self._leave(flat, sgn, at, last_bp, ids, ev[ray], j[ray],
+                                          (seg, reach, jo, d_own, d_oth)))
+            # every event changes a sign
             self._rays(per, sgn, on, ev if ev.size < n else slice(None))
         self.out += record
         self.steps[:n] += took
-        if (self.steps[:n] >= self.cap[:n]).any():
-            raise RuntimeError("exact walk passed its step cap")
         live = at < last_bp
+        live = live[0::2] | live[1::2]
+        if (self.steps[:n][live] >= self.cap[:n][live]).any():
+            raise RuntimeError("exact walk passed its step cap")
         if not live.all():
-            self._keep(np.concatenate((live[0::2] | live[1::2],
-                                       np.ones(self.ids.size - n, dtype=bool))))
+            self._keep(np.concatenate((live, np.ones(self.ids.size - n, dtype=bool))))
 
-    def _leave(self, flat, sgn, at, last_bp, ev, j, seg, reach, jo, d_own, d_oth, ids) -> tuple:
-        """The events of the nodes ``ev`` on a ray, whose runs stopped at the
-        entries ``j`` of the round's merge: one step off the split by one
-        child, the cheaper of the two, c1 on a tie.  The step ends at the
-        child's next breakpoint or at the first ray it meets; it leaves the
-        rays the split sat on.  Returns the step's record."""
+    def _leave(self, flat, sgn, at, last_bp, ids, ev, j, merge) -> tuple:
+        """The events of the nodes ``ev`` on a ray, from the entries ``j`` at
+        which their runs stopped in the round's ``merge`` (its children,
+        breakpoints, other children's last breakpoints and the slopes of the
+        two directions): one step off the split by one child, the cheaper of
+        the two, c1 on a tie.  The step ends at the child's next breakpoint
+        or at the first ray it meets; it leaves the rays the split sat on.
+        Returns the step's record."""
+        seg, reach, jo, d_own, d_oth = merge
         mass = flat[self.OTHER]
         k = seg[j]                        # the child of the entry, and its sibling k ^ 1
         nb = jo[j] + 1                    # the sibling's next breakpoint
@@ -333,7 +344,8 @@ class _Walk:
         # a child with no piece left (reached only through nan slopes) stays put
         target = np.where(go, np.where(step, reach[j], self.X[nb]), here)
         # each column's ray that the step heads for, and where it meets it
-        s, own, other = sgn[:, ev], flat[self.COEF:self.R_OWN][:, k], flat[self.COEF:self.R_OWN][:, k ^ 1]
+        coef = flat[self.COEF:self.R_OWN]
+        s, own, other = sgn[:, ev], coef[:, k], coef[:, k ^ 1]
         heading = (s != 0.0) & (s * own < 0.0)
         cross = np.where(heading, -other * there / own, _INF)
         nxt = np.minimum(target, cross.min(axis=0))
@@ -341,7 +353,8 @@ class _Walk:
                               np.where(s == 0.0, np.where(own > 0.0, 1.0, -1.0), s))
         at[k] += go & (nxt >= target)
         mass[k ^ 1] = np.maximum(nxt, here)
-        return ids[ev], mass[2 * ev + 1] + mass[2 * ev], np.where(step, mine, theirs), mass[2 * ev + 1]
+        m1 = mass[2 * ev + 1]
+        return ids[ev], m1 + mass[2 * ev], np.where(step, mine, theirs), m1
 
     def pieces(self) -> tuple:
         """(offsets, breakpoints, slopes, splits) of every node's F_v, with a

@@ -39,9 +39,24 @@ Derivatives*) is
                + sum_l (sum_{k<l} D_kl(node_k(pi))) . g_l(pi),
 
 one O(P) top-down sweep in :meth:`Tree.reverse`.
+
+The adjoint reads only the fold's A (and, for the correlation floor, its
+moments), never W itself, so the forward pass at a batch of rows is kept
+as the rows' :class:`Tape`: the node weights W, the fold's A (written level
+by level into one buffer) and the floor's moments where there is a floor.  The
+value and the gradient at a point both read its tape, and neither writes
+over it, so a point that was evaluated is differentiated without folding
+again; a tape's rows can be taken apart, as the descent keeps each row's
+last evaluated point.  The objective hands the kernel its rows
+C-contiguous, so the adjoint, whose einsums add in an order that follows
+the layout, gives the same floats whatever the caller's layout.  m's
+deviations from A share one buffer too, so each of its elementwise passes
+runs once over every level, and only the einsums that sum a node go level
+by level.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -96,16 +111,26 @@ def _levels(shapes: list[tuple], rows_last: bool, flat: np.ndarray | None = None
     """One flat buffer (``flat``, or a new one) holding an array of each of
     ``shapes`` in turn, each in the layout of :func:`_empty`, and the views
     of those arrays."""
-    sizes = [math.prod(s) for s in shapes]
+    total, blocks, axes = _layout(tuple(shapes), rows_last)
     if flat is None:
-        flat = np.empty(sum(sizes))
-    views, at = [], 0
-    for shape, size in zip(shapes, sizes):
-        block = flat[at:at + size]
-        views.append(np.moveaxis(block.reshape(shape[1:] + shape[:1]), -1, 0) if rows_last
-                     else block.reshape(shape))
+        flat = np.empty(total)
+    if axes is None:
+        return flat, [flat[a:b].reshape(shape) for a, b, shape in blocks]
+    return flat, [flat[a:b].reshape(shape).transpose(axes) for a, b, shape in blocks]
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shapes: tuple, rows_last: bool) -> tuple:
+    """For :func:`_levels`: the buffer size, each array's span in it and the
+    shape it is stored in, and the axes that turn a rows-last block into
+    rows first (None for row-major blocks)."""
+    blocks, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append((at, at + size, shape[1:] + shape[:1] if rows_last else shape))
         at += size
-    return flat, views
+    axes = (len(shapes[0]) - 1,) + tuple(range(len(shapes[0]) - 1)) if rows_last else None
+    return at, tuple(blocks), axes
 
 
 class Tree:
@@ -128,30 +153,36 @@ class Tree:
     def averages(self, W: list[np.ndarray], horizon: int) -> list[np.ndarray]:
         """A[k][:, :, j] = E[g_{k+1+j} | F_k] at the level-k nodes, shape
         (G, b^k, h, n*d) with h = min(horizon, K - k)."""
+        return self._fold(W, horizon)[1]
+
+    def _fold(self, W: list[np.ndarray], horizon: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """:meth:`averages` and the one buffer that holds them all."""
         b, K, G = self.b, self.K, W[0].shape[0]
         positive, rows_last = bool((W[K] > 0.0).all()), _rows_last(W[K])
-        A: list = [None] * K
+        M = self.nodes[0].shape[1]
+        hs = [min(horizon, K - k) for k in range(K)]
+        flat, out = _levels([(G, b ** k, h * M) for k, h in enumerate(hs)], rows_last)
+        A = [x.reshape(G, b ** k, h, M) for k, (x, h) in enumerate(zip(out, hs))]
         for k in range(K - 1, -1, -1):
-            h, child = min(horizon, K - k), self.nodes[k + 1]
-            M = child.shape[1]
+            h, child = hs[k], self.nodes[k + 1]
             w = W[k + 1].reshape(G, b ** k, b)
             Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
             if h == 1:
                 X = child.reshape(1, b ** k, b, M)
             elif b == 2 and h * M == 2:  # averaged apart: see the module docstring
-                A[k] = _empty((G, b ** k, 2, 1), rows_last)
-                A[k][:, :, 0] = _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk)
-                A[k][:, :, 1] = _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk)
+                _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk, out=A[k][:, :, 0])
+                _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk,
+                               out=A[k][:, :, 1])
                 continue
             else:
                 X = _empty((G, b ** (k + 1), h, M), rows_last)
                 X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
                 X = X.reshape(G, b ** k, b, h * M)
-            A[k] = _weighted_mean(w, X, Wk).reshape(G, b ** k, h, M)
+            _weighted_mean(w, X, Wk, out=out[k])
         if not positive:  # the fold kept weightless nodes at their first child's value
             for k in range(K):
                 A[k][W[k] <= 0.0] = 0.0
-        return A
+        return flat, A
 
     def reverse(self, terms: list, D: list[np.ndarray]) -> np.ndarray:
         """Per path (G, P): the sum over k of terms[k] (G, b^k; a scalar for
@@ -177,20 +208,21 @@ class Tree:
           A: list[np.ndarray] | None = None):
         """The m-functional per weight row (G,), or its (terms, D) for
         :meth:`reverse` with ``adjoint``.  A is the fold at W (a tape's),
-        folded here where None; neither pass writes over it.  The levels'
-        deviations share one buffer, so each elementwise pass runs once over
-        all of them."""
+        folded here where None.  The levels' deviations share one buffer, so
+        each elementwise pass runs once over all of them; only the value
+        pass of a fold made here writes them over the fold."""
+        own = A is None and not adjoint
         if A is None:
-            A = self.averages(W, self.K)
+            fold, A = self._fold(W, self.K)
         dt2, rows_last = self.dt * self.dt, _rows_last(W[-1])
         shapes = [a.shape for a in A]
-        flat, dev = _levels(shapes, rows_last)
+        flat, dev = (fold, A) if own else _levels(shapes, rows_last)
         for k in range(self.K):
             np.subtract(self.nodes[k][:, None, :], A[k], out=dev[k])
         if self.d == 1:
-            # the value pass needs no deviations past their norms
             norms = shapes
             nrm = np.abs(flat, out=None if adjoint else flat)
+            x = _levels(norms, rows_last, nrm)[1] if adjoint else dev
         else:
             norms = [s[:-1] + (self.n,) for s in shapes]
             nrm, x = _levels(norms, rows_last)
@@ -198,17 +230,16 @@ class Tree:
                 np.sqrt(np.square(dev[k]).reshape(norms[k] + (self.d,)).sum(axis=-1), out=x[k])
         if not adjoint:
             nrm **= p
-            return dt2 * sum(_node_sum(w, x, rows_last)
-                             for w, x in zip(W, _levels(norms, rows_last, nrm)[1]))
+            return dt2 * sum(_node_sum(w, y, rows_last) for w, y in zip(W, x))
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
         if self.d == 1:
             D = _levels(shapes, rows_last, coef * flat)[1]
         else:
-            D = [np.repeat(c, self.d, axis=-1) * x
-                 for c, x in zip(_levels(norms, rows_last, coef)[1], dev)]
-        terms = [dt2 * np.einsum("gvhe->gv", x) - np.einsum("gvhm,gvhm->gv", y, a)
-                 for x, y, a in zip(_levels(norms, rows_last, nrm ** p)[1], D, A)]
+            D = [np.repeat(c, self.d, axis=-1) * y
+                 for c, y in zip(_levels(norms, rows_last, coef)[1], dev)]
+        terms = [dt2 * np.einsum("gvhe->gv", y) - np.einsum("gvhm,gvhm->gv", z, a)
+                 for y, z, a in zip(_levels(norms, rows_last, nrm ** p)[1], D, A)]
         return terms + [0.0], D
 
     def n_value(self, W: list[np.ndarray], adjoint: bool = False,
@@ -293,13 +324,16 @@ class Floor:
 
 
 class Tape:
-    """The forward pass at a batch of weight rows, kept for the adjoint:
-    the node weights W, the fold's averages A and, where there is a floor,
-    its :meth:`Floor.moments`.  Every array has the batch's rows on axis 0,
-    so a tape's rows can be taken and stored apart."""
+    """The forward pass at a batch of weight rows, kept for the value and
+    the adjoint: the node weights W, the fold's averages A and, where there
+    is a floor, its :meth:`Floor.moments`.  Every array has the batch's rows
+    on axis 0, so a tape's rows can be taken and stored apart."""
 
     def __init__(self, W: list[np.ndarray], A: list[np.ndarray], moments: tuple | None):
         self.W, self.A, self.moments = W, A, moments
+
+    def __len__(self) -> int:
+        return len(self.W[0])
 
     def arrays(self) -> list[np.ndarray]:
         """Every array of the tape, in a fixed order."""

@@ -48,8 +48,10 @@ safeguard (Cominetti, Mascarenhas & Silva 2014; Dai & Fletcher 2006;
 Kiwiel 2008), in a number of O(P) passes that is small in practice and
 bounded by 2P + floor(log2 P) + 4.
 
-Each value and each gradient is one O(P) pass of the node kernel in
-``_tree``; the gradient is the kernel's exact adjoint sweep.
+Each value is one O(P) forward pass of the node kernel in ``_tree``, kept
+as the point's tape, and each gradient the kernel's exact adjoint sweep
+over the tape of a point already evaluated: the descent's iterates, the
+starts and the winner whose gap certifies its value.
 
 n on a binary lattice with no floor takes none of the above: there its
 minimum is the exact bottom-up walk over subtree mass of ``_exact``, in
@@ -276,12 +278,13 @@ class RestartRecord(NamedTuple):
     "extra"; ``stop`` is why its last penalty round ended: "tol" (Frank-Wolfe
     gap at most ``_descent.TOL``), "stalled-line-search" (no step above the
     minimum step decreased the value), "zero-step" (the projected step did
-    not move) or "max_iter".  The counts are rows the descent evaluated,
-    differentiated and projected for this start; ``rho`` is the penalty
-    weight of its last round, ``value`` and ``violation`` those of the point
-    it reached.  Where the exact walk solved n (b = 2, no floor) the one
-    record has kind and stop "exact", no iterations and one evaluation, of
-    the walk's point."""
+    not move) or "max_iter".  The counts are rows the descent evaluated
+    (forward passes, each kept as the point's tape), differentiated
+    (adjoint passes over a tape already taken, so none folds again) and
+    projected for this start; ``rho`` is the penalty weight of its last
+    round, ``value`` and ``violation`` those of the point it reached.  Where
+    the exact walk solved n (b = 2, no floor) the one record has kind and
+    stop "exact", no iterations and one evaluation, of the walk's point."""
 
     kind: str
     stop: str

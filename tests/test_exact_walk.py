@@ -1,8 +1,8 @@
 """The walk of ``fairmeasure._exact``, one numpy merge per run of steps,
 against the per-step walk of ``reference.walk_n_min``: on random binary
-lattices and on the benchmark's deep GBM, n agrees within 1e-13 relative
-and every measure is feasible.  Also the walk's step cap and columns with
-zero drift."""
+lattices up to K = 9 and on the benchmark's deep GBM, n agrees within 1e-13
+relative and every measure is feasible.  Also the walk's step cap and
+columns with zero drift."""
 import math
 
 import numpy as np
@@ -39,6 +39,27 @@ def test_bulk_walk_matches_the_per_step_walk(K, n, d, N, seed):
     g = random_process(np.random.default_rng(seed), fm.build_lattice(2, K), n=n, d=d,
                        low=0.3, high=3.0)
     assert_walks_agree(g, N)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(7, 9), st.integers(1, 3), st.integers(1, 2), st.floats(1.0, 4.0),
+       st.integers(0, 2 ** 16))
+def test_bulk_walk_matches_at_the_top_of_deep_lattices(K, n, d, N, seed):
+    """The levels next to the root are where a node crosses rays most often
+    and its events come round after round."""
+    g = random_process(np.random.default_rng(seed), fm.build_lattice(2, K), n=n, d=d,
+                       low=0.3, high=3.0)
+    assert_walks_agree(g, N)
+
+
+@pytest.mark.parametrize("K", [6, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bulk_walk_matches_on_small_random_binary_processes(K, seed):
+    """Scalar processes with values in [0.5, 2] and N = 2, where every level
+    holds few breakpoints and the walk is mostly events."""
+    g = random_process(np.random.default_rng(seed), fm.build_lattice(2, K), n=1, d=1,
+                       low=0.5, high=2.0)
+    assert_walks_agree(g, 2.0)
 
 
 @pytest.mark.parametrize("seed", [1, 5])

@@ -11,6 +11,7 @@ import fairmeasure as fm
 from fairmeasure import _projection, solver
 from fairmeasure._descent import TOL
 from fairmeasure._projection import frank_wolfe_gap
+from fairmeasure._tree import Tree
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
@@ -789,6 +790,45 @@ def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkey
     rep = fm.minimize(g, params, opts)
     assert (rep.gap is not None) == (case == "m")
     assert sum(rows) == sum(r.gradients for r in rep.restarts) + (rep.gap is not None)
+
+
+@pytest.mark.parametrize("case", ["m", "p=1", "floor"])
+def test_gradients_fold_nothing(case, monkeypatch):
+    """Every evaluation folds once, for its point's tape, and every gradient
+    reads the tape of a point already evaluated, the winner's certificate
+    too: over a whole minimize the forward folds are the evaluations."""
+    rng = np.random.default_rng(21)
+    g = random_process(rng, fm.build_lattice(2, 2), n=2 if case == "floor" else 1,
+                       low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
+                                 c=0.9 if case == "floor" else None)
+    calls = {"fold": 0, "evaluate": 0, "gradient": 0}
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Tree, "averages", counted("fold", Tree.averages))
+    monkeypatch.setattr(_Objective, "evaluate", counted("evaluate", _Objective.evaluate))
+    monkeypatch.setattr(_Objective, "gradient", counted("gradient", _Objective.gradient))
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=3, max_iter=60))
+    assert calls["gradient"] > 0 and sum(r.gradients for r in rep.restarts) > 0
+    assert calls["fold"] == calls["evaluate"]
+
+
+def test_deep_lattice_counts_stay_pinned():
+    """m at p = 2 on the benchmark's deep lattice (b = 2, K = 11, its GBM at
+    seed 1, N = 2) evaluates, differentiates and projects as many rows as
+    it did when every gradient folded again."""
+    one = np.array([[1.0]])
+    g = fm.simulate_gbm(fm.build_lattice(2, 11),
+                        fm.GbmParams(n=1, d=1, drift=0.2 * one, vol=0.3 * one, corr=one,
+                                     s0=one), seed=1)
+    rep = fm.minimize(g, fm.ConstraintParams(N=2.0, p=2.0),
+                      fm.SolveOptions(max_iter=300, restarts=4, seed=0))
+    assert [r[:6] for r in rep.restarts] == [("base", "tol", 36, 37, 37, 37)]
 
 
 # -- reports ------------------------------------------------------------------------------

@@ -344,6 +344,52 @@ def test_kernel_passes_leave_their_inputs_alone(b, K, n, d, zero):
         assert all(same_bits(a, e) for a, e in zip(inputs(), saved))
 
 
+def objectives(lat, rng):
+    """m at p = 2 and 1.5 and n on one scalar exchange, m on two vector
+    exchanges, and m at p = 2 with an active correlation floor (rho = 25) on
+    two scalar ones, each with its rho."""
+    one = random_process(rng, lat, n=1, low=0.3, high=3.0)
+    two = random_process(rng, lat, n=2, low=0.3, high=3.0)
+    vector = random_process(rng, lat, n=2, d=2, low=0.3, high=3.0)
+    return [(_Objective(one, fm.ConstraintParams(N=4.0, p=p)), 0.0) for p in (2.0, 1.5)] + [
+        (_Objective(one, fm.ConstraintParams(N=4.0, objective="n")), 0.0),
+        (_Objective(vector, fm.ConstraintParams(N=4.0)), 0.0),
+        (_Objective(two, fm.ConstraintParams(N=4.0, c=1.0)), 25.0)]
+
+
+@pytest.mark.parametrize("b, K", [(2, 3), (3, 2), (4, 2), (2, 5)])
+def test_adjoint_does_not_depend_on_the_layout(b, K):
+    """The objective takes its rows C-contiguous, so the gradient of a
+    column-major copy of 50 rows has the bytes of the row-major rows, and
+    so have the values."""
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(b * 10 + K)
+    Q = rng.dirichlet(np.ones(lat.n_paths), 50)
+    column_major = np.asfortranarray(Q)
+    assert not column_major.flags.c_contiguous
+    for obj, rho in objectives(lat, rng):
+        assert same_bits(obj.gradient(column_major, rho), obj.gradient(Q, rho))
+        assert all(map(same_bits, obj.evaluate(column_major, rho), obj.evaluate(Q, rho)))
+
+
+@pytest.mark.parametrize("b, K", [(2, 1), (2, 4), (3, 2)])
+def test_a_tape_serves_its_value_and_gradient_unchanged(b, K):
+    """A point's tape gives the value and the gradient that a fresh forward
+    pass gives, float for float, and neither pass writes over it; the rows
+    taken from a tape differentiate as their own tape does."""
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(b * 10 + K + 1)
+    Q = rng.dirichlet(np.ones(lat.n_paths), 4)
+    for obj, rho in objectives(lat, rng):
+        tape = obj.tape(Q)
+        saved = [x.copy() for x in tape.arrays()]
+        assert all(map(same_bits, obj.evaluate(Q, rho, tape), obj.evaluate(Q, rho)))
+        assert same_bits(obj.gradient(Q, rho, tape), obj.gradient(Q, rho))
+        assert all(map(same_bits, tape.arrays(), saved))
+        rows = [2, 0]
+        assert same_bits(obj.gradient(Q[rows], rho, tape.take(rows)), obj.gradient(Q[rows], rho))
+
+
 # -- the brute-force grid ----------------------------------------------------------
 
 def reference_brute_force(g, params, resolution):
