@@ -254,12 +254,15 @@ def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """X_0 + sum_{c>=1} w_c (X_c - X_0) / W over the children axis, w (..., c),
     X (..., c, m), W (...) the positive total weight: exact where X is constant.
-    The children are added one by one: a column's floats ignore its neighbours and the CPU."""
+    The children are added one by one: a column's floats ignore its neighbours and the CPU.
+    The sum builds in ``out`` where given, which then needs no other array of its size."""
     first = X[..., 0, :]
-    acc = w[..., 1, None] * (X[..., 1, :] - first)
+    acc = np.multiply(w[..., 1, None], X[..., 1, :] - first, out=out)
     for c in range(2, X.shape[-2]):
         acc += w[..., c, None] * (X[..., c, :] - first)
-    return np.add(first, acc / W[..., None], out=out)
+    acc /= W[..., None]
+    acc += first
+    return acc
 
 
 def cond_exp(x: np.ndarray, k: int, Q: Measure):
