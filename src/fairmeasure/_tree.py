@@ -40,10 +40,10 @@ Derivatives*) is
 
 one O(P) top-down sweep in :meth:`Tree.reverse`.
 
-The adjoint reads only the fold's A (and, for the correlation floor, its
-moments), never W itself, so the forward pass at a batch of rows is kept
-as the rows' :class:`Tape`: the node weights W, the fold's A (written level
-by level into one buffer) and the floor's moments where there is a floor.  The
+A gradient needs the fold at its point, and the evaluation of that point
+has just made it, so the forward pass at a batch of rows is kept as the
+rows' :class:`Tape`: the node weights W, the fold's A (written level by
+level into one buffer) and the floor's moments where there is a floor.  The
 value and the gradient at a point both read its tape, and neither writes
 over it, so a point that was evaluated is differentiated without folding
 again; a tape's rows can be taken apart, as the descent keeps each row's
@@ -357,7 +357,7 @@ class Tape:
         """An unset tape like this one, of ``rows`` rows."""
         return self._like([np.empty((rows,) + x.shape[1:]) for x in self.arrays()])
 
-    def put(self, rows, tape: Tape, sel=slice(None)) -> None:
+    def put(self, rows, tape: Tape, sel) -> None:
         """Set the rows ``rows`` to the rows ``sel`` of ``tape``."""
         for x, y in zip(self.arrays(), tape.arrays()):
             x[rows] = y[sel]
