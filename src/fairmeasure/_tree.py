@@ -42,17 +42,17 @@ one O(P) top-down sweep in :meth:`Tree.reverse`.
 
 A gradient needs the fold at its point, and the evaluation of that point
 has just made it, so the forward pass at a batch of rows is kept as the
-rows' :class:`Tape`: the node weights W, the fold's A (written level by
-level into one buffer) and the floor's moments where there is a floor.  The
+rows' :class:`Tape`: the node weights W, the fold's A and the floor's
+moments where there is a floor.  The
 value and the gradient at a point both read its tape, and neither writes
 over it, so a point that was evaluated is differentiated without folding
 again; a tape's rows can be taken apart, as the descent keeps each row's
 last evaluated point.  The objective hands the kernel its rows
 C-contiguous, so the adjoint, whose einsums add in an order that follows
 the layout, gives the same floats whatever the caller's layout.  m's
-deviations from A share one buffer too, so each of its elementwise passes
-runs once over every level, and only the einsums that sum a node go level
-by level.
+adjoint keeps its deviations from A in one buffer, so each of its
+elementwise passes runs once over every level, and only the einsums that
+sum a node go level by level.
 """
 from __future__ import annotations
 
@@ -153,36 +153,30 @@ class Tree:
     def averages(self, W: list[np.ndarray], horizon: int) -> list[np.ndarray]:
         """A[k][:, :, j] = E[g_{k+1+j} | F_k] at the level-k nodes, shape
         (G, b^k, h, n*d) with h = min(horizon, K - k)."""
-        return self._fold(W, horizon)[1]
-
-    def _fold(self, W: list[np.ndarray], horizon: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """:meth:`averages` and the one buffer that holds them all."""
         b, K, G = self.b, self.K, W[0].shape[0]
         positive, rows_last = bool((W[K] > 0.0).all()), _rows_last(W[K])
-        M = self.nodes[0].shape[1]
-        hs = [min(horizon, K - k) for k in range(K)]
-        flat, out = _levels([(G, b ** k, h * M) for k, h in enumerate(hs)], rows_last)
-        A = [x.reshape(G, b ** k, h, M) for k, (x, h) in enumerate(zip(out, hs))]
+        A: list = [None] * K
         for k in range(K - 1, -1, -1):
-            h, child = hs[k], self.nodes[k + 1]
+            h, child = min(horizon, K - k), self.nodes[k + 1]
+            M = child.shape[1]
             w = W[k + 1].reshape(G, b ** k, b)
             Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
             if h == 1:
                 X = child.reshape(1, b ** k, b, M)
             elif b == 2 and h * M == 2:  # averaged apart: see the module docstring
-                _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk, out=A[k][:, :, 0])
-                _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk,
-                               out=A[k][:, :, 1])
+                A[k] = _empty((G, b ** k, 2, 1), rows_last)
+                A[k][:, :, 0] = _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk)
+                A[k][:, :, 1] = _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk)
                 continue
             else:
                 X = _empty((G, b ** (k + 1), h, M), rows_last)
                 X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
                 X = X.reshape(G, b ** k, b, h * M)
-            _weighted_mean(w, X, Wk, out=out[k])
+            A[k] = _weighted_mean(w, X, Wk).reshape(G, b ** k, h, M)
         if not positive:  # the fold kept weightless nodes at their first child's value
             for k in range(K):
                 A[k][W[k] <= 0.0] = 0.0
-        return flat, A
+        return A
 
     def reverse(self, terms: list, D: list[np.ndarray]) -> np.ndarray:
         """Per path (G, P): the sum over k of terms[k] (G, b^k; a scalar for
@@ -208,29 +202,33 @@ class Tree:
           A: list[np.ndarray] | None = None):
         """The m-functional per weight row (G,), or its (terms, D) for
         :meth:`reverse` with ``adjoint``.  A is the fold at W (a tape's),
-        folded here where None.  The levels' deviations share one buffer, so
-        each elementwise pass runs once over all of them; only the value
-        pass of a fold made here writes them over the fold."""
+        folded here where None; only the value pass of a fold made here
+        writes its deviations over the fold.  The adjoint keeps every
+        level's deviations in one buffer, so each of its elementwise passes
+        runs once over all levels."""
         own = A is None and not adjoint
         if A is None:
-            fold, A = self._fold(W, self.K)
+            A = self.averages(W, self.K)
         dt2, rows_last = self.dt * self.dt, _rows_last(W[-1])
         shapes = [a.shape for a in A]
-        flat, dev = (fold, A) if own else _levels(shapes, rows_last)
+        flat, dev = (None, A) if own else _levels(shapes, rows_last)
         for k in range(self.K):
             np.subtract(self.nodes[k][:, None, :], A[k], out=dev[k])
+        norms = [s[:-1] + (self.n,) for s in shapes]
+        if not adjoint:
+            total = 0.0
+            for w, y in zip(W, dev):
+                nrm = np.abs(y, out=y) if self.d == 1 else np.sqrt(
+                    np.square(y, out=y).reshape(y.shape[:-1] + (self.n, self.d)).sum(axis=-1))
+                nrm **= p
+                total = total + _node_sum(w, nrm, rows_last)
+            return dt2 * total
         if self.d == 1:
-            norms = shapes
-            nrm = np.abs(flat, out=None if adjoint else flat)
-            x = _levels(norms, rows_last, nrm)[1] if adjoint else dev
+            nrm = np.abs(flat)
         else:
-            norms = [s[:-1] + (self.n,) for s in shapes]
             nrm, x = _levels(norms, rows_last)
             for k in range(self.K):
                 np.sqrt(np.square(dev[k]).reshape(norms[k] + (self.d,)).sum(axis=-1), out=x[k])
-        if not adjoint:
-            nrm **= p
-            return dt2 * sum(_node_sum(w, y, rows_last) for w, y in zip(W, x))
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
         if self.d == 1:

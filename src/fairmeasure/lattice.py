@@ -250,14 +250,13 @@ def _parent_weights(w: np.ndarray, b: int) -> np.ndarray:
     return w[..., 0::2] + w[..., 1::2] if b == 2 else w.reshape(w.shape[:-1] + (-1, b)).sum(-1)
 
 
-def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """X_0 + sum_{c>=1} w_c (X_c - X_0) / W over the children axis, w (..., c),
     X (..., c, m), W (...) the positive total weight: exact where X is constant.
     The children are added one by one: a column's floats ignore its neighbours and the CPU.
-    The sum builds in ``out`` where given, which then needs no other array of its size."""
+    The weighted sum is divided and shifted in place."""
     first = X[..., 0, :]
-    acc = np.multiply(w[..., 1, None], X[..., 1, :] - first, out=out)
+    acc = w[..., 1, None] * (X[..., 1, :] - first)
     for c in range(2, X.shape[-2]):
         acc += w[..., c, None] * (X[..., c, :] - first)
     acc /= W[..., None]
