@@ -7,8 +7,12 @@ and gradients (``solver._Objective``) and says whether they are
 differentiable, the projection maps rows onto the feasible box-simplex, the
 gap gives each row's Frank-Wolfe gap over it, and max_iter bounds the
 iterations of one penalty round.  Each evaluation's forward pass is its
-tape (``_tree.Tape``); a row keeps the tape that reached its point, and
-its next gradient reads it, so differentiating runs only the adjoint.
+tape (``_tree.Tape``), and a tape lives for one trial: a row is
+differentiated as soon as its point is evaluated, at a round's start from
+the round's tape and on accepting a trial from the trial's (its accepting
+rows taken, where not all of them accepted), so differentiating runs only
+the adjoint.  The row keeps that gradient for its next iteration, and
+``minimize`` certifies a solved winner from it.
 
 Every iteration searches along the projected arc P(x - t g): each trial
 step t is one projection and one evaluation, and a rejected trial halves
@@ -46,6 +50,17 @@ the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
 * The spectral step capped at ``STEP``: m on the deep lattice took
   49 iterations instead of 36, and the 20 tiny oracle instances 0.46 s
   instead of 0.24 s in all.
+
+One variant gives the same points and runs no faster, but takes more
+code: each row kept the trial tape that reached its point, and its next
+iteration differentiated that tape (the tape itself where it held just the
+active rows in order, else their rows gathered across trials).  It needs
+a per-row record of tape and place and three more methods of the tape,
+and it skips the gradient at the last point of a round that ends at
+max_iter.  The benchmark's run_s medians over 4 alternating 10 s pairs at
+seed 1, kept tape against gradient on acceptance: deep_solve 0.130 against
+0.130 s, oracle_small 0.907 against 0.922 s and floor_cli 1.378 against
+1.352 s, peak memory within 0.2 MB; every output the same.
 """
 from __future__ import annotations
 
@@ -68,8 +83,9 @@ class Descent:
 
     Each row has its own step size and line-search window and leaves the
     active set when it stops; each backtracking trial evaluates only the
-    rows still searching, and a row that accepts keeps its place in the
-    trial's tape.  Every kernel call and projection treats rows
+    rows still searching, and a row that accepts is differentiated from the
+    trial's tape at once, so no tape outlives its trial and the gradient
+    at each row's point is ``grad``.  Every kernel call and projection treats rows
     independently, so a row's path is the same float for float whatever
     else is in the batch."""
 
@@ -85,34 +101,13 @@ class Descent:
         self.counts = np.zeros((S, 3), dtype=int)   # evaluations, gradients, projections
         self.steps = np.empty((S, 64, 3))   # per accepted step: raw value, step size, violation
         self.stop = np.full(S, "max_iter", dtype=object)
-        # per row, the tape of the evaluation that reached its point q, and
-        # the row's place in it
-        self.source: list = [None] * S
+        self.grad = np.empty_like(self.q)   # per row, the gradient at q at its round's rho
 
     def trace(self, row: int) -> list[tuple[float, float, float]]:
         """(raw value, step size, violation) after each accepted step of a
         row; the step size is the trial step t that the line search
         accepted, the point being P(x - t g)."""
         return [tuple(step) for step in self.steps[row, :self.iterations[row]].tolist()]
-
-    def _keep(self, rows: np.ndarray, tape, places: np.ndarray) -> None:
-        """Keep the rows ``places`` of ``tape`` as the tapes of ``rows``."""
-        for r, i in zip(rows.tolist(), places.tolist()):
-            self.source[r] = (tape, i)
-
-    def tape(self, rows: np.ndarray):
-        """The tape of the points of ``rows``: a kept tape itself where it
-        holds just these rows in order, else their rows gathered."""
-        kept = [self.source[r] for r in rows.tolist()]
-        tape = kept[0][0]
-        if all(t is tape for t, _ in kept):
-            places = [i for _, i in kept]
-            return tape if places == list(range(len(tape))) else tape.take(places)
-        out = tape.empty(len(kept))
-        for t in {id(t): t for t, _ in kept}.values():
-            mine = [j for j, (u, _) in enumerate(kept) if u is t]
-            out.put(mine, t, [kept[j][1] for j in mine])
-        return out
 
     def round(self, rows: np.ndarray, rho: float) -> None:
         """At most max_iter iterations on ``rows`` at penalty weight rho.  A
@@ -127,17 +122,15 @@ class Descent:
         q[rows] = self.project(q[rows])
         tape = obj.tape(q[rows])
         recent[rows, 0], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho, tape)
-        self._keep(rows, tape, np.arange(rows.size))
-        self.counts[rows] += (1, 0, 1)
+        self.grad[rows] = obj.gradient(q[rows], rho, tape)
+        self.counts[rows] += 1
         self.stop[rows], self.rho[rows] = "max_iter", rho
         self.rounds[rows] += 1
         active = rows
         for it in range(self.max_iter):
             if not active.size:
                 break
-            x = q[active]
-            grad = obj.gradient(x, rho, self.tape(active))
-            self.counts[active, 1] += 1
+            x, grad = q[active], self.grad[active]
             done = self.gap(x, grad) <= TOL
             self.stop[active[done]] = "tol"
             active, x, grad = active[~done], x[~done], grad[~done]
@@ -174,7 +167,9 @@ class Descent:
                 ok = f_pen <= recent[r].max(axis=1) - 1e-4 * d2 / t[r]
                 a = r[ok]
                 q[a], self.raw[a], self.viol[a] = xn[ok], f_raw[ok], f_viol[ok]
-                self._keep(a, tape, np.flatnonzero(ok))
+                if a.size:
+                    self.grad[a] = obj.gradient(xn[ok], rho, tape if ok.all() else tape.take(ok))
+                    self.counts[a, 1] += 1
                 recent[a, (it + 1) % recent.shape[1]] = f_pen[ok]
                 n = self.iterations[a]
                 if a.size and n.max() == self.steps.shape[1]:

@@ -43,11 +43,11 @@ one O(P) top-down sweep in :meth:`Tree.reverse`.
 A gradient needs the fold at its point, and the evaluation of that point
 has just made it, so the forward pass at a batch of rows is kept as the
 rows' :class:`Tape`: the node weights W, the fold's A and the floor's
-moments where there is a floor.  The
-value and the gradient at a point both read its tape, and neither writes
-over it, so a point that was evaluated is differentiated without folding
-again; a tape's rows can be taken apart, as the descent keeps each row's
-last evaluated point.  The objective hands the kernel its rows
+moments where there is a floor.  The value and the gradient at a point
+both read its tape, and neither writes over it, so a point that was
+evaluated is differentiated without folding again.  A tape lives for one
+trial of the descent: the rows that accept a trial are differentiated
+from its tape at once, taken from it where only some accepted.  The objective hands the kernel its rows
 C-contiguous, so the adjoint, whose einsums add in an order that follows
 the layout, gives the same floats whatever the caller's layout.  m's
 adjoint keeps its deviations from A in one buffer, so each of its
@@ -181,8 +181,10 @@ class Tree:
     def reverse(self, terms: list, D: list[np.ndarray]) -> np.ndarray:
         """Per path (G, P): the sum over k of terms[k] (G, b^k; a scalar for
         k > 0) at its level-k node plus sum_l (sum_{k<l} D[k][:, :, l-k-1]) . g_l.
-        D[k] is (G, b^k, h_k, n*d) with h_{k+1} >= h_k - 1; the running sum of
-        D goes down to the children, and its l-th entry closes at level l."""
+        D[k] is (G, b^k, h_k, n*d) with h_{k+1} = h_k - 1 wherever h_k > 1 (m's
+        every horizon; n's h_k = 1); the running sum of D goes down to the
+        children in arrays of its own, leaving D as it was, and its l-th
+        entry closes at level l."""
         b, K = self.b, self.K
         acc, carry = terms[0], D[0]
         for k in range(1, K + 1):
@@ -193,9 +195,8 @@ class Tree:
             if k < K:
                 later, carry = carry[:, :, None, 1:], D[k]
                 if later.shape[3]:
-                    nxt = carry.reshape((G, parents, b) + carry.shape[2:])
-                    nxt[:, :, :, :later.shape[3]] += later
-                    carry = nxt.reshape(carry.shape)
+                    carry = (carry.reshape((G, parents, b) + carry.shape[2:]) + later
+                             ).reshape(carry.shape)
         return acc
 
     def m(self, W: list[np.ndarray], p: float, adjoint: bool = False,
@@ -330,32 +331,16 @@ class Tape:
     def __init__(self, W: list[np.ndarray], A: list[np.ndarray], moments: tuple | None):
         self.W, self.A, self.moments = W, A, moments
 
-    def __len__(self) -> int:
-        return len(self.W[0])
-
     def arrays(self) -> list[np.ndarray]:
         """Every array of the tape, in a fixed order."""
         floor = [] if self.moments is None else [self.moments[0], *(
             x for part in self.moments[1] for x in part)]
         return self.W + self.A + floor
 
-    def _like(self, arrays: list[np.ndarray]) -> Tape:
-        """A tape of this one's structure holding ``arrays``, in :meth:`arrays` order."""
-        K = len(self.A)
-        W, A, floor = arrays[:K + 1], arrays[K + 1:2 * K + 1], arrays[2 * K + 1:]
-        moments = None if self.moments is None else (
-            floor[0], [tuple(floor[i:i + 4]) for i in range(1, len(floor), 4)])
-        return Tape(W, A, moments)
-
     def take(self, rows) -> Tape:
         """The tape of the rows ``rows``."""
-        return self._like([x[rows] for x in self.arrays()])
-
-    def empty(self, rows: int) -> Tape:
-        """An unset tape like this one, of ``rows`` rows."""
-        return self._like([np.empty((rows,) + x.shape[1:]) for x in self.arrays()])
-
-    def put(self, rows, tape: Tape, sel) -> None:
-        """Set the rows ``rows`` to the rows ``sel`` of ``tape``."""
-        for x, y in zip(self.arrays(), tape.arrays()):
-            x[rows] = y[sel]
+        K, arrays = len(self.A), [x[rows] for x in self.arrays()]
+        floor = arrays[2 * K + 1:]
+        moments = None if self.moments is None else (
+            floor[0], [tuple(floor[i:i + 4]) for i in range(1, len(floor), 4)])
+        return Tape(arrays[:K + 1], arrays[K + 1:2 * K + 1], moments)

@@ -49,9 +49,11 @@ Kiwiel 2008), in a number of O(P) passes that is small in practice and
 bounded by 2P + floor(log2 P) + 4.
 
 Each value is one O(P) forward pass of the node kernel in ``_tree``, kept
-as the point's tape, and each gradient the kernel's exact adjoint sweep
-over the tape of a point already evaluated: the descent's iterates, the
-starts and the winner whose gap certifies its value.
+as the point's tape for as long as one trial, and each gradient the
+kernel's exact adjoint sweep over that tape: a row is differentiated at
+each round's start and at each point it accepts, so a solved winner's
+certificate reads the gradient its descent took there, and only a start
+that wins is differentiated again, from the starts' tape.
 
 n on a binary lattice with no floor takes none of the above: there its
 minimum is the exact bottom-up walk over subtree mass of ``_exact``, in
@@ -219,8 +221,8 @@ class _Objective:
     """Penalized objective on raw weight rows (G, P) or one vector (P,):
     values and exact gradients, each one pass of the node kernel in
     ``_tree``.  The forward pass at a point is its :class:`Tape`; the value
-    and the adjoint read it, so a point whose tape is kept is differentiated
-    without folding again.  The rows enter C-contiguous, so neither pass
+    and the adjoint read it, so a point differentiated from its tape is not
+    folded again.  The rows enter C-contiguous, so neither pass
     follows the caller's layout.  The penalty weight rho is an argument, so
     one tree serves every penalty round.  ``differentiable`` says whether
     the penalized value is continuously differentiable: m with p > 1, as the
@@ -279,12 +281,15 @@ class RestartRecord(NamedTuple):
     gap at most ``_descent.TOL``), "stalled-line-search" (no step above the
     minimum step decreased the value), "zero-step" (the projected step did
     not move) or "max_iter".  The counts are rows the descent evaluated
-    (forward passes, each kept as the point's tape), differentiated
-    (adjoint passes over a tape already taken, so none folds again) and
-    projected for this start; ``rho`` is the penalty weight of its last
+    (forward passes, each the point's tape), differentiated and projected
+    for this start.  A row is differentiated once per point it reached, at
+    each round's start and at each accepted step, from the tape its
+    evaluation made, so ``gradients`` is iterations + penalty_rounds and
+    no gradient folds again.  ``rho`` is the penalty weight of its last
     round, ``value`` and ``violation`` those of the point it reached.  Where
     the exact walk solved n (b = 2, no floor) the one record has kind and
-    stop "exact", no iterations and one evaluation, of the walk's point."""
+    stop "exact", one evaluation, of the walk's point, and no iteration,
+    gradient or penalty round."""
 
     kind: str
     stop: str
@@ -429,8 +434,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     # (no floor, so rho = 0)
     certified = None
     if smooth_convex:
-        tape = run.tape(np.array([r])) if solved else start_tape.take([r])
-        certified = max(0.0, float(gap(q, obj.gradient(q, 0.0, tape))))
+        grad = run.grad[r] if solved else obj.gradient(q, 0.0, start_tape.take([r]))
+        certified = max(0.0, float(gap(q, grad)))
     feasible = bool(feasible_idx.size) and report.feasible
     return SolveReport(measure=measure, value=float(value[w]),
                        gap=certified, constraint_slacks=report.summary(),

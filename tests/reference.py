@@ -439,12 +439,14 @@ def pgd(obj, q0, project, gap, max_iter, rho):
     s's / s'y of the last pair, clamped (``STEP`` where s'y <= 0), and a
     trial is tested against the largest of the last ``_WINDOW`` penalized
     values; elsewhere the trial step doubles up to ``STEP`` and the test is
-    against the current value.  Returns (q, raw value, violation,
+    against the current value.  The gradient is taken at the start and
+    after each accepted step.  Returns (q, raw value, violation,
     iterations, trace, stop reason)."""
     from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW, STEP, TOL
     spectral = obj.differentiable
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
+    grad = obj.gradient(q, rho)
     recent = [pen]
     trace = []
     t = STEP
@@ -452,7 +454,6 @@ def pgd(obj, q0, project, gap, max_iter, rho):
     iters = 0
     stop = "max_iter"
     for _ in range(max_iter):
-        grad = obj.gradient(q, rho)
         if float(gap(q, grad)) <= TOL:
             stop = "tol"
             break
@@ -475,6 +476,7 @@ def pgd(obj, q0, project, gap, max_iter, rho):
             fn_pen, fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, rho))
             if fn_pen <= ref_value - 1e-4 * d2 / t:
                 q, pen, raw, viol = qn, fn_pen, fn_raw, vn
+                grad = obj.gradient(q, rho)
                 recent.append(pen)
                 iters += 1
                 trace.append((fn_raw, t, vn))

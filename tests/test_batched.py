@@ -256,7 +256,8 @@ def test_restart_records_stop_reasons(two_path, monkeypatch):
     assert [rec.stop for rec in rep.restarts] == ["tol"] * 3
     capped = fm.minimize(two_path, params, fm.SolveOptions(restarts=3, max_iter=2), extra)
     assert [rec.stop for rec in capped.restarts] == ["max_iter"] * 3
-    assert all(rec.iterations == 2 and rec.gradients == 2 for rec in capped.restarts)
+    # a gradient at the start and at each accepted point, the last one included
+    assert all(rec.iterations == 2 and rec.gradients == 3 for rec in capped.restarts)
     # a first trial step below the line search's minimum step stalls every row
     monkeypatch.setattr(_descent, "STEP", 1e-15)
     frozen = fm.minimize(two_path, params, fm.SolveOptions(restarts=2), [np.array([0.8, 0.2])])

@@ -770,8 +770,9 @@ def test_analytic_gradient_matches_fd_with_penalty(two_path_pair):
 @pytest.mark.parametrize("case", ["m", "p=1", "n", "floor"])
 def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkeypatch):
     """The rows minimize differentiates are those its records count, plus
-    the winner once where its gap certifies the value.  n descends on b = 3;
-    on b = 2 it is solved exactly."""
+    a start winner once where its gap certifies the value; a solved winner's
+    certificate reads the gradient its descent took at its point.  n
+    descends on b = 3; on b = 2 it is solved exactly."""
     rng = np.random.default_rng(21)
     lat = fm.build_lattice(3 if case == "n" else 2, 2)
     g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
@@ -789,7 +790,8 @@ def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkey
     monkeypatch.setattr(_Objective, "gradient", counted)
     rep = fm.minimize(g, params, opts)
     assert (rep.gap is not None) == (case == "m")
-    assert sum(rows) == sum(r.gradients for r in rep.restarts) + (rep.gap is not None)
+    start_certified = rep.gap is not None and rep.winner % 2 == 0
+    assert sum(rows) == sum(r.gradients for r in rep.restarts) + start_certified
 
 
 @pytest.mark.parametrize("case", ["m", "p=1", "floor"])
@@ -816,6 +818,32 @@ def test_gradients_fold_nothing(case, monkeypatch):
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=3, max_iter=60))
     assert calls["gradient"] > 0 and sum(r.gradients for r in rep.restarts) > 0
     assert calls["fold"] == calls["evaluate"]
+
+
+@pytest.mark.parametrize("max_iter", [60, 2])
+@pytest.mark.parametrize("case", ["m", "p=1", "n", "floor"])
+def test_each_point_reached_is_differentiated_once(case, max_iter):
+    """A row is differentiated at the start of each penalty round and at
+    each point it accepts, the last one too where a round ends at max_iter,
+    so every descent record counts iterations + penalty_rounds gradients.
+    n descends on b = 3; max_iter = 2 ends rounds at max_iter."""
+    rng = np.random.default_rng(21)
+    lat = fm.build_lattice(3 if case == "n" else 2, 2)
+    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
+                                 objective="n" if case == "n" else "m",
+                                 c=0.9 if case == "floor" else None)
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=3, max_iter=max_iter))
+    assert all(r.gradients == r.iterations + r.penalty_rounds for r in rep.restarts)
+    assert max_iter > 2 or all(r.stop == "max_iter" for r in rep.restarts)
+
+
+def test_the_exact_record_counts_no_gradient():
+    """n on a binary lattice is walked, not descended: its one record has
+    no iteration, no gradient and no penalty round."""
+    g = random_process(np.random.default_rng(21), fm.build_lattice(2, 2), low=0.5, high=2.0)
+    rec, = fm.minimize(g, fm.ConstraintParams(N=2.0, objective="n")).restarts
+    assert (rec.iterations, rec.gradients, rec.penalty_rounds) == (0, 0, 0)
 
 
 def test_deep_lattice_counts_stay_pinned():

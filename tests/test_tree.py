@@ -344,6 +344,23 @@ def test_kernel_passes_leave_their_inputs_alone(b, K, n, d, zero):
         assert all(same_bits(a, e) for a, e in zip(inputs(), saved))
 
 
+@pytest.mark.parametrize("b, K, n, d", [(2, 3, 1, 1), (3, 2, 2, 2), (2, 5, 2, 1)])
+def test_reverse_leaves_its_adjoint_alone(b, K, n, d):
+    """The sweep builds its running sum of D in arrays of its own: two
+    reverse calls on one (terms, D) give the same bytes, and D keeps its
+    bytes, for m (every horizon) and n (one step)."""
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(b * 10 + K)
+    tree = Tree(random_process(rng, lat, n=n, d=d, low=0.3, high=3.0))
+    W = tree.node_weights(rng.dirichlet(np.ones(lat.n_paths), 3))
+    for terms, D in (tree.m(W, 2.0, adjoint=True), tree.m(W, 1.5, adjoint=True),
+                     tree.n_value(W, adjoint=True)):
+        saved = [x.copy() for x in D]
+        first = tree.reverse(terms, D)
+        assert all(map(same_bits, D, saved))
+        assert same_bits(tree.reverse(terms, D), first)
+
+
 def objectives(lat, rng):
     """m at p = 2 and 1.5 and n on one scalar exchange, m on two vector
     exchanges, and m at p = 2 with an active correlation floor (rho = 25) on
@@ -386,8 +403,9 @@ def test_a_tape_serves_its_value_and_gradient_unchanged(b, K):
         assert all(map(same_bits, obj.evaluate(Q, rho, tape), obj.evaluate(Q, rho)))
         assert same_bits(obj.gradient(Q, rho, tape), obj.gradient(Q, rho))
         assert all(map(same_bits, tape.arrays(), saved))
-        rows = [2, 0]
-        assert same_bits(obj.gradient(Q[rows], rho, tape.take(rows)), obj.gradient(Q[rows], rho))
+        for rows in ([2, 0], np.array([True, False, True, True])):
+            assert same_bits(obj.gradient(Q[rows], rho, tape.take(rows)),
+                             obj.gradient(Q[rows], rho))
 
 
 # -- the brute-force grid ----------------------------------------------------------
