@@ -84,10 +84,10 @@ class Descent:
     Each row has its own step size and line-search window and leaves the
     active set when it stops; each backtracking trial evaluates only the
     rows still searching, and a row that accepts is differentiated from the
-    trial's tape at once, so no tape outlives its trial and the gradient
-    at each row's point is ``grad``.  Every kernel call and projection treats rows
-    independently, so a row's path is the same float for float whatever
-    else is in the batch."""
+    trial's tape at once, so no tape outlives its trial and ``grad`` holds
+    the gradient at every row's point.  Every kernel call and projection
+    treats rows independently, so a row's path is the same float for float
+    whatever else is in the batch."""
 
     def __init__(self, obj, starts: np.ndarray,
                  project: Callable[[np.ndarray], np.ndarray],

@@ -47,12 +47,12 @@ moments where there is a floor.  The value and the gradient at a point
 both read its tape, and neither writes over it, so a point that was
 evaluated is differentiated without folding again.  A tape lives for one
 trial of the descent: the rows that accept a trial are differentiated
-from its tape at once, taken from it where only some accepted.  The objective hands the kernel its rows
-C-contiguous, so the adjoint, whose einsums add in an order that follows
-the layout, gives the same floats whatever the caller's layout.  m's
-adjoint keeps its deviations from A in one buffer, so each of its
-elementwise passes runs once over every level, and only the einsums that
-sum a node go level by level.
+from its tape at once, taken from it where only some accepted.  The
+objective hands the kernel its rows C-contiguous, so the adjoint, whose
+einsums add in an order that follows the layout, gives the same floats
+whatever the caller's layout.  m's adjoint keeps its deviations from A in
+one buffer, so each of its elementwise passes runs once over every level,
+and only the einsums that sum a node go level by level.
 """
 from __future__ import annotations
 

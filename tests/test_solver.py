@@ -767,18 +767,23 @@ def test_analytic_gradient_matches_fd_with_penalty(two_path_pair):
         assert np.linalg.norm(ana - fd) <= 1e-4 * scale
 
 
+def descent_case(case):
+    """(process, params) on K = 2 for m at p = 2 or 1, n, or m with a
+    binding floor; n descends on b = 3, as on b = 2 it is solved exactly."""
+    rng = np.random.default_rng(21)
+    lat = fm.build_lattice(3 if case == "n" else 2, 2)
+    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
+    return g, fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
+                                  objective="n" if case == "n" else "m",
+                                  c=0.9 if case == "floor" else None)
+
+
 @pytest.mark.parametrize("case", ["m", "p=1", "n", "floor"])
 def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkeypatch):
     """The rows minimize differentiates are those its records count, plus
     a start winner once where its gap certifies the value; a solved winner's
-    certificate reads the gradient its descent took at its point.  n
-    descends on b = 3; on b = 2 it is solved exactly."""
-    rng = np.random.default_rng(21)
-    lat = fm.build_lattice(3 if case == "n" else 2, 2)
-    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
-    params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
-                                 objective="n" if case == "n" else "m",
-                                 c=0.9 if case == "floor" else None)
+    certificate reads the gradient its descent took at its point."""
+    g, params = descent_case(case)
     opts = fm.SolveOptions(restarts=3, max_iter=60)
     rows = []
     gradient = _Objective.gradient
@@ -826,13 +831,8 @@ def test_each_point_reached_is_differentiated_once(case, max_iter):
     """A row is differentiated at the start of each penalty round and at
     each point it accepts, the last one too where a round ends at max_iter,
     so every descent record counts iterations + penalty_rounds gradients.
-    n descends on b = 3; max_iter = 2 ends rounds at max_iter."""
-    rng = np.random.default_rng(21)
-    lat = fm.build_lattice(3 if case == "n" else 2, 2)
-    g = random_process(rng, lat, n=2 if case == "floor" else 1, low=0.5, high=2.0)
-    params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
-                                 objective="n" if case == "n" else "m",
-                                 c=0.9 if case == "floor" else None)
+    max_iter = 2 ends every round at max_iter."""
+    g, params = descent_case(case)
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=3, max_iter=max_iter))
     assert all(r.gradients == r.iterations + r.penalty_rounds for r in rep.restarts)
     assert max_iter > 2 or all(r.stop == "max_iter" for r in rep.restarts)
