@@ -1,13 +1,14 @@
 """Lock-step projected gradient descent over a batch of start rows.
 
 ``solver.minimize`` hands every start to one :class:`Descent` as a row of a
-(G, P) weight array, the G axis of the node kernel, and runs its penalty
-rounds through :meth:`Descent.round`.  The objective supplies per-row values
-and gradients (``solver._Objective``) and says whether they are
-differentiable, the projection maps rows onto the feasible box-simplex, the
-gap gives each row's Frank-Wolfe gap over it, and max_iter bounds the
-iterations of one penalty round.  Each evaluation's forward pass is its
-tape (``_tree.Tape``), and a tape lives for one trial: a row is
+(G, P) weight array, the G axis of the node kernel, and runs its multiplier
+rounds through :meth:`Descent.round` and :meth:`Descent.multiply`; each row
+keeps its own multipliers and the floor's integrals at its point.  The
+objective supplies per-row values and gradients (``solver._Objective``) and
+says whether they are differentiable, the projection maps rows onto the
+feasible box-simplex, the gap gives each row's Frank-Wolfe gap over it, and
+max_iter bounds the iterations of one round.  Each evaluation's forward
+pass is its tape (``_tree.Tape``), and a tape lives for one trial: a row is
 differentiated as soon as its point is evaluated, at a round's start from
 the round's tape and on accepting a trial from the trial's (its accepting
 rows taken, where not all of them accepted), so differentiating runs only
@@ -19,9 +20,9 @@ step t is one projection and one evaluation, and a rejected trial halves
 t.  How the first trial step is chosen and what a trial is tested against
 depend on the objective:
 
-* Differentiable (m with p > 1, with or without the floor's quadratic
-  penalty): spectral projected gradient (Barzilai & Borwein 1988; Raydan
-  1997; Birgin, Martinez & Raydan 2000).  The first trial step of a round
+* Differentiable (m with p > 1, with or without the floor's augmented
+  Lagrangian term): spectral projected gradient (Barzilai & Borwein 1988;
+  Raydan 1997; Birgin, Martinez & Raydan 2000).  The first trial step of a round
   is ``STEP``; after that it is the Barzilai-Borwein ratio s's / s'y of
   the row's last pair, s = x_k - x_{k-1} and y = g_k - g_{k-1}, clamped to
   [_BB_MIN, _BB_MAX], with s'y <= 0 (no positive curvature along s)
@@ -35,7 +36,9 @@ depend on the objective:
 
 Variants measured against this one, by ``minimize`` on the instances of
 the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
-2.4), which lose (n on the deep lattice was measured before the exact walk):
+2.4), which lose (n on the deep lattice was measured before the exact walk,
+and the kept tape below under the growing quadratic-penalty rounds that the
+multiplier rounds replaced):
 
 * The spectral step and the window on every row: n on a deep lattice
   (b = 2, K = 11) stopped at 0.05153 instead of 0.05049, and m at p = 1
@@ -43,10 +46,10 @@ the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
   evaluations per row, 6 s instead of 0.035 s each.  Across a kink the BB
   ratio estimates no curvature.
 * A monotone test with the spectral step: the correlation-floor instance
-  (b = 4, K = 3, three exchanges) took 3.7 s instead of 0.95 s, and its
-  rows stopped at stalled-line-search or zero-step instead of tol.  On
-  the nonsmooth rows alone it raised n on the deep lattice from 0.0504891
-  to 0.0509553.
+  (b = 4, K = 3, three exchanges) took 1.36-1.44 s instead of 0.32 s at
+  seeds 1 and 2, its rows taking 356-415 iterations instead of 183-219 for
+  the same minimum.  On the nonsmooth rows alone it raised n on the deep
+  lattice from 0.0504891 to 0.0509553.
 * The spectral step capped at ``STEP``: m on the deep lattice took
   49 iterations instead of 36, and the 20 tiny oracle instances 0.46 s
   instead of 0.24 s in all.
@@ -101,7 +104,12 @@ class Descent:
         self.counts = np.zeros((S, 3), dtype=int)   # evaluations, gradients, projections
         self.steps = np.empty((S, 64, 3))   # per accepted step: raw value, step size, violation
         self.stop = np.full(S, "max_iter", dtype=object)
-        self.grad = np.empty_like(self.q)   # per row, the gradient at q at its round's rho
+        self.grad = np.empty_like(self.q)   # per row, the gradient at q of its round's value
+        # per row and floor pair, the multiplier of its next round and the
+        # integral at q, read from the evaluation that reached q; the caller
+        # may reset a row's multipliers and point between rounds
+        pairs = 0 if obj.floor is None else len(obj.floor.pairs)
+        self.lam, self.integrals = np.zeros((S, pairs)), np.zeros((S, pairs))
 
     def trace(self, row: int) -> list[tuple[float, float, float]]:
         """(raw value, step size, violation) after each accepted step of a
@@ -109,20 +117,40 @@ class Descent:
         accepted, the point being P(x - t g)."""
         return [tuple(step) for step in self.steps[row, :self.iterations[row]].tolist()]
 
+    def multiply(self, rows: np.ndarray) -> np.ndarray:
+        """After a round on ``rows``: each row's KKT residual, the largest
+        |max(c - I, -lam / (2 rho))| over the pairs at the multipliers of
+        the round and the integrals I at its point, and then the multiplier
+        update lam <- max(0, lam + 2 rho (c - I)) (Hestenes 1969; Powell
+        1969)."""
+        lam, slack = self.lam[rows], self.obj.params.c - self.integrals[rows]
+        w = 2.0 * self.rho[rows, None]
+        self.lam[rows] = np.maximum(0.0, lam + w * slack)
+        return np.abs(np.maximum(slack, -lam / w)).max(axis=1)
+
     def round(self, rows: np.ndarray, rho: float) -> None:
-        """At most max_iter iterations on ``rows`` at penalty weight rho.  A
-        row is stationary, and stops at "tol", once its Frank-Wolfe gap is at
-        most TOL.  The step and the window start afresh each round, as rho
-        changes the penalized value."""
+        """At most max_iter iterations on ``rows`` at penalty weight rho, each
+        row on its augmented Lagrangian f + rho * sum max(0, c + lam / (2 rho)
+        - I)^2, the floor c shifted by its multipliers ``lam``.  A row is
+        stationary, and stops at "tol", once its Frank-Wolfe gap is at most
+        TOL.  The step and the window start afresh each round, as the
+        multipliers change the penalized value."""
         obj, q, t = self.obj, self.q, np.full(len(self.q), STEP)
+        # per row and pair, the floor its penalty is against: c shifted by the
+        # row's multipliers, or c itself (None) where there is no penalty
+        shift = obj.params.c + self.lam / (2.0 * rho) if self.lam.shape[1] and rho else None
+        shifted = lambda r: None if shift is None else shift[r]
         spectral = obj.differentiable
         # each row's last penalized values in this round, -inf where none yet
         recent = np.full((len(q), _WINDOW if spectral else 1), -np.inf)
         last_x, last_grad = np.empty_like(q), np.empty_like(q)   # the spectral rows' last pair
         q[rows] = self.project(q[rows])
         tape = obj.tape(q[rows])
-        recent[rows, 0], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho, tape)
-        self.grad[rows] = obj.gradient(q[rows], rho, tape)
+        recent[rows, 0], self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], rho, tape,
+                                                                        shifted(rows))
+        self.grad[rows] = obj.gradient(q[rows], rho, tape, shifted(rows))
+        if shift is not None:
+            self.integrals[rows] = tape.moments[0]
         self.counts[rows] += 1
         self.stop[rows], self.rho[rows] = "max_iter", rho
         self.rounds[rows] += 1
@@ -162,14 +190,17 @@ class Descent:
                 if not search.size:
                     break
                 tape = obj.tape(xn)
-                f_pen, f_raw, f_viol = obj.evaluate(xn, rho, tape)
+                f_pen, f_raw, f_viol = obj.evaluate(xn, rho, tape, shifted(r))
                 self.counts[r, 0] += 1
                 ok = f_pen <= recent[r].max(axis=1) - 1e-4 * d2 / t[r]
                 a = r[ok]
                 q[a], self.raw[a], self.viol[a] = xn[ok], f_raw[ok], f_viol[ok]
                 if a.size:
-                    self.grad[a] = obj.gradient(xn[ok], rho, tape if ok.all() else tape.take(ok))
+                    kept = tape if ok.all() else tape.take(ok)
+                    self.grad[a] = obj.gradient(xn[ok], rho, kept, shifted(a))
                     self.counts[a, 1] += 1
+                    if shift is not None:
+                        self.integrals[a] = kept.moments[0]
                 recent[a, (it + 1) % recent.shape[1]] = f_pen[ok]
                 n = self.iterations[a]
                 if a.size and n.max() == self.steps.shape[1]:

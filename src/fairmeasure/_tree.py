@@ -274,9 +274,9 @@ class Tree:
 
 class Floor:
     """The correlation floor on pairs of scalar exchanges: the integrals
-    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights, and the
-    penalty rho * sum max(0, c - integral)^2, its largest violation and its
-    adjoint terms.  The solver, the oracle and the constraint report read
+    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights, the
+    penalty rho * sum max(0, c - integral)^2 and its adjoint terms, and the
+    largest violation.  The solver, the oracle and the constraint report read
     the same all-pairs pass.  The products are einsums, not BLAS matmuls,
     so a row's result does not depend on how many rows share the call."""
 
@@ -303,15 +303,21 @@ class Floor:
         return total, parts
 
     @staticmethod
-    def penalty(integrals: np.ndarray, c: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, rho * sum max(0, c - integral)^2 and the largest
-        max(0, c - integral), from the integrals of :meth:`moments`."""
-        viols = np.maximum(0.0, c - integrals)
-        return rho * (viols * viols).sum(axis=1), viols.max(axis=1)
+    def penalty(integrals: np.ndarray, c, rho: float) -> np.ndarray:
+        """Per row, rho * sum max(0, c - integral)^2, from the integrals of
+        :meth:`moments`; c is the floor, or per row and pair a shifted floor
+        (G, pairs)."""
+        short = np.maximum(0.0, c - integrals)
+        return rho * (short * short).sum(axis=1)
 
-    def penalty_terms(self, moments: tuple, c: float, rho: float) -> list:
+    @staticmethod
+    def violation(integrals: np.ndarray, c: float) -> np.ndarray:
+        """Per row, the largest max(0, c - integral)."""
+        return np.maximum(0.0, c - integrals).max(axis=1)
+
+    def penalty_terms(self, moments: tuple, c, rho: float) -> list:
         """Node terms of rho * sum max(0, c - integral)^2 for :meth:`Tree.reverse`,
-        from the (integrals, parts) of :meth:`moments`."""
+        from the (integrals, parts) of :meth:`moments`; c as in :meth:`penalty`."""
         total, parts = moments
         weight = -2.0 * rho * np.maximum(c - total, 0.0)
         terms: list = [0.0]

@@ -5,9 +5,8 @@ equivalence box mu/N <= q <= N*mu (atomwise, which on a finite space is the
 same as the per-event condition), optionally cut by a correlation floor on
 every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
-with a quadratic penalty rho * sum max(0, c - I)^2 over the exchange pairs
-for the floor (rho 10, x10 per round, <= 6 rounds) from the base measure.  A
-row stops once its Frank-Wolfe gap over the box-simplex is at most
+from the base measure, with multiplier rounds for the floor.  A row stops
+once its Frank-Wolfe gap over the box-simplex is at most
 ``_descent.TOL``; that gap is the solver's one stationarity measure.  On
 the lattice, m with p >= 1 and n are convex in the weights; where m is
 also smooth (p > 1) and no floor binds, every stationary point is a global
@@ -32,11 +31,23 @@ The starts descend in lock step as the rows of one (G, P) batch, the G
 axis of the node kernel.  Each row keeps its own step size and window; an
 active mask drops a row once its gap is at most TOL, its line search
 stalls, its projected step vanishes or it reaches max_iter, and each
-backtracking trial evaluates only the rows still searching.  Penalty rounds
-are shared: every row starts at rho = 10, and after each round the rows
-that meet the floor leave while the rest go on at the grown rho, so rho is
-one scalar per round.
-Kernel calls and the projection treat rows independently, so each start
+backtracking trial evaluates only the rows still searching.
+
+The floor is met by multiplier rounds, the PHR augmented Lagrangian
+(Hestenes 1969; Powell 1969; Rockafellar 1973; Birgin & Martinez 2014).
+Each row keeps one multiplier lam >= 0 per exchange pair, from 0, and a
+round descends on f + rho * sum max(0, c + lam / (2 rho) - I)^2, the
+quadratic penalty against the floor shifted by lam / (2 rho).  After the
+round lam <- max(0, lam + 2 rho (c - I)) from the integrals I of the point
+the row reached, read from the evaluation that reached it.  rho starts at
+1e3 and stays there while the row's KKT residual, max |max(c - I,
+-lam / (2 rho))| over the pairs, at least halves each round; a round that
+does not halve it grows rho tenfold, and a row whose start meets the floor
+then also starts again from it with no multipliers.  A row leaves once its
+residual is at most 1e-9, after 30 rounds, or when a round at its largest
+rho does not halve it: 1e12 where its start met the floor, else 1e6.  The
+rows that share a rho take a round together, so rho is one scalar per
+kernel call.  Kernel calls and the projection treat rows independently, so each start
 follows the same float path as it would alone.
 
 Every trial step and random start goes through the box-simplex projection
@@ -115,8 +126,9 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``max_iter`` limits each penalty round, not the whole solve: a start
-    that runs all 6 rounds may take up to 6 * max_iter iterations.
+    """``max_iter`` limits each multiplier round, not the whole solve: a
+    start with a floor runs at most 30 rounds, so up to 30 * max_iter
+    iterations.
     ``restarts`` counts the base start and the random ones, which
     ``minimize`` draws only where m is not both smooth and convex; ``seed``
     draws them."""
@@ -247,28 +259,35 @@ class _Objective:
         A = self.tree.averages(W, self.tree.K if self.params.objective == "m" else 1)
         return Tape(W, A, None if self.floor is None else self.floor.moments(W))
 
-    def evaluate(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None
+    def evaluate(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None,
+                 floor: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(penalized value, raw objective, max floor violation) per row of
-        Q, read from its tape (taken here where None)."""
+        Q, read from its tape (taken here where None).  The penalty is
+        against ``floor``, per row and pair the floor shifted by the row's
+        multipliers (G, pairs), or the floor c itself where None; the
+        violation is always against c."""
         tape = self.tape(Q) if tape is None else tape
         raw = self.raw(tape.W, tape.A)
         if self.floor is None:
             return raw, raw, np.zeros_like(raw)
-        penalty, violation = self.floor.penalty(tape.moments[0], self.params.c, rho)
-        return raw + penalty, raw, violation
+        c, integrals = self.params.c, tape.moments[0]
+        penalty = self.floor.penalty(integrals, c if floor is None else floor, rho)
+        return raw + penalty, raw, self.floor.violation(integrals, c)
 
-    def gradient(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None
-                 ) -> np.ndarray:
-        """Gradient of the penalized value, in the shape of Q: the adjoint
-        sweep of the node kernel over Q's tape (taken here where None)."""
+    def gradient(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None,
+                 floor: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the penalized value of :meth:`evaluate`, in the shape
+        of Q: the adjoint sweep of the node kernel over Q's tape (taken here
+        where None)."""
         tape = self.tape(Q) if tape is None else tape
         if self.params.objective == "m":
             terms, D = self.tree.m(tape.W, self.params.p, adjoint=True, A=tape.A)
         else:
             terms, D = self.tree.n_value(tape.W, adjoint=True, A=tape.A)
         if self.floor is not None and rho > 0.0:
-            pen = self.floor.penalty_terms(tape.moments, self.params.c, rho)
+            pen = self.floor.penalty_terms(tape.moments, self.params.c if floor is None
+                                           else floor, rho)
             terms = [t + e for t, e in zip(terms, pen)]
         return self.tree.reverse(terms, D).reshape(np.shape(Q))
 
@@ -277,7 +296,7 @@ class _Objective:
 
 class RestartRecord(NamedTuple):
     """What the descent from one start did.  ``kind`` is "base", "random" or
-    "extra"; ``stop`` is why its last penalty round ended: "tol" (Frank-Wolfe
+    "extra"; ``stop`` is why its last round ended: "tol" (Frank-Wolfe
     gap at most ``_descent.TOL``), "stalled-line-search" (no step above the
     minimum step decreased the value), "zero-step" (the projected step did
     not move) or "max_iter".  The counts are rows the descent evaluated
@@ -285,10 +304,14 @@ class RestartRecord(NamedTuple):
     for this start.  A row is differentiated once per point it reached, at
     each round's start and at each accepted step, from the tape its
     evaluation made, so ``gradients`` is iterations + penalty_rounds and
-    no gradient folds again.  ``rho`` is the penalty weight of its last
-    round, ``value`` and ``violation`` those of the point it reached.  Where
-    the exact walk solved n (b = 2, no floor) the one record has kind and
-    stop "exact", one evaluation, of the walk's point, and no iteration,
+    no gradient folds again.  ``penalty_rounds`` counts its multiplier
+    rounds (one without a floor), those before a new start from its start
+    point included, as are their iterations.  ``rho`` is the penalty weight
+    of its last round, ``value`` and ``violation`` those of the point it
+    reached, and ``multipliers`` its multipliers after the last round, one
+    per exchange pair i < j in order (none without a floor).  Where the
+    exact walk solved n (b = 2, no floor) the one record has kind and stop
+    "exact", one evaluation, of the walk's point, and no iteration,
     gradient or penalty round."""
 
     kind: str
@@ -301,6 +324,7 @@ class RestartRecord(NamedTuple):
     rho: float
     value: float
     violation: float
+    multipliers: tuple[float, ...] = ()
 
 
 @dataclass
@@ -334,28 +358,63 @@ class SolveReport:
             raise ParameterError("feasible report with slack below tolerance")
 
 
-# The floor's penalty schedule: the first rho, its growth per round, the most rounds.
-_PENALTY_INIT = 10.0
-_PENALTY_GROWTH = 10.0
-_PENALTY_ROUNDS = 6
+# The floor's multiplier rounds.  Every row starts at the penalty weight
+# _RHO, which grows to at most _RHO_MAX_MET for a row whose start met the
+# floor, so the floor is in reach, and to _RHO_MAX for any other: with one
+# cap of 1e12, a row on a floor out of reach took 12660 evaluations (4.9 s
+# on 9 paths) to stay where it was.  A round has stalled where its KKT
+# residual is above _STALL times the row's last one.  A row leaves at a
+# residual of _KKT_TOL, as a row that leaves with a slack s > 0 on a pair
+# whose multiplier is lam is lam * s above the optimum (FEASIBILITY_TOL left
+# one 2.7e-6 relative above SLSQP on a random floor with lam = 173), and
+# after _ROUNDS rounds.  rho * sum max(0, c + lam / (2 rho) - I)^2 is the
+# PHR term (r/2) sum max(0, c + lam / r - I)^2 at r = 2 rho.
+_RHO, _RHO_MAX, _RHO_MAX_MET = 1e3, 1e6, 1e12
+_STALL = 0.5
+_KKT_TOL = 1e-9
+_ROUNDS = 30
 
 
 def _solve_starts(obj: _Objective, starts: np.ndarray,
                   project: Callable[[np.ndarray], np.ndarray],
                   gap: Callable[[np.ndarray, np.ndarray], np.ndarray], max_iter: int,
-                  floor_active: bool) -> Descent:
-    """Descend from every start row at once.  Every row begins at rho =
-    _PENALTY_INIT, and the rows still above the floor after a round go on
-    with rho grown by _PENALTY_GROWTH, so one scalar rho serves each round."""
+                  met: np.ndarray | None) -> Descent:
+    """Descend from every start row at once: one round without a floor
+    (``met`` None), else multiplier rounds (Hestenes 1969; Powell 1969;
+    Birgin & Martinez 2014), ``met`` saying which starts meet the floor.
+
+    Each round descends on the row's augmented Lagrangian at its rho, and
+    after it :meth:`Descent.multiply` updates the row's multipliers and
+    gives its KKT residual.  A row leaves once that is at most _KKT_TOL, after
+    _ROUNDS rounds, or where a round at its largest rho stalls.  Any other
+    stall grows its rho tenfold, as Birgin & Martinez's rule does.  A row
+    whose start met the floor also starts again from it, with no
+    multipliers: it has stalled near a point where no feasible direction
+    raises the integrals it lacks, which no multiplier leaves, and a larger
+    rho keeps its new descent nearer the floor.  The rows that share a rho
+    take each round together."""
     run = Descent(obj, starts, project, gap, max_iter)
     rows = np.arange(len(starts))
-    rho = _PENALTY_INIT if floor_active else 0.0
-    for _ in range(_PENALTY_ROUNDS if floor_active else 1):
-        run.round(rows, rho)
-        rows = rows[run.viol[rows] > FEASIBILITY_TOL]
-        if not floor_active or not rows.size:
+    if met is None:
+        run.round(rows, 0.0)
+        return run
+    run.rho[:] = _RHO
+    last = np.full(len(starts), np.inf)   # each row's residual after its last round
+    for k in range(_ROUNDS):
+        rho = run.rho[rows]
+        for r in sorted(set(rho.tolist())):
+            run.round(rows[rho == r], r)
+        residual = run.multiply(rows)
+        stalled = residual > _STALL * last[rows]
+        last[rows] = residual
+        top = np.where(met[rows], _RHO_MAX_MET, _RHO_MAX)
+        going = (residual > _KKT_TOL) & ~(stalled & (rho >= top))
+        rows, stalled = rows[going], rows[going & stalled]
+        if not rows.size or k == _ROUNDS - 1:
             break
-        rho *= _PENALTY_GROWTH
+        run.rho[stalled] *= 10.0
+        again = stalled[met[stalled]]
+        run.q[again], run.lam[again], last[again] = starts[again], 0.0, np.inf
     return run
 
 
@@ -372,13 +431,15 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     or an active correlation floor) (restarts - 1) random feasible points are
     added to the starts; for m with p > 1 and no floor the objective is
     convex and smooth, so the base start alone reaches the optimum and no
-    random start is drawn.  The correlation floor is handled by the quadratic penalty
-    rho * sum max(0, c - I)^2 over the exchange pairs; rho starts at 10 and
-    grows tenfold per round, at most 6 rounds.  Every start point is kept as a
-    candidate, so whenever the base measure is feasible the report is
-    feasible with value no worse than the base value.  If no candidate ever
-    satisfies the floor the best penalized point is returned with
-    ``feasible=False``.
+    random start is drawn.  The correlation floor is handled by multiplier
+    rounds on the augmented Lagrangian f + rho * sum max(0, c + lam / (2 rho)
+    - I)^2 over the exchange pairs, each start with its own multipliers lam
+    and rho: rho is 1e3 while the KKT residual halves each round and grows
+    tenfold where it does not, at most 30 rounds (see the module docstring
+    and ``_solve_starts``).  Every start point is kept as a candidate, so
+    whenever the base measure is feasible the report is feasible with value
+    no worse than the base value.  If no candidate ever satisfies the floor
+    the least violating point is returned with ``feasible=False``.
 
     Objective n on a binary lattice with no floor is solved exactly
     instead, with no descent: the walk of ``_exact`` over subtree mass
@@ -411,7 +472,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
 
     start_tape = obj.tape(starts)
     _, start_raw, start_viol = obj.evaluate(starts, tape=start_tape)
-    run = _solve_starts(obj, starts, project, gap, opts.max_iter, floor_active)
+    run = _solve_starts(obj, starts, project, gap, opts.max_iter,
+                        start_viol <= FEASIBILITY_TOL if floor_active else None)
 
     # the candidates: start r is 2r and the point descended from it 2r + 1
     value = np.column_stack((start_raw, run.raw)).ravel()
@@ -424,7 +486,8 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     r, solved = divmod(w, 2)
     records = [RestartRecord(kind, str(run.stop[i]), int(run.iterations[i]),
                              *map(int, run.counts[i]), int(run.rounds[i]),
-                             float(run.rho[i]), float(run.raw[i]), float(run.viol[i]))
+                             float(run.rho[i]), float(run.raw[i]), float(run.viol[i]),
+                             tuple(run.lam[i].tolist()))
                for i, kind in enumerate(kinds)]
 
     q = run.q[r] if solved else starts[r]

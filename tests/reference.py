@@ -120,27 +120,52 @@ def grad_n(q, g):
     return grad
 
 
-def grad_penalty(q, g, pairs, c, rho):
+def grad_corr(q, g, i, j):
+    """Gradient of ``corr_raw`` in the raw weights q."""
     lat = g.lattice
     dt = lat.dt
     grad = np.zeros(lat.n_paths)
+    for k in range(1, lat.depth + 1):
+        x, y = g.values[k, :, i], g.values[k, :, j]
+        ex = float(q @ x)
+        ey = float(q @ y)
+        cov = float(q @ (x * y)) - ex * ey
+        scale = float(q @ np.abs(x * y))
+        d_cov = x * y - x * ey - y * ex
+        d_scale = np.abs(x * y)
+        grad += dt * (d_cov * scale - cov * d_scale) / (scale * scale)
+    return grad
+
+
+def grad_penalty(q, g, pairs, c, rho):
+    grad = np.zeros(g.lattice.n_paths)
     for i, j in pairs:
         gap = c - corr_raw(q, g, i, j)
-        if gap <= 0.0:
-            continue
-        x_all, y_all = g.values[:, :, i], g.values[:, :, j]
-        d_int = np.zeros(lat.n_paths)
-        for k in range(1, lat.depth + 1):
-            x, y = x_all[k], y_all[k]
-            ex = float(q @ x)
-            ey = float(q @ y)
-            cov = float(q @ (x * y)) - ex * ey
-            scale = float(q @ np.abs(x * y))
-            d_cov = x * y - x * ey - y * ex
-            d_scale = np.abs(x * y)
-            d_int += dt * (d_cov * scale - cov * d_scale) / (scale * scale)
-        grad += rho * 2.0 * gap * (-d_int)
+        if gap > 0.0:
+            grad += rho * 2.0 * gap * (-grad_corr(q, g, i, j))
     return grad
+
+
+def slsqp_min(g, params, q0):
+    """m at p under the correlation floor by scipy's SLSQP (Kraft 1988), a
+    sequential quadratic programming method that shares no code with the
+    package: the value, the floor and their gradients are the loops above,
+    the sum is an equality constraint and the box the bounds.  It is a
+    local method, so it returns the point it reaches from q0 (scipy's
+    ``OptimizeResult``: ``fun``, ``x``, ``success``)."""
+    from scipy.optimize import minimize as scipy_minimize
+    lo, hi = fm.box_bounds(g.lattice, params.N)
+    constraints = [{"type": "eq", "fun": lambda q: q.sum() - 1.0,
+                    "jac": lambda q: np.ones_like(q)}]
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            constraints.append({"type": "ineq",
+                                "fun": lambda q, i=i, j=j: corr_raw(q, g, i, j) - params.c,
+                                "jac": lambda q, i=i, j=j: grad_corr(q, g, i, j)})
+    return scipy_minimize(lambda q: m_raw(q, g, params.p), q0,
+                          jac=lambda q: grad_m(q, g, params.p), method="SLSQP",
+                          bounds=list(zip(lo, hi)), constraints=constraints,
+                          options={"ftol": 1e-15, "maxiter": 500})
 
 
 def central_difference(obj, q, h, rho=0.0):
@@ -430,10 +455,11 @@ def _walk(X, S, i1, i2, end, cols, outX, outS, outSplit):
 
 # -- the per-start solver loop ----------------------------------------------------
 
-def pgd(obj, q0, project, gap, max_iter, rho):
+def pgd(obj, q0, project, gap, max_iter, rho, floor=None):
     """One penalty round of projected gradient descent from one start, one
     row at a time: the loop ``minimize`` runs per start, written without
-    the batch.  A start stops at "tol" once ``gap`` (the package's
+    the batch.  The penalty at weight rho is against ``floor``, the
+    start's shifted floor per pair, or the floor c itself where None.  A start stops at "tol" once ``gap`` (the package's
     Frank-Wolfe gap) is at most ``TOL``.  Where ``obj.differentiable`` the
     first trial step is ``STEP`` and later ones the Barzilai-Borwein ratio
     s's / s'y of the last pair, clamped (``STEP`` where s'y <= 0), and a
@@ -445,8 +471,8 @@ def pgd(obj, q0, project, gap, max_iter, rho):
     from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW, STEP, TOL
     spectral = obj.differentiable
     q = project(q0)
-    pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho))
-    grad = obj.gradient(q, rho)
+    pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho, floor=floor))
+    grad = obj.gradient(q, rho, floor=floor)
     recent = [pen]
     trace = []
     t = STEP
@@ -473,10 +499,10 @@ def pgd(obj, q0, project, gap, max_iter, rho):
             if d2 == 0.0:
                 stop = "zero-step"
                 break
-            fn_pen, fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, rho))
+            fn_pen, fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, rho, floor=floor))
             if fn_pen <= ref_value - 1e-4 * d2 / t:
                 q, pen, raw, viol = qn, fn_pen, fn_raw, vn
-                grad = obj.gradient(q, rho)
+                grad = obj.gradient(q, rho, floor=floor)
                 recent.append(pen)
                 iters += 1
                 trace.append((fn_raw, t, vn))
@@ -489,26 +515,53 @@ def pgd(obj, q0, project, gap, max_iter, rho):
     return q, raw, viol, iters, trace, stop
 
 
-def solve_from(obj, q0, project, gap, max_iter, floor_active):
-    """Penalty rounds from one start: rho grows until the floor is met, and
-    each round starts its step and its window afresh in ``pgd``.
-    Returns a dict of the point reached (q, value, violation), the summed
-    iterations and trace, and the last round's rho and stop reason."""
-    from fairmeasure.solver import (_PENALTY_GROWTH, _PENALTY_INIT, _PENALTY_ROUNDS,
-                                    FEASIBILITY_TOL)
-    rho = _PENALTY_INIT if floor_active else 0.0
-    q, iters, trace, rounds = q0, 0, [], 0
-    for _ in range(_PENALTY_ROUNDS if floor_active else 1):
-        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, max_iter, rho)
+def solve_from(obj, q0, project, gap, max_iter, floor=None):
+    """Multiplier rounds from one start, each a round of ``pgd`` that starts
+    its step and its window afresh.  ``floor`` is None, for one round with
+    no penalty, or (c, integrals), the floor and a function that gives the
+    floor's integrals I at a point.  Then each round runs at the weight rho
+    against the floor shifted by the start's multipliers, c + lam / (2 rho),
+    from rho = ``_RHO`` and lam = 0; after it the KKT residual
+    max |max(c - I, -lam / (2 rho))| at the point reached is taken and
+    lam <- max(0, lam + 2 rho (c - I)).  A round whose residual is above
+    ``_STALL`` times the last one has stalled.  The rounds end once the
+    residual is at most ``_KKT_TOL``, after ``_ROUNDS`` rounds, or on a
+    stall at the largest rho: ``_RHO_MAX_MET`` where q0 meets the floor
+    (violation at most ``FEASIBILITY_TOL``), else ``_RHO_MAX``.  Any other
+    stall makes rho ten times larger, and where q0 meets the floor the
+    rounds start again from q0 with lam = 0 and no last residual.  Returns
+    a dict of the point reached (q, value, violation), the summed
+    iterations and trace, the last rho, the final multipliers and the last
+    round's stop reason."""
+    from fairmeasure.solver import (_KKT_TOL, _RHO, _RHO_MAX, _RHO_MAX_MET, _ROUNDS,
+                                    _STALL, FEASIBILITY_TOL)
+    rho = 0.0 if floor is None else _RHO
+    met = floor is not None and max(0.0, (floor[0] - floor[1](q0)).max()) <= FEASIBILITY_TOL
+    top = _RHO_MAX_MET if met else _RHO_MAX
+    q, iters, trace, rounds, lam, last = q0, 0, [], 0, 0.0, math.inf
+    for k in range(1 if floor is None else _ROUNDS):
+        shifted = None if floor is None else floor[0] + lam / (2.0 * rho)
+        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, max_iter, rho, shifted)
         iters += n
         trace.extend(steps)
         rounds += 1
-        used = rho
-        if not floor_active or viol <= FEASIBILITY_TOL:
+        if floor is None:
             break
-        rho *= _PENALTY_GROWTH
-    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace,
-                rho=used, stop=stop, penalty_rounds=rounds)
+        slack = floor[0] - floor[1](q)
+        residual = np.abs(np.maximum(slack, -lam / (2.0 * rho))).max()
+        lam = np.maximum(0.0, lam + 2.0 * rho * slack)
+        stalled = residual > _STALL * last
+        last = residual
+        if (residual <= _KKT_TOL or (stalled and rho >= top)
+                or k == _ROUNDS - 1):
+            break
+        if stalled:
+            rho *= 10.0
+            if met:
+                q, lam, last = q0, 0.0, math.inf
+    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace, rho=rho,
+                multipliers=() if floor is None else tuple(lam.tolist()), stop=stop,
+                penalty_rounds=rounds)
 
 
 # -- the Frank-Wolfe gap by sorting -------------------------------------------------

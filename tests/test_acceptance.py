@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import fairmeasure as fm
 from fairmeasure import UnfairnessConfig, cli
@@ -327,6 +328,27 @@ def test_criterion_6_oracle_equivalence():
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.2f}s >= 60s")
     _report(6, f"oracle equivalence on {len(cases)} instances, {elapsed:.2f}s", failures)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_criterion_6_floor_instances_at_two_restart_seeds(seed):
+    """Criterion 6 asks a feasible report too.  The two floor instances,
+    solved from the gate's restart seed 0 and from seed 11, must each
+    report feasible at the oracle's value.  Under growing quadratic-penalty
+    rounds both ended infeasible at seed 0, and 2p-penalized-0 ended 1.8e-2
+    above the oracle at seed 11."""
+    failures = []
+    for name, g, params, resolution in _corpus_for_criterion_6():
+        if not name.startswith("2p-penalized"):
+            continue
+        rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, max_iter=400, seed=seed))
+        oracle = fm.brute_force_min(g, params, resolution=resolution)
+        tol = max(1e-4, 1e-3 * oracle.value)
+        if not rep.feasible:
+            failures.append(f"{name}: infeasible {rep.constraint_slacks}")
+        if abs(rep.value - oracle.value) > tol:
+            failures.append(f"{name}: solver {rep.value!r} vs oracle {oracle.value!r}")
+    _report(6, f"floor instances feasible at the oracle, restart seed {seed}", failures)
 
 
 # -- 7: monotonicity in the constraint set -------------------------------------------------------

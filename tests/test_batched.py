@@ -6,6 +6,8 @@ through the same objective and projection: the same point, value,
 violation, iteration count, trace, penalty weight, stop reason and counts,
 bit for bit, whichever rows stop early.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,13 +31,13 @@ class Counting:
         self.differentiable = obj.differentiable
         self.evaluations = self.gradients = self.projections = 0
 
-    def evaluate(self, Q, rho=0.0):
+    def evaluate(self, Q, rho=0.0, floor=None):
         self.evaluations += 1
-        return self.obj.evaluate(Q, rho)
+        return self.obj.evaluate(Q, rho, floor=floor)
 
-    def gradient(self, Q, rho=0.0):
+    def gradient(self, Q, rho=0.0, floor=None):
         self.gradients += 1
-        return self.obj.gradient(Q, rho)
+        return self.obj.gradient(Q, rho, floor=floor)
 
     def project(self, v):
         self.projections += 1
@@ -58,6 +60,8 @@ def reference_solve(g, params, opts, extra=()):
     project = lambda v: fm.project_capped_simplex(v, lo, hi)
     gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
     floor_active = bool(solver._floor_pairs(g, params))
+    # the floor's integrals at a point, by a forward pass of their own (not counted)
+    floor = (params.c, lambda q: obj.tape(q).moments[0][0]) if floor_active else None
     starts = [fm.uniform_measure(lat).weights]
     starts += [project(np.random.default_rng([opts.seed, r]).uniform(lo, hi))
                for r in range(1, random_starts(params, opts, floor_active) + 1)]
@@ -65,7 +69,7 @@ def reference_solve(g, params, opts, extra=()):
     runs, candidates = [], []
     for q0 in starts:
         counting = Counting(obj, lo, hi)
-        run = ref.solve_from(counting, q0, counting.project, gap, opts.max_iter, floor_active)
+        run = ref.solve_from(counting, q0, counting.project, gap, opts.max_iter, floor)
         run.update(evaluations=counting.evaluations, gradients=counting.gradients,
                    projections=counting.projections)
         runs.append(run)
@@ -94,7 +98,7 @@ def assert_matches_reference(g, params, opts, extra=()):
     for r, (rec, run, kind) in enumerate(zip(rep.restarts, runs, kinds)):
         assert rec.kind == kind
         for field in ("stop", "iterations", "evaluations", "gradients", "projections",
-                      "penalty_rounds", "rho", "value", "violation"):
+                      "penalty_rounds", "rho", "multipliers", "value", "violation"):
             assert getattr(rec, field) == run[field], (r, field)
     assert rep.winner == winner
     q, value, viol, iters, trace = candidates[winner]
@@ -114,9 +118,9 @@ def test_batched_rows_equal_reference_points(two_path):
     obj = _Objective(two_path, params)
     project = lambda v: fm.project_capped_simplex(v, lo, hi)
     gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
-    run = solver._solve_starts(obj, starts, project, gap, opts.max_iter, False)
+    run = solver._solve_starts(obj, starts, project, gap, opts.max_iter, None)
     for r, q0 in enumerate(starts):
-        expect = ref.solve_from(obj, q0, project, gap, opts.max_iter, False)
+        expect = ref.solve_from(obj, q0, project, gap, opts.max_iter)
         assert np.array_equal(run.q[r], expect["q"])
         assert run.trace(r) == expect["trace"]
 
@@ -215,12 +219,13 @@ def test_nonsmooth_or_nonconvex_problems_keep_random_starts(three_path, params):
 
 def test_minimize_matches_reference_on_the_penalty_path():
     """A floor at its value under the uniform measure binds as soon as a row
-    moves; with a short max_iter the rows meet it after different numbers of
-    penalty rounds, so the batch shrinks between rounds as within them."""
+    moves; with a short max_iter the rows meet its KKT test after different
+    numbers of multiplier rounds, so the batch shrinks between rounds as
+    within them."""
     lat = fm.build_lattice(2, 2)
     g = random_process(np.random.default_rng(5), lat, n=2, low=0.5, high=2.0)
     c = fm.correlation_integral(fm.uniform_measure(lat), g, 0, 1)
-    opts = fm.SolveOptions(restarts=6, max_iter=3)
+    opts = fm.SolveOptions(restarts=6, max_iter=2)
     rep, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, c=c, p=2.0), opts)
     assert len({run["penalty_rounds"] for run in runs}) > 2
     assert rep.feasible
@@ -231,8 +236,16 @@ def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):
     opts = fm.SolveOptions(restarts=3, max_iter=40)
     rep, runs = assert_matches_reference(two_path_pair, params, opts)
     assert not rep.feasible
-    assert all(run["penalty_rounds"] == solver._PENALTY_ROUNDS and run["rho"] == 1e6
-               for run in runs)
+    # no start meets the floor, so no row starts again: each round from the
+    # second on stalls and grows rho tenfold, and the row leaves on its stall
+    # at the largest rho; every round leaves the same violation v and adds
+    # 2 rho v to the multiplier
+    rhos = [solver._RHO] + [solver._RHO * 10.0 ** k
+                            for k in range(round(math.log10(solver._RHO_MAX / solver._RHO)) + 1)]
+    for run in runs:
+        assert run["penalty_rounds"] == len(rhos) and run["rho"] == solver._RHO_MAX
+        grown = 2.0 * sum(rhos) * run["violation"]
+        assert run["multipliers"] == (pytest.approx(grown),)
 
 
 @settings(max_examples=25, deadline=None)
