@@ -7,10 +7,11 @@ every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
 from the base measure, with multiplier rounds for the floor.  A row stops
 once its Frank-Wolfe gap over the box-simplex is at most
-``_descent.TOL``; that gap is the solver's one stationarity measure.  On
-the lattice, m with p >= 1 and n are convex in the weights; where m is
-also smooth (p > 1) and no floor binds, every stationary point is a global
-minimizer and the gap bounds the distance to the optimal value, so one
+``_descent.TOL`` (a looser gap in the floor's first rounds, below); that
+gap is the solver's one stationarity measure.  On the lattice, m with
+p >= 1 and n are convex in the weights; where m is also smooth (p > 1) and
+no floor binds, every stationary point is a global minimizer and the gap
+bounds the distance to the optimal value, so one
 start suffices and the report carries the winner's gap.  Elsewhere (n on
 b > 2, p <= 1, the floor) the descent is also multi-started from random
 feasible points, and each start's record says why it stopped.  A
@@ -29,9 +30,9 @@ from the last one up to ``_descent.STEP`` and the test is monotone; see
 
 The starts descend in lock step as the rows of one (G, P) batch, the G
 axis of the node kernel.  Each row keeps its own step size and window; an
-active mask drops a row once its gap is at most TOL, its line search
-stalls, its projected step vanishes or it reaches max_iter, and each
-backtracking trial evaluates only the rows still searching.
+active mask drops a row once its gap is at most its round's tolerance, its
+line search stalls, its projected step vanishes or it reaches max_iter,
+and each backtracking trial evaluates only the rows still searching.
 
 The floor is met by multiplier rounds, the PHR augmented Lagrangian
 (Hestenes 1969; Powell 1969; Rockafellar 1973; Birgin & Martinez 2014).
@@ -39,16 +40,21 @@ Each row keeps one multiplier lam >= 0 per exchange pair, from 0, and a
 round descends on f + rho * sum max(0, c + lam / (2 rho) - I)^2, the
 quadratic penalty against the floor shifted by lam / (2 rho).  After the
 round lam <- max(0, lam + 2 rho (c - I)) from the integrals I of the point
-the row reached, read from the evaluation that reached it.  rho starts at
-1e3 and stays there while the row's KKT residual, max |max(c - I,
--lam / (2 rho))| over the pairs, at least halves each round; a round that
-does not halve it grows rho tenfold, and a row whose start meets the floor
-then also starts again from it with no multipliers.  A row leaves once its
-residual is at most 1e-9, after 30 rounds, or when a round at its largest
-rho does not halve it: 1e12 where its start met the floor, else 1e6.  The
-rows that share a rho take a round together, so rho is one scalar per
-kernel call.  Kernel calls and the projection treat rows independently, so each start
-follows the same float path as it would alone.
+the row reached, read from the evaluation that reached it.  As the update
+moves the target at once, the early rounds are solved inexactly (Conn,
+Gould & Toint 1991): a row's first round stops at a gap of 1e-5, its
+second at 1e-7 and every later one at TOL.  rho starts at 1e3 and stays
+there while the row's KKT residual, max |max(c - I, -lam / (2 rho))| over
+the pairs, at least halves each round; a round at TOL that does not halve
+it grows rho tenfold, and a row whose start meets the floor then also
+starts again from it with no multipliers.  A row leaves once a round at
+TOL leaves a residual of at most 1e-9, after 30 rounds, or when a round at
+its largest rho does not halve it: 1e12 where its start met the floor,
+else 1e6.  So a row that passes the KKT test after a round that stopped
+at "tol" is stationary to TOL on its last augmented Lagrangian.  The rows
+that share a rho take a round together, so rho is one scalar per kernel
+call.  Kernel calls and the projection treat rows independently, so each
+start follows the same float path as it would alone.
 
 Every trial step and random start goes through the box-simplex projection
 of ``_projection``, which the solver calls with its uniform box as the two
@@ -79,7 +85,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._descent import Descent
+from ._descent import TOL, Descent
 from ._exact import min_n
 from ._projection import frank_wolfe_gap, project_capped_simplex
 from ._tree import Floor, Tape, Tree, row_blocks
@@ -128,7 +134,9 @@ class ConstraintParams:
 class SolveOptions:
     """``max_iter`` limits each multiplier round, not the whole solve: a
     start with a floor runs at most 30 rounds, so up to 30 * max_iter
-    iterations.
+    iterations.  The gaps the rounds stop at are fixed, not options: 1e-5
+    and 1e-7 for a floor's first two rounds and ``_descent.TOL`` for every
+    later round and for the one round without a floor.
     ``restarts`` counts the base start and the random ones, which
     ``minimize`` draws only where m is not both smooth and convex; ``seed``
     draws them."""
@@ -297,7 +305,9 @@ class _Objective:
 class RestartRecord(NamedTuple):
     """What the descent from one start did.  ``kind`` is "base", "random" or
     "extra"; ``stop`` is why its last round ended: "tol" (Frank-Wolfe
-    gap at most ``_descent.TOL``), "stalled-line-search" (no step above the
+    gap at most the round's tolerance, which is ``_descent.TOL`` for a last
+    round, as a row leaves its multiplier rounds only after one at TOL
+    unless it ran all 30), "stalled-line-search" (no step above the
     minimum step decreased the value), "zero-step" (the projected step did
     not move) or "max_iter".  The counts are rows the descent evaluated
     (forward passes, each the point's tape), differentiated and projected
@@ -362,17 +372,22 @@ class SolveReport:
 # _RHO, which grows to at most _RHO_MAX_MET for a row whose start met the
 # floor, so the floor is in reach, and to _RHO_MAX for any other: with one
 # cap of 1e12, a row on a floor out of reach took 12660 evaluations (4.9 s
-# on 9 paths) to stay where it was.  A round has stalled where its KKT
-# residual is above _STALL times the row's last one.  A row leaves at a
+# on 9 paths) to stay where it was.  A round at TOL has stalled where its
+# KKT residual is above _STALL times the row's last one.  A row leaves at a
 # residual of _KKT_TOL, as a row that leaves with a slack s > 0 on a pair
 # whose multiplier is lam is lam * s above the optimum (FEASIBILITY_TOL left
 # one 2.7e-6 relative above SLSQP on a random floor with lam = 173), and
 # after _ROUNDS rounds.  rho * sum max(0, c + lam / (2 rho) - I)^2 is the
-# PHR term (r/2) sum max(0, c + lam / r - I)^2 at r = 2 rho.
+# PHR term (r/2) sum max(0, c + lam / r - I)^2 at r = 2 rho.  A row's n-th
+# round stops at the gap _ROUND_TOL[n - 1], its last entry TOL for every
+# round after: on floor_cli's instance the first round took 132-135 of each
+# row's 214-219 iterations at TOL, and with these gaps the four rows take
+# 817 evaluations against 1074, for values 2.3e-9 relative lower.
 _RHO, _RHO_MAX, _RHO_MAX_MET = 1e3, 1e6, 1e12
 _STALL = 0.5
 _KKT_TOL = 1e-9
 _ROUNDS = 30
+_ROUND_TOL = np.array([1e-5, 1e-7, TOL])
 
 
 def _solve_starts(obj: _Objective, starts: np.ndarray,
@@ -383,13 +398,20 @@ def _solve_starts(obj: _Objective, starts: np.ndarray,
     (``met`` None), else multiplier rounds (Hestenes 1969; Powell 1969;
     Birgin & Martinez 2014), ``met`` saying which starts meet the floor.
 
-    Each round descends on the row's augmented Lagrangian at its rho, and
-    after it :meth:`Descent.multiply` updates the row's multipliers and
-    gives its KKT residual.  A row leaves once that is at most _KKT_TOL, after
-    _ROUNDS rounds, or where a round at its largest rho stalls.  Any other
-    stall grows its rho tenfold, as Birgin & Martinez's rule does.  A row
-    whose start met the floor also starts again from it, with no
-    multipliers: it has stalled near a point where no feasible direction
+    Each round descends on the row's augmented Lagrangian at its rho, to
+    the gap of the row's place in _ROUND_TOL: the early rounds are solved
+    loosely, as the multiplier update moves their target at once (Conn,
+    Gould & Toint 1991), and every round from the third on to TOL.  After
+    a round :meth:`Descent.multiply` updates the row's multipliers and
+    gives its KKT residual.  Only a round at TOL is judged, as a looser
+    round's residual is not comparable with the last one: a row leaves
+    once such a round leaves a residual of at most _KKT_TOL, so it is
+    stationary to TOL on its last augmented Lagrangian unless that round
+    ended at max_iter or on a stalled line search, or where such a round
+    at its largest rho stalls; it also leaves after _ROUNDS rounds.
+    Any other stall grows its rho tenfold, as Birgin & Martinez's rule
+    does.  A row whose start met the floor also starts again from it, with
+    no multipliers: it has stalled near a point where no feasible direction
     raises the integrals it lacks, which no multiplier leaves, and a larger
     rho keeps its new descent nearer the floor.  The rows that share a rho
     take each round together."""
@@ -402,13 +424,16 @@ def _solve_starts(obj: _Objective, starts: np.ndarray,
     last = np.full(len(starts), np.inf)   # each row's residual after its last round
     for k in range(_ROUNDS):
         rho = run.rho[rows]
+        # each row's gap for this round, from its count of rounds so far
+        tol = _ROUND_TOL[np.minimum(run.rounds[rows], len(_ROUND_TOL) - 1)]
         for r in sorted(set(rho.tolist())):
-            run.round(rows[rho == r], r)
+            run.round(rows[rho == r], r, tol[rho == r])
         residual = run.multiply(rows)
-        stalled = residual > _STALL * last[rows]
+        tight = tol <= TOL
+        stalled = tight & (residual > _STALL * last[rows])
         last[rows] = residual
         top = np.where(met[rows], _RHO_MAX_MET, _RHO_MAX)
-        going = (residual > _KKT_TOL) & ~(stalled & (rho >= top))
+        going = ~(tight & (residual <= _KKT_TOL)) & ~(stalled & (rho >= top))
         rows, stalled = rows[going], rows[going & stalled]
         if not rows.size or k == _ROUNDS - 1:
             break
@@ -434,9 +459,9 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     random start is drawn.  The correlation floor is handled by multiplier
     rounds on the augmented Lagrangian f + rho * sum max(0, c + lam / (2 rho)
     - I)^2 over the exchange pairs, each start with its own multipliers lam
-    and rho: rho is 1e3 while the KKT residual halves each round and grows
-    tenfold where it does not, at most 30 rounds (see the module docstring
-    and ``_solve_starts``).  Every start point is kept as a candidate, so
+    and rho: the first two rounds stop at a looser gap, rho is 1e3 while
+    the KKT residual halves each round and grows tenfold where it does not,
+    at most 30 rounds (see the module docstring and ``_solve_starts``).  Every start point is kept as a candidate, so
     whenever the base measure is feasible the report is feasible with value
     no worse than the base value.  If no candidate ever satisfies the floor
     the least violating point is returned with ``feasible=False``.

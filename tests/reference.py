@@ -455,12 +455,13 @@ def _walk(X, S, i1, i2, end, cols, outX, outS, outSplit):
 
 # -- the per-start solver loop ----------------------------------------------------
 
-def pgd(obj, q0, project, gap, max_iter, rho, floor=None):
+def pgd(obj, q0, project, gap, max_iter, rho, floor=None, tol=None):
     """One penalty round of projected gradient descent from one start, one
     row at a time: the loop ``minimize`` runs per start, written without
     the batch.  The penalty at weight rho is against ``floor``, the
-    start's shifted floor per pair, or the floor c itself where None.  A start stops at "tol" once ``gap`` (the package's
-    Frank-Wolfe gap) is at most ``TOL``.  Where ``obj.differentiable`` the
+    start's shifted floor per pair, or the floor c itself where None.  A
+    start stops at "tol" once ``gap`` (the package's Frank-Wolfe gap) is at
+    most ``tol``, or ``TOL`` where None.  Where ``obj.differentiable`` the
     first trial step is ``STEP`` and later ones the Barzilai-Borwein ratio
     s's / s'y of the last pair, clamped (``STEP`` where s'y <= 0), and a
     trial is tested against the largest of the last ``_WINDOW`` penalized
@@ -470,6 +471,7 @@ def pgd(obj, q0, project, gap, max_iter, rho, floor=None):
     iterations, trace, stop reason)."""
     from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW, STEP, TOL
     spectral = obj.differentiable
+    tol = TOL if tol is None else tol
     q = project(q0)
     pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho, floor=floor))
     grad = obj.gradient(q, rho, floor=floor)
@@ -480,7 +482,7 @@ def pgd(obj, q0, project, gap, max_iter, rho, floor=None):
     iters = 0
     stop = "max_iter"
     for _ in range(max_iter):
-        if float(gap(q, grad)) <= TOL:
+        if float(gap(q, grad)) <= tol:
             stop = "tol"
             break
         if not spectral:
@@ -521,27 +523,31 @@ def solve_from(obj, q0, project, gap, max_iter, floor=None):
     no penalty, or (c, integrals), the floor and a function that gives the
     floor's integrals I at a point.  Then each round runs at the weight rho
     against the floor shifted by the start's multipliers, c + lam / (2 rho),
-    from rho = ``_RHO`` and lam = 0; after it the KKT residual
-    max |max(c - I, -lam / (2 rho))| at the point reached is taken and
-    lam <- max(0, lam + 2 rho (c - I)).  A round whose residual is above
-    ``_STALL`` times the last one has stalled.  The rounds end once the
-    residual is at most ``_KKT_TOL``, after ``_ROUNDS`` rounds, or on a
-    stall at the largest rho: ``_RHO_MAX_MET`` where q0 meets the floor
+    from rho = ``_RHO`` and lam = 0, and stops at the gap of its place in
+    ``_ROUND_TOL`` (1e-5, 1e-7, then ``TOL`` for every later round); after it
+    the KKT residual max |max(c - I, -lam / (2 rho))| at the point reached
+    is taken and lam <- max(0, lam + 2 rho (c - I)).  A round at ``TOL``
+    whose residual is above ``_STALL`` times the last round's has stalled;
+    a looser round never stalls.  The rounds end once a round at ``TOL``
+    leaves a residual of at most ``_KKT_TOL``, after ``_ROUNDS`` rounds, or
+    on a stall at the largest rho: ``_RHO_MAX_MET`` where q0 meets the floor
     (violation at most ``FEASIBILITY_TOL``), else ``_RHO_MAX``.  Any other
     stall makes rho ten times larger, and where q0 meets the floor the
     rounds start again from q0 with lam = 0 and no last residual.  Returns
     a dict of the point reached (q, value, violation), the summed
     iterations and trace, the last rho, the final multipliers and the last
     round's stop reason."""
-    from fairmeasure.solver import (_KKT_TOL, _RHO, _RHO_MAX, _RHO_MAX_MET, _ROUNDS,
-                                    _STALL, FEASIBILITY_TOL)
+    from fairmeasure._descent import TOL
+    from fairmeasure.solver import (_KKT_TOL, _RHO, _RHO_MAX, _RHO_MAX_MET, _ROUND_TOL,
+                                    _ROUNDS, _STALL, FEASIBILITY_TOL)
     rho = 0.0 if floor is None else _RHO
     met = floor is not None and max(0.0, (floor[0] - floor[1](q0)).max()) <= FEASIBILITY_TOL
     top = _RHO_MAX_MET if met else _RHO_MAX
     q, iters, trace, rounds, lam, last = q0, 0, [], 0, 0.0, math.inf
     for k in range(1 if floor is None else _ROUNDS):
         shifted = None if floor is None else floor[0] + lam / (2.0 * rho)
-        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, max_iter, rho, shifted)
+        tol = TOL if floor is None else float(_ROUND_TOL[min(k, len(_ROUND_TOL) - 1)])
+        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, max_iter, rho, shifted, tol)
         iters += n
         trace.extend(steps)
         rounds += 1
@@ -550,9 +556,9 @@ def solve_from(obj, q0, project, gap, max_iter, floor=None):
         slack = floor[0] - floor[1](q)
         residual = np.abs(np.maximum(slack, -lam / (2.0 * rho))).max()
         lam = np.maximum(0.0, lam + 2.0 * rho * slack)
-        stalled = residual > _STALL * last
+        stalled = tol <= TOL and residual > _STALL * last
         last = residual
-        if (residual <= _KKT_TOL or (stalled and rho >= top)
+        if ((tol <= TOL and residual <= _KKT_TOL) or (stalled and rho >= top)
                 or k == _ROUNDS - 1):
             break
         if stalled:

@@ -236,12 +236,13 @@ def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):
     opts = fm.SolveOptions(restarts=3, max_iter=40)
     rep, runs = assert_matches_reference(two_path_pair, params, opts)
     assert not rep.feasible
-    # no start meets the floor, so no row starts again: each round from the
-    # second on stalls and grows rho tenfold, and the row leaves on its stall
-    # at the largest rho; every round leaves the same violation v and adds
-    # 2 rho v to the multiplier
-    rhos = [solver._RHO] + [solver._RHO * 10.0 ** k
-                            for k in range(round(math.log10(solver._RHO_MAX / solver._RHO)) + 1)]
+    # no start meets the floor, so no row starts again: the loose rounds
+    # never stall, each round at the full gap stalls and grows rho tenfold,
+    # and the row leaves on its stall at the largest rho; every round leaves
+    # the same violation v and adds 2 rho v to the multiplier
+    loose = len(solver._ROUND_TOL) - 1
+    rhos = [solver._RHO] * loose + [solver._RHO * 10.0 ** k for k in
+                                    range(round(math.log10(solver._RHO_MAX / solver._RHO)) + 1)]
     for run in runs:
         assert run["penalty_rounds"] == len(rhos) and run["rho"] == solver._RHO_MAX
         grown = 2.0 * sum(rhos) * run["violation"]

@@ -701,6 +701,97 @@ def test_a_row_whose_start_met_the_floor_starts_again_when_it_stalls():
     assert other.success and abs(rep.value - other.fun) <= 1e-6 * other.fun
 
 
+def floor_cli_instance(seed=1, K=3):
+    """The benchmark's floor_cli problem: three correlated GBM exchanges on
+    b = 4, N = 2, m at p = 2, and a floor 0.9 times the smallest pair's
+    integral at the uniform measure."""
+    g = fm.simulate_gbm(fm.build_lattice(4, K),
+                        fm.GbmParams(n=3, d=1, drift=np.array([[0.3], [0.05], [0.15]]),
+                                     vol=np.array([[0.4], [0.25], [0.3]]),
+                                     corr=np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.5],
+                                                    [0.3, 0.5, 1.0]]),
+                                     s0=np.ones((3, 1))), seed=seed)
+    U = fm.uniform_measure(g.lattice)
+    smallest = min(fm.correlation_integral(U, g, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
+    return g, fm.ConstraintParams(N=2.0, c=0.9 * smallest, p=2.0)
+
+
+class RoundLog(solver.Descent):
+    """A descent that keeps, per row, the gap its last round stopped at and
+    the KKT residual after it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.last_tol = np.full(len(self.q), np.nan)
+        self.residual = np.full(len(self.q), np.nan)
+
+    def round(self, rows, rho, tol=TOL):
+        super().round(rows, rho, tol)
+        self.last_tol[rows] = tol
+
+    def multiply(self, rows):
+        self.residual[rows] = super().multiply(rows)
+        return self.residual[rows]
+
+
+def uniform_floor():
+    """A floor at the uniform measure's integral, which every row's first
+    round, even a loose one, meets to a KKT residual of 1e-9."""
+    g = random_process(np.random.default_rng(6), fm.build_lattice(2, 2), n=2,
+                       low=0.5, high=2.0)
+    c = fm.correlation_integral(fm.uniform_measure(g.lattice), g, 0, 1)
+    return g, fm.ConstraintParams(N=2.0, c=c, p=2.0)
+
+
+@pytest.mark.parametrize("case", ["floor_cli", "uniform", "tiny", "trap", "never met"])
+def test_every_floor_row_leaves_after_a_round_at_the_full_gap(case, two_path_pair, monkeypatch):
+    """The early rounds stop at a looser gap, but a row leaves on its KKT
+    residual only after a round at TOL, and only such a round stalls: every
+    row's last round ran at TOL, and its residual is at most _KKT_TOL unless
+    it left at its largest rho or after _ROUNDS rounds."""
+    g, params = {"floor_cli": floor_cli_instance, "uniform": uniform_floor,
+                 "tiny": lambda: random_floor(217, 2, 1, 1.83, 0.09),
+                 "trap": lambda: random_floor(1236, 3, 1, 2.0, 0.0),
+                 "never met": lambda: (two_path_pair, fm.ConstraintParams(N=2.0, c=0.9))}[case]()
+    runs = []
+
+    def logged(*args):
+        runs.append(RoundLog(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "Descent", logged)
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, seed=7))
+    run, = runs
+    assert (run.last_tol == TOL).all()
+    caps = (solver._RHO_MAX, solver._RHO_MAX_MET)
+    for rec, residual in zip(rep.restarts, run.residual):
+        assert (residual <= solver._KKT_TOL or rec.rho in caps
+                or rec.penalty_rounds == solver._ROUNDS)
+    assert rep.feasible == (case != "never met")
+
+
+def test_the_floor_cli_instance_takes_fewer_evaluations():
+    """The loose early rounds cut the evaluations the floor_cli instance
+    takes: 1074 summed over its four starts when every round ran to TOL,
+    817 with the looser first rounds; the bound is 85% of 1074."""
+    g, params = floor_cli_instance()
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, max_iter=300))
+    assert rep.feasible
+    assert sum(rec.evaluations for rec in rep.restarts) <= 0.85 * 1074
+
+
+def test_a_floor_of_tiny_integrals_ends_feasible_at_slsqp():
+    """A floor of 2e-6, where rho climbs to 1e12 before the multipliers
+    move a row: minimize still ends feasible and no more than 1e-6 relative
+    above SLSQP from its answer."""
+    pytest.importorskip("scipy")
+    g, params = random_floor(217, 2, 1, 1.83, 0.09)
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, seed=217))
+    assert rep.feasible
+    other = ref.slsqp_min(g, params, rep.measure.weights)
+    assert other.success and rep.value <= other.fun + 1e-6 * abs(other.fun)
+
+
 def test_minimize_monotone_in_N(two_path):
     values = []
     prev = None
