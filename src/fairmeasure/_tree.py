@@ -274,8 +274,8 @@ class Tree:
 
 class Floor:
     """The correlation floor on pairs of scalar exchanges: the integrals
-    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights, the
-    penalty rho * sum max(0, c - integral)^2 and its adjoint terms, and the
+    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights, their
+    gradients (weighted adjoint terms, or every pair's apart) and the
     largest violation.  The solver, the oracle and the constraint report read
     the same all-pairs pass.  The products are einsums, not BLAS matmuls,
     so a row's result does not depend on how many rows share the call."""
@@ -303,29 +303,37 @@ class Floor:
         return total, parts
 
     @staticmethod
-    def penalty(integrals: np.ndarray, c, rho: float) -> np.ndarray:
-        """Per row, rho * sum max(0, c - integral)^2, from the integrals of
-        :meth:`moments`; c is the floor, or per row and pair a shifted floor
-        (G, pairs)."""
-        short = np.maximum(0.0, c - integrals)
-        return rho * (short * short).sum(axis=1)
-
-    @staticmethod
     def violation(integrals: np.ndarray, c: float) -> np.ndarray:
         """Per row, the largest max(0, c - integral)."""
         return np.maximum(0.0, c - integrals).max(axis=1)
 
-    def penalty_terms(self, moments: tuple, c, rho: float) -> list:
-        """Node terms of rho * sum max(0, c - integral)^2 for :meth:`Tree.reverse`,
-        from the (integrals, parts) of :meth:`moments`; c as in :meth:`penalty`."""
-        total, parts = moments
-        weight = -2.0 * rho * np.maximum(c - total, 0.0)
-        terms: list = [0.0]
-        for k, (ex, ey, cov, scale) in enumerate(parts, start=1):
-            ws = weight * self.tree.dt / scale
-            coef = np.concatenate((-ws * ey, -ws * ex, ws, -ws * cov / scale), axis=1)
-            terms.append(np.einsum("gf,vf->gv", coef, self.features[k]))
-        return terms
+    def _rates(self, moments: tuple) -> list:
+        """Per level k >= 1, the derivative of each pair's integral with
+        respect to the level-k node weights (G, pairs, b^k), from the
+        (integrals, parts) of :meth:`moments`."""
+        out, J = [], len(self.pairs)
+        for k, (ex, ey, cov, scale) in enumerate(moments[1], start=1):
+            ws = self.tree.dt / scale
+            coef = np.stack((-ws * ey, -ws * ex, ws, -ws * cov / scale), axis=1)
+            out.append(np.einsum("gfj,vfj->gjv", coef, self.features[k].reshape(-1, 4, J)))
+        return out
+
+    def terms(self, moments: tuple, weight: np.ndarray) -> list:
+        """Node terms of sum_j weight_j * integral_j for :meth:`Tree.reverse`,
+        with ``weight`` (G, pairs) per row and pair."""
+        return [0.0] + [np.einsum("gj,gjv->gv", weight, rate) for rate in self._rates(moments)]
+
+    def jacobian(self, moments: tuple) -> np.ndarray:
+        """The gradient of each pair's integral in the path weights,
+        (G, pairs, P): every level's node derivatives summed down to the
+        paths in one top-down sweep, all pairs at once."""
+        rates = self._rates(moments)
+        acc = rates[0]
+        for rate in rates[1:]:
+            G, J, parents = acc.shape
+            acc = (acc[:, :, :, None] + rate.reshape(G, J, parents, self.tree.b)
+                   ).reshape(G, J, -1)
+        return acc
 
 
 class Tape:

@@ -408,6 +408,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
         "value": report.value,
         "feasible": report.feasible,
         "gap": report.gap,
+        "kkt": report.kkt,
+        "lagrangian_gap": report.lagrangian_gap,
         "iterations": report.iterations,
         "constraint_slacks": report.constraint_slacks,
         "winner": report.winner,

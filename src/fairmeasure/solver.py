@@ -5,9 +5,9 @@ equivalence box mu/N <= q <= N*mu (atomwise, which on a finite space is the
 same as the per-event condition), optionally cut by a correlation floor on
 every pair of exchanges.  The objective is one of the two unfairness
 functionals, minimized by projected gradient descent over the path weights
-from the base measure, with multiplier rounds for the floor.  A row stops
-once its Frank-Wolfe gap over the box-simplex is at most
-``_descent.TOL`` (a looser gap in the floor's first rounds, below); that
+from the base measure, with rounds on the linearized floor where there is
+one.  A row stops once its Frank-Wolfe gap over the box-simplex is at most
+``_descent.TOL`` (over the cut box-simplex under the floor, below); that
 gap is the solver's one stationarity measure.  On the lattice, m with
 p >= 1 and n are convex in the weights; where m is also smooth (p > 1) and
 no floor binds, every stationary point is a global minimizer and the gap
@@ -19,8 +19,8 @@ grid-search oracle over tiny instances provides an independent check of
 the optimizer.
 
 Each iteration searches the projected arc P(x - t g), halving t until an
-Armijo test passes.  Where the penalized value is differentiable (m with
-p > 1, with or without the floor) this is spectral projected gradient
+Armijo test passes.  Where the objective is differentiable (m with p > 1,
+with or without the floor) this is spectral projected gradient
 (Barzilai & Borwein 1988; Birgin, Martinez & Raydan 2000): t starts from
 the Barzilai-Borwein ratio of the row's last step and gradient change, and
 the test is against the largest of its last few values, so the value need
@@ -30,31 +30,31 @@ from the last one up to ``_descent.STEP`` and the test is monotone; see
 
 The starts descend in lock step as the rows of one (G, P) batch, the G
 axis of the node kernel.  Each row keeps its own step size and window; an
-active mask drops a row once its gap is at most its round's tolerance, its
-line search stalls, its projected step vanishes or it reaches max_iter,
-and each backtracking trial evaluates only the rows still searching.
+active mask drops a row once its gap is at most TOL, its line search
+stalls, its projected step vanishes or it reaches max_iter, and each
+backtracking trial evaluates only the rows still searching.
 
-The floor is met by multiplier rounds, the PHR augmented Lagrangian
-(Hestenes 1969; Powell 1969; Rockafellar 1973; Birgin & Martinez 2014).
-Each row keeps one multiplier lam >= 0 per exchange pair, from 0, and a
-round descends on f + rho * sum max(0, c + lam / (2 rho) - I)^2, the
-quadratic penalty against the floor shifted by lam / (2 rho).  After the
-round lam <- max(0, lam + 2 rho (c - I)) from the integrals I of the point
-the row reached, read from the evaluation that reached it.  As the update
-moves the target at once, the early rounds are solved inexactly (Conn,
-Gould & Toint 1991): a row's first round stops at a gap of 1e-5, its
-second at 1e-7 and every later one at TOL.  rho starts at 1e3 and stays
-there while the row's KKT residual, max |max(c - I, -lam / (2 rho))| over
-the pairs, at least halves each round; a round at TOL that does not halve
-it grows rho tenfold, and a row whose start meets the floor then also
-starts again from it with no multipliers.  A row leaves once a round at
-TOL leaves a residual of at most 1e-9, after 30 rounds, or when a round at
-its largest rho does not halve it: 1e12 where its start met the floor,
-else 1e6.  So a row that passes the KKT test after a round that stopped
-at "tol" is stationary to TOL on its last augmented Lagrangian.  The rows
-that share a rho take a round together, so rho is one scalar per kernel
-call.  Kernel calls and the projection treat rows independently, so each
-start follows the same float path as it would alone.
+The floor is met by linearly constrained rounds (Robinson 1972, Math.
+Prog. 3; Murtagh & Saunders 1978), made elastic as Friedlander & Saunders
+(2005, SIAM J. Optim. 15) do.  Each pair's constraint I - c >= 0 is
+scaled by |c|, so one multiplier, one elastic weight and TOL serve every
+floor.  A round linearizes the row's integrals at its point x, l(q) =
+h(x) + a . (q - x) with h = (I - c) / |c| and the Jacobian a from one
+adjoint sweep over all pairs, descends on f - lam . (h - l) +
+``_descent.ELASTIC`` * sum max(0, -l) from the row's multipliers lam (0
+at first), and projects every trial step onto the box-simplex cut by the
+halfspaces l >= 0 (``_projection.project_cut``), elastic where no point
+meets them.  The halfspaces' multipliers at the round's end are the
+row's next lam.  At a round's start what the linearization leaves out is
+0, so its stop test there is the floor's KKT test at the row's point and
+multipliers: the Frank-Wolfe gap of f's gradient tilted by lam . a, plus
+the complementarity.  A row leaves once a round takes no step: stopped
+at "tol", it is stationary to TOL; stalled, nothing about it would
+change in a later round.  Otherwise it leaves after 30 rounds.  The
+rounds converge fast near a solution; on the benchmark's floor instance
+each row takes six, the last one confirming.  Kernel calls and both
+projections treat rows independently, so each start follows the same
+float path as it would alone.
 
 Every trial step and random start goes through the box-simplex projection
 of ``_projection``, which the solver calls with its uniform box as the two
@@ -69,8 +69,9 @@ Each value is one O(P) forward pass of the node kernel in ``_tree``, kept
 as the point's tape for as long as one trial, and each gradient the
 kernel's exact adjoint sweep over that tape: a row is differentiated at
 each round's start and at each point it accepts, so a solved winner's
-certificate reads the gradient its descent took there, and only a start
-that wins is differentiated again, from the starts' tape.
+gap reads the gradient its descent took there, and only a start that
+wins is differentiated again, from the starts' tape.  Under the floor the
+winner is differentiated once more, for its KKT certificate.
 
 n on a binary lattice with no floor takes none of the above: there its
 minimum is the exact bottom-up walk over subtree mass of ``_exact``, in
@@ -87,7 +88,7 @@ import numpy as np
 
 from ._descent import TOL, Descent
 from ._exact import min_n
-from ._projection import frank_wolfe_gap, project_capped_simplex
+from ._projection import frank_wolfe_gap, project_capped_simplex, project_cut
 from ._tree import Floor, Tape, Tree, row_blocks
 from .errors import (InfeasibleError, ParameterError, SizeBudgetError,
                      UnsupportedConstraintError)
@@ -132,12 +133,10 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``max_iter`` limits each multiplier round, not the whole solve: a
-    start with a floor runs at most 30 rounds, so up to 30 * max_iter
-    iterations.  The gaps the rounds stop at are fixed, not options: 1e-5
-    and 1e-7 for a floor's first two rounds and ``_descent.TOL`` for every
-    later round and for the one round without a floor.
-    ``restarts`` counts the base start and the random ones, which
+    """``max_iter`` limits each round, not the whole solve: a start with a
+    floor runs at most 30 rounds on the linearized floor, so up to
+    30 * max_iter iterations.  Every round stops at the gap
+    ``_descent.TOL``, which is not an option.  ``restarts`` counts the base start and the random ones, which
     ``minimize`` draws only where m is not both smooth and convex; ``seed``
     draws them."""
 
@@ -238,15 +237,14 @@ def check_constraints(Q: Measure, g: LatticeProcess, params: ConstraintParams) -
 # -- objective -----------------------------------------------------------------
 
 class _Objective:
-    """Penalized objective on raw weight rows (G, P) or one vector (P,):
-    values and exact gradients, each one pass of the node kernel in
-    ``_tree``.  The forward pass at a point is its :class:`Tape`; the value
-    and the adjoint read it, so a point differentiated from its tape is not
-    folded again.  The rows enter C-contiguous, so neither pass
-    follows the caller's layout.  The penalty weight rho is an argument, so
-    one tree serves every penalty round.  ``differentiable`` says whether
-    the penalized value is continuously differentiable: m with p > 1, as the
-    floor's penalty is, but not n or m with p <= 1."""
+    """The objective on raw weight rows (G, P) or one vector (P,): values,
+    floor violations and exact gradients, each one pass of the node kernel
+    in ``_tree``.  The forward pass at a point is its :class:`Tape`; the
+    value and the adjoint read it, so a point differentiated from its tape
+    is not folded again.  The rows enter C-contiguous, so neither pass
+    follows the caller's layout.  ``differentiable`` says whether the
+    objective is continuously differentiable: m with p > 1, but not n or m
+    with p <= 1."""
 
     def __init__(self, g: LatticeProcess, params: ConstraintParams):
         self.params = params
@@ -267,36 +265,30 @@ class _Objective:
         A = self.tree.averages(W, self.tree.K if self.params.objective == "m" else 1)
         return Tape(W, A, None if self.floor is None else self.floor.moments(W))
 
-    def evaluate(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None,
-                 floor: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(penalized value, raw objective, max floor violation) per row of
-        Q, read from its tape (taken here where None).  The penalty is
-        against ``floor``, per row and pair the floor shifted by the row's
-        multipliers (G, pairs), or the floor c itself where None; the
-        violation is always against c."""
+    def evaluate(self, Q: np.ndarray, tape: Tape | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(objective, largest floor violation max(0, c - I)) per row of Q,
+        read from its tape (taken here where None)."""
         tape = self.tape(Q) if tape is None else tape
         raw = self.raw(tape.W, tape.A)
         if self.floor is None:
-            return raw, raw, np.zeros_like(raw)
-        c, integrals = self.params.c, tape.moments[0]
-        penalty = self.floor.penalty(integrals, c if floor is None else floor, rho)
-        return raw + penalty, raw, self.floor.violation(integrals, c)
+            return raw, np.zeros_like(raw)
+        return raw, self.floor.violation(tape.moments[0], self.params.c)
 
-    def gradient(self, Q: np.ndarray, rho: float = 0.0, tape: Tape | None = None,
-                 floor: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of the penalized value of :meth:`evaluate`, in the shape
-        of Q: the adjoint sweep of the node kernel over Q's tape (taken here
-        where None)."""
+    def gradient(self, Q: np.ndarray, tape: Tape | None = None,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the objective plus sum_j weights_j * I_j, the floor's
+        integrals weighted per row and pair (G, pairs), in the shape of Q:
+        the adjoint sweep of the node kernel over Q's tape (taken here where
+        None)."""
         tape = self.tape(Q) if tape is None else tape
         if self.params.objective == "m":
             terms, D = self.tree.m(tape.W, self.params.p, adjoint=True, A=tape.A)
         else:
             terms, D = self.tree.n_value(tape.W, adjoint=True, A=tape.A)
-        if self.floor is not None and rho > 0.0:
-            pen = self.floor.penalty_terms(tape.moments, self.params.c if floor is None
-                                           else floor, rho)
-            terms = [t + e for t, e in zip(terms, pen)]
+        if weights is not None and np.any(weights):
+            terms = [t + e for t, e in zip(terms, self.floor.terms(tape.moments,
+                                                                   np.atleast_2d(weights)))]
         return self.tree.reverse(terms, D).reshape(np.shape(Q))
 
 
@@ -304,25 +296,31 @@ class _Objective:
 
 class RestartRecord(NamedTuple):
     """What the descent from one start did.  ``kind`` is "base", "random" or
-    "extra"; ``stop`` is why its last round ended: "tol" (Frank-Wolfe
-    gap at most the round's tolerance, which is ``_descent.TOL`` for a last
-    round, as a row leaves its multiplier rounds only after one at TOL
-    unless it ran all 30), "stalled-line-search" (no step above the
-    minimum step decreased the value), "zero-step" (the projected step did
-    not move) or "max_iter".  The counts are rows the descent evaluated
+    "extra"; ``stop`` is why its last round ended: "tol" (stationary: its
+    Frank-Wolfe gap, under the floor that of the gradient tilted by the
+    multipliers plus their complementarity, at most ``_descent.TOL``),
+    "stalled-line-search" (no step above the minimum step decreased the
+    value), "zero-step" (the projected step did not move) or "max_iter".
+    Under the floor a start leaves its rounds once one takes no step, so
+    its last round stopped at "tol" before a step unless it stalled there
+    or ran all 30 rounds.  The counts are rows the descent evaluated
     (forward passes, each the point's tape), differentiated and projected
-    for this start.  A row is differentiated once per point it reached, at
-    each round's start and at each accepted step, from the tape its
-    evaluation made, so ``gradients`` is iterations + penalty_rounds and
-    no gradient folds again.  ``penalty_rounds`` counts its multiplier
-    rounds (one without a floor), those before a new start from its start
-    point included, as are their iterations.  ``rho`` is the penalty weight
-    of its last round, ``value`` and ``violation`` those of the point it
-    reached, and ``multipliers`` its multipliers after the last round, one
-    per exchange pair i < j in order (none without a floor).  Where the
-    exact walk solved n (b = 2, no floor) the one record has kind and stop
-    "exact", one evaluation, of the walk's point, and no iteration,
-    gradient or penalty round."""
+    for this start, a cut projection counting its box-simplex projections.
+    A row is differentiated once per point it reached, at each round's
+    start (with the floor's Jacobian there) and at each accepted step,
+    from the tape its evaluation made, so ``gradients`` is iterations +
+    penalty_rounds and no gradient folds again.  ``penalty_rounds`` counts
+    its rounds (one without a floor), the round on the linearized floor
+    that confirms its point included.  ``rho`` is 0.0: the rounds carry no
+    quadratic penalty (the field stays, as a report key).  ``value`` and
+    ``violation`` are those of the point it reached, and ``multipliers``
+    the floor's multipliers there, one per exchange pair i < j in order
+    (none without a floor), in the units of f - sum lam (I - c): those of
+    the linearized floor's halfspaces at the end of its last round, at most
+    ``_descent.ELASTIC`` / |c|, which they reach where the floor is out of
+    reach.  Where the exact walk solved n (b = 2, no floor) the one record
+    has kind and stop "exact", one evaluation, of the walk's point, and no
+    iteration, gradient or penalty round."""
 
     kind: str
     stop: str
@@ -349,7 +347,13 @@ class SolveReport:
     certified bound on value minus the optimal value, where one holds: m
     with p > 1 and no active floor; 0.0 where the exact walk solved n, whose
     candidates are the base measure (0) and the walk's point (1); None
-    elsewhere."""
+    elsewhere.  Under the floor, where the problem is nonconvex and no gap
+    bounds the value, ``kkt`` and ``lagrangian_gap`` certify how stationary
+    the winner is at its multipliers lam (a solved winner's, 0 for a start):
+    ``lagrangian_gap`` is the Frank-Wolfe gap of the Lagrangian
+    f - sum lam (I - c) over the box-simplex, and ``kkt`` the largest of
+    that gap, the floor's violation max(0, c - I) and the complementarity
+    |lam (I - c)| over the pairs.  Both are None without a floor."""
 
     measure: Measure
     value: float
@@ -360,6 +364,8 @@ class SolveReport:
     feasible: bool
     restarts: list[RestartRecord]
     winner: int
+    kkt: float | None = None
+    lagrangian_gap: float | None = None
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -368,78 +374,40 @@ class SolveReport:
             raise ParameterError("feasible report with slack below tolerance")
 
 
-# The floor's multiplier rounds.  Every row starts at the penalty weight
-# _RHO, which grows to at most _RHO_MAX_MET for a row whose start met the
-# floor, so the floor is in reach, and to _RHO_MAX for any other: with one
-# cap of 1e12, a row on a floor out of reach took 12660 evaluations (4.9 s
-# on 9 paths) to stay where it was.  A round at TOL has stalled where its
-# KKT residual is above _STALL times the row's last one.  A row leaves at a
-# residual of _KKT_TOL, as a row that leaves with a slack s > 0 on a pair
-# whose multiplier is lam is lam * s above the optimum (FEASIBILITY_TOL left
-# one 2.7e-6 relative above SLSQP on a random floor with lam = 173), and
-# after _ROUNDS rounds.  rho * sum max(0, c + lam / (2 rho) - I)^2 is the
-# PHR term (r/2) sum max(0, c + lam / r - I)^2 at r = 2 rho.  A row's n-th
-# round stops at the gap _ROUND_TOL[n - 1], its last entry TOL for every
-# round after: on floor_cli's instance the first round took 132-135 of each
-# row's 214-219 iterations at TOL, and with these gaps the four rows take
-# 817 evaluations against 1074, for values 2.3e-9 relative lower.
-_RHO, _RHO_MAX, _RHO_MAX_MET = 1e3, 1e6, 1e12
-_STALL = 0.5
-_KKT_TOL = 1e-9
+# The most rounds a row takes on the floor; see ``_solve_starts``.
 _ROUNDS = 30
-_ROUND_TOL = np.array([1e-5, 1e-7, TOL])
 
 
 def _solve_starts(obj: _Objective, starts: np.ndarray,
                   project: Callable[[np.ndarray], np.ndarray],
                   gap: Callable[[np.ndarray, np.ndarray], np.ndarray], max_iter: int,
-                  met: np.ndarray | None) -> Descent:
+                  cut: Callable | None = None) -> Descent:
     """Descend from every start row at once: one round without a floor
-    (``met`` None), else multiplier rounds (Hestenes 1969; Powell 1969;
-    Birgin & Martinez 2014), ``met`` saying which starts meet the floor.
+    (``cut`` None), else linearly constrained rounds (Robinson 1972; Murtagh
+    & Saunders 1978), made elastic as Friedlander & Saunders (2005) do; see
+    :meth:`Descent.round`.
 
-    Each round descends on the row's augmented Lagrangian at its rho, to
-    the gap of the row's place in _ROUND_TOL: the early rounds are solved
-    loosely, as the multiplier update moves their target at once (Conn,
-    Gould & Toint 1991), and every round from the third on to TOL.  After
-    a round :meth:`Descent.multiply` updates the row's multipliers and
-    gives its KKT residual.  Only a round at TOL is judged, as a looser
-    round's residual is not comparable with the last one: a row leaves
-    once such a round leaves a residual of at most _KKT_TOL, so it is
-    stationary to TOL on its last augmented Lagrangian unless that round
-    ended at max_iter or on a stalled line search, or where such a round
-    at its largest rho stalls; it also leaves after _ROUNDS rounds.
-    Any other stall grows its rho tenfold, as Birgin & Martinez's rule
-    does.  A row whose start met the floor also starts again from it, with
-    no multipliers: it has stalled near a point where no feasible direction
-    raises the integrals it lacks, which no multiplier leaves, and a larger
-    rho keeps its new descent nearer the floor.  The rows that share a rho
-    take each round together."""
-    run = Descent(obj, starts, project, gap, max_iter)
+    Each round linearizes the floor at the row's point and takes the
+    halfspaces' multipliers at its end as the row's next multipliers.  A
+    row leaves once a round takes no step: where it stopped at "tol" the
+    row has passed the KKT test at its point and multipliers; where it
+    stalled or ran out of iterations nothing about the row changed, so
+    every later round would repeat it, and its record's stop says it is
+    not stationary.  A round that steps, or that ends on a zero step,
+    which hands the row the multipliers of its fixed point, never lets it
+    leave: the next round linearizes again at the point it reached.  Rows
+    leave after _ROUNDS rounds in any case."""
+    run = Descent(obj, starts, project, gap, max_iter, cut)
     rows = np.arange(len(starts))
-    if met is None:
-        run.round(rows, 0.0)
+    if cut is None:
+        run.round(rows)
         return run
-    run.rho[:] = _RHO
-    last = np.full(len(starts), np.inf)   # each row's residual after its last round
-    for k in range(_ROUNDS):
-        rho = run.rho[rows]
-        # each row's gap for this round, from its count of rounds so far
-        tol = _ROUND_TOL[np.minimum(run.rounds[rows], len(_ROUND_TOL) - 1)]
-        for r in sorted(set(rho.tolist())):
-            run.round(rows[rho == r], r, tol[rho == r])
-        residual = run.multiply(rows)
-        tight = tol <= TOL
-        stalled = tight & (residual > _STALL * last[rows])
-        last[rows] = residual
-        top = np.where(met[rows], _RHO_MAX_MET, _RHO_MAX)
-        going = ~(tight & (residual <= _KKT_TOL)) & ~(stalled & (rho >= top))
-        rows, stalled = rows[going], rows[going & stalled]
-        if not rows.size or k == _ROUNDS - 1:
+    for _ in range(_ROUNDS):
+        before = run.iterations[rows]
+        run.round(rows)
+        rows = rows[(run.iterations[rows] > before) | (run.stop[rows] == "zero-step")]
+        if not rows.size:
             break
-        run.rho[stalled] *= 10.0
-        again = stalled[met[stalled]]
-        run.q[again], run.lam[again], last[again] = starts[again], 0.0, np.inf
     return run
 
 
@@ -456,12 +424,11 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     or an active correlation floor) (restarts - 1) random feasible points are
     added to the starts; for m with p > 1 and no floor the objective is
     convex and smooth, so the base start alone reaches the optimum and no
-    random start is drawn.  The correlation floor is handled by multiplier
-    rounds on the augmented Lagrangian f + rho * sum max(0, c + lam / (2 rho)
-    - I)^2 over the exchange pairs, each start with its own multipliers lam
-    and rho: the first two rounds stop at a looser gap, rho is 1e3 while
-    the KKT residual halves each round and grows tenfold where it does not,
-    at most 30 rounds (see the module docstring and ``_solve_starts``).  Every start point is kept as a candidate, so
+    random start is drawn.  The correlation floor is handled by rounds on
+    the floor linearized at each start's point, each start with its own
+    multipliers, at most 30 rounds (see the module docstring and
+    ``_solve_starts``), and the report certifies the winner's KKT residual.
+    Every start point is kept as a candidate, so
     whenever the base measure is feasible the report is feasible with value
     no worse than the base value.  If no candidate ever satisfies the floor
     the least violating point is returned with ``feasible=False``.
@@ -496,9 +463,10 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     starts[1:] = project(starts[1:])
 
     start_tape = obj.tape(starts)
-    _, start_raw, start_viol = obj.evaluate(starts, tape=start_tape)
-    run = _solve_starts(obj, starts, project, gap, opts.max_iter,
-                        start_viol <= FEASIBILITY_TOL if floor_active else None)
+    start_raw, start_viol = obj.evaluate(starts, start_tape)
+    cut = (lambda V, A, b, upper, nu: project_cut(V, lo[0], hi[0], A, b, upper, nu)
+           ) if floor_active else None
+    run = _solve_starts(obj, starts, project, gap, opts.max_iter, cut)
 
     # the candidates: start r is 2r and the point descended from it 2r + 1
     value = np.column_stack((start_raw, run.raw)).ravel()
@@ -511,25 +479,45 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     r, solved = divmod(w, 2)
     records = [RestartRecord(kind, str(run.stop[i]), int(run.iterations[i]),
                              *map(int, run.counts[i]), int(run.rounds[i]),
-                             float(run.rho[i]), float(run.raw[i]), float(run.viol[i]),
-                             tuple(run.lam[i].tolist()))
+                             0.0, float(run.raw[i]), float(run.viol[i]),
+                             tuple((run.lam[i] / run.scale).tolist()))
                for i, kind in enumerate(kinds)]
 
     q = run.q[r] if solved else starts[r]
     measure = Measure(lat, q)
     report = check_constraints(measure, g, params)
     # the winner's gap certifies its value only where m is smooth and convex
-    # (no floor, so rho = 0)
-    certified = None
+    # (no floor); under the floor its KKT residual certifies its point
+    certified = kkt = lagrangian_gap = None
     if smooth_convex:
-        grad = run.grad[r] if solved else obj.gradient(q, 0.0, start_tape.take([r]))
+        grad = run.grad[r] if solved else obj.gradient(q, start_tape.take([r]))
         certified = max(0.0, float(gap(q, grad)))
+    if floor_active:
+        lam = run.lam[r] / run.scale if solved else np.zeros(len(obj.floor.pairs))
+        kkt, lagrangian_gap = _certificate(obj, q, lam, gap)
     feasible = bool(feasible_idx.size) and report.feasible
     return SolveReport(measure=measure, value=float(value[w]),
-                       gap=certified, constraint_slacks=report.summary(),
+                       gap=certified, kkt=kkt, lagrangian_gap=lagrangian_gap,
+                       constraint_slacks=report.summary(),
                        iterations=int(run.iterations[r]) if solved else 0,
                        trace=run.trace(r) if solved else [], feasible=feasible,
                        restarts=records, winner=w)
+
+
+def _certificate(obj: _Objective, q: np.ndarray, lam: np.ndarray,
+                 gap: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """The KKT residual of a point q under the floor at its multipliers lam
+    (one per pair), and the Frank-Wolfe gap of its Lagrangian
+    f - sum lam (I - c) over the box-simplex, the residual's stationarity
+    part; the residual is the largest of that gap, the violation
+    max(0, c - I) and the complementarity |lam (I - c)| over the pairs.
+    One forward pass and one adjoint sweep at q."""
+    tape = obj.tape(q)
+    slack = tape.moments[0][0] - obj.params.c
+    lagrangian_gap = max(0.0, float(gap(q, obj.gradient(q, tape, -lam))))
+    residual = max(lagrangian_gap, float(np.maximum(0.0, -slack).max()),
+                   float(np.abs(lam * slack).max()))
+    return residual, lagrangian_gap
 
 
 def _solve_exact(g: LatticeProcess, params: ConstraintParams, obj: _Objective,
@@ -538,9 +526,9 @@ def _solve_exact(g: LatticeProcess, params: ConstraintParams, obj: _Objective,
     measure is evaluated first, so nonpositive values raise n's own error
     before the walk divides by them; it stays a candidate, so the report
     is never worse than the base."""
-    base = float(obj.evaluate(uniform_measure(g.lattice).weights)[1][0])
+    base = float(obj.evaluate(uniform_measure(g.lattice).weights)[0][0])
     q = min_n(obj.tree, lo, hi)
-    value = float(obj.evaluate(q)[1][0])
+    value = float(obj.evaluate(q)[0][0])
     w = int(value < base)
     measure = Measure(g.lattice, q) if w else uniform_measure(g.lattice)
     report = check_constraints(measure, g, params)

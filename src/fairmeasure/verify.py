@@ -224,26 +224,33 @@ def _check_projection(rng) -> tuple[bool, str]:
     return True, ""
 
 
-def _central_difference(obj, q: np.ndarray, rho: float) -> np.ndarray:
-    """Central differences of the penalized value at q (P,), one perturbed
+def _central_difference(obj, q: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Central differences of the objective at q (P,), plus the floor's
+    integrals weighted by ``weights`` (pairs,) where given, one perturbed
     row per coordinate and sign, with the step 1e-6 * max(1, |q|)."""
     E = 1e-6 * max(1.0, float(np.linalg.norm(q))) * np.eye(q.size)
-    return (obj.evaluate(q + E, rho)[0] - obj.evaluate(q - E, rho)[0]) / (2.0 * E[0, 0])
+
+    def value(X):
+        tape = obj.tape(X)
+        out = obj.evaluate(X, tape)[0]
+        return out if weights is None else out + tape.moments[0] @ weights
+
+    return (value(q + E) - value(q - E)) / (2.0 * E[0, 0])
 
 
 def _check_gradient(rng) -> tuple[bool, str]:
     """The analytic gradient against central differences: m at p in
-    {1.5, 2, 3}, n, and m with an active correlation floor (n = 2
-    exchanges, rho > 0; the integral stays below c = 1)."""
+    {1.5, 2, 3}, n, and m plus a weighted correlation integral (n = 2
+    exchanges, weight -25)."""
     lat = build_lattice(2, 2)
     lo, hi = box_bounds(lat, 3.0)
-    cases = [(ConstraintParams(N=3.0, p=p), 1, 0.0) for p in (1.5, 2.0, 3.0)]
-    cases += [(ConstraintParams(N=3.0, objective="n"), 1, 0.0),
-              (ConstraintParams(N=3.0, c=1.0), 2, 25.0)]
-    for params, n, rho in cases * 5:
+    cases = [(ConstraintParams(N=3.0, p=p), 1, None) for p in (1.5, 2.0, 3.0)]
+    cases += [(ConstraintParams(N=3.0, objective="n"), 1, None),
+              (ConstraintParams(N=3.0, c=1.0), 2, np.array([-25.0]))]
+    for params, n, weights in cases * 5:
         obj = _Objective(random_process(rng, lat, n=n), params)
         q = project_capped_simplex(rng.uniform(lo, hi), lo, hi)
-        ana, fd = obj.gradient(q, rho), _central_difference(obj, q, rho)
+        ana, fd = obj.gradient(q, weights=weights), _central_difference(obj, q, weights)
         scale = max(float(np.linalg.norm(ana)), float(np.linalg.norm(fd)), 1e-12)
         if float(np.linalg.norm(ana - fd)) > 1e-4 * scale:
             return False, (f"{params.objective}, p={params.p}, c={params.c}: gradient "
@@ -272,7 +279,7 @@ def _check_gap(rng) -> tuple[bool, str]:
         direct = float(grad @ (q - s))
         if abs(gap - direct) > 1e-12 * float(np.abs(grad).sum()):
             return False, f"gap {gap!r} != {direct!r} at the sorted vertex (p={p}, N={N:.3f})"
-        value = float(obj.evaluate(q)[1][0])
+        value = float(obj.evaluate(q)[0][0])
         oracle = brute_force_min(g, params, resolution=200 if lat.n_paths == 2 else 40).value
         if gap < value - oracle - 1e-12:
             return False, f"gap {gap!r} below m(q) - min = {value - oracle!r} (p={p})"

@@ -137,15 +137,6 @@ def grad_corr(q, g, i, j):
     return grad
 
 
-def grad_penalty(q, g, pairs, c, rho):
-    grad = np.zeros(g.lattice.n_paths)
-    for i, j in pairs:
-        gap = c - corr_raw(q, g, i, j)
-        if gap > 0.0:
-            grad += rho * 2.0 * gap * (-grad_corr(q, g, i, j))
-    return grad
-
-
 def slsqp_min(g, params, q0):
     """m at p under the correlation floor by scipy's SLSQP (Kraft 1988), a
     sequential quadratic programming method that shares no code with the
@@ -168,16 +159,23 @@ def slsqp_min(g, params, q0):
                           options={"ftol": 1e-15, "maxiter": 500})
 
 
-def central_difference(obj, q, h, rho=0.0):
-    """The gradient of ``obj``'s penalized value at q (P,) by central
-    differences, one coordinate at a time, with the step h * max(1, |q|)."""
+def central_difference(obj, q, h, weights=None):
+    """The gradient of ``obj``'s value at q (P,), plus sum_j weights_j I_j
+    over the floor's integrals where ``weights`` (pairs,) is given, by
+    central differences, one coordinate at a time, with the step
+    h * max(1, |q|)."""
+    def value(x):
+        tape = obj.tape(x)
+        out = obj.evaluate(x, tape)[0][0]
+        return out if weights is None else out + float(tape.moments[0][0] @ weights)
+
     step = h * max(1.0, float(np.linalg.norm(q)))
     grad = np.empty(q.size)
     for j in range(q.size):
         plus, minus = q.copy(), q.copy()
         plus[j] += step
         minus[j] -= step
-        grad[j] = (obj.evaluate(plus, rho)[0][0] - obj.evaluate(minus, rho)[0][0]) / (2.0 * step)
+        grad[j] = (value(plus) - value(minus)) / (2.0 * step)
     return grad
 
 
@@ -455,26 +453,47 @@ def _walk(X, S, i1, i2, end, cols, outX, outS, outSplit):
 
 # -- the per-start solver loop ----------------------------------------------------
 
-def pgd(obj, q0, project, gap, max_iter, rho, floor=None, tol=None):
-    """One penalty round of projected gradient descent from one start, one
-    row at a time: the loop ``minimize`` runs per start, written without
-    the batch.  The penalty at weight rho is against ``floor``, the
-    start's shifted floor per pair, or the floor c itself where None.  A
-    start stops at "tol" once ``gap`` (the package's Frank-Wolfe gap) is at
-    most ``tol``, or ``TOL`` where None.  Where ``obj.differentiable`` the
-    first trial step is ``STEP`` and later ones the Barzilai-Borwein ratio
-    s's / s'y of the last pair, clamped (``STEP`` where s'y <= 0), and a
-    trial is tested against the largest of the last ``_WINDOW`` penalized
-    values; elsewhere the trial step doubles up to ``STEP`` and the test is
-    against the current value.  The gradient is taken at the start and
-    after each accepted step.  Returns (q, raw value, violation,
-    iterations, trace, stop reason)."""
-    from fairmeasure._descent import _BB_MAX, _BB_MIN, _MIN_STEP, _WINDOW, STEP, TOL
+def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None):
+    """One round of projected gradient descent from one start, one row at
+    a time: the loop ``minimize`` runs per start, written without the
+    batch.  A start stops at "tol" once ``gap`` (the package's Frank-Wolfe
+    gap) is at most ``TOL``.  Where ``obj.differentiable`` the first trial
+    step is ``STEP`` and later ones the Barzilai-Borwein ratio s's / s'y of
+    the last pair, clamped (``STEP`` where s'y <= 0), and a trial is tested
+    against the largest of the last ``_WINDOW`` penalized values; elsewhere
+    the trial step doubles up to ``STEP`` and the test is against the
+    current value.  The gradient is taken at the start and after each
+    accepted step.
+
+    With ``cut``, the package's cut projection (V, A, b, upper, nu), the
+    round is the floor's linearly constrained round at the start's scaled
+    multipliers ``lam`` (1, pairs): the integrals I, scaled to
+    h = (I - c) / |c|, are linearized at q0 from the package's Jacobian,
+    centred, as l(q) = a . q - b; the value is f - lam . (h - l) +
+    ``ELASTIC`` * sum max(0, -l); each trial step is cut-projected with the
+    multiplier bound t * ``ELASTIC`` from t times the multipliers of the
+    last point, whose own are the projection's over t; the stop test adds
+    the complementarity to the gap of g - mult . a.  Returns (q, raw value,
+    violation, iterations, trace, stop reason, the multipliers at the end,
+    the cut projection's passes)."""
+    from fairmeasure._descent import (_BB_MAX, _BB_MIN, _MIN_STEP, _NOISE, _WINDOW, ELASTIC,
+                                      STEP, TOL)
     spectral = obj.differentiable
-    tol = TOL if tol is None else tol
     q = project(q0)
-    pen, raw, viol = (float(x[0]) for x in obj.evaluate(q, rho, floor=floor))
-    grad = obj.gradient(q, rho, floor=floor)
+    tape = obj.tape(q)
+    raw, viol = (float(x[0]) for x in obj.evaluate(q, tape))
+    grad = obj.gradient(q, tape)
+    pen, passes = raw, 0
+    if cut is not None:
+        c = obj.params.c
+        scale = abs(c) if c else 1.0
+        jac = obj.floor.jacobian(tape.moments) / scale
+        jac = jac - jac.mean(axis=2, keepdims=True)
+        lin = (tape.moments[0] - c) / scale
+        bound = np.einsum("gjp,gp->gj", jac, q[None]) - lin
+        noise = _NOISE * (np.abs(jac).max(axis=2) + np.abs(bound))
+        mult = lam.copy()
+        pen = raw + float(ELASTIC * np.maximum(0.0, -lin).sum(axis=1)[0])
     recent = [pen]
     trace = []
     t = STEP
@@ -482,7 +501,14 @@ def pgd(obj, q0, project, gap, max_iter, rho, floor=None, tol=None):
     iters = 0
     stop = "max_iter"
     for _ in range(max_iter):
-        if float(gap(q, grad)) <= tol:
+        if cut is None:
+            stat = float(gap(q, grad))
+        else:
+            tilt = grad[None] - np.einsum("gj,gjp->gp", mult, jac)
+            slack = np.maximum(0.0, ELASTIC * np.maximum(0.0, -lin - noise)
+                               + mult * lin).sum(axis=1)
+            stat = float((gap(q[None], tilt) + slack)[0])
+        if stat <= TOL:
             stop = "tol"
             break
         if not spectral:
@@ -496,15 +522,34 @@ def pgd(obj, q0, project, gap, max_iter, rho, floor=None, tol=None):
         accepted = False
         stop = "stalled-line-search"
         while t > _MIN_STEP:
-            qn = project(q - t * grad)
+            step = q - t * grad
+            if cut is None:
+                qn = project(step)
+            else:
+                qn, nu, n = cut(step[None], jac, bound, np.array([t * ELASTIC]), t * mult)
+                qn, nu, passes = qn[0], nu / t, passes + int(n[0])
             d2 = float(((qn - q) ** 2).sum())
             if d2 == 0.0:
                 stop = "zero-step"
+                if cut is not None:
+                    mult = nu
                 break
-            fn_pen, fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, rho, floor=floor))
+            tape = obj.tape(qn)
+            fn_raw, vn = (float(x[0]) for x in obj.evaluate(qn, tape))
+            fn_pen = fn_raw
+            if cut is not None:
+                ln = np.einsum("gjp,gp->gj", jac, qn[None]) - bound
+                d = (tape.moments[0] - c) / scale - ln
+                fn_pen = float((fn_raw - (lam * d).sum(axis=1)
+                                + ELASTIC * np.maximum(0.0, -ln).sum(axis=1))[0])
             if fn_pen <= ref_value - 1e-4 * d2 / t:
                 q, pen, raw, viol = qn, fn_pen, fn_raw, vn
-                grad = obj.gradient(q, rho, floor=floor)
+                if cut is None:
+                    grad = obj.gradient(q, tape)
+                else:
+                    grad = (obj.gradient(q[None], tape, -lam / scale)
+                            + np.einsum("gj,gjp->gp", lam, jac))[0]
+                    mult, lin = nu, ln
                 recent.append(pen)
                 iters += 1
                 trace.append((fn_raw, t, vn))
@@ -514,60 +559,35 @@ def pgd(obj, q0, project, gap, max_iter, rho, floor=None, tol=None):
         if not accepted:
             break
         stop = "max_iter"
-    return q, raw, viol, iters, trace, stop
+    return q, raw, viol, iters, trace, stop, (mult if cut is not None else None), passes
 
 
-def solve_from(obj, q0, project, gap, max_iter, floor=None):
-    """Multiplier rounds from one start, each a round of ``pgd`` that starts
-    its step and its window afresh.  ``floor`` is None, for one round with
-    no penalty, or (c, integrals), the floor and a function that gives the
-    floor's integrals I at a point.  Then each round runs at the weight rho
-    against the floor shifted by the start's multipliers, c + lam / (2 rho),
-    from rho = ``_RHO`` and lam = 0, and stops at the gap of its place in
-    ``_ROUND_TOL`` (1e-5, 1e-7, then ``TOL`` for every later round); after it
-    the KKT residual max |max(c - I, -lam / (2 rho))| at the point reached
-    is taken and lam <- max(0, lam + 2 rho (c - I)).  A round at ``TOL``
-    whose residual is above ``_STALL`` times the last round's has stalled;
-    a looser round never stalls.  The rounds end once a round at ``TOL``
-    leaves a residual of at most ``_KKT_TOL``, after ``_ROUNDS`` rounds, or
-    on a stall at the largest rho: ``_RHO_MAX_MET`` where q0 meets the floor
-    (violation at most ``FEASIBILITY_TOL``), else ``_RHO_MAX``.  Any other
-    stall makes rho ten times larger, and where q0 meets the floor the
-    rounds start again from q0 with lam = 0 and no last residual.  Returns
-    a dict of the point reached (q, value, violation), the summed
-    iterations and trace, the last rho, the final multipliers and the last
-    round's stop reason."""
-    from fairmeasure._descent import TOL
-    from fairmeasure.solver import (_KKT_TOL, _RHO, _RHO_MAX, _RHO_MAX_MET, _ROUND_TOL,
-                                    _ROUNDS, _STALL, FEASIBILITY_TOL)
-    rho = 0.0 if floor is None else _RHO
-    met = floor is not None and max(0.0, (floor[0] - floor[1](q0)).max()) <= FEASIBILITY_TOL
-    top = _RHO_MAX_MET if met else _RHO_MAX
-    q, iters, trace, rounds, lam, last = q0, 0, [], 0, 0.0, math.inf
-    for k in range(1 if floor is None else _ROUNDS):
-        shifted = None if floor is None else floor[0] + lam / (2.0 * rho)
-        tol = TOL if floor is None else float(_ROUND_TOL[min(k, len(_ROUND_TOL) - 1)])
-        q, raw, viol, n, steps, stop = pgd(obj, q, project, gap, max_iter, rho, shifted, tol)
+def solve_from(obj, q0, project, gap, max_iter, cut=None):
+    """The rounds from one start, each a round of ``pgd`` that starts its
+    step and its window afresh.  ``cut`` is None, for one round with no
+    floor, or the package's cut projection: then each round is the floor's
+    linearly constrained round at the point the last one reached, from
+    multipliers 0 and then those the last round ended with, until a round
+    stops at "tol" before its first step, or after ``_ROUNDS`` rounds.
+    Returns a dict of the point reached (q, value, violation), the summed
+    iterations and trace, rho (0.0: the rounds carry no quadratic term),
+    the final multipliers unscaled, the last round's stop reason, the
+    rounds and the cut projection's passes."""
+    from fairmeasure.solver import _ROUNDS
+    q, iters, trace, rounds, passes = q0, 0, [], 0, 0
+    lam = None if cut is None else np.zeros((1, len(obj.floor.pairs)))
+    for _ in range(1 if cut is None else _ROUNDS):
+        q, raw, viol, n, steps, stop, lam, p = pgd(obj, q, project, gap, max_iter, cut, lam)
         iters += n
+        passes += p
         trace.extend(steps)
         rounds += 1
-        if floor is None:
+        if cut is None or (stop == "tol" and n == 0):
             break
-        slack = floor[0] - floor[1](q)
-        residual = np.abs(np.maximum(slack, -lam / (2.0 * rho))).max()
-        lam = np.maximum(0.0, lam + 2.0 * rho * slack)
-        stalled = tol <= TOL and residual > _STALL * last
-        last = residual
-        if ((tol <= TOL and residual <= _KKT_TOL) or (stalled and rho >= top)
-                or k == _ROUNDS - 1):
-            break
-        if stalled:
-            rho *= 10.0
-            if met:
-                q, lam, last = q0, 0.0, math.inf
-    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace, rho=rho,
-                multipliers=() if floor is None else tuple(lam.tolist()), stop=stop,
-                penalty_rounds=rounds)
+    scale = abs(obj.params.c) if obj.params.c else 1.0
+    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace, rho=0.0,
+                multipliers=() if cut is None else tuple((lam[0] / scale).tolist()),
+                stop=stop, penalty_rounds=rounds, passes=passes)
 
 
 # -- the Frank-Wolfe gap by sorting -------------------------------------------------
@@ -684,3 +704,24 @@ def grid_min(g, params, resolution=200):
     if best_q is None:
         raise fm.InfeasibleError(f"no grid point satisfies the correlation floor c={params.c}")
     return fm.BruteForceResult(measure=fm.Measure(lat, best_q), value=best_value)
+
+
+# -- the cut projection by a general-purpose QP solver --------------------------------
+
+def cut_projection(v, lo, hi, A, b):
+    """The projection of v (P,) onto the box-simplex cut by the halfspaces
+    A q >= b (A (J, P)), a set with a point, as the QP
+    min 1/2 |q - v|^2 over sum q = 1, lo <= q <= hi and A q >= b, by
+    scipy's SLSQP from the box-simplex projection of v.  It shares no code
+    with the package's dual Newton method.  Returns scipy's
+    ``OptimizeResult``."""
+    from scipy.optimize import minimize as scipy_minimize
+    P = len(v)
+    q0 = breakpoint_projection(v, np.full(P, lo), np.full(P, hi))
+    return scipy_minimize(lambda q: 0.5 * float(((q - v) ** 2).sum()), q0, jac=lambda q: q - v,
+                          method="SLSQP", bounds=[(lo, hi)] * P,
+                          constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0,
+                                        "jac": lambda q: np.ones(P)},
+                                       {"type": "ineq", "fun": lambda q: A @ q - b,
+                                        "jac": lambda q: A}],
+                          options={"ftol": 1e-15, "maxiter": 1000})

@@ -6,7 +6,6 @@ through the same objective and projection: the same point, value,
 violation, iteration count, trace, penalty weight, stop reason and counts,
 bit for bit, whichever rows stop early.
 """
-import math
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 import fairmeasure as fm
 from fairmeasure import _descent, solver
 from fairmeasure._descent import STEP, Descent
-from fairmeasure._projection import frank_wolfe_gap
+from fairmeasure._projection import frank_wolfe_gap, project_cut
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
@@ -24,24 +23,33 @@ from conftest import random_process
 
 
 class Counting:
-    """An objective and a projection that count the rows they are given."""
+    """An objective, a projection and a cut projection that count the rows
+    they are given (the cut projection its box-simplex passes)."""
 
     def __init__(self, obj, lo, hi):
         self.obj, self.lo, self.hi = obj, lo, hi
-        self.differentiable = obj.differentiable
+        self.differentiable, self.floor, self.params = obj.differentiable, obj.floor, obj.params
         self.evaluations = self.gradients = self.projections = 0
 
-    def evaluate(self, Q, rho=0.0, floor=None):
-        self.evaluations += 1
-        return self.obj.evaluate(Q, rho, floor=floor)
+    def tape(self, Q):
+        return self.obj.tape(Q)
 
-    def gradient(self, Q, rho=0.0, floor=None):
+    def evaluate(self, Q, tape=None):
+        self.evaluations += 1
+        return self.obj.evaluate(Q, tape)
+
+    def gradient(self, Q, tape=None, weights=None):
         self.gradients += 1
-        return self.obj.gradient(Q, rho, floor=floor)
+        return self.obj.gradient(Q, tape, weights)
 
     def project(self, v):
         self.projections += 1
         return fm.project_capped_simplex(v, self.lo, self.hi)
+
+    def cut(self, V, A, b, upper, nu):
+        out = project_cut(V, self.lo[0], self.hi[0], A, b, upper, nu)
+        self.projections += int(out[2].sum())
+        return out
 
 
 def random_starts(params, opts, floor_active):
@@ -60,8 +68,6 @@ def reference_solve(g, params, opts, extra=()):
     project = lambda v: fm.project_capped_simplex(v, lo, hi)
     gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
     floor_active = bool(solver._floor_pairs(g, params))
-    # the floor's integrals at a point, by a forward pass of their own (not counted)
-    floor = (params.c, lambda q: obj.tape(q).moments[0][0]) if floor_active else None
     starts = [fm.uniform_measure(lat).weights]
     starts += [project(np.random.default_rng([opts.seed, r]).uniform(lo, hi))
                for r in range(1, random_starts(params, opts, floor_active) + 1)]
@@ -69,11 +75,12 @@ def reference_solve(g, params, opts, extra=()):
     runs, candidates = [], []
     for q0 in starts:
         counting = Counting(obj, lo, hi)
-        run = ref.solve_from(counting, q0, counting.project, gap, opts.max_iter, floor)
+        run = ref.solve_from(counting, q0, counting.project, gap, opts.max_iter,
+                             counting.cut if floor_active else None)
         run.update(evaluations=counting.evaluations, gradients=counting.gradients,
                    projections=counting.projections)
         runs.append(run)
-        _, raw, viol = (float(x[0]) for x in obj.evaluate(q0))
+        raw, viol = (float(x[0]) for x in obj.evaluate(q0))
         candidates += [(q0, raw, viol, 0, []),
                        (run["q"], run["value"], run["violation"], run["iterations"],
                         run["trace"])]
@@ -169,14 +176,14 @@ def test_descent_stops_when_the_projected_step_does_not_move(two_path):
     never = lambda v, grad: np.full(np.shape(v)[:-1], np.inf)
     max_iter = fm.SolveOptions().max_iter
     run = Descent(obj, starts, lambda v: fm.project_capped_simplex(v, lo, hi), never, max_iter)
-    run.round(np.arange(len(starts)), 0.0)
+    run.round(np.arange(len(starts)))
     assert run.stop.tolist() == ["zero-step"] * 4
     assert run.iterations.tolist() == [1, 1, 1, 2]
     assert all(step <= STEP for _, step, _ in run.trace(3))
     for r, q0 in enumerate(starts):
         counting = Counting(obj, lo, hi)
-        q, raw, viol, iters, trace, stop = ref.pgd(counting, q0, counting.project, never,
-                                                   max_iter, 0.0)
+        q, raw, viol, iters, trace, stop, _, _ = ref.pgd(counting, q0, counting.project, never,
+                                                         max_iter)
         assert (run.stop[r], run.iterations[r], run.raw[r], run.viol[r]) == (stop, iters, raw, viol)
         assert np.array_equal(run.q[r], q) and run.trace(r) == trace
         assert run.counts[r].tolist() == [counting.evaluations, counting.gradients,
@@ -220,12 +227,12 @@ def test_nonsmooth_or_nonconvex_problems_keep_random_starts(three_path, params):
 def test_minimize_matches_reference_on_the_penalty_path():
     """A floor at its value under the uniform measure binds as soon as a row
     moves; with a short max_iter the rows meet its KKT test after different
-    numbers of multiplier rounds, so the batch shrinks between rounds as
+    numbers of rounds (4, 5 and 6), so the batch shrinks between rounds as
     within them."""
     lat = fm.build_lattice(2, 2)
     g = random_process(np.random.default_rng(5), lat, n=2, low=0.5, high=2.0)
     c = fm.correlation_integral(fm.uniform_measure(lat), g, 0, 1)
-    opts = fm.SolveOptions(restarts=6, max_iter=2)
+    opts = fm.SolveOptions(restarts=6, max_iter=4)
     rep, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, c=c, p=2.0), opts)
     assert len({run["penalty_rounds"] for run in runs}) > 2
     assert rep.feasible
@@ -236,17 +243,17 @@ def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):
     opts = fm.SolveOptions(restarts=3, max_iter=40)
     rep, runs = assert_matches_reference(two_path_pair, params, opts)
     assert not rep.feasible
-    # no start meets the floor, so no row starts again: the loose rounds
-    # never stall, each round at the full gap stalls and grows rho tenfold,
-    # and the row leaves on its stall at the largest rho; every round leaves
-    # the same violation v and adds 2 rho v to the multiplier
-    loose = len(solver._ROUND_TOL) - 1
-    rhos = [solver._RHO] * loose + [solver._RHO * 10.0 ** k for k in
-                                    range(round(math.log10(solver._RHO_MAX / solver._RHO)) + 1)]
+    # no point meets the floor, so every round is elastic: each row steps to
+    # the vertex of the box-simplex with the largest integral, the least
+    # violating point, where the next round stops before its first step at
+    # the elastic bound on its multiplier
+    least = fm.Measure(two_path_pair.lattice, np.array([0.25, 0.75]))
+    short = 0.9 - fm.correlation_integral(least, two_path_pair, 0, 1)
+    assert np.array_equal(rep.measure.weights, least.weights)
     for run in runs:
-        assert run["penalty_rounds"] == len(rhos) and run["rho"] == solver._RHO_MAX
-        grown = 2.0 * sum(rhos) * run["violation"]
-        assert run["multipliers"] == (pytest.approx(grown),)
+        assert run["penalty_rounds"] == 2 and run["stop"] == "tol" and run["rho"] == 0.0
+        assert run["violation"] == pytest.approx(short, rel=1e-12)
+        assert run["multipliers"] == (pytest.approx(_descent.ELASTIC / 0.9),)
 
 
 @settings(max_examples=25, deadline=None)

@@ -333,8 +333,11 @@ def test_optimize_report_records_each_restart(tmp_path):
     (tmp_path / "process.csv").write_text(CANONICAL_PROCESS_CSV, encoding="utf-8")
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert list(report)[-3:] == ["winner", "restarts", "measure_file"]
-    assert report["gap"] is None
+    assert list(report) == ["command", "version", "objective", "p", "N", "c", "seed", "value",
+                            "feasible", "gap", "kkt", "lagrangian_gap", "iterations",
+                            "constraint_slacks", "winner", "restarts", "measure_file"]
+    # no floor: no KKT certificate, and no gap either, as m at p = 1 is not smooth
+    assert report["gap"] is None and report["kkt"] is None and report["lagrangian_gap"] is None
     records = report["restarts"]
     assert [r["kind"] for r in records] == ["base", "random", "random"]
     for r in records:
@@ -445,6 +448,10 @@ def test_optimize_calibrated_config_with_a_floor(tmp_path):
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert all(min(r["multipliers"]) > 0.0 for r in report["restarts"])
+    # the certificate of a floor answer: its KKT residual is at least its
+    # violation, and its Lagrangian's gap is part of it
+    slack = report["constraint_slacks"]["correlation_0_1"]
+    assert report["gap"] is None and report["kkt"] >= max(-slack, report["lagrangian_gap"]) >= 0.0
     measure = cli.read_measure_csv(tmp_path / "measure.csv", fm.build_lattice(3, 2))
     assert abs(float(measure.weights.sum()) - 1.0) <= 1e-13
 

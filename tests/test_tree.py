@@ -142,18 +142,33 @@ def test_adjoint_gradients_match_reference(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(instances(positive=True, d_max=1), st.floats(0.05, 0.5), st.floats(1.0, 50.0))
-def test_penalty_gradient_matches_reference(case, lift, rho):
+@given(instances(positive=True, d_max=1), st.floats(-50.0, 50.0))
+def test_penalty_gradient_matches_reference(case, weight):
+    """The gradient of m plus a weighted floor integral, one adjoint sweep,
+    against the path-level loops."""
     g, Q = case
     if g.n < 2:
         g = fm.LatticeProcess(g.lattice, 2, 1, np.concatenate((g.values, 1.0 / g.values), axis=2))
-    pairs = [(0, 1)]
+    params = fm.ConstraintParams(N=2.0, c=0.0, p=2.0)
     for q in Q:
-        c = ref.corr_raw(q, g, 0, 1) + lift
-        params = fm.ConstraintParams(N=2.0, c=c, p=2.0)
-        got = _Objective(g, params).gradient(q, rho)
-        expect = ref.grad_m(q, g, 2.0) + ref.grad_penalty(q, g, pairs, c, rho)
+        got = _Objective(g, params).gradient(q, weights=np.array([weight]))
+        expect = ref.grad_m(q, g, 2.0) + weight * ref.grad_corr(q, g, 0, 1)
         assert close(got, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(positive=True, d_max=1))
+def test_floor_jacobian_matches_reference(case):
+    """Every pair's integral gradient at once, against the path-level loop
+    of each pair, on three exchanges."""
+    g, Q = case
+    g = fm.LatticeProcess(g.lattice, 3, 1, np.concatenate(
+        (g.values[..., :1], 1.0 / g.values[..., :1], g.values[..., :1] ** 2), axis=2))
+    tree = Tree(g)
+    floor = Floor(tree, [(0, 1), (0, 2), (1, 2)])
+    jac = floor.jacobian(floor.moments(tree.node_weights(Q)))
+    for q, rows in zip(Q, jac):
+        assert close(rows, [ref.grad_corr(q, g, i, j) for i, j in floor.pairs])
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +181,7 @@ def test_batched_fd_gradient_matches_loop(case, objective):
     g, Q = case
     q = 0.5 * Q[0] + 0.5 / g.lattice.n_paths  # positive, so central differences are defined
     obj = _Objective(g, fm.ConstraintParams(N=4.0, p=2.0, objective=objective))
-    assert np.array_equal(_central_difference(obj, q, 0.0), ref.central_difference(obj, q, 1e-6))
+    assert np.array_equal(_central_difference(obj, q), ref.central_difference(obj, q, 1e-6))
 
 
 # -- exact cases -------------------------------------------------------------------
@@ -363,15 +378,15 @@ def test_reverse_leaves_its_adjoint_alone(b, K, n, d):
 
 def objectives(lat, rng):
     """m at p = 2 and 1.5 and n on one scalar exchange, m on two vector
-    exchanges, and m at p = 2 with an active correlation floor (rho = 25) on
-    two scalar ones, each with its rho."""
+    exchanges, and m at p = 2 with a correlation floor on two scalar ones,
+    its integral weighted by 25 in the gradient; each with its weights."""
     one = random_process(rng, lat, n=1, low=0.3, high=3.0)
     two = random_process(rng, lat, n=2, low=0.3, high=3.0)
     vector = random_process(rng, lat, n=2, d=2, low=0.3, high=3.0)
-    return [(_Objective(one, fm.ConstraintParams(N=4.0, p=p)), 0.0) for p in (2.0, 1.5)] + [
-        (_Objective(one, fm.ConstraintParams(N=4.0, objective="n")), 0.0),
-        (_Objective(vector, fm.ConstraintParams(N=4.0)), 0.0),
-        (_Objective(two, fm.ConstraintParams(N=4.0, c=1.0)), 25.0)]
+    return [(_Objective(one, fm.ConstraintParams(N=4.0, p=p)), None) for p in (2.0, 1.5)] + [
+        (_Objective(one, fm.ConstraintParams(N=4.0, objective="n")), None),
+        (_Objective(vector, fm.ConstraintParams(N=4.0)), None),
+        (_Objective(two, fm.ConstraintParams(N=4.0, c=1.0)), np.array([25.0]))]
 
 
 @pytest.mark.parametrize("b, K", [(2, 3), (3, 2), (4, 2), (2, 5)])
@@ -384,9 +399,10 @@ def test_adjoint_does_not_depend_on_the_layout(b, K):
     Q = rng.dirichlet(np.ones(lat.n_paths), 50)
     column_major = np.asfortranarray(Q)
     assert not column_major.flags.c_contiguous
-    for obj, rho in objectives(lat, rng):
-        assert same_bits(obj.gradient(column_major, rho), obj.gradient(Q, rho))
-        assert all(map(same_bits, obj.evaluate(column_major, rho), obj.evaluate(Q, rho)))
+    for obj, weights in objectives(lat, rng):
+        assert same_bits(obj.gradient(column_major, weights=weights),
+                         obj.gradient(Q, weights=weights))
+        assert all(map(same_bits, obj.evaluate(column_major), obj.evaluate(Q)))
 
 
 @pytest.mark.parametrize("b, K", [(2, 1), (2, 4), (3, 2)])
@@ -397,15 +413,15 @@ def test_a_tape_serves_its_value_and_gradient_unchanged(b, K):
     lat = fm.build_lattice(b, K)
     rng = np.random.default_rng(b * 10 + K + 1)
     Q = rng.dirichlet(np.ones(lat.n_paths), 4)
-    for obj, rho in objectives(lat, rng):
+    for obj, weights in objectives(lat, rng):
         tape = obj.tape(Q)
         saved = [x.copy() for x in tape.arrays()]
-        assert all(map(same_bits, obj.evaluate(Q, rho, tape), obj.evaluate(Q, rho)))
-        assert same_bits(obj.gradient(Q, rho, tape), obj.gradient(Q, rho))
+        assert all(map(same_bits, obj.evaluate(Q, tape), obj.evaluate(Q)))
+        assert same_bits(obj.gradient(Q, tape, weights), obj.gradient(Q, weights=weights))
         assert all(map(same_bits, tape.arrays(), saved))
         for rows in ([2, 0], np.array([True, False, True, True])):
-            assert same_bits(obj.gradient(Q[rows], rho, tape.take(rows)),
-                             obj.gradient(Q[rows], rho))
+            assert same_bits(obj.gradient(Q[rows], tape.take(rows), weights),
+                             obj.gradient(Q[rows], weights=weights))
 
 
 # -- the brute-force grid ----------------------------------------------------------

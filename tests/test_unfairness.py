@@ -215,7 +215,7 @@ def test_m_and_n_are_midpoint_convex_in_the_weights(shape, n, d, seed):
     cases = [fm.ConstraintParams(N=4.0, p=p) for p in (1.0, 1.5, 2.0, 3.0)]
     for params in cases + [fm.ConstraintParams(N=4.0, objective="n")]:
         obj = _Objective(g, params)
-        fa, fb, mid = (obj.evaluate(X)[1] for X in (A, B, 0.5 * (A + B)))
+        fa, fb, mid = (obj.evaluate(X)[0] for X in (A, B, 0.5 * (A + B)))
         assert np.all(mid <= 0.5 * (fa + fb) + 1e-12 * (fa + fb)), params
 
 
