@@ -72,7 +72,7 @@ quadratic-penalty rounds that the later floor rounds replaced):
   after it; the first two rounds stopped at gaps of 1e-5 and 1e-7.  On
   the correlation-floor instance at seed 1 its rows took 146-169
   iterations and 817 evaluations in all (1074 with every round at TOL),
-  against 347 here, and 8395 over seeds 1-10 against 3419; they ended
+  against 349 here, and 8395 over seeds 1-10 against 3430; they ended
   8.6e-11 below the floor, 5.0e-9 relative below these rounds' value.
   On four random floors they ended 3.9-10.3% above SLSQP, where these
   rounds reach it.
@@ -80,12 +80,12 @@ quadratic-penalty rounds that the later floor rounds replaced):
   augmented Lagrangian of MINOS (Murtagh & Saunders 1978), in the scaled
   units (rho times |c|^-2 in the integrals' own, c = 0.0247 there): on
   the correlation-floor instance at seed 1 rho = 0.1 took 703 evaluations,
-  10 took 4818 and 100 took 9123, against 347 without it, for the same
+  10 took 4928 and 100 took 9133, against 349 without it, for the same
   value to 1e-11; the term weighs against every step away from the
   linearization, and the elastic term keeps the rounds defined without it.
 * The step carried into the next round, each round's first trial step
   being the row's last one instead of ``STEP``: on the correlation-floor
-  instance 3376 evaluations over seeds 1-10 instead of 3419, 1% fewer,
+  instance 3366 evaluations over seeds 1-10 instead of 3430, 2% fewer,
   for a step kept per row between rounds.
 
 One variant gives the same points and runs no faster, but takes more

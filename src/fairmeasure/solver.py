@@ -86,7 +86,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._descent import TOL, Descent
+from ._descent import Descent
 from ._exact import min_n
 from ._projection import frank_wolfe_gap, project_capped_simplex, project_cut
 from ._tree import Floor, Tape, Tree, row_blocks
@@ -136,9 +136,9 @@ class SolveOptions:
     """``max_iter`` limits each round, not the whole solve: a start with a
     floor runs at most 30 rounds on the linearized floor, so up to
     30 * max_iter iterations.  Every round stops at the gap
-    ``_descent.TOL``, which is not an option.  ``restarts`` counts the base start and the random ones, which
-    ``minimize`` draws only where m is not both smooth and convex; ``seed``
-    draws them."""
+    ``_descent.TOL``, which is not an option.  ``restarts`` counts the
+    base start and the random ones, which ``minimize`` draws only where m
+    is not both smooth and convex; ``seed`` draws them."""
 
     max_iter: int = 300
     restarts: int = 8

@@ -799,7 +799,7 @@ def test_every_floor_row_leaves_after_a_round_at_the_full_gap(case, two_path_pai
 def test_the_floor_cli_instance_takes_fewer_evaluations():
     """The rounds on the linearized floor cut the evaluations the floor_cli
     instance takes: 1074 summed over its four starts when every multiplier
-    round ran to TOL, 817 with looser first rounds, 347 on the linearized
+    round ran to TOL, 817 with looser first rounds, 349 on the linearized
     floor; the bound is half of 817."""
     g, params = floor_cli_instance()
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, max_iter=300))
