@@ -3,11 +3,11 @@ dual Newton projection of ``_projection.project_cut`` against a general QP
 solver in ``reference.py`` and on its KKT conditions."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
-from fairmeasure._projection import project_cut
+from fairmeasure._projection import _active_set, project_cut
 
 import reference as ref
 
@@ -47,6 +47,9 @@ def assert_kkt(V, lo, hi, A, b, upper, Q, nu, tol=1e-9):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 16), st.integers(1, 4), st.integers(2, 40), st.integers(1, 3),
        st.floats(1.2, 3.0), st.floats(0.0, 0.2))
+# a degenerate face of three coordinates where the Newton steps take every
+# step, and the row is solved again by the active-set method
+@example(188, 2, 3, 3, 3.0, 0.0078125)
 def test_cut_projection_matches_a_qp_solver(seed, G, P, J, N, reach):
     """On cuts with a point the projection is the QP's minimizer: it meets
     the KKT conditions, each row is the same float for float as alone, and
@@ -76,6 +79,23 @@ def test_cut_projection_warm_start_takes_one_pass():
     again, nu2, passes = project_cut(V, lo, hi, A, b, upper, nu)
     assert (passes == 1).all()
     assert np.abs(again - Q).max() <= 1e-12 and np.abs(nu2 - nu).max() <= 1e-9 * np.abs(nu).max()
+
+
+def test_active_set_matches_the_dual_newton_method():
+    """The exact fallback for rows that take every step agrees with the
+    dual Newton projection on rows that settle, and finds no point where
+    the halfspaces leave none."""
+    for seed in range(40):
+        V, lo, hi, A, b = random_cuts(seed, 1, 2 + seed % 9, 1 + seed % 3, 2.0, 0.1)
+        Q, nu, _ = project_cut(V, lo, hi, A, b, np.full(1, 1e6), np.zeros((1, A.shape[1])))
+        q, mult = _active_set(V[0], lo, hi, A[0], b[0])
+        assert np.abs(q - Q[0]).max() <= 1e-9 * (hi - lo)
+        assert_kkt(V, lo, hi, A, b, np.full(1, 1e6), q[None], mult[None])
+    P = 5
+    a = np.arange(P) - (P - 1) / 2.0
+    best = fm.project_capped_simplex(1e6 * a, 1.0 / P / 2.0, 2.0 / P) @ a
+    assert _active_set(np.full(P, 1.0 / P), 1.0 / P / 2.0, 2.0 / P, a[None],
+                       np.array([best + 1.0])) is None
 
 
 def test_cut_projection_is_elastic_where_the_cut_is_empty():
