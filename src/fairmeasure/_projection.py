@@ -379,9 +379,10 @@ def _active_set(v, lo: float, hi: float, A, b):
         else:
             slack = normals @ q - bounds
             p = int(np.argmin(slack / np.abs(normals).sum(axis=1)))
-            if slack[p] >= -scale[p]:
-                return q, np.array([u[active.index(P2)] if P2 in active else 0.0
-                                    for P2 in range(2 * P, 2 * P + J)])
+            if slack[p] >= -scale[p]:   # a last projection takes off the rounding
+                return (project_capped_simplex(q, lo, hi),
+                        np.array([u[active.index(i)] if i in active else 0.0
+                                  for i in range(2 * P, 2 * P + J)]))
             n, gap = normals[p], -slack[p]
         up = 0.0
         while True:
