@@ -9,7 +9,8 @@ whether they are differentiable, the projection maps rows onto the
 feasible box-simplex (under the floor the cut projection onto the
 box-simplex cut by the linearized floor), the gap gives each row's
 Frank-Wolfe gap over it, each round stops a row once its gap is at most
-TOL, and max_iter bounds the iterations of one round.  Each evaluation's
+TOL (a floor round at the row's gap level), and max_iter bounds the
+iterations of one round.  Each evaluation's
 forward pass is its tape (``_tree.Tape``), and a tape lives for one trial:
 a row is differentiated as soon as its point is evaluated, at a round's
 start from the round's tape and on accepting a trial from the trial's
@@ -23,7 +24,11 @@ linearized at the row's point as l, the round's value is
 f - lam . (h - l) + ELASTIC * sum max(0, -l), and every trial step is
 projected onto the box-simplex cut by the halfspaces l >= 0, elastic at
 ELASTIC; the multipliers of the halfspaces at the round's end are the
-row's next lam.  See :meth:`Descent.round`.
+row's next lam.  Early rounds converge toward a linearization the next
+round replaces, so they stop at loose gap levels (Friedlander & Saunders
+also solve early subproblems inexactly): each row steps through
+``LEVELS``, 1e-5, 1e-7 and then TOL, skipping a level its round's start
+already meets.  See :meth:`Descent.round`.
 
 Every iteration searches along the projected arc P(x - t g): each trial
 step t is one projection and one evaluation, and a rejected trial halves
@@ -47,8 +52,9 @@ depend on the objective:
 Variants measured against this one, by ``minimize`` on the instances of
 the package's benchmark workloads at seed 1 (2 vCPU, Python 3.11, numpy
 2.4), which lose or gain too little (n on the deep lattice was measured
-before the exact walk, and the kept tape below under the growing
-quadratic-penalty rounds that the later floor rounds replaced):
+before the exact walk, the kept tape below under the growing
+quadratic-penalty rounds that the later floor rounds replaced, and the
+quadratic term and the carried step with every floor round at TOL):
 
 * The spectral step and the window on every row: n on a deep lattice
   (b = 2, K = 11) stopped at 0.05153 instead of 0.05049, and m at p = 1
@@ -87,6 +93,28 @@ quadratic-penalty rounds that the later floor rounds replaced):
   being the row's last one instead of ``STEP``: on the correlation-floor
   instance 3366 evaluations over seeds 1-10 instead of 3430, 2% fewer,
   for a step kept per row between rounds.
+* Every floor round at TOL instead of at the gap levels: on the
+  correlation-floor instance at seed 1 the rows took 22 + 26 + 18 + 14 +
+  1 + 0 iterations over their six rounds and 349 evaluations in all,
+  against 257 at the levels (3430 against 2524 over seeds 1-10), for the
+  same value to 1e-14 relative.
+* A gap of max(TOL, eta * the KKT test at the round's start) for each
+  round, with eta = 0.1, 0.01 and 0.001: on the correlation-floor instance
+  each round took about one iteration, the rows ran all 30 rounds with the multiplier of pair (1, 2) swinging between 0.22 and
+  0.34 (0.265 at the solution), and the uniform start won at 0.0379 with
+  a KKT residual of 0.054; on the tiny floor (integrals near 2e-6) the
+  rows took up to 10 rounds.
+* Looser first levels: 1e-3, 1e-5, 1e-7, TOL took 184 evaluations on the
+  correlation-floor instance and 1e-4, 1e-6, 1e-8, TOL took 217, against
+  257, but the first ladder took the tiny floor's rows up to 11 rounds,
+  over the 8 its test allows; ladders of three levels from 1e-3 or 1e-4 down to
+  1e-7 or 1e-8 took 250-276.
+* Levels by round count, the first two rounds at 1e-5 and 1e-7 whatever
+  their starts meet: a loose round that stops before its first step
+  could end a start, and a row kept from leaving there takes one round
+  more.  The rows on a floor out of reach took three rounds instead of
+  two, and three of the four on a floor at the uniform measure's integral
+  three instead of two.
 
 One variant gives the same points and runs no faster, but takes more
 code: each row kept the trial tape that reached its point, and its next
@@ -107,6 +135,8 @@ import numpy as np
 
 # The first trial step of each round; the Frank-Wolfe gap at which a row stops.
 STEP, TOL = 1.0, 1e-9
+# The gap levels of a row's floor rounds, loosest first; see ``Descent.round``.
+LEVELS = (1e-5, 1e-7, TOL)
 # The elastic weight of a floor round: the bound on its halfspaces' multipliers,
 # in units of the objective per unit of the scaled floor.
 ELASTIC = 1e4
@@ -150,6 +180,7 @@ class Descent:
         self.raw, self.viol = np.zeros(S), np.zeros(S)
         self.iterations = np.zeros(S, dtype=int)
         self.rounds = np.zeros(S, dtype=int)
+        self.level = np.full(S, -1)   # the index in LEVELS of its last floor round's level
         self.counts = np.zeros((S, 3), dtype=int)   # evaluations, gradients, projections
         self.steps = np.empty((S, 64, 3))   # per accepted step: raw value, step size, violation
         self.stop = np.full(S, "max_iter", dtype=object)
@@ -193,8 +224,16 @@ class Descent:
         sum ELASTIC * max(0, -l) + mult * l is at most TOL; this bounds the
         Frank-Wolfe gap of the round's value over the cut.  At the round's
         start d = 0 and g is f's gradient, so there the test is the floor's
-        KKT test at lam.  After the round ``lam`` takes ``mult``."""
+        KKT test at lam.  After the round ``lam`` takes ``mult``.
+
+        A floor round stops at its row's gap level instead of TOL: the
+        first of ``LEVELS`` after the row's last round's (``level``, an
+        index into ``LEVELS``, -1 before its first round) that the KKT test
+        at the round's start does not already meet, or TOL where it meets
+        them all.  So a round that stops before its first step ran at TOL,
+        and the loose rounds are counted among a start's penalty rounds."""
         obj, q, t = self.obj, self.q, np.full(len(self.q), STEP)
+        tol = np.full(len(q), TOL)   # each row's gap level in this round
         floor = self.cut is not None
         spectral = obj.differentiable
         # each row's last penalized values in this round, -inf where none yet
@@ -230,7 +269,14 @@ class Descent:
                 # a halfspace met to within its rounding counts as met
                 slack = np.maximum(0.0, ELASTIC * np.maximum(0.0, -lin - self.noise[active])
                                    + mult * lin).sum(axis=1)
-                done = self.gap(x, tilt) + slack <= TOL
+                test = self.gap(x, tilt) + slack
+                if not it:   # the first level from the row's next that its start does not meet
+                    # (the levels fall, so those a row meets are the first ``met``)
+                    levels = np.array(LEVELS)
+                    met = (test[:, None] <= levels).sum(axis=1)
+                    level = np.minimum(np.maximum(self.level[active] + 1, met), len(levels) - 1)
+                    self.level[active], tol[active] = level, levels[level]
+                done = test <= tol[active]
             else:
                 done = self.gap(x, grad) <= TOL
             self.stop[active[done]] = "tol"

@@ -420,6 +420,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, seed: int) -> int:
     write_json_report(path, payload)
     status = "feasible" if report.feasible else "INFEASIBLE"
     gap = "" if report.gap is None else f", gap={report.gap:.3e}"
+    if report.kkt is not None:
+        gap += f", kkt={report.kkt:.3e}"
     print(f"{cfg.constraints.objective}* = {report.value!r} "
           f"({status}{gap}, iters={report.iterations})")
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE

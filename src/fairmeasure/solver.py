@@ -48,13 +48,17 @@ meets them.  The halfspaces' multipliers at the round's end are the
 row's next lam.  At a round's start what the linearization leaves out is
 0, so its stop test there is the floor's KKT test at the row's point and
 multipliers: the Frank-Wolfe gap of f's gradient tilted by lam . a, plus
-the complementarity.  A row leaves once a round takes no step: stopped
-at "tol", it is stationary to TOL; stalled, nothing about it would
+the complementarity.  A row's early rounds stop at the loose gap levels
+1e-5 and then 1e-7, each skipped where the round's start already meets
+it, and the rest at TOL (``_descent.LEVELS``), so a round that stops
+before its first step ran at TOL.  A row leaves once a round takes no
+step: stopped at "tol", it is stationary to TOL; stalled, or on a zero
+step that leaves its multipliers as they were, nothing about it would
 change in a later round.  Otherwise it leaves after 30 rounds.  The
 rounds converge fast near a solution; on the benchmark's floor instance
-each row takes six, the last one confirming.  Kernel calls and both
-projections treat rows independently, so each start follows the same
-float path as it would alone.
+each row takes six, two loose ones and the last one confirming.  Kernel
+calls and both projections treat rows independently, so each start
+follows the same float path as it would alone.
 
 Every trial step and random start goes through the box-simplex projection
 of ``_projection``, which the solver calls with its uniform box as the two
@@ -136,7 +140,8 @@ class SolveOptions:
     """``max_iter`` limits each round, not the whole solve: a start with a
     floor runs at most 30 rounds on the linearized floor, so up to
     30 * max_iter iterations.  Every round stops at the gap
-    ``_descent.TOL``, which is not an option.  ``restarts`` counts the
+    ``_descent.TOL``, or an early floor round at the looser gap levels of
+    ``_descent.LEVELS``; neither is an option.  ``restarts`` counts the
     base start and the random ones, which ``minimize`` draws only where m
     is not both smooth and convex; ``seed`` draws them."""
 
@@ -302,18 +307,21 @@ class RestartRecord(NamedTuple):
     "stalled-line-search" (no step above the minimum step decreased the
     value), "zero-step" (the projected step did not move) or "max_iter".
     Under the floor a start leaves its rounds once one takes no step, so
-    its last round stopped at "tol" before a step unless it stalled there
-    or ran all 30 rounds.  The counts are rows the descent evaluated
-    (forward passes, each the point's tape), differentiated and projected
-    for this start, a cut projection counting its box-simplex projections.
+    its last round stopped at "tol" before a step, at the full gap
+    ``_descent.TOL``, unless it stalled there, ended there on a zero step
+    that left its multipliers as they were, or ran all 30 rounds.  The
+    counts are rows the descent evaluated (forward passes, each the
+    point's tape), differentiated and projected for this start, a cut
+    projection counting its box-simplex projections.
     A row is differentiated once per point it reached, at each round's
     start (with the floor's Jacobian there) and at each accepted step,
     from the tape its evaluation made, so ``gradients`` is iterations +
     penalty_rounds and no gradient folds again.  ``penalty_rounds`` counts
-    its rounds (one without a floor), the round on the linearized floor
-    that confirms its point included.  ``rho`` is 0.0: the rounds carry no
-    quadratic penalty (the field stays, as a report key).  ``value`` and
-    ``violation`` are those of the point it reached, and ``multipliers``
+    its rounds (one without a floor), the loose early rounds on the
+    linearized floor and the round that confirms its point included.
+    ``rho`` is 0.0: the rounds carry no quadratic penalty (the field
+    stays, as a report key).  ``value`` and ``violation`` are those of
+    the point it reached, and ``multipliers``
     the floor's multipliers there, one per exchange pair i < j in order
     (none without a floor), in the units of f - sum lam (I - c): those of
     the linearized floor's halfspaces at the end of its last round, at most
@@ -389,23 +397,28 @@ def _solve_starts(obj: _Objective, starts: np.ndarray,
 
     Each round linearizes the floor at the row's point and takes the
     halfspaces' multipliers at its end as the row's next multipliers.  A
-    row leaves once a round takes no step: where it stopped at "tol" the
-    row has passed the KKT test at its point and multipliers; where it
-    stalled or ran out of iterations nothing about the row changed, so
-    every later round would repeat it, and its record's stop says it is
-    not stationary.  A round that steps, or that ends on a zero step,
-    which hands the row the multipliers of its fixed point, never lets it
+    round stops at the row's gap level, the first of ``_descent.LEVELS``
+    after its last round's that the round's start does not meet, so a
+    round that stops at "tol" before its first step ran at TOL.  A row
+    leaves once a round takes no step: where it stopped at "tol" the row
+    has passed the KKT test to TOL at its point and multipliers; where it
+    stalled, ran out of iterations or ended on a zero step that left its
+    multipliers as they were, nothing about the row changed, so every
+    later round would repeat it, and its record's stop says it is not
+    stationary.  A round that steps, or that ends on a zero step which
+    hands the row new multipliers, those of its fixed point, never lets it
     leave: the next round linearizes again at the point it reached.  Rows
-    leave after _ROUNDS rounds in any case."""
+    leave after _ROUNDS rounds in any case, the loose rounds counted."""
     run = Descent(obj, starts, project, gap, max_iter, cut)
     rows = np.arange(len(starts))
     if cut is None:
         run.round(rows)
         return run
     for _ in range(_ROUNDS):
-        before = run.iterations[rows]
+        before, lam = run.iterations[rows], run.lam[rows]
         run.round(rows)
-        rows = rows[(run.iterations[rows] > before) | (run.stop[rows] == "zero-step")]
+        renewed = (run.stop[rows] == "zero-step") & (run.lam[rows] != lam).any(axis=1)
+        rows = rows[(run.iterations[rows] > before) | renewed]
         if not rows.size:
             break
     return run

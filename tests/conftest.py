@@ -5,7 +5,7 @@ import fairmeasure as fm
 from fairmeasure.verify import (martingale_from_terminal, random_measure,
                                 random_process)
 
-__all__ = ["random_measure", "random_process", "martingale_from_terminal"]
+__all__ = ["random_measure", "random_process", "martingale_from_terminal", "random_floor"]
 
 
 @pytest.fixture
@@ -45,6 +45,17 @@ def binomial_process(lattice, s0: float, up: float, down: float) -> fm.LatticePr
     for k in range(lattice.depth):
         vals[k + 1, :, 0] = vals[k, :, 0] * factors[lattice.digits[:, k]]
     return fm.LatticeProcess(lattice, 1, 1, vals)
+
+
+def random_floor(seed, b, K, N, spread):
+    """Three exchanges on a random process and a floor ``spread`` times the
+    smallest pair's |integral| below that integral under the uniform
+    measure, which therefore meets it where ``spread`` >= 0."""
+    g = random_process(np.random.default_rng(seed), fm.build_lattice(b, K), n=3,
+                       low=0.5, high=2.0)
+    U = fm.uniform_measure(g.lattice)
+    smallest = min(fm.correlation_integral(U, g, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
+    return g, fm.ConstraintParams(N=N, c=smallest - spread * abs(smallest), p=2.0)
 
 
 def dyadic_martingale(rng: np.random.Generator, K: int) -> tuple[fm.Measure, fm.LatticeProcess]:

@@ -453,7 +453,7 @@ def _walk(X, S, i1, i2, end, cols, outX, outS, outSplit):
 
 # -- the per-start solver loop ----------------------------------------------------
 
-def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None):
+def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None, level=-1):
     """One round of projected gradient descent from one start, one row at
     a time: the loop ``minimize`` runs per start, written without the
     batch.  A start stops at "tol" once ``gap`` (the package's Frank-Wolfe
@@ -473,11 +473,14 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None):
     ``ELASTIC`` * sum max(0, -l); each trial step is cut-projected with the
     multiplier bound t * ``ELASTIC`` from t times the multipliers of the
     last point, whose own are the projection's over t; the stop test adds
-    the complementarity to the gap of g - mult . a.  Returns (q, raw value,
-    violation, iterations, trace, stop reason, the multipliers at the end,
-    the cut projection's passes)."""
+    the complementarity to the gap of g - mult . a.  Its gap level is the
+    first of ``LEVELS`` after ``level`` (the index of the last round's level,
+    -1 before the first), or TOL, that the stop test at q0 does not meet,
+    and it stops at "tol" once the test is at most that level.  Returns (q,
+    raw value, violation, iterations, trace, stop reason, the multipliers at
+    the end, the cut projection's passes, the index of its level)."""
     from fairmeasure._descent import (_BB_MAX, _BB_MIN, _MIN_STEP, _NOISE, _WINDOW, ELASTIC,
-                                      STEP, TOL)
+                                      LEVELS, STEP, TOL)
     spectral = obj.differentiable
     q = project(q0)
     tape = obj.tape(q)
@@ -500,7 +503,8 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None):
     last = None
     iters = 0
     stop = "max_iter"
-    for _ in range(max_iter):
+    tol = TOL
+    for it in range(max_iter):
         if cut is None:
             stat = float(gap(q, grad))
         else:
@@ -508,7 +512,13 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None):
             slack = np.maximum(0.0, ELASTIC * np.maximum(0.0, -lin - noise)
                                + mult * lin).sum(axis=1)
             stat = float((gap(q[None], tilt) + slack)[0])
-        if stat <= TOL:
+            if it == 0:
+                level = level + 1
+                while level < len(LEVELS) - 1 and stat <= LEVELS[level]:
+                    level += 1
+                level = min(level, len(LEVELS) - 1)
+                tol = LEVELS[level]
+        if stat <= tol:
             stop = "tol"
             break
         if not spectral:
@@ -559,7 +569,8 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None):
         if not accepted:
             break
         stop = "max_iter"
-    return q, raw, viol, iters, trace, stop, (mult if cut is not None else None), passes
+    return (q, raw, viol, iters, trace, stop, (mult if cut is not None else None), passes,
+            level)
 
 
 def solve_from(obj, q0, project, gap, max_iter, cut=None):
@@ -567,22 +578,27 @@ def solve_from(obj, q0, project, gap, max_iter, cut=None):
     step and its window afresh.  ``cut`` is None, for one round with no
     floor, or the package's cut projection: then each round is the floor's
     linearly constrained round at the point the last one reached, from
-    multipliers 0 and then those the last round ended with, until a round
-    stops at "tol" before its first step, or after ``_ROUNDS`` rounds.
+    multipliers 0 and then those the last round ended with, each at the gap
+    level after the last round's that its start does not already meet,
+    until a round takes no step, unless it ended on a zero step with new
+    multipliers, or after ``_ROUNDS`` rounds.
     Returns a dict of the point reached (q, value, violation), the summed
     iterations and trace, rho (0.0: the rounds carry no quadratic term),
     the final multipliers unscaled, the last round's stop reason, the
     rounds and the cut projection's passes."""
     from fairmeasure.solver import _ROUNDS
-    q, iters, trace, rounds, passes = q0, 0, [], 0, 0
+    q, iters, trace, rounds, passes, level = q0, 0, [], 0, 0, -1
     lam = None if cut is None else np.zeros((1, len(obj.floor.pairs)))
     for _ in range(1 if cut is None else _ROUNDS):
-        q, raw, viol, n, steps, stop, lam, p = pgd(obj, q, project, gap, max_iter, cut, lam)
+        q, raw, viol, n, steps, stop, mult, p, level = pgd(obj, q, project, gap, max_iter, cut,
+                                                           lam, level)
         iters += n
         passes += p
         trace.extend(steps)
         rounds += 1
-        if cut is None or (stop == "tol" and n == 0):
+        done = cut is None or (n == 0 and (stop != "zero-step" or np.array_equal(mult, lam)))
+        lam = mult
+        if done:
             break
     scale = abs(obj.params.c) if obj.params.c else 1.0
     return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace, rho=0.0,

@@ -19,7 +19,7 @@ from fairmeasure._projection import frank_wolfe_gap, project_cut
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
-from conftest import random_process
+from conftest import random_floor, random_process
 
 
 class Counting:
@@ -182,8 +182,8 @@ def test_descent_stops_when_the_projected_step_does_not_move(two_path):
     assert all(step <= STEP for _, step, _ in run.trace(3))
     for r, q0 in enumerate(starts):
         counting = Counting(obj, lo, hi)
-        q, raw, viol, iters, trace, stop, _, _ = ref.pgd(counting, q0, counting.project, never,
-                                                         max_iter)
+        q, raw, viol, iters, trace, stop, *_ = ref.pgd(counting, q0, counting.project, never,
+                                                       max_iter)
         assert (run.stop[r], run.iterations[r], run.raw[r], run.viol[r]) == (stop, iters, raw, viol)
         assert np.array_equal(run.q[r], q) and run.trace(r) == trace
         assert run.counts[r].tolist() == [counting.evaluations, counting.gradients,
@@ -236,6 +236,37 @@ def test_minimize_matches_reference_on_the_penalty_path():
     rep, runs = assert_matches_reference(g, fm.ConstraintParams(N=2.0, c=c, p=2.0), opts)
     assert len({run["penalty_rounds"] for run in runs}) > 2
     assert rep.feasible
+
+
+def test_minimize_matches_reference_at_the_gap_levels(monkeypatch):
+    """The instance above at the default max_iter, where the rows' early
+    rounds end at their loose gap levels: the batch matches the reference
+    with the levels and with every round at TOL, and the levels take fewer
+    evaluations."""
+    lat = fm.build_lattice(2, 2)
+    g = random_process(np.random.default_rng(5), lat, n=2, low=0.5, high=2.0)
+    params = fm.ConstraintParams(N=2.0, c=fm.correlation_integral(fm.uniform_measure(lat), g,
+                                                                  0, 1), p=2.0)
+    opts = fm.SolveOptions(restarts=6)
+    evaluations = []
+    for levels in (_descent.LEVELS, (_descent.TOL,)):
+        monkeypatch.setattr(_descent, "LEVELS", levels)
+        rep, _ = assert_matches_reference(g, params, opts)
+        evaluations.append(sum(rec.evaluations for rec in rep.restarts))
+    assert evaluations[0] < evaluations[1]
+
+
+def test_a_row_at_a_fixed_point_of_its_cut_leaves_its_rounds():
+    """A row whose round takes no step and ends on a zero step with the
+    multipliers it started from would repeat that round to the last of
+    _ROUNDS, so it leaves.  Here the third start reaches such a point in
+    its second round: it leaves after its third, where it took 30 rounds
+    and 929 evaluations before."""
+    g, params = random_floor(4497, 2, 2, 2.6443348597527314, -0.14341260029842817)
+    rep, _ = assert_matches_reference(g, params, fm.SolveOptions(restarts=4, seed=4497))
+    assert rep.feasible
+    assert [(rec.stop, rec.penalty_rounds) for rec in rep.restarts] == [
+        ("tol", 4), ("tol", 3), ("zero-step", 3), ("tol", 3)]
 
 
 def test_minimize_matches_reference_when_the_floor_is_never_met(two_path_pair):

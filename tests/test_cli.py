@@ -456,6 +456,29 @@ def test_optimize_calibrated_config_with_a_floor(tmp_path):
     assert abs(float(measure.weights.sum()) - 1.0) <= 1e-13
 
 
+def test_optimize_prints_the_floor_certificate(tmp_path, capsys):
+    """The summary line gives the KKT residual where the report has a floor
+    certificate, and the gap where it has a certified gap."""
+    cfg = write_config(tmp_path / "config.json")
+    (tmp_path / "process.csv").write_text(CANONICAL_PROCESS_CSV, encoding="utf-8")
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert capsys.readouterr().out == (f"m* = {report['value']!r} (feasible, "
+                                       f"gap={report['gap']:.3e}, iters={report['iterations']})\n")
+    floor = tmp_path / "floor"
+    floor.mkdir()
+    cfg = write_config(floor / "config.json",
+                       process={"gbm": {"n": 2, "d": 1, "drift": [[0.1], [0.05]],
+                                        "vol": [[0.4], [0.3]], "corr": [[1.0, 0.5], [0.5, 1.0]],
+                                        "s0": [[1.0], [1.0]]}},
+                       lattice={"b": 3, "K": 2}, constraints={"N": 2.0, "c": 0.0, "p": 2.0})
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(floor)]) == 0
+    report = json.loads((floor / "report.json").read_text())
+    assert report["gap"] is None and report["kkt"] is not None
+    assert capsys.readouterr().out.endswith(
+        f"(feasible, kkt={report['kkt']:.3e}, iters={report['iterations']})\n")
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_verify_default_suite_passes(tmp_path, capsys, seed):
     cfg = write_config(tmp_path / "config.json")

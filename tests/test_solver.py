@@ -15,7 +15,7 @@ from fairmeasure._tree import Tree
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
-from conftest import random_process
+from conftest import random_floor, random_process
 
 
 # -- constraint checking ---------------------------------------------------------
@@ -657,17 +657,6 @@ def test_minimize_feasible_floor_active(two_path_pair):
     assert rep.value <= oracle.value + 1e-6
 
 
-def random_floor(seed, b, K, N, spread):
-    """Three exchanges on a random process and a floor ``spread`` times the
-    smallest pair's |integral| below that integral under the uniform
-    measure, which therefore meets it."""
-    g = random_process(np.random.default_rng(seed), fm.build_lattice(b, K), n=3,
-                       low=0.5, high=2.0)
-    U = fm.uniform_measure(g.lattice)
-    smallest = min(fm.correlation_integral(U, g, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
-    return g, fm.ConstraintParams(N=N, c=smallest - spread * abs(smallest), p=2.0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]),
        st.floats(1.2, 3.0), st.floats(0.0, 0.7), st.integers(0, 2 ** 16))
@@ -745,19 +734,32 @@ def floor_cli_instance(seed=1, K=3):
 
 
 class RoundLog(solver.Descent):
-    """A descent that keeps, per row, the iterations and the stop reason of
-    its last round."""
+    """A descent that keeps, per row, the gap level, the iterations and the
+    stop reason of each of its rounds."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.steps_in_last = np.full(len(self.q), -1)
-        self.last_stop = np.full(len(self.q), "", dtype=object)
+        self.log = [[] for _ in self.q]
 
     def round(self, rows):
         before = self.iterations[rows]
         super().round(rows)
-        self.steps_in_last[rows] = self.iterations[rows] - before
-        self.last_stop[rows] = self.stop[rows]
+        for r, steps in zip(rows, self.iterations[rows] - before):
+            self.log[r].append((_descent.LEVELS[self.level[r]], int(steps), self.stop[r]))
+
+
+def logged_minimize(g, params, opts, monkeypatch, extra=()):
+    """minimize's report and the rounds its descent logged."""
+    runs = []
+
+    def logged(*args):
+        runs.append(RoundLog(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "Descent", logged)
+    rep = fm.minimize(g, params, opts, extra_starts=extra)
+    run, = runs
+    return rep, run.log
 
 
 def uniform_floor():
@@ -771,40 +773,59 @@ def uniform_floor():
 
 @pytest.mark.parametrize("case", ["floor_cli", "uniform", "tiny", "trap", "never met"])
 def test_every_floor_row_leaves_after_a_round_at_the_full_gap(case, two_path_pair, monkeypatch):
-    """A row leaves only after a round that stops at "tol" before its first
-    step, where the gap of its gradient tilted by its multipliers plus
-    their complementarity, the floor's KKT test, is at most TOL at its
-    point; a round that steps, or ends at max_iter or on a stalled line
-    search, never lets it leave.  No row here needs all _ROUNDS rounds, and
-    where the floor is met the winner's KKT residual is at most 1e-9."""
+    """A row leaves only after a round at the gap level TOL that stops at
+    "tol" before its first step, where the gap of its gradient tilted by its
+    multipliers plus their complementarity, the floor's KKT test, is at most
+    TOL at its point; a round that steps, or ends at max_iter or on a
+    stalled line search, never lets it leave, and no loose round ends a
+    start.  Each round's level comes after its last round's.  No row here
+    needs all _ROUNDS rounds, and where the floor is met the winner's KKT
+    residual is at most 1e-9."""
     g, params = {"floor_cli": floor_cli_instance, "uniform": uniform_floor,
                  "tiny": lambda: random_floor(217, 2, 1, 1.83, 0.09),
                  "trap": lambda: random_floor(1236, 3, 1, 2.0, 0.0),
                  "never met": lambda: (two_path_pair, fm.ConstraintParams(N=2.0, c=0.9))}[case]()
-    runs = []
-
-    def logged(*args):
-        runs.append(RoundLog(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(solver, "Descent", logged)
-    rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, seed=7))
-    run, = runs
-    assert (run.last_stop == "tol").all() and (run.steps_in_last == 0).all()
+    rep, log = logged_minimize(g, params, fm.SolveOptions(restarts=4, seed=7), monkeypatch)
+    levels = list(_descent.LEVELS)
+    for rounds in log:
+        assert rounds[-1] == (TOL, 0, "tol")
+        for _, steps, stop in rounds[:-1]:
+            assert steps > 0 or stop == "zero-step"
+        for (last, _, _), (level, _, _) in zip(rounds, rounds[1:]):
+            assert levels.index(level) >= min(levels.index(last) + 1, len(levels) - 1)
     assert all(rec.penalty_rounds < solver._ROUNDS for rec in rep.restarts)
     assert rep.feasible == (case != "never met")
     assert rep.kkt <= 1e-9 or case == "never met"
 
 
+def test_a_round_skips_the_gap_levels_its_start_meets(monkeypatch):
+    """On the uniform floor three rows end their first round, at 1e-5, where
+    the next round's start meets 1e-7 and even TOL: that round skips 1e-7,
+    runs at TOL and stops before its first step.  A start at the winner's
+    point meets TOL at once, so its one round runs at TOL.  So every start
+    takes exactly as many rounds as with TOL alone."""
+    g, params = uniform_floor()
+    opts = fm.SolveOptions(restarts=4, seed=7)
+    winner = fm.minimize(g, params, opts).measure.weights
+    rep, log = logged_minimize(g, params, opts, monkeypatch, [winner])
+    assert sum(rounds == [(1e-5, 3, "tol"), (TOL, 0, "tol")] for rounds in log) == 3
+    assert log[-1] == [(TOL, 0, "tol")]
+    monkeypatch.setattr(_descent, "LEVELS", (TOL,))
+    alone = fm.minimize(g, params, opts, extra_starts=[winner])
+    assert ([rec.penalty_rounds for rec in rep.restarts]
+            == [rec.penalty_rounds for rec in alone.restarts])
+
+
 def test_the_floor_cli_instance_takes_fewer_evaluations():
     """The rounds on the linearized floor cut the evaluations the floor_cli
-    instance takes: 1074 summed over its four starts when every multiplier
+    instance takes, summed over its four starts: 1074 when every multiplier
     round ran to TOL, 817 with looser first rounds, 349 on the linearized
-    floor; the bound is half of 817."""
+    floor with every round at TOL, 257 with the gap levels; the bound is
+    257 plus 5%."""
     g, params = floor_cli_instance()
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, max_iter=300))
     assert rep.feasible
-    assert sum(rec.evaluations for rec in rep.restarts) <= 408
+    assert sum(rec.evaluations for rec in rep.restarts) <= 269
 
 
 def test_a_floor_of_tiny_integrals_ends_feasible_at_slsqp():
