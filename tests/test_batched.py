@@ -260,8 +260,7 @@ def test_a_row_at_a_fixed_point_of_its_cut_leaves_its_rounds():
     """A row whose round takes no step and ends on a zero step with the
     multipliers it started from would repeat that round to the last of
     _ROUNDS, so it leaves.  Here the third start reaches such a point in
-    its second round: it leaves after its third, where it took 30 rounds
-    and 929 evaluations before."""
+    its second round and leaves after its third."""
     g, params = random_floor(4497, 2, 2, 2.6443348597527314, -0.14341260029842817)
     rep, _ = assert_matches_reference(g, params, fm.SolveOptions(restarts=4, seed=4497))
     assert rep.feasible
