@@ -178,6 +178,7 @@ class Descent:
         self.cut = cut
         self.q = starts.copy()
         self.raw, self.viol = np.zeros(S), np.zeros(S)
+        self.start_raw, self.start_viol = np.zeros(S), np.zeros(S)   # read in round 1
         self.iterations = np.zeros(S, dtype=int)
         self.rounds = np.zeros(S, dtype=int)
         self.level = np.full(S, -1)   # the index in LEVELS of its last floor round's level
@@ -203,8 +204,8 @@ class Descent:
         return [tuple(step) for step in self.steps[row, :self.iterations[row]].tolist()]
 
     def round(self, rows: np.ndarray) -> None:
-        """At most max_iter iterations on ``rows``.  The step and the window
-        start afresh each round.
+        """At most max_iter iterations on ``rows``, on the box-simplex already.
+        The step and the window start afresh each round.
 
         Without a floor a row descends on f over the box-simplex and stops
         at "tol" once its Frank-Wolfe gap is at most TOL.  With one, each
@@ -239,9 +240,10 @@ class Descent:
         # each row's last penalized values in this round, -inf where none yet
         recent = np.full((len(q), _WINDOW if spectral else 1), -np.inf)
         last_x, last_grad = np.empty_like(q), np.empty_like(q)   # the spectral rows' last pair
-        q[rows] = self.project(q[rows])
         tape = obj.tape(q[rows])
         self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], tape)
+        first = rows[self.rounds[rows] == 0]
+        self.start_raw[first], self.start_viol[first] = self.raw[first], self.viol[first]
         self.grad[rows] = obj.gradient(q[rows], tape)
         recent[rows, 0] = self.raw[rows]
         if floor:
@@ -255,7 +257,7 @@ class Descent:
                                          + np.abs(self.bound[rows]))
             self.mult[rows] = self.lam[rows]
             recent[rows, 0] += ELASTIC * np.maximum(0.0, -self.lin[rows]).sum(axis=1)
-        self.counts[rows] += 1
+        self.counts[rows, :2] += 1
         self.stop[rows] = "max_iter"
         self.rounds[rows] += 1
         active = rows

@@ -393,7 +393,8 @@ def _active_set(v, lo: float, hi: float, A, b):
             ratios = [(u[k] / r[k], k) for k in range(len(active))
                       if active[k] != -1 and r[k] > 1e-15]
             t2, drop = min(ratios) if ratios else (np.inf, None)
-            if float(z @ z) <= 1e-24 * float(n @ n):
+            # z . n is z . z but for rounding; either near 0, the active normals span n
+            if min(float(z @ z), float(z @ n)) <= 1e-24 * float(n @ n):
                 if drop is None:
                     return None
                 u = [u[k] - t2 * r[k] for k in range(len(active))]
@@ -440,7 +441,7 @@ def _cut_step(V, A, b, nu, upper, Q, s, lo: float, hi: float) -> tuple[np.ndarra
     then walk along that rise to a hundredth past the piece's end, or to
     their bounds, so the next step sees a new piece."""
     G, J, _ = A.shape
-    free, held, inv = _piece(Q, lo, hi)
+    projected, (Q, free, held, inv) = Q, _piece(V, A, nu, Q, lo, hi)
     AF = A * free[:, None, :]
     S1 = AF.sum(axis=2)
     H = np.einsum("gjp,gkp->gjk", AF, AF) - S1[:, :, None] * S1[:, None, :] * inv[:, :, None]
@@ -505,7 +506,7 @@ def _cut_step(V, A, b, nu, upper, Q, s, lo: float, hi: float) -> tuple[np.ndarra
         n_r, s_r, top_r = nu[rest], s[rest], top[rest]
         now = rest[np.where(n_r <= 0.0, s_r >= -eps, np.where(n_r >= top_r, s_r <= eps,
                                                              np.abs(s_r) <= eps)).all(axis=1)]
-        new[now], point[now], settled[now] = nu[now], Q[now], True
+        new[now], point[now], settled[now] = nu[now], projected[now], True
     return new, point, settled, ~singular & (new == nu).all(axis=1), H, c0
 
 
@@ -531,20 +532,24 @@ def _model_step(V, A, nu, Q, H, c0, upper, lo: float, hi: float) -> np.ndarray:
                                                                 upper))
         if np.array_equal(x, last):
             break
-    free, held, inv = _piece(Q, lo, hi)
+    Q, free, held, inv = _piece(V, A, nu, Q, lo, hi)
     z0 = _unclipped(V, A, nu, free, held, inv)
     end = _piece_end(z0, _unclipped(V, A, x, free, held, inv) - z0, free, Q, lo, hi, inv)
     share = np.minimum(1.0, 1.01 * end)[:, None]
     return np.clip(nu + share * (x - nu), 0.0, top)
 
 
-def _piece(Q, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The piece of the rows Q of box-simplex projections: which
-    coordinates are free, the held ones' values (0 where free) and 1 over
-    the number free (0 where none is), as a column."""
+def _piece(V, A, nu, Q, lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    """The piece of the rows Q = P(V + A^T nu) of box-simplex projections:
+    Q with each coordinate within its rounding, 4e-16 max |V + A^T nu|, of
+    a bound held at it (read as free, it gives the wrong piece), which are
+    free, the held ones' values (0 where free) and 1 over the number free
+    (0 where none is), as a column."""
+    eps = 4e-16 * np.abs(V + np.einsum("gjp,gj->gp", A, nu)).max(axis=1, keepdims=True)
+    Q = np.where(Q - lo <= eps, lo, np.where(hi - Q <= eps, hi, Q))
     free = (Q > lo) & (Q < hi)
     n = free.sum(axis=1)
-    return free, np.where(free, 0.0, Q), np.where(n > 0, 1.0 / np.maximum(n, 1), 0.0)[:, None]
+    return Q, free, np.where(free, 0.0, Q), np.where(n > 0, 1.0 / np.maximum(n, 1), 0.0)[:, None]
 
 
 def _unclipped(V, A, nu, free, held, inv) -> np.ndarray:

@@ -106,31 +106,26 @@ def _node_sum(w: np.ndarray, x: np.ndarray, rows_last: bool) -> np.ndarray:
     return w[:, 0] * s[:, 0] + w[:, 1] * s[:, 1] if v == 2 else w[:, 0] * s[:, 0]
 
 
-def _levels(shapes: list[tuple], rows_last: bool, flat: np.ndarray | None = None
+def _levels(shapes: list[tuple], flat: np.ndarray | None = None
             ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One flat buffer (``flat``, or a new one) holding an array of each of
-    ``shapes`` in turn, each in the layout of :func:`_empty`, and the views
-    of those arrays."""
-    total, blocks, axes = _layout(tuple(shapes), rows_last)
+    """One flat buffer (``flat``, or a new one) holding a row-major array of
+    each of ``shapes`` in turn, and the views of those arrays."""
+    total, blocks = _layout(tuple(shapes))
     if flat is None:
         flat = np.empty(total)
-    if axes is None:
-        return flat, [flat[a:b].reshape(shape) for a, b, shape in blocks]
-    return flat, [flat[a:b].reshape(shape).transpose(axes) for a, b, shape in blocks]
+    return flat, [flat[a:b].reshape(shape) for a, b, shape in blocks]
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(shapes: tuple, rows_last: bool) -> tuple:
-    """For :func:`_levels`: the buffer size, each array's span in it and the
-    shape it is stored in, and the axes that turn a rows-last block into
-    rows first (None for row-major blocks)."""
+def _layout(shapes: tuple) -> tuple:
+    """For :func:`_levels`: the buffer size and each array's span in it,
+    with its shape."""
     blocks, at = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        blocks.append((at, at + size, shape[1:] + shape[:1] if rows_last else shape))
+        blocks.append((at, at + size, shape))
         at += size
-    axes = (len(shapes[0]) - 1,) + tuple(range(len(shapes[0]) - 1)) if rows_last else None
-    return at, tuple(blocks), axes
+    return at, tuple(blocks)
 
 
 class Tree:
@@ -205,14 +200,14 @@ class Tree:
         :meth:`reverse` with ``adjoint``.  A is the fold at W (a tape's),
         folded here where None; only the value pass of a fold made here
         writes its deviations over the fold.  The adjoint keeps every
-        level's deviations in one buffer, so each of its elementwise passes
-        runs once over all levels."""
+        level's deviations in one row-major buffer, so each of its
+        elementwise passes runs once over all levels."""
         own = A is None and not adjoint
         if A is None:
             A = self.averages(W, self.K)
         dt2, rows_last = self.dt * self.dt, _rows_last(W[-1])
         shapes = [a.shape for a in A]
-        flat, dev = (None, A) if own else _levels(shapes, rows_last)
+        flat, dev = (None, A) if own else _levels(shapes)
         for k in range(self.K):
             np.subtract(self.nodes[k][:, None, :], A[k], out=dev[k])
         norms = [s[:-1] + (self.n,) for s in shapes]
@@ -227,18 +222,18 @@ class Tree:
         if self.d == 1:
             nrm = np.abs(flat)
         else:
-            nrm, x = _levels(norms, rows_last)
+            nrm, x = _levels(norms)
             for k in range(self.K):
                 np.sqrt(np.square(dev[k]).reshape(norms[k] + (self.d,)).sum(axis=-1), out=x[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
         if self.d == 1:
-            D = _levels(shapes, rows_last, coef * flat)[1]
+            D = _levels(shapes, coef * flat)[1]
         else:
             D = [np.repeat(c, self.d, axis=-1) * y
-                 for c, y in zip(_levels(norms, rows_last, coef)[1], dev)]
+                 for c, y in zip(_levels(norms, coef)[1], dev)]
         terms = [dt2 * np.einsum("gvhe->gv", y) - np.einsum("gvhm,gvhm->gv", z, a)
-                 for y, z, a in zip(_levels(norms, rows_last, nrm ** p)[1], D, A)]
+                 for y, z, a in zip(_levels(norms, nrm ** p)[1], D, A)]
         return terms + [0.0], D
 
     def n_value(self, W: list[np.ndarray], adjoint: bool = False,
@@ -288,18 +283,18 @@ class Floor:
                                                   np.abs(x[:, I] * x[:, J])), axis=1)
                                   for x in tree.nodes[1:]]
 
-    def moments(self, W: list[np.ndarray]) -> tuple[np.ndarray, list]:
-        """Integrals (G, pairs) and per level k >= 1 (E g_i, E g_j, cov, E|g_i g_j|)."""
+    def moments(self, W: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Integrals (G, pairs) and per level k >= 1 (G, 4, pairs): E g_i, E g_j, cov, E|g_i g_j|."""
         total, parts = 0.0, []
         for k in range(1, self.tree.K + 1):
-            E = np.einsum("gv,vf->gf", W[k], self.features[k])
-            ex, ey, exy, scale = E.reshape(len(E), 4, -1).swapaxes(0, 1)
+            E = np.einsum("gv,vf->gf", W[k], self.features[k]).reshape(len(W[k]), 4, -1)
+            scale = E[:, 3]
             if (scale <= 0.0).any():
                 i, j = self.pairs[int(np.argmax((scale <= 0.0).any(axis=0)))]
                 raise DomainError(f"E|g_{i} g_{j}| vanishes at time {k}; floor undefined")
-            cov = exy - ex * ey
-            total = total + self.tree.dt * cov / scale
-            parts.append((ex, ey, cov, scale))
+            E[:, 2] -= E[:, 0] * E[:, 1]   # E g_i g_j to the covariance
+            total = total + self.tree.dt * E[:, 2] / scale
+            parts.append(E)
         return total, parts
 
     @staticmethod
@@ -312,7 +307,8 @@ class Floor:
         respect to the level-k node weights (G, pairs, b^k), from the
         (integrals, parts) of :meth:`moments`."""
         out, J = [], len(self.pairs)
-        for k, (ex, ey, cov, scale) in enumerate(moments[1], start=1):
+        for k, level in enumerate(moments[1], start=1):
+            ex, ey, cov, scale = level.swapaxes(0, 1)
             ws = self.tree.dt / scale
             coef = np.stack((-ws * ey, -ws * ex, ws, -ws * cov / scale), axis=1)
             out.append(np.einsum("gfj,vfj->gjv", coef, self.features[k].reshape(-1, 4, J)))
@@ -347,14 +343,12 @@ class Tape:
 
     def arrays(self) -> list[np.ndarray]:
         """Every array of the tape, in a fixed order."""
-        floor = [] if self.moments is None else [self.moments[0], *(
-            x for part in self.moments[1] for x in part)]
+        floor = [] if self.moments is None else [self.moments[0], *self.moments[1]]
         return self.W + self.A + floor
 
     def take(self, rows) -> Tape:
         """The tape of the rows ``rows``."""
         K, arrays = len(self.A), [x[rows] for x in self.arrays()]
         floor = arrays[2 * K + 1:]
-        moments = None if self.moments is None else (
-            floor[0], [tuple(floor[i:i + 4]) for i in range(1, len(floor), 4)])
+        moments = None if self.moments is None else (floor[0], floor[1:])
         return Tape(arrays[:K + 1], arrays[K + 1:2 * K + 1], moments)

@@ -73,9 +73,10 @@ Each value is one O(P) forward pass of the node kernel in ``_tree``, kept
 as the point's tape for as long as one trial, and each gradient the
 kernel's exact adjoint sweep over that tape: a row is differentiated at
 each round's start and at each point it accepts, so a solved winner's
-gap reads the gradient its descent took there, and only a start that
-wins is differentiated again, from the starts' tape.  Under the floor the
-winner is differentiated once more, for its KKT certificate.
+gap reads the gradient its descent took there.  A start's own value is
+read in its first round; only a start that wins where m is smooth and
+convex is folded again, for its gap, and under the floor the winner, for
+its KKT certificate.
 
 n on a binary lattice with no floor takes none of the above: there its
 minimum is the exact bottom-up walk over subtree mass of ``_exact``, in
@@ -305,30 +306,30 @@ class RestartRecord(NamedTuple):
     Frank-Wolfe gap, under the floor that of the gradient tilted by the
     multipliers plus their complementarity, at most ``_descent.TOL``),
     "stalled-line-search" (no step above the minimum step decreased the
-    value), "zero-step" (the projected step did not move) or "max_iter".
+    value), "zero-step" (a trial's projected point was the row's point: a
+    fixed point, or a step halved too short to move it) or "max_iter".
     Under the floor a start leaves its rounds once one takes no step, so
     its last round stopped at "tol" before a step, at the full gap
     ``_descent.TOL``, unless it stalled there, ended there on a zero step
     that left its multipliers as they were, or ran all 30 rounds.  The
     counts are rows the descent evaluated (forward passes, each the
-    point's tape), differentiated and projected for this start, a cut
-    projection counting its box-simplex projections.
+    point's tape), differentiated and projected (trial steps only, a cut
+    projection counting its box-simplex projections) for this start.
     A row is differentiated once per point it reached, at each round's
     start (with the floor's Jacobian there) and at each accepted step,
     from the tape its evaluation made, so ``gradients`` is iterations +
     penalty_rounds and no gradient folds again.  ``penalty_rounds`` counts
     its rounds (one without a floor), the loose early rounds on the
     linearized floor and the round that confirms its point included.
-    ``rho`` is 0.0: the rounds carry no quadratic penalty (the field
-    stays, as a report key).  ``value`` and ``violation`` are those of
-    the point it reached, and ``multipliers``
-    the floor's multipliers there, one per exchange pair i < j in order
-    (none without a floor), in the units of f - sum lam (I - c): those of
-    the linearized floor's halfspaces at the end of its last round, at most
-    ``_descent.ELASTIC`` / |c|, which they reach where the floor is out of
-    reach.  Where the exact walk solved n (b = 2, no floor) the one record
-    has kind and stop "exact", one evaluation, of the walk's point, and no
-    iteration, gradient or penalty round."""
+    ``value`` and ``violation`` are those of the point it reached, and
+    ``multipliers`` the floor's multipliers there, one per exchange pair
+    i < j in order (none without a floor), in the units of
+    f - sum lam (I - c): those of the linearized floor's halfspaces at the
+    end of its last round, at most ``_descent.ELASTIC`` / |c|, which they
+    reach where the floor is out of reach.  Where the exact walk solved n
+    (b = 2, no floor) the one record has kind and stop "exact", one
+    evaluation, of the walk's point, and no iteration, gradient or penalty
+    round."""
 
     kind: str
     stop: str
@@ -337,7 +338,6 @@ class RestartRecord(NamedTuple):
     gradients: int
     projections: int
     penalty_rounds: int
-    rho: float
     value: float
     violation: float
     multipliers: tuple[float, ...] = ()
@@ -475,15 +475,13 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
         starts[r] = s
     starts[1:] = project(starts[1:])
 
-    start_tape = obj.tape(starts)
-    start_raw, start_viol = obj.evaluate(starts, start_tape)
     cut = (lambda V, A, b, upper, nu: project_cut(V, lo[0], hi[0], A, b, upper, nu)
            ) if floor_active else None
     run = _solve_starts(obj, starts, project, gap, opts.max_iter, cut)
 
     # the candidates: start r is 2r and the point descended from it 2r + 1
-    value = np.column_stack((start_raw, run.raw)).ravel()
-    violation = np.column_stack((start_viol, run.viol)).ravel()
+    value = np.column_stack((run.start_raw, run.raw)).ravel()
+    violation = np.column_stack((run.start_viol, run.viol)).ravel()
     feasible_idx = np.flatnonzero(violation <= FEASIBILITY_TOL)
     if feasible_idx.size:
         w = int(feasible_idx[np.argmin(value[feasible_idx])])
@@ -492,7 +490,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     r, solved = divmod(w, 2)
     records = [RestartRecord(kind, str(run.stop[i]), int(run.iterations[i]),
                              *map(int, run.counts[i]), int(run.rounds[i]),
-                             0.0, float(run.raw[i]), float(run.viol[i]),
+                             float(run.raw[i]), float(run.viol[i]),
                              tuple((run.lam[i] / run.scale).tolist()))
                for i, kind in enumerate(kinds)]
 
@@ -503,7 +501,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     # (no floor); under the floor its KKT residual certifies its point
     certified = kkt = lagrangian_gap = None
     if smooth_convex:
-        grad = run.grad[r] if solved else obj.gradient(q, start_tape.take([r]))
+        grad = run.grad[r] if solved else obj.gradient(q)
         certified = max(0.0, float(gap(q, grad)))
     if floor_active:
         lam = run.lam[r] / run.scale if solved else np.zeros(len(obj.floor.pairs))
@@ -545,7 +543,7 @@ def _solve_exact(g: LatticeProcess, params: ConstraintParams, obj: _Objective,
     w = int(value < base)
     measure = Measure(g.lattice, q) if w else uniform_measure(g.lattice)
     report = check_constraints(measure, g, params)
-    record = RestartRecord("exact", "exact", 0, 1, 0, 0, 0, 0.0, value, 0.0)
+    record = RestartRecord("exact", "exact", 0, 1, 0, 0, 0, value, 0.0)
     return SolveReport(measure=measure, value=value if w else base, gap=0.0,
                        constraint_slacks=report.summary(), iterations=0, trace=[],
                        feasible=report.feasible, restarts=[record], winner=w)

@@ -462,8 +462,9 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None, level=-1):
     the last pair, clamped (``STEP`` where s'y <= 0), and a trial is tested
     against the largest of the last ``_WINDOW`` penalized values; elsewhere
     the trial step doubles up to ``STEP`` and the test is against the
-    current value.  The gradient is taken at the start and after each
-    accepted step.
+    current value.  The start q0 lies on the box-simplex, as every round's
+    start does, so only trial steps are projected.  The gradient is taken at
+    the start and after each accepted step.
 
     With ``cut``, the package's cut projection (V, A, b, upper, nu), the
     round is the floor's linearly constrained round at the start's scaled
@@ -482,7 +483,7 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None, level=-1):
     from fairmeasure._descent import (_BB_MAX, _BB_MIN, _MIN_STEP, _NOISE, _WINDOW, ELASTIC,
                                       LEVELS, STEP, TOL)
     spectral = obj.differentiable
-    q = project(q0)
+    q = q0
     tape = obj.tape(q)
     raw, viol = (float(x[0]) for x in obj.evaluate(q, tape))
     grad = obj.gradient(q, tape)
@@ -583,9 +584,8 @@ def solve_from(obj, q0, project, gap, max_iter, cut=None):
     until a round takes no step, unless it ended on a zero step with new
     multipliers, or after ``_ROUNDS`` rounds.
     Returns a dict of the point reached (q, value, violation), the summed
-    iterations and trace, rho (0.0: the rounds carry no quadratic term),
-    the final multipliers unscaled, the last round's stop reason, the
-    rounds and the cut projection's passes."""
+    iterations and trace, the final multipliers unscaled, the last round's
+    stop reason, the rounds and the cut projection's passes."""
     from fairmeasure.solver import _ROUNDS
     q, iters, trace, rounds, passes, level = q0, 0, [], 0, 0, -1
     lam = None if cut is None else np.zeros((1, len(obj.floor.pairs)))
@@ -601,7 +601,7 @@ def solve_from(obj, q0, project, gap, max_iter, cut=None):
         if done:
             break
     scale = abs(obj.params.c) if obj.params.c else 1.0
-    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace, rho=0.0,
+    return dict(q=q, value=raw, violation=viol, iterations=iters, trace=trace,
                 multipliers=() if cut is None else tuple((lam[0] / scale).tolist()),
                 stop=stop, penalty_rounds=rounds, passes=passes)
 

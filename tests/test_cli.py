@@ -342,14 +342,15 @@ def test_optimize_report_records_each_restart(tmp_path):
     assert [r["kind"] for r in records] == ["base", "random", "random"]
     for r in records:
         assert list(r) == ["kind", "stop", "iterations", "evaluations", "gradients",
-                           "projections", "penalty_rounds", "rho", "value", "violation",
+                           "projections", "penalty_rounds", "value", "violation",
                            "multipliers"]
-        assert r["stop"] == "tol" and r["penalty_rounds"] == 1 and r["rho"] == 0.0
+        assert r["stop"] == "tol" and r["penalty_rounds"] == 1
         assert r["multipliers"] == []
         assert r["gradients"] == r["iterations"] + 1
         assert r["evaluations"] >= r["iterations"] + 1
-        # each trial step is projected and then evaluated; the gap test projects nothing
-        assert r["projections"] == r["evaluations"]
+        # each trial step is projected and then evaluated, and the round's
+        # start is evaluated only; the gap test projects nothing
+        assert r["projections"] == r["evaluations"] - 1
     winner = report["winner"]
     solved = records[winner // 2]
     assert report["iterations"] == (solved["iterations"] if winner % 2 else 0)

@@ -1,6 +1,8 @@
 """The box-simplex cut by the linearized floor's halfspaces: the batched
 dual Newton projection of ``_projection.project_cut`` against a general QP
 solver in ``reference.py`` and on its KKT conditions."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,3 +116,49 @@ def test_cut_projection_is_elastic_where_the_cut_is_empty():
     assert nu[0, 0] == 5.0
     assert np.abs(Q[0] - fm.project_capped_simplex(v + 5.0 * a, lo, hi)).max() <= 1e-15
     assert_kkt(v[None], lo, hi, A, b, upper, Q, nu)
+
+
+def test_a_coordinate_a_few_ulps_inside_its_bound_is_held():
+    """A row of a solver run, warm-started at the elastic bound 1e4 on one
+    multiplier: the projection of v + A^T nu leaves its second coordinate
+    3.5e-13 above lo, within the rounding of the shifted point's entries of
+    1.2e4.  Read as free, it gave every Newton step the same wrong piece,
+    and the row took all the steps before the active-set fallback; held at
+    lo, it settles at nu = 0 within three projections."""
+    V = np.array([[0.8254720557027199, -0.18932738130965598]])
+    lo, hi = 0.17661007278660584, 1.415547800051414
+    A = np.array([[[-3.7544126530976527, 3.7544126530976527],
+                   [1.2341706292614063, -1.2341706292614063],
+                   [1.1769989992406593, -1.1769989992406593]]])
+    b = np.array([[-4.870178024963298, 0.310940440586451, 0.25244108890332195]])
+    upper = np.array([1e4])
+    Q, nu, passes = project_cut(V, lo, hi, A, b, upper, np.array([[0.0, 1e4, 0.0]]))
+    assert passes[0] <= 3 and (nu == 0.0).all()
+    assert_kkt(V, lo, hi, A, b, upper, Q, nu)
+
+
+def empty_cut(seed):
+    """One row and 1-3 halfspaces, as ``random_cuts`` draws them but with
+    offsets that may leave no common point."""
+    rng = np.random.default_rng(seed)
+    P, J, N = rng.integers(2, 9), rng.integers(1, 4), rng.uniform(1.2, 3.0)
+    lo, hi = 1.0 / (P * N), N / P
+    v = fm.project_capped_simplex(rng.uniform(lo, hi, P), lo, hi) + rng.normal(0.0, 0.3 / P, P)
+    A = rng.normal(size=(J, P))
+    A -= A.mean(axis=1, keepdims=True)
+    b = (A @ fm.project_capped_simplex(rng.uniform(lo, hi, P), lo, hi)
+         + rng.uniform(-0.5, 1.0, J) * np.abs(A).sum(axis=1) / P)
+    return v, lo, hi, A, b
+
+
+@pytest.mark.parametrize("seed", [2096, 9052])
+def test_active_set_finds_no_point_of_an_empty_cut(seed):
+    """Two cuts on eight coordinates with no common point (an LP's best
+    smallest slack is -0.25 and -0.50): once the active normals span the
+    next constraint's, its step z . n is 0 but for rounding, and the method
+    returns None, without dividing by it."""
+    v, lo, hi, A, b = empty_cut(seed)
+    assert (len(v), len(b)) == ((8, 1) if seed == 2096 else (8, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _active_set(v, lo, hi, A, b) is None

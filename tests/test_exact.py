@@ -129,8 +129,7 @@ def test_the_exact_report():
     params = fm.ConstraintParams(N=2.0, objective="n")
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=5, max_iter=3, seed=9),
                       extra_starts=[np.full(32, 1 / 32)])
-    assert rep.restarts == [fm.RestartRecord("exact", "exact", 0, 1, 0, 0, 0, 0.0,
-                                             rep.value, 0.0)]
+    assert rep.restarts == [fm.RestartRecord("exact", "exact", 0, 1, 0, 0, 0, rep.value, 0.0)]
     assert rep.winner == 1 and rep.gap == 0.0 and rep.trace == [] and rep.iterations == 0
     assert rep.value < fm.unfairness_n(fm.uniform_measure(g.lattice), g)
     again = fm.minimize(g, params)

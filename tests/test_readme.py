@@ -42,3 +42,12 @@ def test_readme_examples_run_and_print_what_they_say(tmp_path):
             assert np.allclose(value, expected, rtol=1e-12, atol=0.0), (code, value)
         claims.append(said)
     assert claims == ["0.0625", "0.25", "~0", "~(1/3, 2/3)"]
+
+
+def test_readme_names_exactly_the_restart_record_keys():
+    """The README's paragraph on ``SolveReport.restarts`` names, in order,
+    the keys of a restart record and no others, so a retired key cannot
+    linger there."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("`SolveReport.restarts`"):text.index("`SolveReport.winner`")]
+    assert re.findall(r"`(\w+)`", paragraph) == list(fm.RestartRecord._fields)

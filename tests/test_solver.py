@@ -15,7 +15,7 @@ from fairmeasure._tree import Tree
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
-from conftest import random_floor, random_process
+from conftest import dyadic_martingale, random_floor, random_process
 
 
 # -- constraint checking ---------------------------------------------------------
@@ -748,12 +748,12 @@ class RoundLog(solver.Descent):
             self.log[r].append((_descent.LEVELS[self.level[r]], int(steps), self.stop[r]))
 
 
-def logged_minimize(g, params, opts, monkeypatch, extra=()):
-    """minimize's report and the rounds its descent logged."""
+def logged_minimize(g, params, opts, monkeypatch, extra=(), descent=RoundLog):
+    """minimize's report and the rounds its descent, a ``descent``, logged."""
     runs = []
 
     def logged(*args):
-        runs.append(RoundLog(*args))
+        runs.append(descent(*args))
         return runs[-1]
 
     monkeypatch.setattr(solver, "Descent", logged)
@@ -796,6 +796,59 @@ def test_every_floor_row_leaves_after_a_round_at_the_full_gap(case, two_path_pai
     assert all(rec.penalty_rounds < solver._ROUNDS for rec in rep.restarts)
     assert rep.feasible == (case != "never met")
     assert rep.kkt <= 1e-9 or case == "never met"
+
+
+class EntryLog(solver.Descent):
+    """A descent that keeps, per round, its rows' points as they enter it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def round(self, rows):
+        self.log.append(self.q[rows].copy())
+        super().round(rows)
+
+
+@pytest.mark.parametrize("case", ["floor", "no floor"])
+def test_every_row_enters_every_round_on_the_box_simplex(case, monkeypatch):
+    """A round's start projects nothing, so every row must enter each round
+    on the box-simplex, its sum 1 to 1e-13 and its box to 1e-15: the starts
+    as ``minimize`` projected them, an extra start off the simplex among
+    them, and later points as the projections of their trials returned
+    them.  Without a floor n on b = 4 descends from random starts."""
+    g, params = floor_cli_instance()
+    if case == "no floor":
+        params = fm.ConstraintParams(N=2.0, objective="n")
+    lo, hi = (x[0] for x in box_bounds(g.lattice, params.N))
+    extra = np.random.default_rng(3).uniform(0.0, 2.0 * hi, g.lattice.n_paths)
+    rep, entries = logged_minimize(g, params, fm.SolveOptions(restarts=4, seed=7), monkeypatch,
+                                   [extra], EntryLog)
+    assert len(entries) == max(rec.penalty_rounds for rec in rep.restarts)
+    assert len(entries) > (case == "floor")
+    for q in entries:
+        assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-13
+        assert lo - 1e-15 <= q.min() and q.max() <= hi + 1e-15
+
+
+@pytest.mark.parametrize("case", ["floor", "no floor", "a start wins"])
+def test_each_start_is_folded_once(case, monkeypatch):
+    """``minimize`` reads each start's own value in the start's first
+    round, so the rows it folds are the rows its descent evaluated, and
+    one more for the floor's certificate, or for the gap of a start that
+    wins where m is smooth and convex: on a dyadic martingale the uniform
+    base measure is optimal, and its round stops before a step."""
+    g, params = floor_cli_instance()
+    if case == "no floor":
+        params = fm.ConstraintParams(N=2.0, objective="n")
+    elif case == "a start wins":
+        g, params = dyadic_martingale(np.random.default_rng(4), 3)[1], fm.ConstraintParams(N=2.0)
+    rows, tape = [], solver._Objective.tape
+    monkeypatch.setattr(solver._Objective, "tape",
+                        lambda self, Q: rows.append(len(np.atleast_2d(Q))) or tape(self, Q))
+    rep = fm.minimize(g, params, fm.SolveOptions(restarts=4, seed=7))
+    assert (rep.winner == 0) == (case == "a start wins")
+    assert sum(rows) == sum(rec.evaluations for rec in rep.restarts) + (case != "no floor")
 
 
 def test_a_round_skips_the_gap_levels_its_start_meets(monkeypatch):
@@ -1061,7 +1114,7 @@ def test_deep_lattice_counts_stay_pinned():
                                      s0=one), seed=1)
     rep = fm.minimize(g, fm.ConstraintParams(N=2.0, p=2.0),
                       fm.SolveOptions(max_iter=300, restarts=4, seed=0))
-    assert [r[:6] for r in rep.restarts] == [("base", "tol", 36, 37, 37, 37)]
+    assert [r[:6] for r in rep.restarts] == [("base", "tol", 36, 37, 37, 36)]
 
 
 # -- reports ------------------------------------------------------------------------------
