@@ -19,9 +19,9 @@ slow; there g_{k+1} and A_{k+1} are averaged in two calls (at K = 2 and
 2.4).  With longer axes the second call costs more than the copies it saves.
 
 The kernel follows the layout of the weights.  The descent's batches are
-row-major and a few rows tall.  An oracle block is column-major: up to
-65536 rows of at most six paths, so a row-major pass would run one loop of
-1-4 entries per row.  Where the row axis of W_K is the fastest
+row-major and a few rows tall.  An oracle block is column-major: at most
+BLOCK_ELEMS // P rows (16384 at P = 4) of at most six paths, so a
+row-major pass would run one loop of 1-4 entries per row.  Where the row axis of W_K is the fastest
 (``_rows_last``; a single row never is), the fold's buffers put it fastest
 too and every pass runs one long loop along the rows.  The floats are those
 of the row-major block: the fold is elementwise, numpy adds up to seven
@@ -65,8 +65,14 @@ from .errors import DomainError
 from .lattice import LatticeProcess, _parent_weights, _weighted_mean
 
 # Weight entries per row block when a large batch (the oracle grid) is
-# evaluated piecewise; bounds the kernel's working memory.
-BLOCK_ELEMS = 1 << 18
+# evaluated piecewise; bounds the kernel's working memory and keeps a block's
+# buffers near the cache.  m at p = 2 on a column-major P = 4 oracle block
+# costs 19 ns a candidate at 16200 rows, against 21-40 ns at 65523 rows and
+# 26-27 ns at 4082 (best of 20), and the 20 oracle grids of perfbench's
+# oracle_small take 0.28 s in blocks of 1 << 16 entries, 0.34 s in blocks
+# of 1 << 18 and 0.39-0.43 s in blocks of 1 << 14 (best of 3); one core of
+# a 2-vCPU Xeon with 4 MiB of L2, numpy 2.4.
+BLOCK_ELEMS = 1 << 16
 
 
 def row_blocks(rows: int, width: int) -> list[slice]:

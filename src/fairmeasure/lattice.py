@@ -28,7 +28,8 @@ def _as_count(name: str, val, least: int, most: int | None = None) -> int:
             and least <= val and (most is None or val <= most)):
         return int(val)
     bound = f">= {least}" if most is None else f"in {least}..{most}"
-    raise ParameterError(f"{name} must be an integer {bound}, got {val!r}")
+    shown = val.item() if isinstance(val, np.generic) else val  # 2.5, not np.float64(2.5)
+    raise ParameterError(f"{name} must be an integer {bound}, got {shown!r}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,9 @@ class Measure:
 
     def __post_init__(self):
         w = _path_array(self.lattice, self.weights, "weights")
-        if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ParameterError(f"weights sum to {w.sum()!r}, not 1 within {NORMALIZATION_TOL}")
+        total = float(w.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ParameterError(f"weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}")
         object.__setattr__(self, "weights", w)
 
     def density(self) -> "Density":

@@ -91,6 +91,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _tree
 from ._descent import Descent
 from ._exact import min_n
 from ._projection import frank_wolfe_gap, project_capped_simplex, project_cut
@@ -111,8 +112,8 @@ __all__ = [
 FEASIBILITY_TOL = 1e-8
 # Oracle grid points.  The worst grid in budget, b = 2, K = 2 at resolution
 # 463 with N = 1.01 (66.5 million of its 99.9 million points in the box),
-# takes 3.0-4.3 s for m at p = 2 and 3.1-4.2 s for n (one core of a 2-vCPU
-# Xeon, numpy 2.4; BENCH_20.json).
+# takes 1.8-2.0 s for m at p = 2 and 1.5-1.7 s for n, with a tracemalloc
+# peak of 8.3-8.4 MiB (one core of a 2-vCPU Xeon, numpy 2.4; BENCH_29.json).
 _GRID_BUDGET = 10 ** 8
 
 
@@ -557,17 +558,73 @@ class BruteForceResult:
     value: float
 
 
+def _run_bounds(s: np.ndarray, axis: np.ndarray, lo: float,
+                hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each prefix sum's run of in-box last head values, as index bounds
+    (start, stop) into ``axis``: the j with
+    lo - 1e-12 <= 1.0 - (s + axis[j]) <= hi + 1e-12.  As ``axis`` is
+    nondecreasing and IEEE rounding is monotone, that last coordinate is
+    nonincreasing in j, so each bound is the first j past a threshold,
+    found by a vectorized bisection on the same rounded expression
+    (log2(width) + 1 passes, however many axis values are equal)."""
+    width = len(axis)
+    bounds = []
+    for beyond in (lambda last: last <= hi + 1e-12, lambda last: last < lo - 1e-12):
+        first = np.zeros(len(s), dtype=np.intp)  # no j below first is beyond
+        for step in [1 << e for e in reversed(range(width.bit_length()))]:
+            probe = first + step
+            last = 1.0 - (s + axis[np.minimum(probe, width) - 1])
+            first = np.where((probe <= width) & ~beyond(last), probe, first)
+        bounds.append(first)
+    return bounds[0], bounds[1]
+
+
+def _in_box_blocks(axis: np.ndarray, P: int, lo: float, hi: float):
+    """The grid's points in the box-simplex, in lexicographic order, as
+    column-major (n, P) blocks.  On the box-simplex the last coordinate
+    falls as the last head value rises, so each prefix on the first P - 2
+    axes holds one contiguous run of in-box points; only those runs are
+    built.  The prefixes are taken in chunks of at most
+    ``_tree.BLOCK_ELEMS``, and a block holds whole runs, at most
+    ``BLOCK_ELEMS // P`` rows of them or one run that is longer."""
+    width = len(axis)
+    rows_max = _tree.BLOCK_ELEMS // P
+    for chunk in row_blocks(width ** (P - 2), 1):
+        # prefixes on the first P - 2 axes, summed left to right
+        pre = [axis[d] for d in np.unravel_index(np.arange(chunk.start, chunk.stop),
+                                                 (1,) + (width,) * (P - 2))[1:]]
+        s = sum(pre, np.zeros(chunk.stop - chunk.start))
+        start, stop = _run_bounds(s, axis, lo, hi)
+        counts = stop - start
+        ends = np.cumsum(counts)
+        i, base = 0, 0
+        while i < len(s):
+            j = max(int(np.searchsorted(ends, base + rows_max, side="right")), i + 1)
+            n = int(ends[j - 1]) - base
+            if n:
+                c = counts[i:j]
+                cand = np.empty((n, P), order="F")
+                for col, x in enumerate(pre):
+                    cand[:, col] = np.repeat(x[i:j], c)
+                # each row's axis index: its run's start plus its place in the run
+                head = np.arange(n) + np.repeat(start[i:j] - (ends[i:j] - c - base), c)
+                np.take(axis, head, out=cand[:, -2])
+                np.clip(1.0 - (np.repeat(s[i:j], c) + cand[:, -2]), lo, hi, out=cand[:, -1])
+                yield cand
+            i, base = j, base + n
+
+
 def brute_force_min(g: LatticeProcess, params: ConstraintParams,
                     resolution: int = 200) -> BruteForceResult:
     """Exhaustive grid search over the feasible box-simplex.
 
-    The last coordinate is eliminated by normalization; only grid points in the
-    box are built, in lexicographic order, in row blocks of bounded memory, and a
-    point below the floor never wins; ties go to the lexicographically smallest.
-    Each block is built column by column into a column-major (n, P) array, so
-    the node kernel's passes run along the candidates (see ``_tree``); the
-    values are those of the same rows in row-major order.  Limited to 6 paths,
-    integer resolutions to 2000 and 10^8 points on the grid.
+    The last coordinate is eliminated by normalization; only grid points in
+    the box are built, in lexicographic order, in blocks of bounded memory
+    (``_in_box_blocks``), and a point below the floor never wins; ties go
+    to the lexicographically smallest.  Each block is column-major, so the
+    node kernel's passes run along the candidates (see ``_tree``); the
+    values are those of the same rows in row-major order.  Limited to 6
+    paths, integer resolutions to 2000 and 10^8 points on the grid.
     """
     lat = g.lattice
     P = lat.n_paths
@@ -581,23 +638,7 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     obj = _Objective(g, params)
     axis = np.linspace(lo[0], hi[0], width)  # every axis, as the box is uniform
     best_q, best_value, in_box = None, math.inf, False
-    for rows in row_blocks(width ** (P - 2), P * width):
-        # prefixes on the first P - 2 axes by the last head axis, summed left to right
-        pre = [axis[d] for d in np.unravel_index(np.arange(rows.start, rows.stop),
-                                                 (1,) + (width,) * (P - 2))[1:]]
-        last = np.add.outer(sum(pre, np.zeros(rows.stop - rows.start)), axis)
-        np.subtract(1.0, last, out=last)
-        keep = last >= lo[-1] - 1e-12
-        keep &= last <= hi[-1] + 1e-12
-        counts = keep.sum(axis=1)
-        n = int(counts.sum())
-        if n == 0:
-            continue
-        cand = np.empty((n, P), order="F")
-        for c, x in enumerate(pre):
-            cand[:, c] = np.repeat(x, counts)
-        cand[:, -2] = np.broadcast_to(axis, last.shape)[keep]
-        np.clip(last[keep], lo[-1], hi[-1], out=cand[:, -1])
+    for cand in _in_box_blocks(axis, P, lo[-1], hi[-1]):
         in_box = True
         W = obj.tree.node_weights(cand)
         values = obj.raw(W)

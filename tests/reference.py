@@ -673,6 +673,24 @@ def breakpoint_projection(v, lo, hi, total=1.0):
 
 # -- the full-grid oracle -------------------------------------------------------------
 
+def grid_rows(lat, N, resolution, rows=None):
+    """The in-box points among the grid rows ``rows`` (a slice of the
+    (resolution + 1)^(P - 1) rows, all of them by default), in
+    lexicographic order: each row is decoded, gathered and summed, and
+    only then are the rows outside the box dropped."""
+    from fairmeasure.solver import box_bounds
+    P = lat.n_paths
+    lo, hi = box_bounds(lat, N)
+    axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
+    rows = rows or slice(0, (resolution + 1) ** (P - 1))
+    # grid rows in lexicographic order, the first coordinate slowest
+    digits = np.unravel_index(np.arange(rows.start, rows.stop), (resolution + 1,) * (P - 1))
+    head = np.column_stack([axis[i] for axis, i in zip(axes, digits)])
+    last = 1.0 - head.sum(axis=1)
+    keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
+    return np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+
+
 def grid_min(g, params, resolution=200):
     """The grid search that ``brute_force_min`` replaced, unchanged: every
     one of the (resolution + 1)^(P - 1) grid rows is decoded, gathered and
@@ -680,7 +698,7 @@ def grid_min(g, params, resolution=200):
     ``fm.BruteForceResult``."""
     import math
     from fairmeasure._tree import row_blocks
-    from fairmeasure.solver import _GRID_BUDGET, _Objective, box_bounds
+    from fairmeasure.solver import _GRID_BUDGET, _Objective
     lat = g.lattice
     P = lat.n_paths
     if P > 6:
@@ -690,17 +708,10 @@ def grid_min(g, params, resolution=200):
     size = (resolution + 1) ** (P - 1)
     if size > _GRID_BUDGET:
         raise fm.SizeBudgetError(f"grid of {resolution + 1}^{P - 1} points exceeds {_GRID_BUDGET}")
-    lo, hi = box_bounds(lat, params.N)
     obj = _Objective(g, params)
-    axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
     best_q, best_value, in_box = None, math.inf, False
     for rows in row_blocks(size, P):
-        # grid rows in lexicographic order, the first coordinate slowest
-        digits = np.unravel_index(np.arange(rows.start, rows.stop), (resolution + 1,) * (P - 1))
-        head = np.column_stack([axis[i] for axis, i in zip(axes, digits)])
-        last = 1.0 - head.sum(axis=1)
-        keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
-        cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+        cand = grid_rows(lat, params.N, resolution, rows)
         if cand.shape[0] == 0:
             continue
         in_box = True

@@ -110,6 +110,20 @@ def test_lattice_rejects_non_integral_sizes(calls, args):
             call(*args)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: fm.build_lattice(2, np.int64(0)), "depth must be an integer >= 1, got 0"),
+    (lambda: fm.brute_force_min(fm.LatticeProcess(fm.build_lattice(2, 1), 1, 1, np.ones((2, 2, 1))),
+                                fm.ConstraintParams(N=2.0), resolution=np.float64(2.5)),
+     "resolution must be an integer in 1..2000, got 2.5"),
+    (lambda: fm.Measure(fm.build_lattice(2, 1), np.array([0.3, 0.3])),
+     "weights sum to 0.6, not 1 within 1e-12"),
+], ids=["numpy-int-depth", "numpy-float-resolution", "numpy-weight-sum"])
+def test_errors_print_numpy_scalars_as_plain_numbers(call, message):
+    with pytest.raises(fm.ParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("b,K", [(2, 1), (2, 4), (3, 3), (7, 2), (10, 2)])
 def test_path_index_inverts_path_label(b, K):
     lat = fm.build_lattice(b, K)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -955,6 +956,21 @@ def test_brute_force_size_limits():
     g6 = random_process(np.random.default_rng(0), fm.build_lattice(6, 1))
     with pytest.raises(fm.SizeBudgetError, match="grid"):
         fm.brute_force_min(g6, fm.ConstraintParams(N=2.0), resolution=2000)
+
+
+def test_brute_force_memory_stays_bounded():
+    """The oracle takes its prefixes in chunks and scores their in-box runs
+    in cache-sized blocks, so a 39^5-point grid (b = 6, K = 1, resolution
+    38, N = 3) peaks near 10 MiB under tracemalloc; building every run at
+    once would take over 200 MiB."""
+    g = random_process(np.random.default_rng(5), fm.build_lattice(6, 1))
+    tracemalloc.start()
+    try:
+        fm.brute_force_min(g, fm.ConstraintParams(N=3.0), resolution=38)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_brute_force_rejects_a_bool_resolution(two_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fairmeasure as fm
 from fairmeasure import UnfairnessConfig, _tree
 from fairmeasure._tree import Floor, Tree
-from fairmeasure.solver import _Objective, box_bounds
+from fairmeasure.solver import _Objective, _run_bounds, box_bounds
 from fairmeasure.verify import _central_difference
 
 import reference as ref
@@ -460,14 +460,8 @@ def test_brute_force_matches_full_grid_reference(block, monkeypatch):
 
 def grid_correlations(g, N, resolution):
     """The floor integral of exchanges 0 and 1 at every grid row in the box."""
-    lo, hi = box_bounds(g.lattice, N)
-    P = g.lattice.n_paths
-    axis = np.linspace(lo[0], hi[0], resolution + 1)
-    head = np.stack(np.meshgrid(*[axis] * (P - 1), indexing="ij"), -1).reshape(-1, P - 1)
-    last = 1.0 - head.sum(axis=1)
-    keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
     tree = Tree(g)
-    cand = np.column_stack([head[keep], np.clip(last[keep], lo[-1], hi[-1])])
+    cand = ref.grid_rows(g.lattice, N, resolution)
     return Floor(tree, [(0, 1)]).moments(tree.node_weights(cand))[0][:, 0]
 
 
@@ -487,8 +481,11 @@ def grid_instances(draw):
     P in 2..6 (b = 2 with K <= 2, or b in 3..6 with K = 1); N at 1, at
     1 + 1e-9 or up to 4; m at p in {1, 1.5, 2, 3} or n, on a random or a flat
     process; an active two-exchange floor or one no grid point meets; rows
-    scored in the default blocks, in blocks of 7 entries or in blocks that
-    end inside a prefix's run.  Grids reach about 2e5 points."""
+    scored in the default blocks, in blocks of 7 entries (chunks of 7
+    prefixes, blocks of one row or one run) or in blocks capped at 2 to
+    2 * resolution + 3 rows, no multiple of the axis width, so that some
+    blocks hold several runs and some one run longer than the cap.  Grids
+    reach about 2e5 points."""
     b = draw(st.integers(2, 6))
     lat = fm.build_lattice(b, draw(st.integers(1, 2)) if b == 2 else 1)
     P = lat.n_paths
@@ -506,7 +503,7 @@ def grid_instances(draw):
     while r_max < 2000 and (r_max + 2) ** (P - 1) <= points:
         r_max += 1
     resolution = draw(st.just(r_max) | st.integers(1, r_max))
-    if block == "split":  # blocks of rows that are not whole runs of the last axis
+    if block == "split":  # caps that are not whole runs of the last axis
         block = P * draw(st.integers(2, 2 * resolution + 3).filter(
             lambda rows: rows % (resolution + 1) != 0))
     objective = draw(st.sampled_from(["m", "n"]))
@@ -536,3 +533,79 @@ def test_brute_force_is_bit_identical_to_the_full_grid_search(case):
                           f"no grid point satisfies the correlation floor c={params.c}")
     else:
         assert isinstance(expect[0], float)
+
+
+def exact_prefix_sums(axis, target):
+    """Prefix sums s, near each axis value's, at which 1.0 - (s + axis[j])
+    lands exactly on ``target``, and one ulp either side of each."""
+    found = []
+    for a in np.unique(axis):
+        s = (1.0 - target) - a
+        for _ in range(8):  # walk down a few ulps, then up through the hits
+            s = np.nextafter(s, -np.inf)
+        for _ in range(16):
+            if 1.0 - (s + a) == target:
+                found += [np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)]
+            s = np.nextafter(s, np.inf)
+    return np.array(found)
+
+
+@pytest.mark.parametrize("width", [2, 25, 201, 2001])
+@pytest.mark.parametrize("P,N", [(3, 1.3), (4, 1.5), (6, 3.85), (4, 1.0)])
+def test_run_bounds_match_an_exhaustive_scan(width, P, N):
+    """Each prefix's in-box run, as the bisection finds it, is the run an
+    exhaustive scan of 1.0 - (s + axis[j]) keeps, also where that value lands
+    exactly on lo - 1e-12 or hi + 1e-12 or an ulp from either, and on a
+    constant axis (N = 1).  The boxes are chosen so that 1.0 - x can equal
+    both thresholds; at N = 1 only hi + 1e-12 can be met exactly."""
+    lo, hi = box_bounds(fm.build_lattice(P, 1), N)
+    axis = np.linspace(lo[0], hi[0], width)
+    rng = np.random.default_rng(width)
+    edges = [exact_prefix_sums(axis[rng.integers(0, width, 40)], t)
+             for t in (lo[-1] - 1e-12, hi[-1] + 1e-12)]
+    assert edges[1].size and (edges[0].size or N == 1.0)
+    s = np.concatenate([axis[rng.integers(0, width, (1000, P - 2))].sum(axis=1), *edges])
+    start, stop = _run_bounds(s, axis, lo[-1], hi[-1])
+    last = 1.0 - np.add.outer(s, axis)
+    keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)
+    j = np.arange(width)
+    assert np.array_equal(keep, (j >= start[:, None]) & (j < stop[:, None]))
+    assert np.array_equal(start, (last > hi[-1] + 1e-12).sum(axis=1))
+    assert np.array_equal(stop, (last >= lo[-1] - 1e-12).sum(axis=1))
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 40])
+@pytest.mark.parametrize("b,K,resolution,N", [(2, 1, 50, 2.0), (3, 1, 30, 1.5), (2, 2, 20, 1.5),
+                                              (2, 2, 12, 1.0), (6, 1, 6, 3.0)])
+def test_oracle_scores_whole_runs_in_capped_blocks(block, b, K, resolution, N):
+    """The blocks the kernel scores, concatenated, are the in-box rows of
+    the full grid in order, byte for byte; each holds whole runs (its first
+    row starts a prefix's run and its last ends one), and at most
+    BLOCK_ELEMS // P rows unless it is a single run.  BLOCK_ELEMS = 1 takes
+    the prefixes one chunk each."""
+    lat = fm.build_lattice(b, K)
+    P = lat.n_paths
+    g = random_process(np.random.default_rng(3), lat, low=0.5, high=2.5)
+    blocks, node_weights = [], Tree.node_weights
+
+    def spy(tree, Q):
+        blocks.append(np.array(Q, order="A"))
+        return node_weights(tree, Q)
+
+    with mock.patch.object(_tree, "BLOCK_ELEMS", block or _tree.BLOCK_ELEMS), \
+            mock.patch.object(Tree, "node_weights", spy):
+        fm.brute_force_min(g, fm.ConstraintParams(N=N), resolution=resolution)
+        cap = _tree.BLOCK_ELEMS // P
+    width = resolution + 1
+    rows = ref.grid_rows(lat, N, resolution)
+    assert np.concatenate(blocks).tobytes() == rows.tobytes()
+    assert all(Q.flags.f_contiguous for Q in blocks)
+    # each prefix's run: the in-box rows among its width grid rows
+    runs = np.cumsum([0] + [len(ref.grid_rows(lat, N, resolution, slice(i, i + width)))
+                            for i in range(0, width ** (P - 1), width)])
+    single = {(a, z) for a, z in zip(runs[:-1], runs[1:]) if z > a}
+    ends = np.cumsum([0] + [len(Q) for Q in blocks])
+    assert set(ends) <= set(runs)
+    assert all(z - a <= cap or (a, z) in single for a, z in zip(ends[:-1], ends[1:]))
+    if block == 1:
+        assert set(zip(ends[:-1], ends[1:])) == single
