@@ -311,11 +311,12 @@ def read_price_csv(path) -> list[PriceSeries]:
     """Read `timestamp,exchange,price` rows into one series per exchange.
 
     Timestamps are ISO-8601 or integer epoch seconds.  Any malformed row is
-    an error, not a skip; per-exchange rows must already be in increasing
-    time order.  Series come back in order of first appearance.
+    an error, not a skip; per-exchange rows must already be in strictly
+    increasing time order.  Series come back in order of first appearance.
     """
     order: list[str] = []
     data: dict[str, list[tuple[float, float]]] = {}
+    last: dict[str, int] = {}   # the line of each exchange's last row
     for lineno, row in _read_csv(path, ["timestamp", "exchange", "price"], IngestionError):
         try:
             ts = _parse_timestamp(row[0])
@@ -335,6 +336,11 @@ def read_price_csv(path) -> list[PriceSeries]:
         if name not in data:
             order.append(name)
             data[name] = []
+        elif ts <= data[name][-1][0]:
+            raise IngestionError(f"{path}:{lineno}: timestamps must be strictly increasing: "
+                                 f"{quoted(row[0])} of exchange {quoted(name)} is not after "
+                                 f"line {last[name]}'s")
+        last[name] = lineno
         data[name].append((ts, price))
     if not order:
         raise IngestionError(f"{path}: no observations")

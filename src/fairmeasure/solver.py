@@ -637,6 +637,9 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     lo, hi = box_bounds(lat, params.N)
     obj = _Objective(g, params)
     axis = np.linspace(lo[0], hi[0], width)  # every axis, as the box is uniform
+    # its distinct values (it is nondecreasing), so that at N = 1 the grid
+    # is one point; np.unique would cost its first call 1.7 MB of RSS
+    axis = axis[np.append(True, axis[1:] != axis[:-1])]
     best_q, best_value, in_box = None, math.inf, False
     for cand in _in_box_blocks(axis, P, lo[-1], hi[-1]):
         in_box = True

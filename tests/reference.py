@@ -673,18 +673,23 @@ def breakpoint_projection(v, lo, hi, total=1.0):
 
 # -- the full-grid oracle -------------------------------------------------------------
 
-def grid_rows(lat, N, resolution, rows=None):
+def grid_rows(lat, N, resolution, rows=None, distinct=False):
     """The in-box points among the grid rows ``rows`` (a slice of the
-    (resolution + 1)^(P - 1) rows, all of them by default), in
-    lexicographic order: each row is decoded, gathered and summed, and
-    only then are the rows outside the box dropped."""
+    width^(P - 1) rows, all of them by default), in lexicographic order:
+    each row is decoded, gathered and summed, and only then are the rows
+    outside the box dropped.  Each axis holds resolution + 1 values, or with
+    ``distinct`` only the distinct ones among them, and width is their
+    number."""
     from fairmeasure.solver import box_bounds
     P = lat.n_paths
     lo, hi = box_bounds(lat, N)
     axes = [np.linspace(lo[i], hi[i], resolution + 1) for i in range(P - 1)]
-    rows = rows or slice(0, (resolution + 1) ** (P - 1))
+    if distinct:
+        axes = [np.unique(axis) for axis in axes]
+    width = len(axes[0])
+    rows = rows or slice(0, width ** (P - 1))
     # grid rows in lexicographic order, the first coordinate slowest
-    digits = np.unravel_index(np.arange(rows.start, rows.stop), (resolution + 1,) * (P - 1))
+    digits = np.unravel_index(np.arange(rows.start, rows.stop), (width,) * (P - 1))
     head = np.column_stack([axis[i] for axis, i in zip(axes, digits)])
     last = 1.0 - head.sum(axis=1)
     keep = (last >= lo[-1] - 1e-12) & (last <= hi[-1] + 1e-12)

@@ -490,6 +490,13 @@ def test_verify_default_suite_passes(tmp_path, capsys, seed):
     assert "FAIL" not in out
 
 
+def test_verify_passes_a_simulated_process_file(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "[PASS] process-file-adapted (" in capsys.readouterr().out
+
+
 def test_verify_detects_broken_process(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json")
     broken = ("path,k,exchange,component,value\n"

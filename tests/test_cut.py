@@ -52,6 +52,13 @@ def assert_kkt(V, lo, hi, A, b, upper, Q, nu, tol=1e-9):
 # a degenerate face of three coordinates where the Newton steps take every
 # step, and the row is solved again by the active-set method
 @example(188, 2, 3, 3, 3.0, 0.0078125)
+# rows that take every step and that the same steps, run again from the
+# start halving each step that lowers theta, leave off their KKT conditions
+# (relative residuals 0.16 and 1.1e-6): halfspaces through one point of
+# the box-simplex on six coordinates, and on two coordinates, where every
+# halfspace is parallel to the others
+@example(190, 2, 6, 3, 1.5, 0.0)
+@example(1, 1, 2, 3, 3.0, 5.960464477539063e-08)
 def test_cut_projection_matches_a_qp_solver(seed, G, P, J, N, reach):
     """On cuts with a point the projection is the QP's minimizer: it meets
     the KKT conditions, each row is the same float for float as alone, and

@@ -153,6 +153,20 @@ def test_calibrate_constant_series():
     assert params.s0[0, 0] == 5.0
 
 
+def test_calibrate_constant_series_beside_a_varying_one():
+    """A constant series has vol 0 and correlation 0 with the others, and
+    the calibration warns once, for it alone."""
+    ts = np.arange(8.0)
+    flat = fm.PriceSeries("flat", ts, np.full(8, 5.0))
+    moving = fm.PriceSeries("moving", ts, np.exp(0.1 * np.sin(ts)))
+    with pytest.warns(UserWarning) as caught:
+        params = fm.calibrate_from_prices([flat, moving])
+    assert [str(w.message) for w in caught] == [
+        "series 'flat' is degenerate (constant log returns); vol set to 0"]
+    assert params.vol[0, 0] == 0.0 and params.vol[1, 0] > 0.0
+    assert params.corr[0, 1] == params.corr[1, 0] == 0.0
+
+
 def test_calibrate_deterministic_exponential():
     ts = np.arange(6.0)
     r = 0.07
@@ -261,6 +275,14 @@ def test_read_price_csv(tmp_path):
     assert series[1].timestamps.tolist() == [100.0, 160.0]
 
 
+def test_a_naive_iso_timestamp_reads_as_utc(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("timestamp,exchange,price\n"
+                    "2024-01-01T00:00:00,a,1.0\n"
+                    "2024-01-01T00:01:00+00:00,a,1.1\n", encoding="utf-8")
+    assert fm.read_price_csv(path)[0].timestamps.tolist() == [1704067200.0, 1704067260.0]
+
+
 @pytest.mark.parametrize("body,msg", [
     ("time,exchange,price\n1,a,1.0\n", "header"),
     ("timestamp,exchange,price\n1,a\n", "fields"),
@@ -295,6 +317,13 @@ def test_read_price_csv(tmp_path):
                  r"bad exchange name ' a{31}'\.\.\. \(5001 characters\)$", id="long-exchange"),
     pytest.param("timestamp,exchange,price\n1,a,2" + "_0" * 3000 + "\n",
                  r"bad price '2(_0){15}_'\.\.\. \(6001 characters\)$", id="long-price"),
+    pytest.param("timestamp,exchange,price\n1,A,1.0\n2,A,1.1\n2,A,1.2\n",
+                 r"timestamps must be strictly increasing: '2' of exchange 'A' "
+                 r"is not after line 3's$", id="repeated-timestamp"),
+    pytest.param("timestamp,exchange,price\n2024-01-01T00:01:00,A,1.0\n"
+                 "2024-01-01T00:00:30,B,1.0\n2024-01-01T00:00:00,A,1.1\n",
+                 r"timestamps must be strictly increasing: '2024-01-01T00:00:00' "
+                 r"of exchange 'A' is not after line 2's$", id="decreasing-iso-timestamp"),
 ])
 def test_read_price_csv_rejects_malformed_rows(tmp_path, body, msg):
     """Every error names the file and the line, and no field is stripped."""

@@ -42,6 +42,27 @@ def test_correlation_integral_two_identical_assets(two_path_pair):
     assert not rep_hi.feasible
 
 
+@pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 2), (-1, 1)])
+def test_correlation_integral_needs_two_distinct_exchanges(two_path_pair, i, j):
+    U = fm.uniform_measure(two_path_pair.lattice)
+    with pytest.raises(fm.ParameterError, match=r"^need distinct exchange indices in 0\.\.1$"):
+        fm.correlation_integral(U, two_path_pair, i, j)
+
+
+def test_the_floor_names_the_pair_whose_scale_vanishes():
+    """Exchange 2 is 0 at time 2 on every path, so E|g_0 g_2| vanishes
+    there, the first pair in order whose normalization does, and the floor
+    on it is undefined."""
+    lat = fm.build_lattice(2, 2)
+    values = np.ones((3, lat.n_paths, 3))
+    values[1:, :, 1] = 2.0
+    values[2, :, 2] = 0.0
+    g = fm.LatticeProcess(lat, 3, 1, values)
+    U = fm.uniform_measure(lat)
+    with pytest.raises(fm.DomainError, match=r"^E\|g_0 g_2\| vanishes at time 2; floor undefined$"):
+        fm.check_constraints(U, g, fm.ConstraintParams(N=2.0, c=0.0))
+
+
 def test_box_violation_case(two_path):
     # box per atom is [0.25, 1.0]; 0.9 passes, 0.1 breaks the lower bound
     Q = fm.Measure(two_path.lattice, [0.9, 0.1])
@@ -932,6 +953,24 @@ def test_brute_force_singleton_when_N_is_one(two_path):
     res = fm.brute_force_min(two_path, params, resolution=50)
     assert np.allclose(res.measure.weights, 0.5, atol=1e-12)
     assert res.value == pytest.approx(0.0625, abs=1e-12)
+
+
+def test_brute_force_scores_a_box_of_one_point_once():
+    """At N = 1 the grid's axis has one distinct value, so the 39^5-point
+    grid of b = 6 at resolution 38 is one candidate, the uniform measure,
+    and the kernel sees one row."""
+    g = random_process(np.random.default_rng(5), fm.build_lattice(6, 1))
+    rows = []
+    node_weights = Tree.node_weights
+
+    def spy(tree, Q):
+        rows.append(len(Q))
+        return node_weights(tree, Q)
+
+    with mock.patch.object(Tree, "node_weights", spy):
+        res = fm.brute_force_min(g, fm.ConstraintParams(N=1.0), resolution=38)
+    assert rows == [1]
+    assert np.abs(res.measure.weights - 1.0 / 6).max() <= 1e-15
 
 
 def test_brute_force_tie_breaks_lexicographically():

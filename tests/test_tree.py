@@ -579,7 +579,8 @@ def test_run_bounds_match_an_exhaustive_scan(width, P, N):
                                               (2, 2, 12, 1.0), (6, 1, 6, 3.0)])
 def test_oracle_scores_whole_runs_in_capped_blocks(block, b, K, resolution, N):
     """The blocks the kernel scores, concatenated, are the in-box rows of
-    the full grid in order, byte for byte; each holds whole runs (its first
+    the grid on the axis's distinct values in order, byte for byte (at
+    N = 1 one row); each holds whole runs (its first
     row starts a prefix's run and its last ends one), and at most
     BLOCK_ELEMS // P rows unless it is a single run.  BLOCK_ELEMS = 1 takes
     the prefixes one chunk each."""
@@ -596,12 +597,13 @@ def test_oracle_scores_whole_runs_in_capped_blocks(block, b, K, resolution, N):
             mock.patch.object(Tree, "node_weights", spy):
         fm.brute_force_min(g, fm.ConstraintParams(N=N), resolution=resolution)
         cap = _tree.BLOCK_ELEMS // P
-    width = resolution + 1
-    rows = ref.grid_rows(lat, N, resolution)
+    lo, hi = box_bounds(lat, N)
+    width = len(np.unique(np.linspace(lo[0], hi[0], resolution + 1)))
+    rows = ref.grid_rows(lat, N, resolution, distinct=True)
     assert np.concatenate(blocks).tobytes() == rows.tobytes()
     assert all(Q.flags.f_contiguous for Q in blocks)
     # each prefix's run: the in-box rows among its width grid rows
-    runs = np.cumsum([0] + [len(ref.grid_rows(lat, N, resolution, slice(i, i + width)))
+    runs = np.cumsum([0] + [len(ref.grid_rows(lat, N, resolution, slice(i, i + width), True))
                             for i in range(0, width ** (P - 1), width)])
     single = {(a, z) for a, z in zip(runs[:-1], runs[1:]) if z > a}
     ends = np.cumsum([0] + [len(Q) for Q in blocks])
