@@ -38,7 +38,9 @@ Derivatives*) is
     dF/dq_pi = sum_k [f_k - D_k . A_k](node_k(pi))
                + sum_l (sum_{k<l} D_kl(node_k(pi))) . g_l(pi),
 
-one O(P) top-down sweep in :meth:`Tree.reverse`.
+one O(P) top-down sweep in :meth:`Tree.reverse`.  The floor's Jacobian is
+that sweep without the D terms, one row per weight row and pair: the
+node rates of each pair's integral summed down to the paths.
 
 A gradient needs the fold at its point, and the evaluation of that point
 has just made it, so the forward pass at a batch of rows is kept as the
@@ -56,8 +58,8 @@ and only the einsums that sum a node go level by level.
 """
 from __future__ import annotations
 
-import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,22 +118,12 @@ def _levels(shapes: list[tuple], flat: np.ndarray | None = None
             ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One flat buffer (``flat``, or a new one) holding a row-major array of
     each of ``shapes`` in turn, and the views of those arrays."""
-    total, blocks = _layout(tuple(shapes))
-    if flat is None:
-        flat = np.empty(total)
-    return flat, [flat[a:b].reshape(shape) for a, b, shape in blocks]
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(shapes: tuple) -> tuple:
-    """For :func:`_levels`: the buffer size and each array's span in it,
-    with its shape."""
-    blocks, at = [], 0
+    ends = [0]
     for shape in shapes:
-        size = math.prod(shape)
-        blocks.append((at, at + size, shape))
-        at += size
-    return at, tuple(blocks)
+        ends.append(ends[-1] + math.prod(shape))
+    if flat is None:
+        flat = np.empty(ends[-1])
+    return flat, [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 class Tree:
@@ -179,17 +171,22 @@ class Tree:
                 A[k][W[k] <= 0.0] = 0.0
         return A
 
-    def reverse(self, terms: list, D: list[np.ndarray]) -> np.ndarray:
+    def reverse(self, terms: list, D: list[np.ndarray] | None = None) -> np.ndarray:
         """Per path (G, P): the sum over k of terms[k] (G, b^k; a scalar for
         k > 0) at its level-k node plus sum_l (sum_{k<l} D[k][:, :, l-k-1]) . g_l.
         D[k] is (G, b^k, h_k, n*d) with h_{k+1} = h_k - 1 wherever h_k > 1 (m's
         every horizon; n's h_k = 1); the running sum of D goes down to the
         children in arrays of its own, leaving D as it was, and its l-th
-        entry closes at level l."""
+        entry closes at level l.  With D None there are no closing terms and
+        every terms[k] is an array: each level adds its parent's sum to its
+        own terms, as the floor's Jacobian sums its node rates."""
         b, K = self.b, self.K
-        acc, carry = terms[0], D[0]
+        acc, carry = terms[0], None if D is None else D[0]
         for k in range(1, K + 1):
             G, parents = acc.shape
+            if D is None:
+                acc = (acc[:, :, None] + terms[k].reshape(G, parents, b)).reshape(G, -1)
+                continue
             closing = np.einsum("gpm,pcm->gpc", carry[:, :, 0],
                                 self.nodes[k].reshape(parents, b, -1))
             acc = (acc[:, :, None] + closing).reshape(G, parents * b) + terms[k]
@@ -275,10 +272,10 @@ class Tree:
 
 class Floor:
     """The correlation floor on pairs of scalar exchanges: the integrals
-    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights, their
-    gradients (weighted adjoint terms, or every pair's apart) and the
-    largest violation.  The solver, the oracle and the constraint report read
-    the same all-pairs pass.  The products are einsums, not BLAS matmuls,
+    sum_k dt Cov_q / E_q|g_i g_j| under raw (unnormalized) weights and
+    their gradients (weighted adjoint terms, or every pair's apart).  The
+    solver, the oracle, the constraint report and ``correlation_integral``
+    read the same all-pairs pass.  The products are einsums, not BLAS matmuls,
     so a row's result does not depend on how many rows share the call."""
 
     def __init__(self, tree: Tree, pairs: list[tuple[int, int]]):
@@ -289,24 +286,25 @@ class Floor:
                                                   np.abs(x[:, I] * x[:, J])), axis=1)
                                   for x in tree.nodes[1:]]
 
-    def moments(self, W: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Integrals (G, pairs) and per level k >= 1 (G, 4, pairs): E g_i, E g_j, cov, E|g_i g_j|."""
+    def moments(self, W: list[np.ndarray], pair: int | None = None
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Integrals (G, pairs) and per level k >= 1 (G, 4, pairs): E g_i, E g_j, cov, E|g_i g_j|.
+        Raises where a pair's E|g_i g_j| vanishes, or only where pair
+        ``pair``'s does (an index into the pairs); the other pairs then
+        compute as they would beside it, but may divide by zero."""
+        checked = slice(None) if pair is None else slice(pair, pair + 1)
         total, parts = 0.0, []
         for k in range(1, self.tree.K + 1):
             E = np.einsum("gv,vf->gf", W[k], self.features[k]).reshape(len(W[k]), 4, -1)
             scale = E[:, 3]
-            if (scale <= 0.0).any():
-                i, j = self.pairs[int(np.argmax((scale <= 0.0).any(axis=0)))]
+            vanished = scale[:, checked] <= 0.0
+            if vanished.any():
+                i, j = self.pairs[checked][int(np.argmax(vanished.any(axis=0)))]
                 raise DomainError(f"E|g_{i} g_{j}| vanishes at time {k}; floor undefined")
             E[:, 2] -= E[:, 0] * E[:, 1]   # E g_i g_j to the covariance
             total = total + self.tree.dt * E[:, 2] / scale
             parts.append(E)
         return total, parts
-
-    @staticmethod
-    def violation(integrals: np.ndarray, c: float) -> np.ndarray:
-        """Per row, the largest max(0, c - integral)."""
-        return np.maximum(0.0, c - integrals).max(axis=1)
 
     def _rates(self, moments: tuple) -> list:
         """Per level k >= 1, the derivative of each pair's integral with
@@ -327,34 +325,28 @@ class Floor:
 
     def jacobian(self, moments: tuple) -> np.ndarray:
         """The gradient of each pair's integral in the path weights,
-        (G, pairs, P): every level's node derivatives summed down to the
-        paths in one top-down sweep, all pairs at once."""
+        (G, pairs, P): every level's node rates summed down to the paths by
+        :meth:`Tree.reverse`, one row per row and pair."""
         rates = self._rates(moments)
-        acc = rates[0]
-        for rate in rates[1:]:
-            G, J, parents = acc.shape
-            acc = (acc[:, :, :, None] + rate.reshape(G, J, parents, self.tree.b)
-                   ).reshape(G, J, -1)
-        return acc
+        G, J = rates[0].shape[:2]
+        # level 0 adds -0.0, which leaves every float, and the sign of a zero, as it is
+        terms = [np.full((G * J, 1), -0.0)] + [r.reshape(G * J, -1) for r in rates]
+        return self.tree.reverse(terms).reshape(G, J, -1)
 
 
-class Tape:
+class Tape(NamedTuple):
     """The forward pass at a batch of weight rows, kept for the value and
     the adjoint: the node weights W, the fold's averages A and, where there
-    is a floor, its :meth:`Floor.moments`.  Every array has the batch's rows
-    on axis 0, so a tape's rows can be taken and stored apart."""
+    is a floor, its :meth:`Floor.moments` (integrals, per-level parts).
+    Every array has the batch's rows on axis 0, so a tape's rows can be
+    taken and stored apart."""
 
-    def __init__(self, W: list[np.ndarray], A: list[np.ndarray], moments: tuple | None):
-        self.W, self.A, self.moments = W, A, moments
-
-    def arrays(self) -> list[np.ndarray]:
-        """Every array of the tape, in a fixed order."""
-        floor = [] if self.moments is None else [self.moments[0], *self.moments[1]]
-        return self.W + self.A + floor
+    W: list[np.ndarray]
+    A: list[np.ndarray]
+    moments: tuple | None
 
     def take(self, rows) -> Tape:
         """The tape of the rows ``rows``."""
-        K, arrays = len(self.A), [x[rows] for x in self.arrays()]
-        floor = arrays[2 * K + 1:]
-        moments = None if self.moments is None else (floor[0], floor[1:])
-        return Tape(arrays[:K + 1], arrays[K + 1:2 * K + 1], moments)
+        moments = None if self.moments is None else (
+            self.moments[0][rows], [x[rows] for x in self.moments[1]])
+        return Tape([x[rows] for x in self.W], [x[rows] for x in self.A], moments)

@@ -174,11 +174,16 @@ def box_bounds(lattice: AdaptedLattice, N: float) -> tuple[np.ndarray, np.ndarra
 def correlation_integral(Q: Measure, g: LatticeProcess, i: int, j: int) -> float:
     """Time-integrated normalized covariance between exchanges i and j:
     the right-endpoint time sum of Cov_Q / E_Q|g_i g_j|, as the solver and
-    ``check_constraints`` compute it, in one pass over every pair."""
+    ``check_constraints`` compute it, in one pass over every pair.  It
+    raises only where this pair's E_Q|g_i g_j| vanishes."""
     check_same_lattice(Q, g)
     if not (0 <= i < g.n and 0 <= j < g.n and i != j):
         raise ParameterError(f"need distinct exchange indices in 0..{g.n - 1}")
-    return _correlations(Q, g, _floor_pairs(g))[min(i, j), max(i, j)]
+    pairs, tree = _floor_pairs(g), Tree(g)
+    pair = pairs.index((min(i, j), max(i, j)))
+    with np.errstate(divide="ignore", invalid="ignore"):   # where another pair's vanishes
+        integrals = Floor(tree, pairs).moments(tree.node_weights(Q.weights), pair)[0]
+    return float(integrals[0, pair])
 
 
 def _floor_pairs(g: LatticeProcess, params: ConstraintParams | None = None
@@ -280,7 +285,7 @@ class _Objective:
         raw = self.raw(tape.W, tape.A)
         if self.floor is None:
             return raw, np.zeros_like(raw)
-        return raw, self.floor.violation(tape.moments[0], self.params.c)
+        return raw, np.maximum(0.0, self.params.c - tape.moments[0]).max(axis=1)
 
     def gradient(self, Q: np.ndarray, tape: Tape | None = None,
                  weights: np.ndarray | None = None) -> np.ndarray:
@@ -640,9 +645,8 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
     # its distinct values (it is nondecreasing), so that at N = 1 the grid
     # is one point; np.unique would cost its first call 1.7 MB of RSS
     axis = axis[np.append(True, axis[1:] != axis[:-1])]
-    best_q, best_value, in_box = None, math.inf, False
+    best_q, best_value = None, math.inf
     for cand in _in_box_blocks(axis, P, lo[-1], hi[-1]):
-        in_box = True
         W = obj.tree.node_weights(cand)
         values = obj.raw(W)
         if obj.floor is not None:
@@ -650,8 +654,6 @@ def brute_force_min(g: LatticeProcess, params: ConstraintParams,
         best = int(np.argmin(values))  # first occurrence = lexicographically smallest
         if values[best] < best_value:
             best_q, best_value = cand[best], float(values[best])
-    if not in_box:
-        raise InfeasibleError("no grid point lies in the box-simplex")
     if best_q is None:
         raise InfeasibleError(f"no grid point satisfies the correlation floor c={params.c}")
     return BruteForceResult(measure=Measure(lat, best_q), value=best_value)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -830,3 +831,76 @@ def test_config_retired_solver_keys_change_no_output_byte(tmp_path):
         outs.append(out)
     for name in ("process.csv", "measure.csv", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# -- error paths -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("reader", ["process", "measure"])
+def test_a_path_file_of_only_its_header_has_no_data_rows(tmp_path, reader):
+    path = tmp_path / f"{reader}.csv"
+    header = "path,k,exchange,component,value" if reader == "process" else "path,weight"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(fm.ParameterError, match=rf"^{re.escape(str(path))}: no data rows$"):
+        if reader == "process":
+            cli.read_process_csv(path)
+        else:
+            cli.read_measure_csv(path, fm.build_lattice(2, 1))
+
+
+def test_calibrate_needs_a_calibration_source(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    assert cli.main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: process.calibration: required for the calibrate command\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_calibrate_names_an_exchange_missing_from_the_csv(tmp_path, capsys):
+    (tmp_path / "prices.csv").write_text(
+        "timestamp,exchange,price\n0,A,1.0\n60,A,1.1\n120,A,1.05\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "config.json",
+                       process={"calibration": {"csv": "prices.csv", "exchanges": ["A", "X"]}})
+    assert cli.main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: process.calibration.exchanges: not in CSV: ['X']\n"
+
+
+def test_config_whose_top_level_is_a_list_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: config: top level must be a JSON object\n"
+
+
+@pytest.mark.parametrize("vol,message", [
+    ([1, [2]], "expected a rectangular numeric matrix"),
+    ([1, 2], "expected a 2-d matrix, got 1 dims"),
+], ids=["ragged", "flat"])
+def test_config_matrix_of_the_wrong_shape_exits_1(tmp_path, capsys, vol, message):
+    cfg_path = tmp_path / "config.json"
+    cfg = json.loads(write_config(cfg_path).read_text())
+    cfg["process"]["gbm"]["vol"] = vol
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: process.gbm.vol: {message}\n"
+
+
+def test_absolute_io_paths_are_used_as_given(tmp_path):
+    """optimize writes its measure and report at absolute io paths, not under
+    --out, and eval reads the measure from there."""
+    files = tmp_path / "files"
+    files.mkdir()
+    measure, report = files / "m.csv", files / "r.json"
+    cfg = write_config(tmp_path / "config.json", constraints={"N": 1.2},
+                       io={"measure_file": str(measure), "report_file": str(report)})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["process.csv"]
+    optimized = json.loads(report.read_text())
+    value = optimized["value"]
+    assert optimized["measure_file"] == str(measure) and value > 0.0
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+    evaluated = json.loads(report.read_text())
+    assert evaluated["measure"] == str(measure)
+    assert evaluated["unfairness_m"] == pytest.approx(value, rel=1e-12)
+    assert sorted(p.name for p in out.iterdir()) == ["process.csv"]

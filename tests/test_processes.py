@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,3 +348,25 @@ def test_a_byte_that_is_not_utf8_is_numbered_by_its_record(tmp_path, end, quoted
     path.write_bytes(head + b"2,a" + end.encode())
     with pytest.raises(fm.IngestionError, match=r"bad\.csv:3: expected 3 fields, got 2$"):
         fm.read_price_csv(path)
+
+
+def test_a_price_csv_of_only_its_header_has_no_observations(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("timestamp,exchange,price\n", encoding="utf-8")
+    with pytest.raises(fm.IngestionError, match=rf"^{re.escape(str(path))}: no observations$"):
+        fm.read_price_csv(path)
+
+
+def test_calibrate_needs_a_series():
+    with pytest.raises(fm.IngestionError, match=r"^no series to calibrate$"):
+        fm.calibrate_from_prices([])
+
+
+@pytest.mark.parametrize("timestamps,prices,message", [
+    (np.arange(3.0), np.ones(2), "timestamps and prices must align"),
+    (np.arange(4.0).reshape(2, 2), np.ones((2, 2)), "timestamps and prices must align"),
+    (np.array([]), np.array([]), "empty"),
+], ids=["lengths", "two-dims", "empty"])
+def test_price_series_refuses_misaligned_or_empty_arrays(timestamps, prices, message):
+    with pytest.raises(fm.IngestionError, match=rf"^series 'x': {message}$"):
+        fm.PriceSeries("x", timestamps, prices)

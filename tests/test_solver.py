@@ -63,6 +63,25 @@ def test_the_floor_names_the_pair_whose_scale_vanishes():
         fm.check_constraints(U, g, fm.ConstraintParams(N=2.0, c=0.0))
 
 
+def test_correlation_integral_raises_only_for_the_pair_it_is_asked_about():
+    """Exchange 2 is 0 at time 2, so E|g_0 g_2| and E|g_1 g_2| vanish there;
+    pair (0, 1) is still defined, and only the pairs with exchange 2 raise,
+    each naming itself."""
+    rng = np.random.default_rng(31)
+    lat = fm.build_lattice(2, 2)
+    values = random_process(rng, lat, n=3, low=0.5, high=2.0).values.copy()
+    values[2, :, 2] = 0.0
+    g = fm.LatticeProcess(lat, 3, 1, values)
+    Q = fm.Measure(lat, rng.dirichlet(np.ones(lat.n_paths)))
+    assert fm.correlation_integral(Q, g, 0, 1) == pytest.approx(
+        ref.corr_raw(Q.weights, g, 0, 1), rel=0.0, abs=1e-12)
+    assert fm.correlation_integral(Q, g, 1, 0) == fm.correlation_integral(Q, g, 0, 1)
+    for (i, j), name in [((0, 2), "g_0 g_2"), ((2, 1), "g_1 g_2")]:
+        message = rf"^E\|{name}\| vanishes at time 2; floor undefined$"
+        with pytest.raises(fm.DomainError, match=message):
+            fm.correlation_integral(Q, g, i, j)
+
+
 def test_box_violation_case(two_path):
     # box per atom is [0.25, 1.0]; 0.9 passes, 0.1 breaks the lower bound
     Q = fm.Measure(two_path.lattice, [0.9, 0.1])

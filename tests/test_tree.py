@@ -9,13 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
 from fairmeasure import UnfairnessConfig, _tree
 from fairmeasure._tree import Floor, Tree
-from fairmeasure.solver import _Objective, _run_bounds, box_bounds
+from fairmeasure.solver import _in_box_blocks, _Objective, _run_bounds, box_bounds
 from fairmeasure.verify import _central_difference
 
 import reference as ref
@@ -415,10 +415,12 @@ def test_a_tape_serves_its_value_and_gradient_unchanged(b, K):
     Q = rng.dirichlet(np.ones(lat.n_paths), 4)
     for obj, weights in objectives(lat, rng):
         tape = obj.tape(Q)
-        saved = [x.copy() for x in tape.arrays()]
+        arrays = lambda t: t.W + t.A + ([] if t.moments is None
+                                        else [t.moments[0], *t.moments[1]])
+        saved = [x.copy() for x in arrays(tape)]
         assert all(map(same_bits, obj.evaluate(Q, tape), obj.evaluate(Q)))
         assert same_bits(obj.gradient(Q, tape, weights), obj.gradient(Q, weights=weights))
-        assert all(map(same_bits, tape.arrays(), saved))
+        assert all(map(same_bits, arrays(tape), saved))
         for rows in ([2, 0], np.array([True, False, True, True])):
             assert same_bits(obj.gradient(Q[rows], tape.take(rows), weights),
                              obj.gradient(Q[rows], weights=weights))
@@ -572,6 +574,26 @@ def test_run_bounds_match_an_exhaustive_scan(width, P, N):
     assert np.array_equal(keep, (j >= start[:, None]) & (j < stop[:, None]))
     assert np.array_equal(start, (last > hi[-1] + 1e-12).sum(axis=1))
     assert np.array_equal(stop, (last >= lo[-1] - 1e-12).sum(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.integers(2, 6), N=st.floats(1.0, 50.0), resolution=st.integers(1, 60))
+@example(P=6, N=1.0 + 1e-15, resolution=60)
+@example(P=6, N=5.0, resolution=1)
+@example(P=3, N=2.0, resolution=1)
+@example(P=4, N=3.0, resolution=7)
+def test_every_grid_has_a_point_in_the_box(P, N, resolution):
+    """The oracle's grid always meets the box-simplex, so it needs no branch
+    for a grid without one.  The first P - 1 coordinates sum to
+    (P - 1) lo + j delta with delta = (hi - lo) / resolution <= hi - lo; these
+    sums run from (P - 1) lo <= 1 - lo up to (P - 1) hi >= 1 - hi, so one of
+    them lies in [1 - hi, 1 - lo], and its last coordinate is in the box.
+    N = P - 1 puts (P - 1) lo on 1 - hi."""
+    lo, hi = box_bounds(fm.build_lattice(P, 1), N)
+    axis = np.linspace(lo[0], hi[0], resolution + 1)
+    axis = axis[np.append(True, axis[1:] != axis[:-1])]   # as brute_force_min builds it
+    first = next(_in_box_blocks(axis, P, lo[-1], hi[-1]))
+    assert len(first) and abs(first.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("block", [None, 1, 7, 40])
