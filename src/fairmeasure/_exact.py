@@ -45,14 +45,15 @@ stopped the run, cut at the first ray it reaches (the crossings are those
 the stop test computed); on a ray it is the step rule above, fed the
 slopes of the two directions that the stop test compared.  Only the nodes
 whose signs changed have what the signs fix computed again, and a node
-leaves the level's arrays once both its children are walked, so a round
-works on views of its nodes' state.  So a level costs a Python iteration
-per event of its busiest node (2 to 4 on most levels of the benchmark's
-GBM, up to 32 next to the root), not one per step.  A round looks ahead a
-window of each child's breakpoints, at least ``_WINDOW`` and twice the
-node's last run, and takes at most ``_ROUND`` breakpoints in all (or one
-node's windows, where they alone are more), which bounds its working
-memory; a run cut at the end of its window goes on in the next round.
+leaves the level's arrays once both its children are walked, so each round
+takes every node still walking, and only those.  So a level costs a Python
+iteration per event of its busiest node (2 to 4 on most levels of the
+benchmark's GBM, up to 32 next to the root), not one per step.  A round
+looks ahead a window of each child's breakpoints, at least ``_WINDOW`` and
+twice the node's last run; a run cut at the end of its window goes on in
+the next round.  Nodes are independent within a round, and the merge's
+sort is stable and keyed by node first, so which nodes share a round
+changes no node's order, runs or events.
 
 Steps of equal slope merge into one piece.  Where F_v is linear, a convex
 combination of two optimal splits is optimal too, as the objective is
@@ -71,8 +72,6 @@ from ._tree import Tree
 _INF = math.inf
 # the least window of a child's breakpoints that a node looks ahead in a round
 _WINDOW = 64
-# the most child breakpoints a round takes, unless one node's windows hold more
-_ROUND = 1 << 13
 
 
 def min_n(tree: Tree, lo: float, hi: float) -> np.ndarray:
@@ -122,13 +121,7 @@ def _level(X: np.ndarray, S: np.ndarray, start: np.ndarray, A: np.ndarray,
     do the breakpoints and slopes returned."""
     walk = _Walk(X, S, start, A, B)
     while walk.ids.size:
-        # the first nodes whose windows fit in one round, one at least (all
-        # of them where even their full windows fit)
-        fit = walk.ids.size
-        if 2 * walk.window.sum() > _ROUND:
-            load = np.minimum(walk.e - walk.i, walk.window[:, None]).sum(axis=1).cumsum()
-            fit = max(1, load.searchsorted(_ROUND, side="right"))
-        walk.round(fit)
+        walk.round()
     return walk.pieces()
 
 
@@ -144,9 +137,8 @@ class _Walk:
     child, the rate T of the terms off the ray along it, per term column
     the rates towards c and towards the other child, and ``toward``: where
     a step of c heads for the column's ray, minus the other child's
-    coefficient, else nan.  A round works on views of the first nodes, in
-    which the children of a node are adjacent on every flattened (node,
-    child) axis: child k's sibling is k ^ 1."""
+    coefficient, else nan.  On every flattened (node, child) axis the
+    children of a node are adjacent: child k's sibling is k ^ 1."""
 
     OTHER, COEF = 0, 1
 
@@ -181,7 +173,7 @@ class _Walk:
         if not live.all():
             for name in ("i", "e", "cap", "steps", "window", "ids", "on"):
                 setattr(self, name, getattr(self, name)[live])
-            # a round reshapes views of per, so it stays C-contiguous
+            # a round reshapes per, so it stays C-contiguous
             self.per, self.sgn = np.ascontiguousarray(self.per[:, live]), self.sgn[:, live]
 
     def _rays(self, per: np.ndarray, sgn: np.ndarray, on: np.ndarray, ev) -> None:
@@ -204,19 +196,18 @@ class _Walk:
             np.where(sc < 0.0, -coef[:, :, ::-1], math.nan)))
         on[ev] = zero.any(axis=0)[:, 0]
 
-    def round(self, n: int) -> None:
-        """One round for the first ``n`` nodes: each takes its run, the steps
-        up to its next event or to the end of its window of child
+    def round(self) -> None:
+        """One round for every node still walking: each takes its run, the
+        steps up to its next event or to the end of its window of child
         breakpoints, and then the event, if its run stopped at one.  The
         nodes on a ray and those off the rays merge in one sort."""
         X, S, cols = self.X, self.S, self.sgn.shape[0]
-        per, sgn, on, ids = self.per[:, :n], self.sgn[:, :n], self.on[:n], self.ids[:n]
-        i, e = self.i[:n], self.e[:n]
+        per, sgn, on, ids, n = self.per, self.sgn, self.on, self.ids, self.ids.size
         # per child, c1 and c2 of each node in turn: fields, breakpoints, masses
-        flat, at, last_bp = per.reshape(len(per), 2 * n), i.reshape(-1), e.reshape(-1)
+        flat, at, last_bp = per.reshape(len(per), 2 * n), self.i.reshape(-1), self.e.reshape(-1)
         mass = flat[self.OTHER]   # child k's mass is mass[k ^ 1]
         left = last_bp - at
-        count = np.minimum(left, self.window[:n].repeat(2))
+        count = np.minimum(left, self.window.repeat(2))
         seg = np.arange(2 * n).repeat(count)
         # each window's breakpoints in turn, from the child's next one
         idx = np.arange(seg.size) + (at + 1 + count - count.cumsum())[seg]
@@ -286,7 +277,7 @@ class _Walk:
         k = seg[last]
         at[k], at[k ^ 1] = idx[last], jo[last]
         mass[k ^ 1], mass[k] = reach[last], other[last]
-        self.window[:n] = np.maximum(_WINDOW, 2 * took)
+        self.window = np.maximum(_WINDOW, 2 * took)
         # the events: each node whose run stopped at a step, not at the end
         # of a window
         ev = (took < size).nonzero()[0]
@@ -315,13 +306,12 @@ class _Walk:
             # every event changes a sign
             self._rays(per, sgn, on, ev if ev.size < n else slice(None))
         self.out += record
-        self.steps[:n] += took
+        self.steps += took
         live = at < last_bp
         live = live[0::2] | live[1::2]
-        if (self.steps[:n][live] >= self.cap[:n][live]).any():
+        if (self.steps[live] >= self.cap[live]).any():
             raise RuntimeError("exact walk passed its step cap")
-        if not live.all():
-            self._keep(np.concatenate((live, np.ones(self.ids.size - n, dtype=bool))))
+        self._keep(live)
 
     def _leave(self, flat, sgn, at, last_bp, ids, ev, j, merge) -> tuple:
         """The events of the nodes ``ev`` on a ray, from the entries ``j`` at

@@ -104,10 +104,13 @@ def is_martingale(Q: Measure, x: LatticeProcess, tol: float = 1e-9) -> Martingal
 
     The one-step check suffices by the tower property of conditional
     expectations.  Returns the verdict and the largest deviation found
-    (over times, paths and components).
+    (over times, components and the nodes of positive Q-weight: a null
+    node's x is free, as it is in m and n).
     """
     check_same_lattice(Q, x)
     tree = Tree(x)
-    A = tree.averages(tree.node_weights(Q.weights), 1)
-    worst = max(float(np.abs(tree.nodes[k][:, None] - A[k]).max()) for k in range(tree.K))
+    W = tree.node_weights(Q.weights)
+    A = tree.averages(W, 1)
+    worst = max(float(np.abs(tree.nodes[k][:, None] - A[k])[W[k] > 0.0].max(initial=0.0))
+                for k in range(tree.K))
     return MartingaleCheck(ok=worst <= tol, max_deviation=worst)

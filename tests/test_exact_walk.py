@@ -1,8 +1,9 @@
 """The walk of ``fairmeasure._exact``, one numpy merge per run of steps,
 against the per-step walk of ``reference.walk_n_min``: on random binary
 lattices up to K = 9 and on the benchmark's deep GBM, n agrees within 1e-13
-relative and every measure is feasible.  Also the walk's step cap and
-columns with zero drift."""
+relative and every measure is feasible.  Also that a node's walk does not
+depend on the nodes it shares a level with, the walk's step cap and columns
+with zero drift."""
 import math
 
 import numpy as np
@@ -72,6 +73,40 @@ def test_bulk_walk_matches_on_the_deep_gbm(seed):
                         fm.GbmParams(n=1, d=1, drift=0.2 * one, vol=0.3 * one, corr=one,
                                      s0=one), seed=seed)
     assert_walks_agree(g, 2.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(1, 2), st.floats(1.0, 4.0),
+       st.integers(0, 2 ** 16))
+def test_a_node_walks_the_same_alone_as_in_its_level(K, n, d, N, seed):
+    """Every level that ``min_n`` walks on a random binary lattice, walked
+    again node by node: each node's breakpoints, slopes and splits are the
+    same bytes either way, so which nodes share a round changes nothing."""
+    g = random_process(np.random.default_rng(seed), fm.build_lattice(2, K), n=n, d=d,
+                       low=0.3, high=3.0)
+    lo, hi = box_bounds(g.lattice, N)
+    level, levels = _exact._level, []
+
+    def record(X, S, start, A, B):
+        levels.append((X, S.copy(), start, A, B))   # the walk lifts S in place
+        out = level(X, S, start, A, B)
+        levels.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_exact, "_level", record)
+        _exact.min_n(Tree(g), lo[0], hi[0])
+    assert len(levels) == 2 * K
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (X, S, start, A, B), whole in zip(levels[0::2], levels[1::2]):
+            for v in range(len(A)):
+                a, b = start[2 * v], start[2 * v + 2]
+                alone = level(np.append(X[a:b], math.nan), np.append(S[a:b], math.nan),
+                              start[2 * v:2 * v + 3] - a, A[v:v + 1], B[v:v + 1])
+                first, last = whole[0][v:v + 2]
+                assert alone[0].tolist() == [0, last - first]
+                for got, want in zip(alone[1:], whole[1:]):
+                    assert got[:last - first].tobytes() == want[first:last].tobytes()
 
 
 def test_a_walk_that_stops_moving_reaches_its_step_cap():

@@ -159,6 +159,59 @@ def test_is_martingale_examples(two_path):
     assert rn.ok
 
 
+def test_is_martingale_ignores_the_values_at_null_nodes():
+    """Q puts no weight below path prefix 1, where x(1) = 7 is free: m at
+    p = 1 and 2 and n all read 0, and so does the martingale check.  A
+    change at path 00, which has weight, shows in both."""
+    lat = fm.build_lattice(2, 2)
+    Q = fm.Measure(lat, [0.5, 0.5, 0.0, 0.0])
+    values = np.array([[3.0] * 4, [3.0, 3.0, 7.0, 7.0], [2.0, 4.0, 1.0, 9.0]])[:, :, None]
+    x = fm.LatticeProcess(lat, 1, 1, values)
+    assert fm.is_martingale(Q, x) == (True, 0.0)
+    for p in (1.0, 2.0):
+        assert fm.unfairness_m(Q, x, UnfairnessConfig(p=p)) == 0.0
+    assert fm.unfairness_n(Q, x) == 0.0
+    values[2, 0] = 2.5
+    x = fm.LatticeProcess(lat, 1, 1, values)
+    assert fm.is_martingale(Q, x) == (False, 0.25)
+    assert fm.unfairness_m(Q, x) == 0.03125
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 31))
+def test_is_martingale_agrees_with_m_where_q_has_null_blocks(b, K, d, seed):
+    """A martingale under a measure with null blocks at one level, with
+    arbitrary adapted values written at every null node: the check and m at
+    p = 2 (at the thresholds of ``verify``'s characterization check) both
+    say yes, and both say no once one node of positive weight moves."""
+    rng = np.random.default_rng(seed)
+    lat = fm.build_lattice(b, K)
+    level = int(rng.integers(1, K + 1))
+    keep = rng.random(lat.n_blocks(level)) < 0.5
+    keep[rng.integers(keep.size)] = True
+    w = rng.uniform(0.1, 1.0, lat.n_paths) * np.repeat(keep, lat.block_size(level))
+    Q = fm.Measure(lat, w / w.sum())
+    mart = martingale_from_terminal(rng.uniform(0.5, 2.0, lat.n_paths * d), Q, d=d)
+    values = mart.values.copy()
+    weight = [Q.weights.reshape(lat.n_blocks(k), -1).sum(axis=1) for k in range(K + 1)]
+    for k in range(K + 1):
+        size = lat.block_size(k)
+        free = np.repeat(weight[k] == 0.0, size)
+        arbitrary = rng.uniform(-3.0, 3.0, (lat.n_blocks(k), d))
+        values[k, free] = np.repeat(arbitrary, size, axis=0)[free]
+
+    def agree(x):
+        ok = fm.is_martingale(Q, x, 1e-9).ok
+        assert ok == (fm.unfairness_m(Q, x) <= 1e-18)
+        return ok
+
+    assert agree(fm.LatticeProcess(lat, 1, d, values))
+    k = int(rng.integers(0, K + 1))
+    moved = rng.choice(np.flatnonzero(weight[k] > 0.0))
+    values[k, moved * lat.block_size(k):(moved + 1) * lat.block_size(k)] += 0.5
+    assert not agree(fm.LatticeProcess(lat, 1, d, values))
+
+
 # -- seminorm properties ----------------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
