@@ -163,7 +163,8 @@ class Descent:
     whatever else is in the batch.
 
     With a floor, ``cut`` projects rows onto the box-simplex cut by their
-    linearized floor (``_projection.project_cut`` on the solver's box), and
+    linearized floor (``_projection.project_cut`` on the solver's box, each
+    row warm-started from its multipliers and its point's piece), and
     each round is a linearly constrained one; see :meth:`round`.  Each pair's
     constraint is scaled by ``scale`` = |c| (1 where c = 0), so the
     multipliers ``lam`` and ``mult``, ``ELASTIC`` and TOL mean the same on
@@ -306,7 +307,7 @@ class Descent:
                 if floor:
                     tr = t[r][:, None]
                     xn, nu, passes = self.cut(step, self.jac[r], self.bound[r], t[r] * ELASTIC,
-                                              tr * self.mult[r])
+                                              tr * self.mult[r], x[search])
                     self.counts[r, 2] += passes
                     nu /= tr
                 else:

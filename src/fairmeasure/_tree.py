@@ -158,14 +158,15 @@ class Tree:
                 X = child.reshape(1, b ** k, b, M)
             elif b == 2 and h * M == 2:  # averaged apart: see the module docstring
                 A[k] = _empty((G, b ** k, 2, 1), rows_last)
-                A[k][:, :, 0] = _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk)
-                A[k][:, :, 1] = _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk)
+                A[k][:, :, 0] = _weighted_mean(w, child.reshape(1, b ** k, 2, 1), Wk, positive)
+                A[k][:, :, 1] = _weighted_mean(w, A[k + 1][:, :, :1].reshape(G, b ** k, 2, 1), Wk,
+                                               positive)
                 continue
             else:
                 X = _empty((G, b ** (k + 1), h, M), rows_last)
                 X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
                 X = X.reshape(G, b ** k, b, h * M)
-            A[k] = _weighted_mean(w, X, Wk).reshape(G, b ** k, h, M)
+            A[k] = _weighted_mean(w, X, Wk, positive).reshape(G, b ** k, h, M)
         if not positive:  # the fold kept weightless nodes at their first child's value
             for k in range(K):
                 A[k][W[k] <= 0.0] = 0.0

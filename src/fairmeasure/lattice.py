@@ -252,17 +252,27 @@ def _parent_weights(w: np.ndarray, b: int) -> np.ndarray:
     return w[..., 0::2] + w[..., 1::2] if b == 2 else w.reshape(w.shape[:-1] + (-1, b)).sum(-1)
 
 
-def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _weighted_mean(w: np.ndarray, X: np.ndarray, W: np.ndarray, positive: bool) -> np.ndarray:
     """X_0 + sum_{c>=1} w_c (X_c - X_0) / W over the children axis, w (..., c),
     X (..., c, m), W (...) the positive total weight: exact where X is constant.
     The children are added one by one: a column's floats ignore its neighbours and the CPU.
-    The weighted sum is divided and shifted in place."""
+    The weighted sum is divided and shifted in place.  Unless every weight is
+    ``positive``, a node whose child 0 has no weight pivots on its first
+    child of positive weight instead, so that a null child's value leaves no
+    trace (a node of no weight at all keeps child 0)."""
     first = X[..., 0, :]
     acc = w[..., 1, None] * (X[..., 1, :] - first)
     for c in range(2, X.shape[-2]):
         acc += w[..., c, None] * (X[..., c, :] - first)
     acc /= W[..., None]
     acc += first
+    if not positive:
+        nodes = np.nonzero(w[..., 0] <= 0.0)
+        if nodes[0].size:
+            ws, Xs = w[nodes], np.broadcast_to(X, w.shape + X.shape[-1:])[nodes]
+            pivot = Xs[np.arange(len(ws)), np.argmax(ws > 0.0, axis=1)]
+            fix = sum(ws[:, c, None] * (Xs[:, c] - pivot) for c in range(X.shape[-2]))
+            acc[nodes] = fix / W[nodes][:, None] + pivot
     return acc
 
 
@@ -282,10 +292,11 @@ def cond_exp(x: np.ndarray, k: int, Q: Measure):
     X = _as_columns(x, lat.n_paths)
     b, bs = lat.branching, lat.block_size(k)
     w = Q.weights
+    positive = bool((w > 0.0).all())
     for _ in range(lat.depth - k):
         W = _parent_weights(w, b)
         X = _weighted_mean(w.reshape(-1, b), X.reshape(-1, b, X.shape[1]),
-                           np.where(W > 0.0, W, 1.0))
+                           np.where(W > 0.0, W, 1.0), positive)
         w = W
     out = np.repeat(np.where((w <= 0.0)[:, None], 0.0, X), bs, axis=0)
     return out.reshape(np.shape(x))

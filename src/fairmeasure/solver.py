@@ -320,7 +320,9 @@ class RestartRecord(NamedTuple):
     that left its multipliers as they were, or ran all 30 rounds.  The
     counts are rows the descent evaluated (forward passes, each the
     point's tape), differentiated and projected (trial steps only, a cut
-    projection counting its box-simplex projections) for this start.
+    projection counting its dual steps: one where the step on the row's
+    piece settles it, each other step a box-simplex projection) for this
+    start.
     A row is differentiated once per point it reached, at each round's
     start (with the floor's Jacobian there) and at each accepted step,
     from the tape its evaluation made, so ``gradients`` is iterations +
@@ -481,7 +483,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
         starts[r] = s
     starts[1:] = project(starts[1:])
 
-    cut = (lambda V, A, b, upper, nu: project_cut(V, lo[0], hi[0], A, b, upper, nu)
+    cut = (lambda V, A, b, upper, nu, x: project_cut(V, lo[0], hi[0], A, b, upper, nu, x)
            ) if floor_active else None
     run = _solve_starts(obj, starts, project, gap, opts.max_iter, cut)
 

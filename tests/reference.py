@@ -200,7 +200,8 @@ def stacked_averages(tree, W, horizon):
             X[:, :, 0], X[:, :, 1:] = child, A[k + 1][:, :, :h - 1]
             X = X.reshape(G, b ** k, b, h * M)
         Wk = W[k] if positive else np.where(W[k] > 0.0, W[k], 1.0)
-        A[k] = _weighted_mean(W[k + 1].reshape(G, b ** k, b), X, Wk).reshape(G, b ** k, h, M)
+        A[k] = _weighted_mean(W[k + 1].reshape(G, b ** k, b), X, Wk, positive).reshape(
+            G, b ** k, h, M)
     if not positive:  # the fold kept weightless nodes at their first child's value
         for k in range(K):
             A[k][W[k] <= 0.0] = 0.0
@@ -537,7 +538,8 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None, level=-1):
             if cut is None:
                 qn = project(step)
             else:
-                qn, nu, n = cut(step[None], jac, bound, np.array([t * ELASTIC]), t * mult)
+                qn, nu, n = cut(step[None], jac, bound, np.array([t * ELASTIC]), t * mult,
+                                q[None])
                 qn, nu, passes = qn[0], nu / t, passes + int(n[0])
             d2 = float(((qn - q) ** 2).sum())
             if d2 == 0.0:

@@ -24,7 +24,7 @@ from conftest import random_floor, random_process
 
 class Counting:
     """An objective, a projection and a cut projection that count the rows
-    they are given (the cut projection its box-simplex passes)."""
+    they are given (the cut projection its dual steps)."""
 
     def __init__(self, obj, lo, hi):
         self.obj, self.lo, self.hi = obj, lo, hi
@@ -46,8 +46,8 @@ class Counting:
         self.projections += 1
         return fm.project_capped_simplex(v, self.lo, self.hi)
 
-    def cut(self, V, A, b, upper, nu):
-        out = project_cut(V, self.lo[0], self.hi[0], A, b, upper, nu)
+    def cut(self, V, A, b, upper, nu, x):
+        out = project_cut(V, self.lo[0], self.hi[0], A, b, upper, nu, x)
         self.projections += int(out[2].sum())
         return out
 

@@ -90,6 +90,92 @@ def test_cut_projection_warm_start_takes_one_pass():
     assert np.abs(again - Q).max() <= 1e-12 and np.abs(nu2 - nu).max() <= 1e-9 * np.abs(nu).max()
 
 
+def descent_move(seed, V, elastic, size):
+    """The next point a descent projects after V, V - t g for a random
+    change g of the gradient with entries of about 1 / P and a step t of at
+    most ``size``, and the multiplier bound ``elastic`` (uniform in
+    [0, 100] per row where it is None, as an elastic cut's)."""
+    rng = np.random.default_rng(seed + 1)
+    G, P = V.shape
+    upper = rng.uniform(0.0, 100.0, G) if elastic is None else np.full(G, elastic)
+    return V - rng.uniform(0.0, size) * rng.normal(0.0, 1.0 / P, (G, P)), upper
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 4), st.integers(2, 40), st.integers(1, 3),
+       st.floats(1.2, 3.0), st.floats(0.0, 0.2), st.booleans())
+def test_a_warm_start_from_the_last_point_is_the_cold_projection(seed, G, P, J, N, reach,
+                                                                 common):
+    """Projected cold, moved as a descent step moves it and projected again
+    from the first point and multipliers: a row that the step on that
+    point's piece settles meets the KKT conditions, lies on the
+    box-simplex, matches the cold projection to 1e-12 and counts one step;
+    every other row is the cold projection bit for bit, one step more.
+    Without a common point (``common`` False) the offsets may leave none
+    and the halfspaces are elastic."""
+    V, lo, hi, A, b = random_cuts(seed, G, P, J, N, reach)
+    if not common:
+        b = b + np.random.default_rng(seed).uniform(0.0, 1.5, b.shape) * np.abs(A).sum(
+            axis=2) / P
+    Q, nu, _ = project_cut(V, lo, hi, A, b, np.full(G, 1e6) if common else np.full(G, 50.0),
+                           np.zeros((G, J)))
+    V2, upper = descent_move(seed, V, 1e6 if common else None, 0.3)
+    cold, cold_nu, cold_passes = project_cut(V2, lo, hi, A, b, upper, nu)
+    warm, warm_nu, passes = project_cut(V2, lo, hi, A, b, upper, nu, Q)
+    S = passes == 1
+    assert np.array_equal(warm[~S], cold[~S]) and np.array_equal(warm_nu[~S], cold_nu[~S])
+    assert np.array_equal(passes[~S], cold_passes[~S] + 1)
+    if S.any():
+        W = warm[S]
+        assert_kkt(V2[S], lo, hi, A[S], b[S], upper[S], W, warm_nu[S])
+        assert (W >= lo).all() and (W <= hi).all()
+        assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-13
+        assert np.abs(W - cold[S]).max() <= 1e-12
+
+
+def test_a_warm_point_on_the_projection_s_piece_settles_every_row():
+    """After a small move of V every row of this draw, one of them with
+    all three halfspaces active, stays on the piece of its last
+    projection, so each settles in the one step on that point's piece:
+    no box-simplex projection."""
+    V, lo, hi, A, b = random_cuts(7, 4, 30, 3, 2.0, 0.2)
+    Q, nu, _ = project_cut(V, lo, hi, A, b, np.full(4, 1e6), np.zeros((4, 3)))
+    assert (nu > 0.0).sum(axis=1).tolist() == [1, 1, 3, 1]
+    V2, upper = descent_move(7, V, 1e6, 0.05)
+    cold = project_cut(V2, lo, hi, A, b, upper, nu)
+    warm = project_cut(V2, lo, hi, A, b, upper, nu, Q)
+    assert (warm[2] == 1).all() and (cold[2] == 1).all()
+    assert np.abs(warm[0] - cold[0]).max() <= 1e-12
+    assert np.abs(warm[1] - cold[1]).max() <= 1e-9 * np.abs(cold[1]).max()
+    assert_kkt(V2, lo, hi, A, b, upper, warm[0], warm[1])
+
+
+@pytest.mark.parametrize("common", [True, False])
+def test_a_warm_point_on_the_wrong_piece_changes_nothing(common):
+    """From a vertex of the box-simplex, whose piece has one free
+    coordinate, or from the uniform point, where every coordinate is free,
+    the step on the warm point's piece settles no row of these draws, whose
+    projections lie on other pieces (without a common point, on the
+    elastic bound with one coordinate free): each row is the cold
+    projection bit for bit, one step more."""
+    P = 12
+    V, lo, hi, A, b = random_cuts(7, 4, P, 2, 1.3, 0.2)
+    if not common:
+        b = b + 0.5 * np.abs(A).sum(axis=2) / P
+    upper = np.full(4, 1e6 if common else 20.0)
+    nu = np.zeros((4, 2))
+    cold = project_cut(V, lo, hi, A, b, upper, nu)
+    k = int((1.0 - P * lo) // (hi - lo))
+    vertex = np.full(P, lo)
+    vertex[:k], vertex[k] = hi, 1.0 - k * hi - (P - 1 - k) * lo
+    for x in (vertex, np.full(P, 1.0 / P)):
+        free = (cold[0] > lo) & (cold[0] < hi)
+        assert (free != ((x > lo) & (x < hi))).any(axis=1).all()
+        warm = project_cut(V, lo, hi, A, b, upper, nu, np.tile(x, (4, 1)))
+        assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+        assert np.array_equal(warm[2], cold[2] + 1)
+
+
 def test_active_set_matches_the_dual_newton_method():
     """The exact fallback for rows that take every step agrees with the
     dual Newton projection on rows that settle, and finds no point where

@@ -183,7 +183,9 @@ def test_is_martingale_agrees_with_m_where_q_has_null_blocks(b, K, d, seed):
     """A martingale under a measure with null blocks at one level, with
     arbitrary adapted values written at every null node: the check and m at
     p = 2 (at the thresholds of ``verify``'s characterization check) both
-    say yes, and both say no once one node of positive weight moves."""
+    say yes, and both say no once one node of positive weight moves.  The
+    martingale is exact, as under a positive measure: the check's deviation
+    and m at p = 1 read 0.0."""
     rng = np.random.default_rng(seed)
     lat = fm.build_lattice(b, K)
     level = int(rng.integers(1, K + 1))
@@ -205,7 +207,10 @@ def test_is_martingale_agrees_with_m_where_q_has_null_blocks(b, K, d, seed):
         assert ok == (fm.unfairness_m(Q, x) <= 1e-18)
         return ok
 
-    assert agree(fm.LatticeProcess(lat, 1, d, values))
+    mart = fm.LatticeProcess(lat, 1, d, values)
+    assert agree(mart)
+    assert fm.is_martingale(Q, mart).max_deviation == 0.0
+    assert fm.unfairness_m(Q, mart, UnfairnessConfig(p=1.0)) == 0.0
     k = int(rng.integers(0, K + 1))
     moved = rng.choice(np.flatnonzero(weight[k] > 0.0))
     values[k, moved * lat.block_size(k):(moved + 1) * lat.block_size(k)] += 0.5
