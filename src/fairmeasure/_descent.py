@@ -7,16 +7,20 @@ its own multipliers and the floor linearized at its point.  The objective
 supplies per-row values and gradients (``solver._Objective``) and says
 whether they are differentiable, the projection maps rows onto the
 feasible box-simplex (under the floor the cut projection onto the
-box-simplex cut by the linearized floor), the gap gives each row's
-Frank-Wolfe gap over it, each round stops a row once its gap is at most
-TOL (a floor round at the row's gap level), and max_iter bounds the
-iterations of one round.  Each evaluation's
-forward pass is its tape (``_tree.Tape``), and a tape lives for one trial:
-a row is differentiated as soon as its point is evaluated, at a round's
-start from the round's tape and on accepting a trial from the trial's
-(its accepting rows taken, where not all of them accepted), so
-differentiating runs only the adjoint.  The row keeps that gradient for
-its next iteration, and ``minimize`` certifies a solved winner from it.
+box-simplex cut by the linearized floor), each trial step given its row's
+current point, whose piece starts the projection's Newton search, the gap
+gives each row's Frank-Wolfe gap over it, each round stops a row once its
+gap is at most TOL (a floor round at the row's gap level), and max_iter
+bounds the iterations of one round.  Each evaluation's forward pass is
+its tape (``_tree.Tape``), and a tape lives for one trial: a row is
+differentiated as soon as its point is evaluated, at a round's start from
+the round's tape and on accepting a trial from the trial's (its accepting
+rows taken, where not all of them accepted), so differentiating runs only
+the adjoint.  The row keeps that gradient for its next iteration, and
+``minimize`` certifies a solved winner from it.  A row past its first
+round holds the value and violation of its point, so a later round's
+start takes the point's tape for its gradient and the floor's Jacobian
+alone.
 
 A floor round is linearly constrained (Robinson 1972; Friedlander &
 Saunders 2005): each pair's integral, scaled to h = (I - c) / |c|, is
@@ -171,7 +175,7 @@ class Descent:
     every floor."""
 
     def __init__(self, obj, starts: np.ndarray,
-                 project: Callable[[np.ndarray], np.ndarray],
+                 project: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  gap: Callable[[np.ndarray, np.ndarray], np.ndarray], max_iter: int,
                  cut: Callable | None = None):
         S, P = starts.shape
@@ -242,8 +246,9 @@ class Descent:
         recent = np.full((len(q), _WINDOW if spectral else 1), -np.inf)
         last_x, last_grad = np.empty_like(q), np.empty_like(q)   # the spectral rows' last pair
         tape = obj.tape(q[rows])
-        self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], tape)
         first = rows[self.rounds[rows] == 0]
+        if first.size:   # a row past its first round holds its value and violation at q
+            self.raw[rows], self.viol[rows] = obj.evaluate(q[rows], tape)
         self.start_raw[first], self.start_viol[first] = self.raw[first], self.viol[first]
         self.grad[rows] = obj.gradient(q[rows], tape)
         recent[rows, 0] = self.raw[rows]
@@ -311,7 +316,7 @@ class Descent:
                     self.counts[r, 2] += passes
                     nu /= tr
                 else:
-                    xn = self.project(step)
+                    xn = self.project(step, x[search])
                     self.counts[r, 2] += 1
                 d2 = ((xn - x[search]) ** 2).sum(axis=1)
                 zero = d2 == 0.0

@@ -44,17 +44,24 @@ node rates of each pair's integral summed down to the paths.
 
 A gradient needs the fold at its point, and the evaluation of that point
 has just made it, so the forward pass at a batch of rows is kept as the
-rows' :class:`Tape`: the node weights W, the fold's A and the floor's
-moments where there is a floor.  The value and the gradient at a point
-both read its tape, and neither writes over it, so a point that was
-evaluated is differentiated without folding again.  A tape lives for one
-trial of the descent: the rows that accept a trial are differentiated
-from its tape at once, taken from it where only some accepted.  The
-objective hands the kernel its rows C-contiguous, so the adjoint, whose
-einsums add in an order that follows the layout, gives the same floats
-whatever the caller's layout.  m's adjoint keeps its deviations from A in
-one buffer, so each of its elementwise passes runs once over every level,
-and only the einsums that sum a node go level by level.
+rows' :class:`Tape`: the node weights W, the fold's A, the floor's
+moments where there is a floor and, for m, the point's elementwise pass
+(:meth:`Tree.m_pass`): the deviations g_k - A_k, their norms and the norms
+to the p, each in one flat buffer over every level.  The value sums the
+norms to the p over the nodes and the adjoint reads all three (rows taken
+from a tape make them again), so each elementwise pass runs once per
+point, over all levels at once, and only
+the einsums that sum a node go level by level.  The value and the
+gradient at a point both read its tape, and neither writes over it, so a
+point that was evaluated is differentiated without folding again.  A tape
+lives for one trial of the descent: the rows that accept a trial are
+differentiated from its tape at once, taken from it where only some
+accepted.  The objective hands the kernel its rows C-contiguous, so the
+adjoint, whose einsums add in an order that follows the layout, gives the
+same floats whatever the caller's layout.  The tapeless value pass (the
+oracle's grid and ``unfairness_m``) keeps nothing: it writes its
+deviations and norms over a fold of its own, in the rows' layout, to the
+same floats.
 """
 from __future__ import annotations
 
@@ -199,46 +206,64 @@ class Tree:
         return acc
 
     def m(self, W: list[np.ndarray], p: float, adjoint: bool = False,
-          A: list[np.ndarray] | None = None):
+          A: list[np.ndarray] | None = None, elem: tuple | None = None):
         """The m-functional per weight row (G,), or its (terms, D) for
-        :meth:`reverse` with ``adjoint``.  A is the fold at W (a tape's),
-        folded here where None; only the value pass of a fold made here
-        writes its deviations over the fold.  The adjoint keeps every
-        level's deviations in one row-major buffer, so each of its
-        elementwise passes runs once over all levels."""
-        own = A is None and not adjoint
-        if A is None:
-            A = self.averages(W, self.K)
-        dt2, rows_last = self.dt * self.dt, _rows_last(W[-1])
-        shapes = [a.shape for a in A]
-        flat, dev = (None, A) if own else _levels(shapes)
-        for k in range(self.K):
-            np.subtract(self.nodes[k][:, None, :], A[k], out=dev[k])
-        norms = [s[:-1] + (self.n,) for s in shapes]
-        if not adjoint:
-            total = 0.0
-            for w, y in zip(W, dev):
+        :meth:`reverse` with ``adjoint``.  A is the fold at W and ``elem``
+        m's elementwise pass on it (a tape's; :meth:`m_pass`), each made
+        here where None.  The value pass of a fold made here writes its
+        deviations over the fold; otherwise the value sums ``elem``'s norms
+        to the p over the nodes, and the adjoint reads its deviations and
+        norms, each of its elementwise passes once over all levels."""
+        if A is None and not adjoint:
+            A, rows_last, total = self.averages(W, self.K), _rows_last(W[-1]), 0.0
+            for k, w in enumerate(W[:-1]):
+                y = np.subtract(self.nodes[k][:, None, :], A[k], out=A[k])
                 nrm = np.abs(y, out=y) if self.d == 1 else np.sqrt(
                     np.square(y, out=y).reshape(y.shape[:-1] + (self.n, self.d)).sum(axis=-1))
                 nrm **= p
                 total = total + _node_sum(w, nrm, rows_last)
+            return self.dt * self.dt * total
+        if A is None:
+            A = self.averages(W, self.K)
+        flat, nrm, power = self.m_pass(A, p) if elem is None else elem
+        shapes = [a.shape for a in A]
+        norms = [s[:-1] + (self.n,) for s in shapes]
+        dt2 = self.dt * self.dt
+        if not adjoint:
+            total, rows_last = 0.0, _rows_last(W[-1])
+            for w, y in zip(W, _levels(norms, power)[1]):
+                total = total + _node_sum(w, y, rows_last)
             return dt2 * total
-        if self.d == 1:
-            nrm = np.abs(flat)
-        else:
-            nrm, x = _levels(norms)
-            for k in range(self.K):
-                np.sqrt(np.square(dev[k]).reshape(norms[k] + (self.d,)).sum(axis=-1), out=x[k])
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
+            # at p = 2 the power nrm ** 0 is all ones
+            coef = np.where(nrm > 0.0, -dt2 * p if p == 2.0 else (-dt2 * p) * nrm ** (p - 2.0),
+                            0.0)
         if self.d == 1:
             D = _levels(shapes, coef * flat)[1]
         else:
             D = [np.repeat(c, self.d, axis=-1) * y
-                 for c, y in zip(_levels(norms, coef)[1], dev)]
+                 for c, y in zip(_levels(norms, coef)[1], _levels(shapes, flat)[1])]
         terms = [dt2 * np.einsum("gvhe->gv", y) - np.einsum("gvhm,gvhm->gv", z, a)
-                 for y, z, a in zip(_levels(norms, nrm ** p)[1], D, A)]
+                 for y, z, a in zip(_levels(norms, power)[1], D, A)]
         return terms + [0.0], D
+
+    def m_pass(self, A: list[np.ndarray], p: float) -> tuple[np.ndarray, ...]:
+        """m's elementwise pass at the fold A: every level's deviations
+        g_k - A_k, their norms over each exchange's d components and those
+        norms to the p, each in one flat buffer holding a row-major array
+        per level in turn (``_levels``)."""
+        shapes = [a.shape for a in A]
+        flat, dev = _levels(shapes)
+        for k in range(self.K):
+            np.subtract(self.nodes[k][:, None, :], A[k], out=dev[k])
+        if self.d == 1:
+            nrm = np.abs(flat)
+        else:
+            norms = [s[:-1] + (self.n,) for s in shapes]
+            nrm, x = _levels(norms)
+            for k in range(self.K):
+                np.sqrt(np.square(dev[k]).reshape(norms[k] + (self.d,)).sum(axis=-1), out=x[k])
+        return flat, nrm, nrm ** p
 
     def n_value(self, W: list[np.ndarray], adjoint: bool = False,
                 A: list[np.ndarray] | None = None):
@@ -337,14 +362,20 @@ class Floor:
 
 class Tape(NamedTuple):
     """The forward pass at a batch of weight rows, kept for the value and
-    the adjoint: the node weights W, the fold's averages A and, where there
-    is a floor, its :meth:`Floor.moments` (integrals, per-level parts).
-    Every array has the batch's rows on axis 0, so a tape's rows can be
-    taken and stored apart."""
+    the adjoint: the node weights W, the fold's averages A, where there
+    is a floor its :meth:`Floor.moments` (integrals, per-level parts) and,
+    for m, its elementwise pass (:meth:`Tree.m_pass`: flat buffers of a
+    row-major array per level).  Every other array has the batch's rows on
+    axis 0, so a tape's rows can be taken and stored apart.  The rows taken
+    leave m's pass behind, and their adjoint makes it again: taking each
+    level of the flat buffers apart costs more than the pass (a gradient
+    from taken rows took 76 against 60 us at b = 2, K = 2 and 632 against
+    600 us at b = 2, K = 11, p = 1.5)."""
 
     W: list[np.ndarray]
     A: list[np.ndarray]
     moments: tuple | None
+    elem: tuple | None = None
 
     def take(self, rows) -> Tape:
         """The tape of the rows ``rows``."""

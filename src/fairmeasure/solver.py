@@ -265,24 +265,31 @@ class _Objective:
         pairs = _floor_pairs(g, params)
         self.floor = Floor(self.tree, pairs) if pairs else None
 
-    def raw(self, W: list[np.ndarray], A: list[np.ndarray] | None = None) -> np.ndarray:
+    def raw(self, W: list[np.ndarray], tape: Tape | None = None) -> np.ndarray:
+        """The objective per row of the node weights W, read from their
+        tape where given (the tapeless value pass folds here, in place)."""
         if self.params.objective == "m":
-            return self.tree.m(W, self.params.p, A=A)
-        return self.tree.n_value(W, A=A)
+            return self.tree.m(W, self.params.p) if tape is None else self.tree.m(
+                W, self.params.p, A=tape.A, elem=tape.elem)
+        return self.tree.n_value(W, A=None if tape is None else tape.A)
 
     def tape(self, Q: np.ndarray) -> Tape:
         """The forward pass at the rows of Q: node weights, the fold (every
-        horizon for m, one step for n) and the floor's moments."""
+        horizon for m, one step for n), the floor's moments and m's
+        elementwise pass."""
         W = self.tree.node_weights(np.ascontiguousarray(np.atleast_2d(Q)))
-        A = self.tree.averages(W, self.tree.K if self.params.objective == "m" else 1)
-        return Tape(W, A, None if self.floor is None else self.floor.moments(W))
+        moments = None if self.floor is None else self.floor.moments(W)
+        if self.params.objective == "n":
+            return Tape(W, self.tree.averages(W, 1), moments)
+        A = self.tree.averages(W, self.tree.K)
+        return Tape(W, A, moments, self.tree.m_pass(A, self.params.p))
 
     def evaluate(self, Q: np.ndarray, tape: Tape | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
         """(objective, largest floor violation max(0, c - I)) per row of Q,
         read from its tape (taken here where None)."""
         tape = self.tape(Q) if tape is None else tape
-        raw = self.raw(tape.W, tape.A)
+        raw = self.raw(tape.W, tape)
         if self.floor is None:
             return raw, np.zeros_like(raw)
         return raw, np.maximum(0.0, self.params.c - tape.moments[0]).max(axis=1)
@@ -295,7 +302,8 @@ class _Objective:
         None)."""
         tape = self.tape(Q) if tape is None else tape
         if self.params.objective == "m":
-            terms, D = self.tree.m(tape.W, self.params.p, adjoint=True, A=tape.A)
+            terms, D = self.tree.m(tape.W, self.params.p, adjoint=True, A=tape.A,
+                                   elem=tape.elem)
         else:
             terms, D = self.tree.n_value(tape.W, adjoint=True, A=tape.A)
         if weights is not None and np.any(weights):
@@ -395,7 +403,7 @@ _ROUNDS = 30
 
 
 def _solve_starts(obj: _Objective, starts: np.ndarray,
-                  project: Callable[[np.ndarray], np.ndarray],
+                  project: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   gap: Callable[[np.ndarray, np.ndarray], np.ndarray], max_iter: int,
                   cut: Callable | None = None) -> Descent:
     """Descend from every start row at once: one round without a floor
@@ -462,7 +470,7 @@ def minimize(g: LatticeProcess, params: ConstraintParams,
     lat = g.lattice
     P = lat.n_paths
     lo, hi = box_bounds(lat, params.N)
-    project = lambda V: project_capped_simplex(V, lo[0], hi[0])
+    project = lambda V, x=None: project_capped_simplex(V, lo[0], hi[0], x)
     gap = lambda V, grad: frank_wolfe_gap(V, grad, lo[0], hi[0])
     obj = _Objective(g, params)
     floor_active = obj.floor is not None

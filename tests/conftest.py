@@ -5,7 +5,14 @@ import fairmeasure as fm
 from fairmeasure.verify import (martingale_from_terminal, random_measure,
                                 random_process)
 
-__all__ = ["random_measure", "random_process", "martingale_from_terminal", "random_floor"]
+__all__ = ["random_measure", "random_process", "martingale_from_terminal", "random_floor",
+           "same_bits"]
+
+
+def same_bits(a, b):
+    """Whether two float arrays have the same shape and the same bytes."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.fixture

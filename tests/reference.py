@@ -220,6 +220,34 @@ def m_from_averages(tree, W, A, p):
     return tree.dt * tree.dt * total
 
 
+def m_adjoint_recomputed(tree, W, A, p):
+    """``Tree.m``'s (terms, D) for ``Tree.reverse`` on row-major weights W
+    and averages A, every deviation, norm, power and coefficient computed
+    again here over the levels' flat buffer: the adjoint as it was before
+    it read a tape's elementwise pass, nrm ** (p - 2) taken at p = 2 too."""
+    from fairmeasure._tree import _levels
+    dt2, shapes = tree.dt * tree.dt, [a.shape for a in A]
+    norms = [s[:-1] + (tree.n,) for s in shapes]
+    flat, dev = _levels(shapes)
+    for k in range(tree.K):
+        np.subtract(tree.nodes[k][:, None, :], A[k], out=dev[k])
+    if tree.d == 1:
+        nrm = np.abs(flat)
+    else:
+        nrm, x = _levels(norms)
+        for k in range(tree.K):
+            np.sqrt(np.square(dev[k]).reshape(norms[k] + (tree.d,)).sum(axis=-1), out=x[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(nrm > 0.0, (-dt2 * p) * nrm ** (p - 2.0), 0.0)
+    if tree.d == 1:
+        D = _levels(shapes, coef * flat)[1]
+    else:
+        D = [np.repeat(c, tree.d, axis=-1) * y for c, y in zip(_levels(norms, coef)[1], dev)]
+    terms = [dt2 * np.einsum("gvhe->gv", y) - np.einsum("gvhm,gvhm->gv", z, a)
+             for y, z, a in zip(_levels(norms, nrm ** p)[1], D, A)]
+    return terms + [0.0], D
+
+
 # -- the linear programs of n and of m at p = 1 -------------------------------------
 
 def lp_min(g, params):
@@ -536,7 +564,7 @@ def pgd(obj, q0, project, gap, max_iter, cut=None, lam=None, level=-1):
         while t > _MIN_STEP:
             step = q - t * grad
             if cut is None:
-                qn = project(step)
+                qn = project(step, q)
             else:
                 qn, nu, n = cut(step[None], jac, bound, np.array([t * ELASTIC]), t * mult,
                                 q[None])

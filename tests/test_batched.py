@@ -42,9 +42,9 @@ class Counting:
         self.gradients += 1
         return self.obj.gradient(Q, tape, weights)
 
-    def project(self, v):
+    def project(self, v, x=None):
         self.projections += 1
-        return fm.project_capped_simplex(v, self.lo, self.hi)
+        return fm.project_capped_simplex(v, self.lo, self.hi, x)
 
     def cut(self, V, A, b, upper, nu, x):
         out = project_cut(V, self.lo[0], self.hi[0], A, b, upper, nu, x)
@@ -65,7 +65,7 @@ def reference_solve(g, params, opts, extra=()):
     lat = g.lattice
     lo, hi = box_bounds(lat, params.N)
     obj = _Objective(g, params)
-    project = lambda v: fm.project_capped_simplex(v, lo, hi)
+    project = lambda v, x=None: fm.project_capped_simplex(v, lo, hi, x)
     gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
     floor_active = bool(solver._floor_pairs(g, params))
     starts = [fm.uniform_measure(lat).weights]
@@ -123,7 +123,7 @@ def test_batched_rows_equal_reference_points(two_path):
                       [fm.project_capped_simplex(np.random.default_rng([0, r]).uniform(lo, hi),
                                                  lo, hi) for r in range(1, 4)])
     obj = _Objective(two_path, params)
-    project = lambda v: fm.project_capped_simplex(v, lo, hi)
+    project = lambda v, x=None: fm.project_capped_simplex(v, lo, hi, x)
     gap = lambda v, grad: frank_wolfe_gap(v, grad, lo[0], hi[0])
     run = solver._solve_starts(obj, starts, project, gap, opts.max_iter, None)
     for r, q0 in enumerate(starts):
@@ -175,7 +175,8 @@ def test_descent_stops_when_the_projected_step_does_not_move(two_path):
     obj = _Objective(two_path, fm.ConstraintParams(N=1.2, p=2.0))
     never = lambda v, grad: np.full(np.shape(v)[:-1], np.inf)
     max_iter = fm.SolveOptions().max_iter
-    run = Descent(obj, starts, lambda v: fm.project_capped_simplex(v, lo, hi), never, max_iter)
+    project = lambda v, x=None: fm.project_capped_simplex(v, lo, hi, x)
+    run = Descent(obj, starts, project, never, max_iter)
     run.round(np.arange(len(starts)))
     assert run.stop.tolist() == ["zero-step"] * 4
     assert run.iterations.tolist() == [1, 1, 1, 2]

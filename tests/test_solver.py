@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fairmeasure as fm
@@ -16,7 +16,7 @@ from fairmeasure._tree import Tree
 from fairmeasure.solver import _Objective, box_bounds
 
 import reference as ref
-from conftest import dyadic_martingale, random_floor, random_process
+from conftest import dyadic_martingale, random_floor, random_process, same_bits
 
 
 # -- constraint checking ---------------------------------------------------------
@@ -389,7 +389,8 @@ def adversarial_rows(rng, G, P, lo, hi):
 @pytest.mark.parametrize("P", [1, 2, 3, 16, 255, 4096])
 def test_projection_passes_stay_under_the_proven_cap(P, G, monkeypatch):
     """Every row of every adversarial family ends within the pass cap that
-    the loop's docstring proves, and matches the breakpoint reference."""
+    the loop's docstring proves, started cold or from a random point's
+    piece, and matches the breakpoint reference."""
     passes = []
     solve = _projection._newton_tau
 
@@ -403,9 +404,12 @@ def test_projection_passes_stay_under_the_proven_cap(P, G, monkeypatch):
     for N in (1.0, 1.5, 4.0):
         lo, hi = 1.0 / (N * P), N / P
         for V in adversarial_rows(rng, G, P, lo, hi):
-            Q = fm.project_capped_simplex(V, lo, hi)
             expect = ref.breakpoint_projection(V, lo, hi)
-            assert np.abs(Q - expect).max() <= 1e-15
+            # cold, and warm from a point of the box-simplex far from V's projection
+            x = fm.project_capped_simplex(rng.uniform(lo, hi, (G, P)), lo, hi)
+            for Q in (fm.project_capped_simplex(V, lo, hi),
+                      fm.project_capped_simplex(V, lo, hi, x)):
+                assert np.abs(Q - expect).max() <= 1e-15
     assert passes and max(passes) <= _projection._max_passes(P)
 
 
@@ -418,6 +422,87 @@ def test_projection_grid_row_where_newton_alone_cycles():
     V = np.array([v, v + 1.0, v[::-1], -v])
     Q = fm.project_capped_simplex(V, lo, hi)
     assert np.abs(Q - ref.breakpoint_projection(V, lo, hi)).max() <= 1e-15
+
+
+@st.composite
+def descent_rows(draw, interval=False):
+    """(v, lo, hi, x): G in 1..4 trial steps v = x - t g of a descent from
+    box-simplex points x, P in 2..300, t log-uniform in [1e-6, 100] per row
+    and g standard normal.  N lies in [1.01, 4] where no vertex of the box
+    (k coordinates at hi, the rest at lo) lies within 1e-9 of the simplex;
+    with ``interval`` it is within rounding of 1, or P / k - 1, which puts a
+    vertex on the simplex, so that the root tau can be an interval."""
+    P, G = draw(st.integers(2, 300)), draw(st.integers(1, 4))
+    if not interval:
+        N = draw(st.floats(1.01, 4.0))
+    else:
+        N = draw(st.sampled_from([1.0 + 1e-12, P / draw(st.integers(1, P // 2)) - 1.0]))
+    lo, hi = 1.0 / (N * P), N / P
+    k = np.arange(P + 1)
+    assume(interval or np.abs(k * hi + (P - k) * lo - 1.0).min() > 1e-9)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    x = fm.project_capped_simplex(rng.uniform(lo, hi, (G, P)), lo, hi)
+    t = 10.0 ** rng.uniform(-6.0, 2.0, (G, 1))
+    return x - t * rng.standard_normal((G, P)), lo, hi, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_rows())
+def test_warm_projection_is_the_cold_one_on_descent_rows(case):
+    """Started from the piece of the current point x, the projection of a
+    descent's trial step has the bytes of the projection started cold."""
+    v, lo, hi, x = case
+    assert same_bits(fm.project_capped_simplex(v, lo, hi, x), fm.project_capped_simplex(v, lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(descent_rows(interval=True))
+def test_warm_projection_where_the_root_is_an_interval(case):
+    """Where the root tau is an interval, within rounding of N = 1 or with a
+    vertex on the simplex, the warm and the cold start may end at points
+    an ulp apart; the warm one is feasible and of the form
+    clip(v - tau, lo, hi) all the same."""
+    v, lo, hi, x = case
+    Q = fm.project_capped_simplex(v, lo, hi, x)
+    assert (Q >= lo).all() and (Q <= hi).all()
+    assert np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-13
+    # some tau puts clip(v - tau, lo, hi) within eps of Q, eps the rounding of
+    # max |v|: tau >= v - Q - eps where Q + eps < hi, tau <= v - Q + eps where
+    # Q - eps > lo (the rows a second pass corrects lie eps off their bounds)
+    eps = 1e-12 * max(1.0, float(np.abs(v).max()))
+    low = np.where(Q + eps < hi, v - Q - eps, -np.inf).max(axis=1)
+    assert (low <= np.where(Q - eps > lo, v - Q + eps, np.inf).min(axis=1)).all()
+
+
+def test_warm_projection_starts_cold_on_a_vertex(monkeypatch):
+    """A row of x with no free coordinate (a vertex of the box-simplex)
+    starts Newton from the mean shift, as without x; a row with one starts
+    from the closed form of x's piece.  Mixed in one batch, each row gives
+    the cold projection's bytes."""
+    starts = []
+    solve = _projection._newton_tau
+
+    def recorded(V, lo, hi, tau):
+        starts.append(tau.copy())
+        return solve(V, lo, hi, tau)
+
+    monkeypatch.setattr(_projection, "_newton_tau", recorded)
+    P, lo, hi = 8, 1.0 / 24.0, 3.0 / 8.0   # N = 3: two coordinates at hi, six at lo
+    vertex = np.where(np.arange(P) % 4 == 1, hi, lo)
+    ramp = np.linspace(1.0, 2.0, P - 1)
+    inner = np.append(lo, ramp * (1.0 - lo) / ramp.sum())
+    x = np.array([vertex, inner, vertex[::-1]])
+    v = x - 0.01 * np.random.default_rng(7).standard_normal((3, P))
+    warm = fm.project_capped_simplex(v, lo, hi, x)
+    warm_start = starts[0]
+    starts.clear()
+    assert same_bits(warm, fm.project_capped_simplex(v, lo, hi))
+    cold_start = starts[0]
+    assert same_bits(warm_start[[0, 2]], cold_start[[0, 2]])
+    # the closed form of inner's piece: its first coordinate held at lo, the rest free
+    assert warm_start[1] == (lo + v[1, 1:].sum() - 1.0) / (P - 1) != cold_start[1]
+    with pytest.raises(fm.ParameterError, match="shape"):
+        fm.project_capped_simplex(v, lo, hi, x[:2])
 
 
 # -- Frank-Wolfe gap ------------------------------------------------------------------
@@ -1131,14 +1216,16 @@ def test_minimize_differentiates_the_descent_and_a_certified_winner(case, monkey
 def test_gradients_fold_nothing(case, monkeypatch):
     """Every evaluation folds once, for its point's tape, and every gradient
     reads the tape of a point already evaluated, the winner's gap too: over
-    a whole minimize the forward folds are the evaluations, and one more
-    under the floor, whose KKT certificate takes the winner's pass again."""
+    a whole minimize the forward folds are the evaluations and, under the
+    floor, one per round after the first, whose start takes its rows' tapes
+    for their gradients but holds their values, and one for the KKT
+    certificate, which takes the winner's pass again."""
     rng = np.random.default_rng(21)
     g = random_process(rng, fm.build_lattice(2, 2), n=2 if case == "floor" else 1,
                        low=0.5, high=2.0)
     params = fm.ConstraintParams(N=2.0, p=1.0 if case == "p=1" else 2.0,
                                  c=0.9 if case == "floor" else None)
-    calls = {"fold": 0, "evaluate": 0, "gradient": 0}
+    calls = {"fold": 0, "evaluate": 0, "gradient": 0, "round": 0}
 
     def counted(name, method):
         def call(*args, **kwargs):
@@ -1149,9 +1236,11 @@ def test_gradients_fold_nothing(case, monkeypatch):
     monkeypatch.setattr(Tree, "averages", counted("fold", Tree.averages))
     monkeypatch.setattr(_Objective, "evaluate", counted("evaluate", _Objective.evaluate))
     monkeypatch.setattr(_Objective, "gradient", counted("gradient", _Objective.gradient))
+    monkeypatch.setattr(_descent.Descent, "round", counted("round", _descent.Descent.round))
     rep = fm.minimize(g, params, fm.SolveOptions(restarts=3, max_iter=60))
     assert calls["gradient"] > 0 and sum(r.gradients for r in rep.restarts) > 0
-    assert calls["fold"] == calls["evaluate"] + (case == "floor")
+    assert calls["round"] > (case == "floor")
+    assert calls["fold"] == calls["evaluate"] + (case == "floor") * calls["round"]
 
 
 @pytest.mark.parametrize("max_iter", [60, 2])

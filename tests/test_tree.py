@@ -19,7 +19,7 @@ from fairmeasure.solver import _in_box_blocks, _Objective, _run_bounds, box_boun
 from fairmeasure.verify import _central_difference
 
 import reference as ref
-from conftest import martingale_from_terminal, random_measure, random_process
+from conftest import martingale_from_terminal, random_measure, random_process, same_bits
 
 RTOL = 1e-12
 
@@ -225,11 +225,6 @@ def test_zero_weight_blocks_average_to_zero():
 
 # -- the fold against the stacked reference --------------------------------------
 
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 @st.composite
 def fold_cases(draw):
     """(tree, node weights): b <= 4 (b = 2 in half the draws), K <= 4,
@@ -415,8 +410,8 @@ def test_a_tape_serves_its_value_and_gradient_unchanged(b, K):
     Q = rng.dirichlet(np.ones(lat.n_paths), 4)
     for obj, weights in objectives(lat, rng):
         tape = obj.tape(Q)
-        arrays = lambda t: t.W + t.A + ([] if t.moments is None
-                                        else [t.moments[0], *t.moments[1]])
+        arrays = lambda t: t.W + t.A + ([] if t.moments is None else [
+            t.moments[0], *t.moments[1]]) + ([] if t.elem is None else list(t.elem))
         saved = [x.copy() for x in arrays(tape)]
         assert all(map(same_bits, obj.evaluate(Q, tape), obj.evaluate(Q)))
         assert same_bits(obj.gradient(Q, tape, weights), obj.gradient(Q, weights=weights))
@@ -424,6 +419,48 @@ def test_a_tape_serves_its_value_and_gradient_unchanged(b, K):
         for rows in ([2, 0], np.array([True, False, True, True])):
             assert same_bits(obj.gradient(Q[rows], tape.take(rows), weights),
                              obj.gradient(Q[rows], weights=weights))
+
+
+@st.composite
+def tape_cases(draw):
+    """(process, weight rows, rows to take): b in 2..4, K <= 5, n <= 2, d
+    in {1, 2}, G in 1..4 rows of random weights, row-major or column-major;
+    in about two of three draws each node of one level carries no weight
+    with probability 1/3; a nonempty subset of the rows in any order."""
+    b, K = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    lat = fm.build_lattice(b, K)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    g = random_process(rng, lat, n=draw(st.integers(1, 2)), d=draw(st.integers(1, 2)),
+                       low=-3.0, high=3.0)
+    G = draw(st.integers(1, 4))
+    Q = rng.uniform(0.0, 1.0, (G, lat.n_paths))
+    level = draw(st.sampled_from([None, *range(1, K + 1)]))
+    if level is not None:
+        blocks = Q.reshape(G, b ** level, -1)
+        blocks[rng.uniform(size=(G, b ** level)) < 1 / 3] = 0.0
+    Q[Q.sum(axis=1) == 0.0, 0] = 1.0
+    if draw(st.booleans()):
+        Q = np.asfortranarray(Q)
+    rows = draw(st.lists(st.integers(0, G - 1), min_size=1, max_size=G, unique=True))
+    return g, Q, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(tape_cases(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+def test_a_tapes_elementwise_pass_gives_the_kernels_own_floats(case, p):
+    """m's value and gradient read from a tape's elementwise pass, on all
+    its rows or on rows taken from it, have the bytes of the tapeless value
+    pass (a fold of its own, its deviations written over it, in the rows'
+    own layout) and of the adjoint that computes every deviation, norm and
+    power again (``reference.m_adjoint_recomputed``)."""
+    g, Q, rows = case
+    obj = _Objective(g, fm.ConstraintParams(N=4.0, p=p))
+    tree, tape = obj.tree, obj.tape(Q)
+    for X, kept in ((Q, tape), (Q[rows], tape.take(rows))):
+        assert same_bits(obj.evaluate(X, kept)[0], tree.m(tree.node_weights(X), p))
+        W = tree.node_weights(np.ascontiguousarray(X))
+        expect = tree.reverse(*ref.m_adjoint_recomputed(tree, W, tree.averages(W, tree.K), p))
+        assert same_bits(obj.gradient(X, kept), expect)
 
 
 # -- the brute-force grid ----------------------------------------------------------
