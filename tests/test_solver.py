@@ -460,7 +460,7 @@ def test_warm_projection_is_the_cold_one_on_descent_rows(case):
 def test_warm_projection_where_the_root_is_an_interval(case):
     """Where the root tau is an interval, within rounding of N = 1 or with a
     vertex on the simplex, the warm and the cold start may end at points
-    an ulp apart; the warm one is feasible and of the form
+    apart by rounding; the warm one is feasible and of the form
     clip(v - tau, lo, hi) all the same."""
     v, lo, hi, x = case
     Q = fm.project_capped_simplex(v, lo, hi, x)
